@@ -21,7 +21,7 @@ from .frontend import (Thresholds, UnrollTooLarge, check_eligibility,
                        extract_dfg)
 from .overlay import OverlayShape, config_to_dot, config_to_text, serialize_config
 from .placer import PlacerParams, Unroutable, place_and_route
-from .runtime import CostModel, estimate_offload_time
+from .runtime import CostModel, OffloadRuntime, estimate_offload_time, trip_counts
 from .simulator import build_streams, compile_config, dump_frames, run_compiled, write_back
 
 EXIT_OK = 0
@@ -152,9 +152,7 @@ def cmd_run(args) -> int:
         print(f"unroutable: {exc}", file=sys.stderr)
         return EXIT_UNROUTABLE
 
-    loops, _ = kernel.canonical_nest()
-    trips = [(f.var, f.bound if isinstance(f.bound, int) else values[f.bound])
-             for f in loops]
+    trips = trip_counts(kernel.canonical_nest()[0], values)
     streams = build_streams(dfg, arrays, trips)
     program = compile_config(placement.apply())
     run_report = run_compiled(program, streams)
@@ -199,11 +197,8 @@ def cmd_bench(args) -> int:
         dfg = extract_dfg(kernel, args.unroll)
         stats = dfg_stats(dfg)
         values = _param_values(kernel, args.params, args.size)
-        loops, _ = kernel.canonical_nest()
-        n_iter = 1
-        for f in loops:
-            n_iter *= f.bound if isinstance(f.bound, int) else values[f.bound]
-        n_iter //= args.unroll
+        trips = trip_counts(kernel.canonical_nest()[0], values)
+        n_iter = OffloadRuntime._stream_length(dfg, trips)
         est = estimate_offload_time(stats, n_iter, CostModel(), cached=True)
         for shape_text in args.sizes.split(","):
             shape = _parse_overlay(shape_text)

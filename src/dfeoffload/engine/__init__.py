@@ -4,8 +4,8 @@ Two interchangeable inner loops execute lowered instruction programs over
 int32 value streams: ``_core`` (Cython, built at install time) and ``pure``
 (numpy).  The compiled one is picked automatically when present; set
 ``DFEOFFLOAD_ENGINE=pure`` or ``=compiled`` to force a choice.
-Both produce bit-identical results; ``benchmarks/bench_engines.py``
-compares their throughput.
+Both produce bit-identical results.  The benchmark under ``offloadbench/``
+reports the engine's throughput (``engine.ops_per_s``) in a traced run.
 """
 
 from __future__ import annotations

@@ -66,6 +66,8 @@ class EligibilityReport:
     reason: Reason
     dfg_stats: Optional[DfgStats] = None
     detail: str = ""
+    # the unroll-1 graph the verdict was taken on, kept for accepted kernels
+    dfg: Optional[DataFlowGraph] = field(default=None, repr=False, compare=False)
 
     def accepted(self) -> bool:
         return self.verdict == Verdict.ACCEPTED
@@ -562,4 +564,4 @@ def check_eligibility(k: kl.Kernel,
     if thresholds.max_nodes is not None and stats.calc_nodes > thresholds.max_nodes:
         return EligibilityReport(Verdict.REJECTED, Reason.TOO_LARGE, stats,
                                  f"{stats.calc_nodes} calc nodes > {thresholds.max_nodes}")
-    return EligibilityReport(Verdict.ACCEPTED, Reason.NONE, stats)
+    return EligibilityReport(Verdict.ACCEPTED, Reason.NONE, stats, dfg=g)

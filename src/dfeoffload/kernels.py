@@ -164,18 +164,18 @@ class Kernel:
         while len(loops[-1].body) == 1 and isinstance(loops[-1].body[0], For):
             loops.append(loops[-1].body[0])
         body = loops[-1].body
-
-        def has_loop(stmts) -> bool:
-            for s in stmts:
-                if isinstance(s, For):
-                    return True
-                if isinstance(s, IfElse) and (has_loop(s.then) or has_loop(s.orelse)):
-                    return True
-            return False
-
-        if has_loop(body):
+        if _has_loop(body):
             return None
         return loops, body
+
+
+def _has_loop(stmts) -> bool:
+    for s in stmts:
+        if isinstance(s, For):
+            return True
+        if isinstance(s, IfElse) and (_has_loop(s.then) or _has_loop(s.orelse)):
+            return True
+    return False
 
 
 # -- lexer -----------------------------------------------------------------------
@@ -647,11 +647,30 @@ def evaluate_kernel(k: Kernel, arrays: dict[str, np.ndarray],
     for decl in k.arrays:
         if decl.name not in state:
             raise EvalError(f"missing array {decl.name!r}")
+    _Interpreter(k, state, params, innermost, innermost_start).block(
+        [k.nest], dict(params))
+    return state
 
-    def is_float(name: str) -> bool:
-        return k.array(name).dtype == "float32"
 
-    def ev(e: Expr, env: dict[str, int]):
+class _Interpreter:
+    """Tree-walking evaluation of one kernel call over ``state``.
+
+    Plain methods rather than nested recursive closures: a closure that
+    calls itself refers to itself through its own cell, and the resulting
+    cycle would keep ``state`` (a copy of every array) alive until the
+    cyclic collector runs.
+    """
+
+    def __init__(self, k: Kernel, state: dict[str, np.ndarray],
+                 params: dict[str, int], innermost: Optional[For],
+                 innermost_start: int):
+        self.state = state
+        self.params = params
+        self.floats = {a.name for a in k.arrays if a.dtype == "float32"}
+        self.innermost = innermost
+        self.innermost_start = innermost_start
+
+    def expr(self, e: Expr, env: dict[str, int]):
         if isinstance(e, IntLit):
             return e.value
         if isinstance(e, FloatLit):
@@ -659,17 +678,19 @@ def evaluate_kernel(k: Kernel, arrays: dict[str, np.ndarray],
         if isinstance(e, Var):
             return env[e.name]
         if isinstance(e, ArrayRef):
-            idx = tuple(ev(i, env) for i in e.indices)
-            arr = state[e.name]
+            idx = tuple(self.expr(i, env) for i in e.indices)
+            arr = self.state[e.name]
             for d, i in enumerate(idx):
                 if not (0 <= i < arr.shape[d]):
                     raise EvalError(f"{e.name}{list(idx)} out of bounds {arr.shape}")
             v = arr[idx]
-            return float(v) if is_float(e.name) else int(v)
+            return float(v) if e.name in self.floats else int(v)
         if isinstance(e, Ternary):
-            return ev(e.then, env) if ev(e.cond, env) != 0 else ev(e.orelse, env)
-        a = ev(e.lhs, env)
-        b = ev(e.rhs, env)
+            if self.expr(e.cond, env) != 0:
+                return self.expr(e.then, env)
+            return self.expr(e.orelse, env)
+        a = self.expr(e.lhs, env)
+        b = self.expr(e.rhs, env)
         fp = isinstance(a, float) or isinstance(b, float)
         if e.op == "+":
             return a + b if fp else wrap32(a + b)
@@ -689,27 +710,24 @@ def evaluate_kernel(k: Kernel, arrays: dict[str, np.ndarray],
                "<=": a <= b, ">": a > b, ">=": a >= b}[e.op]
         return 1 if cmp else 0
 
-    def run_block(stmts, env):
+    def block(self, stmts, env: dict[str, int]) -> None:
         for s in stmts:
             if isinstance(s, For):
-                count = s.bound if isinstance(s.bound, int) else params[s.bound]
-                start = innermost_start if s is innermost else 0
+                count = s.bound if isinstance(s.bound, int) else self.params[s.bound]
+                start = self.innermost_start if s is self.innermost else 0
                 for v in range(start, count):
                     env[s.var] = v
-                    run_block(s.body, env)
+                    self.block(s.body, env)
                 env.pop(s.var, None)
             elif isinstance(s, IfElse):
-                branch = s.then if ev(s.cond, env) != 0 else s.orelse
-                run_block(branch, env)
+                branch = s.then if self.expr(s.cond, env) != 0 else s.orelse
+                self.block(branch, env)
             else:
-                idx = tuple(ev(i, env) for i in s.target.indices)
-                arr = state[s.target.name]
+                idx = tuple(self.expr(i, env) for i in s.target.indices)
+                arr = self.state[s.target.name]
                 for d, i in enumerate(idx):
                     if not (0 <= i < arr.shape[d]):
                         raise EvalError(
                             f"{s.target.name}{list(idx)} out of bounds {arr.shape}")
-                value = ev(s.value, env)
-                arr[idx] = value if is_float(s.target.name) else wrap32(value)
-
-    run_block([k.nest], dict(params))
-    return state
+                value = self.expr(s.value, env)
+                arr[idx] = value if s.target.name in self.floats else wrap32(value)

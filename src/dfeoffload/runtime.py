@@ -3,8 +3,11 @@
 Rather than predicting device performance in detail, the runtime keeps
 per-kernel moving averages of measured software and offloaded times and
 rolls back to software for good when offloading proves slower.  Successful
-mappings are cached by graph hash so repeat invocations skip place & route
-entirely.
+mappings are cached by graph hash, lowered and ready to run, so repeat
+invocations skip place & route and lowering; failed mappings are cached too,
+so a graph that does not route is searched once.  The analysis of each
+kernel is memoized, so a call on a cached mapping does only per-call work:
+trip counts, the decision, gather, run, scatter and the epilogue.
 """
 
 from __future__ import annotations
@@ -12,21 +15,21 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Hashable, Optional, Union
 
 import numpy as np
 
 from . import kernels as kl
 from .dfg import DataFlowGraph, DfgStats, dfg_hash, dfg_stats
-from .frontend import (EligibilityReport, Reason, Thresholds, UnrollTooLarge,
+from .frontend import (EligibilityReport, Thresholds, UnrollTooLarge,
                        check_eligibility, extract_dfg)
 from .overlay import OverlayConfig, OverlayShape
 from .placer import Placement, PlacerParams, Unroutable, place_and_route
-from .simulator import (FRAME_SIZE, RunReport, build_streams, compile_config,
-                        run_compiled, write_back)
+from .simulator import (FRAME_SIZE, OutOfBounds, Program, build_streams,
+                        compile_config, run_compiled, write_back)
 
 WORD_SIZE = 4
 
@@ -166,14 +169,43 @@ def record(state: OffloadState, mode: Mode, elapsed: float) -> OffloadState:
     return state
 
 
+class _Lru:
+    """A map of at most ``capacity`` keys that drops the least recently used.
+
+    Not locked: its owner holds a lock around every use.
+    """
+
+    def __init__(self, capacity: int):
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        self.capacity = capacity
+        self._entries: OrderedDict = OrderedDict()
+
+    def get(self, key: Hashable):
+        value = self._entries.get(key)
+        if value is not None:
+            self._entries.move_to_end(key)
+        return value
+
+    def put(self, key: Hashable, value) -> None:
+        self._entries[key] = value
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
 @dataclass
 class CacheEntry:
+    """A mapping ready to run: ``program`` is the lowered, validated config."""
+
     key: int
     config: OverlayConfig
     placement: Placement
     dfg: DataFlowGraph
-    hit_count: int = 0
-    mean_offload_time: float = 0.0
+    program: Program
 
 
 class ConfigCache:
@@ -184,30 +216,47 @@ class ConfigCache:
     """
 
     def __init__(self, capacity: int = 32):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+        self._entries = _Lru(capacity)
         self.capacity = capacity
-        self._entries: OrderedDict[int, CacheEntry] = OrderedDict()
         self._lock = threading.RLock()
 
     def get(self, key: int) -> Optional[CacheEntry]:
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                entry.hit_count += 1
-            return entry
+            return self._entries.get(key)
 
     def put(self, entry: CacheEntry) -> None:
         with self._lock:
-            self._entries[entry.key] = entry
-            self._entries.move_to_end(entry.key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+            self._entries.put(entry.key, entry)
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
+
+
+@dataclass(frozen=True)
+class _Accepted:
+    """An eligible kernel's graph at one unroll factor, ready to map."""
+
+    dfg: DataFlowGraph
+    key: int  # dfg_hash of the graph
+    stats: DfgStats
+    loops: tuple[kl.For, ...]  # the perfect nest, outer to inner
+
+
+# What analysing a kernel at one unroll factor and thresholds concluded: a
+# graph to map, or the reason it runs in software.
+_Analysis = Union[_Accepted, EligibilityReport, UnrollTooLarge]
+
+
+def trip_counts(loops, params: dict[str, int]) -> list[tuple[str, int]]:
+    """(loop var, trip count) outer to inner for one call's parameters."""
+    trips = []
+    for f in loops:
+        n = f.bound if isinstance(f.bound, int) else params[f.bound]
+        if n < 0:
+            raise ValueError(f"negative trip count for loop {f.var}")
+        trips.append((f.var, n))
+    return trips
 
 
 @dataclass
@@ -258,6 +307,10 @@ class OffloadRuntime:
         self.alpha = alpha
         self.warmup_calls = warmup_calls
         self.cache = ConfigCache(cache_capacity)
+        # (kernel, unroll, thresholds) -> _Analysis
+        self._analyses = _Lru(cache_capacity)
+        # (graph hash, shape, placer params, seed) -> the Unroutable message
+        self._unroutable = _Lru(cache_capacity)
         self.unroll = unroll
         self.seed = seed
         self.backend = backend
@@ -270,6 +323,35 @@ class OffloadRuntime:
             if key not in self._states:
                 self._states[key] = OffloadState(self.alpha, self.warmup_calls)
             return self._states[key]
+
+    def _analyze(self, kernel: kl.Kernel) -> _Analysis:
+        """Eligibility and extraction at the current unroll and thresholds.
+
+        Memoized per (kernel, unroll, thresholds), on which the outcome
+        alone depends.  At unroll 1 the graph the eligibility check built is
+        the one mapped, so a miss extracts once.
+        """
+        memo_key = (kernel, self.unroll, self.thresholds)
+        with self._lock:
+            analysis = self._analyses.get(memo_key)
+        if analysis is not None:
+            return analysis
+        report = check_eligibility(kernel, self.thresholds)
+        if not report.accepted():
+            analysis = report
+        else:
+            try:
+                dfg = report.dfg if self.unroll == 1 else extract_dfg(
+                    kernel, self.unroll, max_calc_nodes=self.thresholds.max_nodes)
+            except UnrollTooLarge as exc:
+                # drop the traceback: its frames would keep this call alive
+                analysis = exc.with_traceback(None)
+            else:
+                analysis = _Accepted(dfg, dfg_hash(dfg), dfg_stats(dfg),
+                                    tuple(kernel.canonical_nest()[0]))
+        with self._lock:
+            self._analyses.put(memo_key, analysis)
+        return analysis
 
     # -- the pipeline ---------------------------------------------------------
 
@@ -291,18 +373,14 @@ class OffloadRuntime:
             emit("software", detail)
             return result, trace
 
-        report = check_eligibility(kernel, self.thresholds)
-        if not report.accepted():
-            emit("analysis", f"rejected: {report.table_label()}")
-            return software(f"ineligible: {report.reason.value}", None)
-        try:
-            dfg = extract_dfg(kernel, self.unroll,
-                              max_calc_nodes=self.thresholds.max_nodes)
-        except UnrollTooLarge as exc:
-            emit("analysis", f"unroll too large: {exc}")
+        analysis = self._analyze(kernel)
+        if isinstance(analysis, EligibilityReport):
+            emit("analysis", f"rejected: {analysis.table_label()}")
+            return software(f"ineligible: {analysis.reason.value}", None)
+        if isinstance(analysis, UnrollTooLarge):
+            emit("analysis", f"unroll too large: {analysis}")
             return software("unroll too large", None)
-        key = dfg_hash(dfg)
-        stats = dfg_stats(dfg)
+        dfg, key, stats = analysis.dfg, analysis.key, analysis.stats
         emit("analysis", f"accepted hash={key:016x} "
                          f"in={stats.inputs} out={stats.outputs} calc={stats.calc_nodes}")
         state = self.state_for(key)
@@ -310,23 +388,32 @@ class OffloadRuntime:
         entry = self.cache.get(key)
         cached = entry is not None
         if not cached:
+            failure_key = (key, self.shape, self.placer_params, self.seed)
+            with self._lock:
+                failure = self._unroutable.get(failure_key)
+            if failure is not None:
+                emit("place_route", f"unroutable (cached failure): {failure}")
+                return software("unroutable, software fallback", state)
             pr_start = self.clock()
             try:
                 placement = place_and_route(dfg, self.shape,
                                             self.placer_params, self.seed)
             except Unroutable as exc:
+                with self._lock:
+                    self._unroutable.put(failure_key, str(exc))
                 emit("place_route", f"unroutable: {exc}")
                 return software("unroutable, software fallback", state)
             config = placement.apply()
-            entry = CacheEntry(key, config, placement, dfg)
-            self.cache.put(entry)
             emit("place_route",
                  f"placed in {(self.clock() - pr_start) * 1e3:.2f} ms, "
                  f"attempts={placement.counters.position_attempts}")
+            entry = CacheEntry(key, config, placement, dfg,
+                               compile_config(config))
+            self.cache.put(entry)
         else:
             emit("cache", "hit, reusing configuration")
 
-        trips = self._trips(kernel, params)
+        trips = trip_counts(analysis.loops, params)
         n_iter = self._stream_length(dfg, trips)
         baseline = state.ema_software
         if baseline is None and self.cost_model.software_time_per_call > 0:
@@ -340,6 +427,16 @@ class OffloadRuntime:
         if decision != Mode.OFFLOADED:
             return software("decision: software", state)
 
+        try:
+            streams = build_streams(entry.dfg, arrays, trips)
+            run_report = run_compiled(entry.program, streams, self.backend)
+            result = write_back(entry.dfg, run_report, arrays, trips)
+        except OutOfBounds:
+            # The overlay streams every access in the graph over the whole
+            # domain; software touches only what it evaluates, and raises
+            # its own error for what it cannot.
+            return software("access out of range, software fallback", state)
+
         device_elapsed = 0.0
         config_cost = 0.0 if cached else self.device_model.config_time
         config_cost += self.device_model.const_transfer_time
@@ -347,10 +444,6 @@ class OffloadRuntime:
         emit("configure", f"{'cached, ' if cached else ''}"
                           f"consts={len(entry.placement.masks)} "
                           f"t={config_cost * 1e6:.1f}us")
-
-        streams = build_streams(entry.dfg, arrays, trips)
-        run_report = run_compiled(compile_config(entry.config), streams,
-                                  self.backend)
         t_in = FRAME_SIZE * run_report.frames_in / self.device_model.wire_rate
         device_elapsed += t_in
         emit("transfer_in", f"frames={run_report.frames_in} t={t_in * 1e6:.1f}us")
@@ -359,7 +452,6 @@ class OffloadRuntime:
         device_elapsed += t_out
         emit("transfer_out", f"frames={run_report.frames_out} t={t_out * 1e6:.1f}us")
 
-        result = write_back(entry.dfg, run_report, arrays, trips)
         remainder = self._remainder(entry.dfg, trips)
         if remainder:
             inner_var, inner_n = trips[-1]
@@ -367,25 +459,10 @@ class OffloadRuntime:
                                         innermost_start=inner_n - remainder)
             emit("epilogue", f"{remainder} leftover iterations of {inner_var}")
 
-        entry.mean_offload_time = (
-            device_elapsed if entry.hit_count == 0 else
-            (entry.mean_offload_time * entry.hit_count + device_elapsed)
-            / (entry.hit_count + 1))
         record(state, Mode.OFFLOADED, device_elapsed)
         if state.mode == Mode.ROLLED_BACK:
             emit("rollback", "offload slower than software; reverting for good")
         return result, trace
-
-    def _trips(self, kernel: kl.Kernel, params: dict[str, int]
-               ) -> list[tuple[str, int]]:
-        loops, _ = kernel.canonical_nest()
-        trips = []
-        for f in loops:
-            n = f.bound if isinstance(f.bound, int) else params[f.bound]
-            if n < 0:
-                raise ValueError(f"negative trip count for loop {f.var}")
-            trips.append((f.var, n))
-        return trips
 
     @staticmethod
     def _stream_length(dfg: DataFlowGraph, trips: list[tuple[str, int]]) -> int:

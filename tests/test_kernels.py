@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -143,3 +146,19 @@ def test_evaluate_innermost_start():
     full = evaluate_kernel(k, arrays, {"M": 2, "N": 6})
     assert np.array_equal(partial["C"][:, 4:], full["C"][:, 4:])
     assert np.array_equal(partial["C"][:, :4], arrays["C"][:, :4])
+
+
+def test_evaluate_kernel_leaves_no_reference_cycle():
+    # Without the cyclic collector, the returned arrays must die with the
+    # last reference to them: nothing the evaluation built may hold them.
+    k = corpus.load("branchmix")
+    params = {"M": 3, "N": 4}
+    arrays = allocate_arrays(k, params, np.random.default_rng(0))
+    gc.disable()
+    try:
+        out = evaluate_kernel(k, arrays, params, innermost_start=1)
+        ref = weakref.ref(out["C"])
+        del out
+        assert ref() is None
+    finally:
+        gc.enable()

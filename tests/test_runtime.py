@@ -1,0 +1,179 @@
+"""Runtime: the warm path, the analysis memo and the cached failures.
+
+Offload is forced with a software baseline far above any estimate, so every
+eligible call that maps runs on the overlay; software is forced with one far
+below.  Every returned array must equal ``evaluate_kernel``.
+"""
+
+import numpy as np
+import pytest
+
+from dfeoffload import corpus, frontend, runtime, simulator
+from dfeoffload.kernels import EvalError, allocate_arrays, evaluate_kernel
+from dfeoffload.overlay import OverlayShape
+from dfeoffload.placer import PlacerParams
+from dfeoffload.runtime import CostModel, OffloadRuntime
+
+# The kernels that route at unroll 1 on a 6x6 overlay.
+WARM_KERNELS = ["2mm", "3mm", "atax", "bicg", "branchmix", "gemm", "gemver",
+                "gesummv", "mvt", "symm", "syr2k", "syrk", "trmm"]
+OFFLOAD = CostModel(software_time_per_call=10.0)
+SOFTWARE = CostModel(software_time_per_call=1e-12)
+# A placer seed at which all of WARM_KERNELS route on 6x6 in milliseconds.
+SEED = 3
+
+
+def _inputs(kernel, size, seed=0):
+    params = {p: size for p in kernel.params}
+    rng = np.random.default_rng(seed)
+    return allocate_arrays(kernel, params, rng, -2**31, 2**31 - 1), params
+
+
+def _assert_matches_software(kernel, arrays, params, out):
+    expected = evaluate_kernel(kernel, arrays, params)
+    assert set(out) == set(expected)
+    for name, want in expected.items():
+        assert out[name].dtype == want.dtype
+        assert np.array_equal(out[name], want), name
+
+
+def _phases(trace):
+    return [event.phase for event in trace]
+
+
+class _Counts:
+    """Counts calls to functions of the program, wherever they are bound."""
+
+    def __init__(self, monkeypatch):
+        self.calls = {}
+        self._monkeypatch = monkeypatch
+
+    def watch(self, module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        self._monkeypatch.setattr(module, name, counted)
+        self.calls[name] = 0
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    c = _Counts(monkeypatch)
+    c.watch(frontend, "extract_dfg")
+    c.watch(runtime, "extract_dfg")
+    c.watch(runtime, "check_eligibility")
+    c.watch(simulator, "validate_config")
+    c.watch(runtime, "compile_config")
+    c.watch(runtime, "place_and_route")
+    return c
+
+
+def _analysis_calls(c):
+    return {name: c.calls[name] for name in
+            ("extract_dfg", "check_eligibility", "validate_config", "compile_config")}
+
+
+def test_each_warm_kernel_misses_once_then_hits():
+    rt = OffloadRuntime(OverlayShape(6, 6), cost_model=OFFLOAD, seed=SEED)
+    for i, name in enumerate(WARM_KERNELS):
+        kernel = corpus.load(name)
+        for call in range(3):
+            arrays, params = _inputs(kernel, 5 + call, seed=i)
+            out, trace = rt.execute(kernel, arrays, params)
+            _assert_matches_software(kernel, arrays, params, out)
+            phases = _phases(trace)
+            assert "compute" in phases, (name, phases)
+            assert ("place_route" in phases) == (call == 0), (name, phases)
+            assert ("cache" in phases) == (call > 0), (name, phases)
+    assert len(rt.cache) == len(WARM_KERNELS)
+
+
+@pytest.mark.parametrize("name", ["gemm", "trmm"])
+def test_unroll_two_with_odd_inner_extent_runs_the_epilogue(name):
+    kernel = corpus.load(name)
+    rt = OffloadRuntime(OverlayShape(8, 8), cost_model=OFFLOAD, unroll=2, seed=SEED)
+    for call in range(3):
+        arrays, params = _inputs(kernel, 7 + 2 * call, seed=call)
+        out, trace = rt.execute(kernel, arrays, params)
+        _assert_matches_software(kernel, arrays, params, out)
+        assert "compute" in _phases(trace)
+        assert "epilogue" in _phases(trace)
+
+
+def test_a_hit_neither_analyses_nor_lowers(counts):
+    kernel = corpus.load("gemm")
+    rt = OffloadRuntime(OverlayShape(6, 6), cost_model=OFFLOAD, seed=SEED)
+    arrays, params = _inputs(kernel, 6)
+    rt.execute(kernel, arrays, params)
+    # a miss at unroll 1 extracts once, inside the eligibility check, and
+    # lowers once (the placer's own validation is bound in its module)
+    assert _analysis_calls(counts) == {"extract_dfg": 1, "check_eligibility": 1,
+                                       "validate_config": 1, "compile_config": 1}
+    for name in counts.calls:
+        counts.calls[name] = 0
+    for size in (4, 9):
+        arrays, params = _inputs(kernel, size)
+        out, trace = rt.execute(kernel, arrays, params)
+        _assert_matches_software(kernel, arrays, params, out)
+        assert "cache" in _phases(trace) and "compute" in _phases(trace)
+    assert _analysis_calls(counts) == {"extract_dfg": 0, "check_eligibility": 0,
+                                       "validate_config": 0, "compile_config": 0}
+    # an equal kernel parsed again is the same analysis
+    rt.execute(corpus.load("gemm"), arrays, params)
+    assert counts.calls["check_eligibility"] == 0
+
+
+def test_changing_unroll_analyses_a_new_graph(counts):
+    kernel = corpus.load("gemm")
+    rt = OffloadRuntime(OverlayShape(8, 8), cost_model=OFFLOAD, seed=SEED)
+    arrays, params = _inputs(kernel, 7)
+    _, first = rt.execute(kernel, arrays, params)
+    rt.unroll = 2
+    out, second = rt.execute(kernel, arrays, params)
+    _assert_matches_software(kernel, arrays, params, out)
+    assert first[0].detail != second[0].detail  # the graph hash differs
+    assert "place_route" in _phases(second) and "epilogue" in _phases(second)
+    assert counts.calls["place_and_route"] == 2
+    rt.unroll = 1
+    _, third = rt.execute(kernel, arrays, params)
+    assert third[0].detail == first[0].detail
+    assert "cache" in _phases(third)
+    assert counts.calls["check_eligibility"] == 2
+
+
+def test_an_unroutable_graph_is_searched_once(counts):
+    kernel = corpus.load("3mm")
+    rt = OffloadRuntime(OverlayShape(4, 4), cost_model=OFFLOAD,
+                        placer_params=PlacerParams(global_budget=2000))
+    traces = []
+    for call in range(3):
+        arrays, params = _inputs(kernel, 4, seed=call)
+        out, trace = rt.execute(kernel, arrays, params)
+        _assert_matches_software(kernel, arrays, params, out)
+        traces.append(trace)
+    assert counts.calls["place_and_route"] == 1
+    details = [[e.detail for e in trace if e.phase == "place_route"]
+               for trace in traces]
+    assert "cached" not in details[0][0]
+    assert all("cached failure" in d[0] for d in details[1:])
+    assert all(_phases(trace)[-1] == "software" for trace in traces)
+
+
+@pytest.mark.parametrize("model", [OFFLOAD, SOFTWARE], ids=["offload", "software"])
+def test_out_of_range_access_raises_what_software_raises(model):
+    kernel = corpus.load("atax")
+    arrays, params = _inputs(kernel, 1)
+    with pytest.raises(EvalError) as want:
+        evaluate_kernel(kernel, arrays, params)
+    rt = OffloadRuntime(OverlayShape(6, 6), cost_model=model, seed=SEED)
+    with pytest.raises(EvalError) as got:
+        rt.execute(kernel, arrays, params)
+    assert str(got.value) == str(want.value)
+    # the same runtime still offloads inputs in range
+    arrays, params = _inputs(kernel, 6)
+    out, trace = rt.execute(kernel, arrays, params)
+    _assert_matches_software(kernel, arrays, params, out)
+    assert ("compute" in _phases(trace)) == (model is OFFLOAD)
