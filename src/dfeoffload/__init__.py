@@ -4,8 +4,8 @@ FPGA dataflow overlay.
 Pipeline: parse a kernel (`kernels`), check eligibility and extract its data
 flow graph (`frontend`), map it onto a parametric cell grid with a stochastic
 place & route (`placer`), execute it on the token-based overlay simulator
-(`simulator`, backed by a compiled or numpy engine), and let the runtime
-decide offload vs software with measured-cost rollback (`runtime`).
+(`simulator`, backed by the stream `engine`), and let the runtime decide
+offload vs software with measured-cost rollback (`runtime`).
 """
 
 from .dfg import (AffineExpr, DataFlowGraph, DfgStats, IoBinding, Node,

@@ -17,12 +17,13 @@ import numpy as np
 
 from . import kernels as kl
 from .dfg import dfg_stats, dfg_to_dot, dfg_to_text
-from .frontend import (Thresholds, UnrollTooLarge, check_eligibility,
-                       extract_dfg)
+from .frontend import (EligibilityReport, Thresholds, UnrollTooLarge,
+                       check_eligibility, extract_dfg)
 from .overlay import OverlayShape, config_to_dot, config_to_text, serialize_config
 from .placer import PlacerParams, Unroutable, place_and_route
-from .runtime import CostModel, OffloadRuntime, estimate_offload_time, trip_counts
-from .simulator import build_streams, compile_config, dump_frames, run_compiled, write_back
+from .runtime import (CostModel, OffloadRuntime, estimate_offload_time,
+                      run_offloaded, trip_counts)
+from .simulator import build_streams, dump_frames
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -138,39 +139,35 @@ def cmd_run(args) -> int:
     arrays = kl.allocate_arrays(kernel, values, rng)
     software = kl.evaluate_kernel(kernel, arrays, values)
 
-    report = check_eligibility(kernel, _thresholds(args))
-    if not report.accepted():
-        print(f"{Path(args.file).stem}: {report.table_label()}; software path")
+    rt = OffloadRuntime(args.overlay, _thresholds(args),
+                        PlacerParams(global_budget=args.budget),
+                        unroll=args.unroll, seed=args.seed)
+    analysis = rt.analyze(kernel)
+    if isinstance(analysis, EligibilityReport):
+        print(f"{Path(args.file).stem}: {analysis.table_label()}; software path")
         print("PASS (software)")
         return EXIT_OK
-    dfg = extract_dfg(kernel, args.unroll)
+    if isinstance(analysis, UnrollTooLarge):
+        print(f"unroll too large: {analysis}", file=sys.stderr)
+        return EXIT_UNROUTABLE
     try:
-        placement = place_and_route(dfg, args.overlay,
-                                    PlacerParams(global_budget=args.budget),
-                                    args.seed)
+        entry = rt.map(analysis)
     except Unroutable as exc:
         print(f"unroutable: {exc}", file=sys.stderr)
         return EXIT_UNROUTABLE
 
-    trips = trip_counts(kernel.canonical_nest()[0], values)
-    streams = build_streams(dfg, arrays, trips)
-    program = compile_config(placement.apply())
-    run_report = run_compiled(program, streams)
-    result = write_back(dfg, run_report, arrays, trips)
-    if dfg.remainder is not None:
-        leftover = trips[-1][1] % dfg.remainder.factor
-        if leftover:
-            result = kl.evaluate_kernel(kernel, result, values,
-                                        innermost_start=trips[-1][1] - leftover)
+    trips = trip_counts(analysis.loops, values)
+    result, run_report = run_offloaded(entry, kernel, arrays, values, trips)
     if args.format == "frames":
         base = Path(args.file).stem
+        streams = build_streams(entry.dfg, arrays, trips)
         Path(f"{base}.in.frames").write_bytes(dump_frames(streams))
         Path(f"{base}.out.frames").write_bytes(dump_frames(run_report.outputs))
         print(f"dumped {base}.in.frames / {base}.out.frames")
 
     model = CostModel.from_file(args.cost_model) if args.cost_model else CostModel()
-    n_iter = len(next(iter(streams.values()))) if streams else 0
-    est = estimate_offload_time(dfg_stats(dfg), n_iter, model, cached=False)
+    n_iter = OffloadRuntime._stream_length(entry.dfg, trips)
+    est = estimate_offload_time(analysis.stats, n_iter, model, cached=False)
     print(f"frames_in={run_report.frames_in} frames_out={run_report.frames_out} "
           f"bytes_on_wire={run_report.bytes_on_wire} cycles={run_report.cycles} "
           f"est_offload={est:.3e}s")

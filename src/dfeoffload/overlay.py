@@ -153,11 +153,12 @@ Origin = Union[BorderOrigin, CellOrigin]
 
 
 def trace_port(cfg: OverlayConfig, cell: tuple[int, int],
-               port: Direction) -> Origin:
+               port: Direction) -> tuple[Origin, int]:
     """Walk an input pin backwards through pass-through outputs to its source.
 
     Returns the border input interface or the cell whose FU produces the
-    value; raises UnroutedPort when the chain hits a disabled output.
+    value, and the number of cell outputs the value passes on the way;
+    raises UnroutedPort when the chain hits a disabled output.
     """
     r, c = cell
     d = port
@@ -168,13 +169,13 @@ def trace_port(cfg: OverlayConfig, cell: tuple[int, int],
         seen.add((r, c, d))
         nb = cfg.shape.neighbor(r, c, d)
         if nb is None:
-            return BorderOrigin(r, c, d)
+            return BorderOrigin(r, c, d), len(seen) - 1
         sel = cfg.cell(*nb).out_sel[opposite(d)]
         if sel is None:
             raise UnroutedPort(f"cell ({nb[0]},{nb[1]}) output "
                                f"{opposite(d).name} is disabled")
         if sel == FU:
-            return CellOrigin(*nb)
+            return CellOrigin(*nb), len(seen)
         r, c = nb
         d = sel
 
@@ -261,7 +262,7 @@ def validate_config(cfg: OverlayConfig) -> list[Violation]:
 
     def check_pin(r, c, d, what):
         try:
-            origin = trace_port(cfg, (r, c), d)
+            origin, _ = trace_port(cfg, (r, c), d)
         except UnroutedPort as exc:
             out.append(Violation("unrouted", f"{what}: {exc}"))
             return
@@ -477,14 +478,14 @@ def config_to_dot(cfg: OverlayConfig) -> str:
             d = cell.pin_select(pin)
             if d is None:
                 continue
-            src = origin_name(trace_port(cfg, (r, c), d))
+            src = origin_name(trace_port(cfg, (r, c), d)[0])
             lines.append(f'  {src} -> c{r}_{c} [label="{pin.name}"];')
     for (r, c, d), tag in sorted(cfg.io_out.items()):
         sel = cfg.cell(r, c).out_sel[d]
         if sel == FU:
             lines.append(f"  c{r}_{c} -> o{tag};")
         elif isinstance(sel, Direction):
-            src = origin_name(trace_port(cfg, (r, c), sel))
+            src = origin_name(trace_port(cfg, (r, c), sel)[0])
             lines.append(f"  {src} -> o{tag};")
     lines.append("}")
     return "\n".join(lines) + "\n"

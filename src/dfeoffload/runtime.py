@@ -15,7 +15,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Hashable, Optional, Union
@@ -28,10 +28,9 @@ from .frontend import (EligibilityReport, Thresholds, UnrollTooLarge,
                        check_eligibility, extract_dfg)
 from .overlay import OverlayConfig, OverlayShape
 from .placer import Placement, PlacerParams, Unroutable, place_and_route
-from .simulator import (FRAME_SIZE, OutOfBounds, Program, build_streams,
-                        compile_config, run_compiled, write_back)
-
-WORD_SIZE = 4
+from .simulator import (FRAME_SIZE, OutOfBounds, Program, RunReport,
+                        build_streams, compile_config, run_compiled,
+                        write_back)
 
 
 @dataclass
@@ -39,7 +38,6 @@ class CostModel:
     """Transfer and configuration timing constants (seconds, bytes/second)."""
 
     wire_rate: float = 230e6
-    frame_overhead_factor: int = 4  # 128 wire bits per 32 payload bits
     config_time: float = 2.1e-3
     const_transfer_time: float = 55e-6
     software_time_per_call: float = 0.0  # measured online, 0 = unknown
@@ -47,42 +45,20 @@ class CostModel:
     def __post_init__(self):
         if self.wire_rate <= 0 or self.config_time <= 0 or self.const_transfer_time <= 0:
             raise ValueError("cost model constants must be positive")
-        if self.frame_overhead_factor != 4:
-            raise ValueError("frame overhead factor is fixed by the wire format")
 
     @staticmethod
     def from_file(path: str | Path) -> "CostModel":
         """Read key=value overrides ('#' comments allowed) over the defaults."""
-        values = {}
+        kwargs = {}
         for raw in Path(path).read_text().splitlines():
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
-        return CostModel._with_overrides(values)
-
-    @staticmethod
-    def from_env(env: dict[str, str], prefix: str = "DFEOFFLOAD_") -> "CostModel":
-        values = {}
-        for name in ("wire_rate", "config_time", "const_transfer_time",
-                     "frame_overhead_factor", "software_time_per_call"):
-            raw = env.get(prefix + name.upper())
-            if raw is not None:
-                values[name] = raw
-        return CostModel._with_overrides(values)
-
-    @staticmethod
-    def _with_overrides(values: dict[str, str]) -> "CostModel":
-        kwargs = {}
-        for name, raw in values.items():
-            if name == "frame_overhead_factor":
-                kwargs[name] = int(raw)
-            elif name in ("wire_rate", "config_time", "const_transfer_time",
-                          "software_time_per_call"):
-                kwargs[name] = float(raw)
-            else:
-                raise KeyError(f"unknown cost-model key {name!r}")
+            key = key.strip()
+            if key not in {f.name for f in fields(CostModel)}:
+                raise KeyError(f"unknown cost-model key {key!r}")
+            kwargs[key] = float(val.strip())
         return CostModel(**kwargs)
 
 
@@ -91,15 +67,14 @@ def estimate_offload_time(stats: DfgStats, n_iterations: int,
     """Predicted seconds for one offloaded call.
 
     Configuration cost is skipped when the mapping is already cached; the
-    data term is the wire time for every streamed word at 16 bytes each
-    (4-byte payload times the 4x frame overhead).
+    data term is the wire time for every streamed word, one 16-byte frame
+    each.
     """
     if n_iterations < 0:
         raise ValueError("iteration count must be nonnegative")
     t = 0.0 if cached else model.config_time
     t += model.const_transfer_time
-    bytes_per_word = WORD_SIZE * model.frame_overhead_factor
-    t += bytes_per_word * n_iterations * (stats.inputs + stats.outputs) / model.wire_rate
+    t += FRAME_SIZE * n_iterations * (stats.inputs + stats.outputs) / model.wire_rate
     return t
 
 
@@ -243,20 +218,49 @@ class _Accepted:
     loops: tuple[kl.For, ...]  # the perfect nest, outer to inner
 
 
+class _CachedUnroutable(Unroutable):
+    """A failure to route, raised again from the cache without a search."""
+
+
 # What analysing a kernel at one unroll factor and thresholds concluded: a
 # graph to map, or the reason it runs in software.
 _Analysis = Union[_Accepted, EligibilityReport, UnrollTooLarge]
 
 
 def trip_counts(loops, params: dict[str, int]) -> list[tuple[str, int]]:
-    """(loop var, trip count) outer to inner for one call's parameters."""
-    trips = []
-    for f in loops:
-        n = f.bound if isinstance(f.bound, int) else params[f.bound]
-        if n < 0:
-            raise ValueError(f"negative trip count for loop {f.var}")
-        trips.append((f.var, n))
-    return trips
+    """(loop var, trip count) outer to inner for one call's parameters.
+
+    A negative bound runs its loop zero times, as in software.
+    """
+    return [(f.var, max(f.bound if isinstance(f.bound, int) else params[f.bound], 0))
+            for f in loops]
+
+
+def _leftover(dfg: DataFlowGraph, trips: list[tuple[str, int]]) -> int:
+    """Innermost iterations the unrolled graph leaves to the software epilogue."""
+    if dfg.remainder is None:
+        return 0
+    return trips[-1][1] % dfg.remainder.factor
+
+
+def run_offloaded(entry: CacheEntry, kernel: kl.Kernel,
+                  arrays: dict[str, np.ndarray], params: dict[str, int],
+                  trips: list[tuple[str, int]]
+                  ) -> tuple[dict[str, np.ndarray], RunReport]:
+    """One call on a mapped kernel: gather, run, scatter, then the epilogue.
+
+    Returns the result arrays and the overlay's run report.  Raises
+    simulator.OutOfBounds when an access in the graph falls outside its
+    array somewhere in the domain.
+    """
+    streams = build_streams(entry.dfg, arrays, trips)
+    report = run_compiled(entry.program, streams)
+    result = write_back(entry.dfg, report, arrays, trips)
+    leftover = _leftover(entry.dfg, trips)
+    if leftover:
+        result = kl.evaluate_kernel(kernel, result, params,
+                                    innermost_start=trips[-1][1] - leftover)
+    return result, report
 
 
 @dataclass
@@ -295,7 +299,6 @@ class OffloadRuntime:
                  cache_capacity: int = 32,
                  unroll: int = 1,
                  seed: int = 0,
-                 backend: Optional[str] = None,
                  clock: Callable[[], float] = time.perf_counter):
         self.shape = shape
         self.thresholds = thresholds or Thresholds(
@@ -313,7 +316,6 @@ class OffloadRuntime:
         self._unroutable = _Lru(cache_capacity)
         self.unroll = unroll
         self.seed = seed
-        self.backend = backend
         self.clock = clock
         self._states: dict[int, OffloadState] = {}
         self._lock = threading.RLock()
@@ -324,7 +326,7 @@ class OffloadRuntime:
                 self._states[key] = OffloadState(self.alpha, self.warmup_calls)
             return self._states[key]
 
-    def _analyze(self, kernel: kl.Kernel) -> _Analysis:
+    def analyze(self, kernel: kl.Kernel) -> _Analysis:
         """Eligibility and extraction at the current unroll and thresholds.
 
         Memoized per (kernel, unroll, thresholds), on which the outcome
@@ -353,6 +355,31 @@ class OffloadRuntime:
             self._analyses.put(memo_key, analysis)
         return analysis
 
+    def map(self, accepted: _Accepted) -> CacheEntry:
+        """Place, route and lower an accepted graph, and cache the mapping.
+
+        Raises Unroutable when the graph does not route on this runtime's
+        shape, placer params and seed.  The failure is cached too, so the
+        search runs once: a later call raises _CachedUnroutable at once.
+        """
+        failure_key = (accepted.key, self.shape, self.placer_params, self.seed)
+        with self._lock:
+            failure = self._unroutable.get(failure_key)
+        if failure is not None:
+            raise _CachedUnroutable(failure)
+        try:
+            placement = place_and_route(accepted.dfg, self.shape,
+                                        self.placer_params, self.seed)
+        except Unroutable as exc:
+            with self._lock:
+                self._unroutable.put(failure_key, str(exc))
+            raise
+        config = placement.apply()
+        entry = CacheEntry(accepted.key, config, placement, accepted.dfg,
+                           compile_config(config))
+        self.cache.put(entry)
+        return entry
+
     # -- the pipeline ---------------------------------------------------------
 
     def execute(self, kernel: kl.Kernel, arrays: dict[str, np.ndarray],
@@ -373,7 +400,7 @@ class OffloadRuntime:
             emit("software", detail)
             return result, trace
 
-        analysis = self._analyze(kernel)
+        analysis = self.analyze(kernel)
         if isinstance(analysis, EligibilityReport):
             emit("analysis", f"rejected: {analysis.table_label()}")
             return software(f"ineligible: {analysis.reason.value}", None)
@@ -388,28 +415,16 @@ class OffloadRuntime:
         entry = self.cache.get(key)
         cached = entry is not None
         if not cached:
-            failure_key = (key, self.shape, self.placer_params, self.seed)
-            with self._lock:
-                failure = self._unroutable.get(failure_key)
-            if failure is not None:
-                emit("place_route", f"unroutable (cached failure): {failure}")
-                return software("unroutable, software fallback", state)
             pr_start = self.clock()
             try:
-                placement = place_and_route(dfg, self.shape,
-                                            self.placer_params, self.seed)
+                entry = self.map(analysis)
             except Unroutable as exc:
-                with self._lock:
-                    self._unroutable.put(failure_key, str(exc))
-                emit("place_route", f"unroutable: {exc}")
+                note = " (cached failure)" if isinstance(exc, _CachedUnroutable) else ""
+                emit("place_route", f"unroutable{note}: {exc}")
                 return software("unroutable, software fallback", state)
-            config = placement.apply()
             emit("place_route",
                  f"placed in {(self.clock() - pr_start) * 1e3:.2f} ms, "
-                 f"attempts={placement.counters.position_attempts}")
-            entry = CacheEntry(key, config, placement, dfg,
-                               compile_config(config))
-            self.cache.put(entry)
+                 f"attempts={entry.placement.counters.position_attempts}")
         else:
             emit("cache", "hit, reusing configuration")
 
@@ -428,9 +443,7 @@ class OffloadRuntime:
             return software("decision: software", state)
 
         try:
-            streams = build_streams(entry.dfg, arrays, trips)
-            run_report = run_compiled(entry.program, streams, self.backend)
-            result = write_back(entry.dfg, run_report, arrays, trips)
+            result, run_report = run_offloaded(entry, kernel, arrays, params, trips)
         except OutOfBounds:
             # The overlay streams every access in the graph over the whole
             # domain; software touches only what it evaluates, and raises
@@ -452,12 +465,9 @@ class OffloadRuntime:
         device_elapsed += t_out
         emit("transfer_out", f"frames={run_report.frames_out} t={t_out * 1e6:.1f}us")
 
-        remainder = self._remainder(entry.dfg, trips)
-        if remainder:
-            inner_var, inner_n = trips[-1]
-            result = kl.evaluate_kernel(kernel, result, params,
-                                        innermost_start=inner_n - remainder)
-            emit("epilogue", f"{remainder} leftover iterations of {inner_var}")
+        leftover = _leftover(entry.dfg, trips)
+        if leftover:
+            emit("epilogue", f"{leftover} leftover iterations of {trips[-1][0]}")
 
         record(state, Mode.OFFLOADED, device_elapsed)
         if state.mode == Mode.ROLLED_BACK:
@@ -472,11 +482,6 @@ class OffloadRuntime:
         for _, count in trips[:-1]:
             n *= count
         return n * (trips[-1][1] // stride)
-
-    def _remainder(self, dfg: DataFlowGraph, trips: list[tuple[str, int]]) -> int:
-        if dfg.remainder is None:
-            return 0
-        return trips[-1][1] % dfg.remainder.factor
 
 
 def execute_kernel(kernel: kl.Kernel, arrays: dict[str, np.ndarray],

@@ -2,27 +2,24 @@
 
 The configuration is lowered once into a flat instruction program (one
 instruction per active functional unit, pass-through routing collapsed by
-origin tracing), then executed position-synchronously by a pluggable
-backend (compiled or numpy).  Wire traffic is accounted in 128-bit tagged
-frames carrying one 32-bit value each, so every transferred word costs 16
-bytes on the wire: 4x the payload.
+origin tracing), then executed position-synchronously by the stream engine.
+Wire traffic is accounted in 128-bit tagged frames carrying one 32-bit value
+each, so every transferred word costs 16 bytes on the wire: 4x the payload.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import engine
-from .dfg import DataFlowGraph, LengthMismatch, NodeKind, OpCode, AffineExpr
+from .dfg import AffineExpr, DataFlowGraph, LengthMismatch
 from .overlay import (FU, BorderOrigin, CellOrigin, Direction, Origin,
-                      OverlayConfig, Pin, opposite, validate_config)
+                      OverlayConfig, Pin, trace_port, validate_config)
 
 FRAME_SIZE = 16  # bytes: tag(4) + value(4) + reserved zeros(8)
-WORD_SIZE = 4
 
 
 class InvalidConfig(ValueError):
@@ -100,24 +97,6 @@ class Program:
     depth: int
 
 
-def _trace_with_hops(cfg: OverlayConfig, r: int, c: int,
-                     d: Direction) -> tuple[Origin, int]:
-    """Like overlay.trace_port but counts traversed output selectors."""
-    hops = 0
-    while True:
-        nb = cfg.shape.neighbor(r, c, d)
-        if nb is None:
-            return BorderOrigin(r, c, d), hops
-        sel = cfg.cell(*nb).out_sel[opposite(d)]
-        hops += 1
-        if sel == FU:
-            return CellOrigin(*nb), hops
-        if not isinstance(sel, Direction):
-            raise InvalidConfig(f"dead input at cell ({r},{c}) {d.name}")
-        r, c = nb
-        d = sel
-
-
 def compile_config(cfg: OverlayConfig) -> Program:
     """Validate and lower a configuration to a flat execution program."""
     violations = validate_config(cfg)
@@ -158,7 +137,7 @@ def compile_config(cfg: OverlayConfig) -> Program:
             d = cell.pin_select(pin)
             if d is None:
                 continue
-            origin, hops = _trace_with_hops(cfg, rc[0], rc[1], d)
+            origin, hops = trace_port(cfg, rc, d)
             if isinstance(origin, BorderOrigin):
                 key = (origin.r, origin.c, origin.side)
                 if key not in border_slot:
@@ -213,7 +192,7 @@ def compile_config(cfg: OverlayConfig) -> Program:
             output_slots[tag] = fu_slot[(r, c)]
             depth = max(depth, depth_fu[(r, c)] + 1)
         else:
-            origin, hops = _trace_with_hops(cfg, r, c, sel)
+            origin, hops = trace_port(cfg, (r, c), sel)
             if isinstance(origin, BorderOrigin):
                 key = (origin.r, origin.c, origin.side)
                 if key not in border_slot:
@@ -228,8 +207,7 @@ def compile_config(cfg: OverlayConfig) -> Program:
     return Program(slot_count, instrs, const_fill, input_slots, output_slots, depth)
 
 
-def run_compiled(program: Program, streams: dict[int, np.ndarray],
-                 backend: Optional[str] = None) -> RunReport:
+def run_compiled(program: Program, streams: dict[int, np.ndarray]) -> RunReport:
     """Execute a lowered program over input streams keyed by tag."""
     missing = set(program.input_slots) - set(streams)
     extra = set(streams) - set(program.input_slots)
@@ -247,7 +225,7 @@ def run_compiled(program: Program, streams: dict[int, np.ndarray],
     for tag, slot in program.input_slots.items():
         values[slot, :] = np.asarray(streams[tag], dtype=np.int32)
     if length and len(program.instrs):
-        engine.get_runner(backend)(program.instrs, values)
+        engine.get_runner()(program.instrs, values)
 
     outputs = {tag: values[slot].copy()
                for tag, slot in program.output_slots.items()}
@@ -262,9 +240,8 @@ def run_compiled(program: Program, streams: dict[int, np.ndarray],
     )
 
 
-def run(cfg: OverlayConfig, streams: dict[int, np.ndarray],
-        backend: Optional[str] = None) -> RunReport:
-    return run_compiled(compile_config(cfg), streams, backend)
+def run(cfg: OverlayConfig, streams: dict[int, np.ndarray]) -> RunReport:
+    return run_compiled(compile_config(cfg), streams)
 
 
 # -- stream gather / scatter ---------------------------------------------------------
@@ -275,14 +252,12 @@ def _domain(trips: list[tuple[str, int]], stride: int):
 
     The innermost count is divided by the lane stride; lane access functions
     were rewritten at extraction so the innermost variable indexes blocks.
+    A negative count runs its loop zero times, as in software.
     """
     if not trips:
         raise ValueError("at least one loop required")
-    counts = [n for _, n in trips[:-1]]
-    inner_var, inner_n = trips[-1]
-    if inner_n < 0 or any(n < 0 for n in counts):
-        raise ValueError("negative trip count")
-    counts.append(inner_n // stride)
+    counts = [max(n, 0) for _, n in trips]
+    counts[-1] //= stride
     grids = np.indices(counts).reshape(len(counts), -1)
     env = {var: grids[i] for i, (var, _) in enumerate(trips)}
     return env, int(grids.shape[1])
@@ -323,12 +298,16 @@ def build_streams(g: DataFlowGraph, arrays: dict[str, np.ndarray],
     ``trips`` lists (loop var, trip count) outer to inner.  Streams cover the
     unrolled steady state only; leftover innermost iterations (the graph's
     remainder annotation) are the software epilogue's job.  Constants folded
-    into the configuration are not streamed.
+    into the configuration are not streamed, nor are Inputs that nothing
+    reads: the placer binds no port for them.
     """
     stride = g.remainder.factor if g.remainder is not None else 1
     env, length = _domain(trips, stride)
+    read = {e.src for e in g.edges}
     streams: dict[int, np.ndarray] = {}
     for nid in g.inputs():
+        if nid not in read:
+            continue
         binding = g.io_bindings[nid]
         arr, idxs = _gather_indices(binding, env, length, arrays)
         streams[nid] = arr[idxs].astype(np.int32)

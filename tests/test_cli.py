@@ -1,9 +1,13 @@
 import csv
 
-from dfeoffload import cli, corpus
+import numpy as np
+
+from dfeoffload import cli, corpus, runtime
 from dfeoffload.frontend import extract_dfg
 from dfeoffload.dfg import dfg_stats
+from dfeoffload.kernels import allocate_arrays
 from dfeoffload.runtime import CostModel, estimate_offload_time
+from dfeoffload.simulator import build_streams, load_frames
 
 
 def test_bench_estimates_the_stream_length_the_runtime_sends(tmp_path):
@@ -21,3 +25,80 @@ def test_bench_estimates_the_stream_length_the_runtime_sends(tmp_path):
         return f"{estimate_offload_time(stats, positions, CostModel(), cached=True):.6e}"
 
     assert row["est_transfer_s"] == estimate(136) != estimate(144)
+
+
+def _run(monkeypatch, tmp_path, capsys, *argv):
+    """``dfeoffload run`` in ``tmp_path``: exit code and captured output."""
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main(["run", *argv])
+    return rc, capsys.readouterr()
+
+
+def test_run_offloads_gemm_and_passes(monkeypatch, tmp_path, capsys):
+    calls = {"place_and_route": 0, "compile_config": 0}
+    for name in calls:
+        original = getattr(runtime, name)
+
+        def counted(*args, name=name, original=original, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(runtime, name, counted)
+    rc, out = _run(monkeypatch, tmp_path, capsys,
+                   str(corpus.kernel_path("gemm")), "--seed", "3")
+    assert rc == cli.EXIT_OK
+    assert out.out.splitlines() == [
+        "frames_in=576 frames_out=64 bytes_on_wire=10240 cycles=93 "
+        "est_offload=2.200e-03s", "PASS"]
+    assert calls == {"place_and_route": 1, "compile_config": 1}
+
+
+def test_run_sends_a_small_kernel_to_software(monkeypatch, tmp_path, capsys):
+    rc, out = _run(monkeypatch, tmp_path, capsys, str(corpus.kernel_path("scaleadd")))
+    assert rc == cli.EXIT_OK
+    assert out.out.splitlines()[-1] == "PASS (software)"
+
+
+def test_run_exits_2_when_the_graph_does_not_fit(monkeypatch, tmp_path, capsys):
+    rc, out = _run(monkeypatch, tmp_path, capsys, str(corpus.kernel_path("gemm")),
+                   "--unroll", "3", "--param", "N=7")
+    assert rc == cli.EXIT_UNROUTABLE
+    assert "unroutable" in out.err
+
+
+def test_run_exits_1_on_a_parse_error(monkeypatch, tmp_path, capsys):
+    bad = tmp_path / "bad.k"
+    bad.write_text("kernel bad(N)\nfor i in 0..N {\n")
+    rc, out = _run(monkeypatch, tmp_path, capsys, str(bad))
+    assert rc == cli.EXIT_PARSE
+    assert "parse error" in out.err
+
+
+def test_run_exits_3_when_the_overlay_result_differs(monkeypatch, tmp_path, capsys):
+    original = runtime.write_back
+
+    def corrupt(*args, **kwargs):
+        arrays = original(*args, **kwargs)
+        arrays["C"][0, 0] += 1
+        return arrays
+
+    monkeypatch.setattr(runtime, "write_back", corrupt)
+    rc, out = _run(monkeypatch, tmp_path, capsys,
+                   str(corpus.kernel_path("gemm")), "--seed", "3")
+    assert rc == cli.EXIT_MISMATCH
+    assert out.out.splitlines()[-1] == "FAIL: array C differs from software evaluation"
+
+
+def test_run_dumps_the_streams_it_sends(monkeypatch, tmp_path, capsys):
+    rc, _ = _run(monkeypatch, tmp_path, capsys, str(corpus.kernel_path("gemm")),
+                 "--seed", "3", "--format", "frames")
+    assert rc == cli.EXIT_OK
+    kernel = corpus.load("gemm")
+    params = {"M": 8, "N": 8}
+    arrays = allocate_arrays(kernel, params, np.random.default_rng(1))
+    trips = runtime.trip_counts(kernel.canonical_nest()[0], params)
+    want = build_streams(extract_dfg(kernel, 1), arrays, trips)
+    got = load_frames((tmp_path / "gemm.in.frames").read_bytes())
+    assert sorted(got) == sorted(want)
+    for tag, stream in want.items():
+        assert np.array_equal(got[tag], stream), tag

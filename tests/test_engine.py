@@ -1,0 +1,31 @@
+"""The stream engine against the scalar op semantics of ``dfg.apply_op``."""
+
+import numpy as np
+import pytest
+
+from dfeoffload import engine
+from dfeoffload.dfg import OP_ARITY, OpCode, apply_op
+
+EDGES = [-2**31, -2**31 + 1, -1, 0, 1, 2**31 - 1]
+
+
+@pytest.mark.parametrize("code", list(OpCode), ids=lambda c: c.name)
+def test_run_program_matches_apply_op(code):
+    rng = np.random.default_rng(int(code))
+    # every pair of edge values, then random values over the whole int32 range
+    x, y = (a.ravel() for a in np.meshgrid(EDGES, EDGES))
+    n = len(x) + 200
+    values = np.zeros((4, n), dtype=np.int32)
+    values[0] = np.concatenate([x, rng.integers(-2**31, 2**31, 200)])
+    values[1] = np.concatenate([y, rng.integers(-2**31, 2**31, 200)])
+    values[2] = rng.choice(EDGES, n)  # MUX select: zero or not
+    engine.run_program(np.array([[code, 3, 0, 1, 2]], dtype=np.int32), values)
+    operands = values[:OP_ARITY[code]] if code != OpCode.MUX else values[[2, 0, 1]]
+    want = [apply_op(code, [int(v) for v in column]) for column in operands.T]
+    assert values[3].tolist() == want
+
+
+def test_run_program_rejects_an_unknown_op_code():
+    values = np.zeros((2, 3), dtype=np.int32)
+    with pytest.raises(ValueError, match="bad op code 11"):
+        engine.run_program(np.array([[11, 1, 0, 0, 0]], dtype=np.int32), values)

@@ -177,3 +177,23 @@ def test_out_of_range_access_raises_what_software_raises(model):
     out, trace = rt.execute(kernel, arrays, params)
     _assert_matches_software(kernel, arrays, params, out)
     assert ("compute" in _phases(trace)) == (model is OFFLOAD)
+
+
+@pytest.mark.parametrize("model", [OFFLOAD, SOFTWARE], ids=["offload", "software"])
+def test_a_negative_trip_count_runs_the_loop_zero_times(model):
+    kernel = corpus.load("gemm")
+    arrays, _ = _inputs(kernel, 2)
+    params = {"M": -1, "N": 2}
+    rt = OffloadRuntime(OverlayShape(6, 6), cost_model=model, seed=SEED)
+    out, trace = rt.execute(kernel, arrays, params)
+    _assert_matches_software(kernel, arrays, params, out)
+    assert ("compute" in _phases(trace)) == (model is OFFLOAD)
+
+
+def test_estimate_offload_time_charges_one_frame_per_streamed_word():
+    stats = frontend.check_eligibility(corpus.load("gemm")).dfg_stats
+    # 2.1 ms configuration + 55 us constants + 64 positions of 9 input and
+    # 1 output words at 16 bytes each over 230e6 bytes/s
+    estimate = runtime.estimate_offload_time
+    assert estimate(stats, 64, CostModel(), cached=False) == 0.0021995217391304347
+    assert estimate(stats, 1000, CostModel(), cached=True) == 0.0007506521739130436
