@@ -27,8 +27,7 @@ from .placer import (Placement, PlacerCounters, PlacerParams,
 from .runtime import (CacheEntry, ConfigCache, CostModel, Mode, OffloadRuntime,
                       OffloadState, TraceEvent, decide, estimate_offload_time,
                       execute_kernel, format_trace, record)
-from .simulator import (RunReport, TaggedFrame, build_streams, compile_config,
-                        dump_frames, load_frames, run, run_compiled,
-                        write_back)
+from .simulator import (RunReport, build_streams, compile_config, dump_frames,
+                        load_frames, run, run_compiled, write_back)
 
 __version__ = "0.1.0"

@@ -67,6 +67,13 @@ def _thresholds(args) -> Thresholds:
     return Thresholds(min_nodes=args.min_nodes, max_nodes=max_nodes)
 
 
+def _runtime(args) -> OffloadRuntime:
+    """The runtime ``place`` and ``run`` analyze and map through."""
+    return OffloadRuntime(args.overlay, _thresholds(args),
+                          PlacerParams(global_budget=args.budget),
+                          unroll=args.unroll, seed=args.seed)
+
+
 def cmd_analyze(args) -> int:
     rc = EXIT_OK
     for path in args.files:
@@ -92,22 +99,24 @@ def cmd_place(args) -> int:
     except kl.KernelSyntaxError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    report = check_eligibility(kernel, _thresholds(args))
-    if not report.accepted():
-        print(f"kernel rejected: {report.table_label()} ({report.detail})",
+    rt = _runtime(args)
+    analysis = rt.analyze(kernel)
+    if isinstance(analysis, EligibilityReport):
+        print(f"kernel rejected: {analysis.table_label()} ({analysis.detail})",
               file=sys.stderr)
         return EXIT_OK
-    dfg = extract_dfg(kernel, args.unroll)
-    params = PlacerParams(global_budget=args.budget)
+    if isinstance(analysis, UnrollTooLarge):
+        print(f"unroll too large: {analysis}", file=sys.stderr)
+        return EXIT_UNROUTABLE
     try:
-        placement = place_and_route(dfg, args.overlay, params, args.seed)
+        entry = rt.map(analysis)
     except Unroutable as exc:
         c = exc.counters
         print(f"unroutable: {exc} (attempts={c.position_attempts} "
               f"restarts={c.node_restarts} backtracks={c.backtracks})",
               file=sys.stderr)
         return EXIT_UNROUTABLE
-    config = placement.apply()
+    placement, config = entry.placement, entry.config
     out = Path(args.output or (Path(args.file).stem + ".dfecfg"))
     out.write_bytes(serialize_config(config))
     sidecar = out.with_suffix(out.suffix + ".map.txt")
@@ -139,9 +148,7 @@ def cmd_run(args) -> int:
     arrays = kl.allocate_arrays(kernel, values, rng)
     software = kl.evaluate_kernel(kernel, arrays, values)
 
-    rt = OffloadRuntime(args.overlay, _thresholds(args),
-                        PlacerParams(global_budget=args.budget),
-                        unroll=args.unroll, seed=args.seed)
+    rt = _runtime(args)
     analysis = rt.analyze(kernel)
     if isinstance(analysis, EligibilityReport):
         print(f"{Path(args.file).stem}: {analysis.table_label()}; software path")

@@ -6,13 +6,24 @@ configured node-count thresholds.  Rejection checks run in a fixed order so
 a kernel with several problems always reports the same reason:
 float data, then division, then non-affine structure, then unsupported
 constructs, then the size thresholds.
+
+Each check lives in one place and runs once per extraction.  The structure
+scan (``_check_structure``) owns float data, division, the perfect nest,
+affine subscripts and the shape of every write.  The graph builder
+(``_LaneBuilder``) owns the remaining unsupported constructs, which it meets
+while building: a scalar used as a value, a loop-carried read, an element
+assigned twice and asymmetric if/else branches.  Last, ``extract_dfg``
+refuses a graph that reads nothing, since no stream would drive it.
+``check_eligibility`` is
+``extract_dfg`` at unroll 1, with its IneligibleKernel turned into a verdict,
+followed by the size thresholds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Union
+from typing import Optional
 
 from . import kernels as kl
 from .dfg import (AffineExpr, DataFlowGraph, DfgStats, IoBinding, Node,
@@ -90,88 +101,41 @@ class UnrollTooLarge(ValueError):
     pass
 
 
-# -- structural scans --------------------------------------------------------------
+# -- structure scan ---------------------------------------------------------------
+
+_WRITE, _VALUE, _INDEX = "write", "value", "index"
 
 
-def _walk_exprs(stmts) -> list[kl.Expr]:
-    out: list[kl.Expr] = []
+def _walk(stmts):
+    """Yield (expr, role) for every expression under ``stmts``, pre-order.
 
-    def expr(e):
-        out.append(e)
+    The role is _WRITE for an assignment target, _INDEX for anything inside
+    an array subscript, and _VALUE for everything else (values, conditions).
+    """
+
+    def expr(e, role):
+        yield e, role
         if isinstance(e, kl.ArrayRef):
             for i in e.indices:
-                expr(i)
+                yield from expr(i, _INDEX)
         elif isinstance(e, kl.BinOp):
-            expr(e.lhs)
-            expr(e.rhs)
+            yield from expr(e.lhs, role)
+            yield from expr(e.rhs, role)
         elif isinstance(e, kl.Ternary):
-            expr(e.cond)
-            expr(e.then)
-            expr(e.orelse)
+            yield from expr(e.cond, role)
+            yield from expr(e.then, role)
+            yield from expr(e.orelse, role)
 
-    def stmt(s):
+    for s in stmts:
         if isinstance(s, kl.Assign):
-            expr(s.target)
-            expr(s.value)
+            yield from expr(s.target, _WRITE)
+            yield from expr(s.value, _VALUE)
         elif isinstance(s, kl.IfElse):
-            expr(s.cond)
-            for sub in s.then:
-                stmt(sub)
-            for sub in s.orelse:
-                stmt(sub)
+            yield from expr(s.cond, _VALUE)
+            yield from _walk(s.then)
+            yield from _walk(s.orelse)
         else:
-            for sub in s.body:
-                stmt(sub)
-
-    for s in stmts:
-        stmt(s)
-    return out
-
-
-def _value_position_exprs(stmts) -> list[kl.Expr]:
-    """Expressions in value position; array subscripts are not descended."""
-    out: list[kl.Expr] = []
-
-    def expr(e):
-        out.append(e)
-        if isinstance(e, kl.BinOp):
-            expr(e.lhs)
-            expr(e.rhs)
-        elif isinstance(e, kl.Ternary):
-            expr(e.cond)
-            expr(e.then)
-            expr(e.orelse)
-
-    def stmt(s):
-        if isinstance(s, kl.Assign):
-            expr(s.value)
-        elif isinstance(s, kl.IfElse):
-            expr(s.cond)
-            for sub in s.then:
-                stmt(sub)
-            for sub in s.orelse:
-                stmt(sub)
-
-    for s in stmts:
-        stmt(s)
-    return out
-
-
-def float_detail(k: kl.Kernel) -> Optional[str]:
-    for decl in k.arrays:
-        if decl.dtype == "float32":
-            return f"array {decl.name} is float32"
-    for e in _walk_exprs([k.nest]):
-        if isinstance(e, kl.FloatLit):
-            return f"float literal {e.value}"
-    return None
-
-
-def division_detail(k: kl.Kernel) -> Optional[str]:
-    for e in _walk_exprs([k.nest]):
-        if isinstance(e, kl.BinOp) and e.op in ("/", "%"):
-            return f"operator {e.op!r}"
-    return None
+            yield from _walk(s.body)
 
 
 def to_affine(e: kl.Expr) -> Optional[AffineExpr]:
@@ -204,145 +168,74 @@ def to_affine(e: kl.Expr) -> Optional[AffineExpr]:
     return None
 
 
-def nonaffine_detail(k: kl.Kernel) -> Optional[str]:
-    """Reject imperfect nests and non-affine array subscripts."""
-    if k.canonical_nest() is None:
-        return "not a perfect loop nest"
-    for e in _walk_exprs([k.nest]):
-        if isinstance(e, kl.ArrayRef):
-            for idx in e.indices:
-                if to_affine(idx) is None:
-                    return f"non-affine subscript on {e.name}"
-    return None
-
-
 def _access_tuple(ref: kl.ArrayRef) -> tuple[AffineExpr, ...]:
-    out = []
-    for idx in ref.indices:
-        a = to_affine(idx)
-        if a is None:
-            raise IneligibleKernel(Reason.NON_AFFINE,
-                                   f"non-affine subscript on {ref.name}")
-        out.append(a)
-    return tuple(out)
+    return tuple(to_affine(idx) for idx in ref.indices)
 
 
-def _collect_accesses(body) -> tuple[dict, dict]:
-    """(writes, reads): array name -> set of access tuples over the body."""
-    writes: dict[str, set] = {}
-    reads: dict[str, set] = {}
+def _check_structure(k: kl.Kernel) -> dict[str, tuple[AffineExpr, ...]]:
+    """Raise IneligibleKernel for the first structural problem, in reason order.
 
-    def expr(e):
-        if isinstance(e, kl.ArrayRef):
-            reads.setdefault(e.name, set()).add(_access_tuple(e))
-            # subscripts are affine, so they cannot contain array refs
-        elif isinstance(e, kl.BinOp):
-            expr(e.lhs)
-            expr(e.rhs)
-        elif isinstance(e, kl.Ternary):
-            expr(e.cond)
-            expr(e.then)
-            expr(e.orelse)
-
-    def stmt(s):
-        if isinstance(s, kl.Assign):
-            writes.setdefault(s.target.name, set()).add(_access_tuple(s.target))
-            expr(s.value)
-        elif isinstance(s, kl.IfElse):
-            expr(s.cond)
-            for sub in s.then:
-                stmt(sub)
-            for sub in s.orelse:
-                stmt(sub)
-
-    for s in body:
-        stmt(s)
-    return writes, reads
-
-
-def unsupported_detail(k: kl.Kernel) -> Optional[str]:
-    """Constructs that are affine but outside the offloadable envelope.
-
-    Writes must hit each element at most once (one access per array, each
-    subscript a distinct plain loop variable plus constant, covering every
-    loop of the nest), and an array that is both read and written must be
-    read only at the exact element being written, so streamed execution
-    cannot observe a stale value.
+    Float data, then division, then a non-perfect nest or a non-affine
+    subscript, then writes the overlay cannot stream: each array must be
+    written through one access whose subscripts are distinct loop variables
+    plus constants covering the whole nest, so every element is written at
+    most once per call.  Returns array name -> its write access.
     """
+    for decl in k.arrays:
+        if decl.dtype == "float32":
+            raise IneligibleKernel(Reason.FLOATING_POINT, f"array {decl.name} is float32")
+    exprs = list(_walk([k.nest]))
+    for e, _ in exprs:
+        if isinstance(e, kl.FloatLit):
+            raise IneligibleKernel(Reason.FLOATING_POINT, f"float literal {e.value}")
+    for e, _ in exprs:
+        if isinstance(e, kl.BinOp) and e.op in ("/", "%"):
+            raise IneligibleKernel(Reason.DIVISION, f"operator {e.op!r}")
     canon = k.canonical_nest()
     if canon is None:
-        return "not a perfect loop nest"
-    loops, body = canon
-    loop_vars = {f.var for f in loops}
+        raise IneligibleKernel(Reason.NON_AFFINE, "not a perfect loop nest")
+    for e, _ in exprs:
+        if isinstance(e, kl.ArrayRef) and any(to_affine(i) is None for i in e.indices):
+            raise IneligibleKernel(Reason.NON_AFFINE, f"non-affine subscript on {e.name}")
 
-    for e in _value_position_exprs(body):
-        if isinstance(e, kl.Var):
-            return f"scalar {e.name!r} used as a value"
-
-    try:
-        writes, reads = _collect_accesses(body)
-    except IneligibleKernel as exc:
-        return exc.detail
-
+    loop_vars = {f.var for f in canon[0]}
+    writes: dict[str, set] = {}
+    for e, role in exprs:
+        if role == _WRITE:
+            writes.setdefault(e.name, set()).add(_access_tuple(e))
+    written = {}
     for name, accesses in writes.items():
         if len(accesses) > 1:
-            return f"array {name} written through multiple access functions"
+            raise IneligibleKernel(Reason.UNSUPPORTED_OP,
+                                   f"array {name} written through multiple access functions")
         (access,) = accesses
         used = []
         for dim in access:
             if len(dim.terms) != 1 or dim.terms[0][1] != 1:
-                return f"write to {name} is not var+const per dimension"
+                raise IneligibleKernel(Reason.UNSUPPORTED_OP,
+                                       f"write to {name} is not var+const per dimension")
             used.append(dim.terms[0][0])
         if len(set(used)) != len(used) or set(used) - loop_vars:
-            return f"write subscripts of {name} reuse a variable"
+            raise IneligibleKernel(Reason.UNSUPPORTED_OP,
+                                   f"write subscripts of {name} reuse a variable")
         if set(used) != loop_vars:
-            return f"write to {name} does not cover the full iteration space"
-        for racc in reads.get(name, ()):
-            if racc != access:
-                return (f"array {name} is read at a different element than "
-                        f"it is written (loop-carried dependence)")
-
-    err = _branch_symmetry(body)
-    if err:
-        return err
-    return None
-
-
-def _branch_symmetry(stmts) -> Optional[str]:
-    """Each if/else must assign the same element set in both branches."""
-
-    def assigned(block) -> Union[set, str]:
-        keys = set()
-        for s in block:
-            if isinstance(s, kl.Assign):
-                key = (s.target.name, _access_tuple(s.target))
-                if key in keys:
-                    return f"element {s.target.name} assigned twice"
-                keys.add(key)
-            elif isinstance(s, kl.IfElse):
-                t = assigned(s.then)
-                if isinstance(t, str):
-                    return t
-                e = assigned(s.orelse)
-                if isinstance(e, str):
-                    return e
-                if t != e:
-                    return "if/else branches assign different elements"
-                dup = t & keys
-                if dup:
-                    return "element assigned twice"
-                keys |= t
-        return keys
-
-    result = assigned(stmts)
-    return result if isinstance(result, str) else None
+            raise IneligibleKernel(Reason.UNSUPPORTED_OP,
+                                   f"write to {name} does not cover the full iteration space")
+        written[name] = access
+    return written
 
 
 # -- extraction ---------------------------------------------------------------------
 
 
 class _LaneBuilder:
-    """Builds one unroll lane's worth of nodes into a shared graph."""
+    """Builds one unroll lane's worth of nodes into a shared graph.
+
+    It runs after _check_structure and raises the UNSUPPORTED_OP problems
+    found while building: a scalar used as a value, a loop-carried read, an
+    element assigned twice, and if/else branches that assign different
+    elements.
+    """
 
     def __init__(self, g: DataFlowGraph, inner_var: str, lane: int, stride: int,
                  written: dict[str, tuple]):
@@ -367,7 +260,8 @@ class _LaneBuilder:
             return self.defs[key]
         if ref.name in self.written and access != self.written[ref.name]:
             raise IneligibleKernel(Reason.UNSUPPORTED_OP,
-                                   f"loop-carried read of {ref.name}")
+                                   f"array {ref.name} is read at a different element than "
+                                   f"it is written (loop-carried dependence)")
         if key not in self.reads:
             nid = self.g.add_node(NodeKind.INPUT)
             self.g.io_bindings[nid] = IoBinding(
@@ -378,8 +272,6 @@ class _LaneBuilder:
     def expr(self, e: kl.Expr) -> int:
         if isinstance(e, kl.IntLit):
             return self.g.add_node(NodeKind.CONST, value=e.value)
-        if isinstance(e, kl.FloatLit):
-            raise IneligibleKernel(Reason.FLOATING_POINT, f"float literal {e.value}")
         if isinstance(e, kl.Var):
             raise IneligibleKernel(Reason.UNSUPPORTED_OP,
                                    f"scalar {e.name!r} used as a value")
@@ -394,8 +286,6 @@ class _LaneBuilder:
             self.g.add_edge(a, nid, 1)
             self.g.add_edge(b, nid, 2)
             return nid
-        if e.op in ("/", "%"):
-            raise IneligibleKernel(Reason.DIVISION, f"operator {e.op!r}")
         lhs = self.expr(e.lhs)
         rhs = self.expr(e.rhs)
         nid = self.g.add_node(NodeKind.OP, code=_BINOP_CODE[e.op])
@@ -411,11 +301,11 @@ class _LaneBuilder:
                 key = (s.target.name, _access_tuple(s.target))
                 if key in defs:
                     raise IneligibleKernel(Reason.UNSUPPORTED_OP,
-                                           "element assigned twice")
+                                           f"element {s.target.name} assigned twice")
                 self.defs = defs
                 defs[key] = self.expr(s.value)
                 assigned.append(key)
-            elif isinstance(s, kl.IfElse):
+            else:  # IfElse: the structure scan admits no loop here
                 self.defs = defs
                 sel = self.expr(s.cond)
                 d_then = dict(defs)
@@ -425,18 +315,15 @@ class _LaneBuilder:
                 if set(keys_t) != set(keys_e):
                     raise IneligibleKernel(Reason.UNSUPPORTED_OP,
                                            "if/else branches assign different elements")
+                # each branch started from a copy of defs, so a key assigned
+                # before this if was already refused inside the branch
                 for key in keys_t:
-                    if key in defs:
-                        raise IneligibleKernel(Reason.UNSUPPORTED_OP,
-                                               "element assigned twice")
                     mux = self.g.add_node(NodeKind.OP, code=OpCode.MUX)
                     self.g.add_edge(sel, mux, 0)
                     self.g.add_edge(d_then[key], mux, 1)
                     self.g.add_edge(d_else[key], mux, 2)
                     defs[key] = mux
                     assigned.append(key)
-            else:
-                raise IneligibleKernel(Reason.NON_AFFINE, "loop inside the innermost body")
         self.defs = defs
         return assigned
 
@@ -501,17 +388,9 @@ def extract_dfg(k: kl.Kernel, unroll: int = 1,
     """
     if unroll < 1:
         raise ValueError("unroll factor must be >= 1")
-    for reason, detail in ((Reason.FLOATING_POINT, float_detail(k)),
-                           (Reason.DIVISION, division_detail(k)),
-                           (Reason.NON_AFFINE, nonaffine_detail(k)),
-                           (Reason.UNSUPPORTED_OP, unsupported_detail(k))):
-        if detail is not None:
-            raise IneligibleKernel(reason, detail)
-
+    written = _check_structure(k)
     loops, body = k.canonical_nest()
     inner_var = loops[-1].var
-    written = {name: next(iter(accesses))
-               for name, accesses in _collect_accesses(body)[0].items()}
 
     g = DataFlowGraph()
     for lane in range(unroll):
@@ -526,6 +405,8 @@ def extract_dfg(k: kl.Kernel, unroll: int = 1,
                 name, builder._lane_access(access), lane, unroll)
 
     _fold_constants(g)
+    if not g.inputs():  # the overlay fires on arriving tokens, and none would
+        raise IneligibleKernel(Reason.UNSUPPORTED_OP, "no array element is read")
     _insert_pass_nodes(g)
     if unroll > 1:
         g.remainder = Remainder(inner_var, unroll)
@@ -544,19 +425,10 @@ def extract_dfg(k: kl.Kernel, unroll: int = 1,
 def check_eligibility(k: kl.Kernel,
                       thresholds: Thresholds = Thresholds()) -> EligibilityReport:
     """Classify a kernel for offload; all failures are verdicts, not errors."""
-    detail = float_detail(k)
-    if detail is not None:
-        return EligibilityReport(Verdict.REJECTED, Reason.FLOATING_POINT, None, detail)
-    detail = division_detail(k)
-    if detail is not None:
-        return EligibilityReport(Verdict.REJECTED, Reason.DIVISION, None, detail)
-    detail = nonaffine_detail(k)
-    if detail is not None:
-        return EligibilityReport(Verdict.REJECTED, Reason.NON_AFFINE, None, detail)
-    detail = unsupported_detail(k)
-    if detail is not None:
-        return EligibilityReport(Verdict.REJECTED, Reason.UNSUPPORTED_OP, None, detail)
-    g = extract_dfg(k)
+    try:
+        g = extract_dfg(k)
+    except IneligibleKernel as exc:
+        return EligibilityReport(Verdict.REJECTED, exc.reason, None, exc.detail)
     stats = dfg_stats(g)
     if stats.calc_nodes < thresholds.min_nodes:
         return EligibilityReport(Verdict.REJECTED, Reason.TOO_SMALL, stats,

@@ -9,7 +9,6 @@ each, so every transferred word costs 16 bytes on the wire: 4x the payload.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,46 +33,40 @@ class OutOfBounds(IndexError):
     pass
 
 
-@dataclass(frozen=True)
-class TaggedFrame:
-    """One wire frame: 32-bit stream tag + 32-bit value + 64 zero bits."""
-
-    tag: int
-    value: int
-
-    def to_bytes(self) -> bytes:
-        return struct.pack("<Ii8x", self.tag, self.value)
-
-    @staticmethod
-    def from_bytes(data: bytes) -> "TaggedFrame":
-        if len(data) != FRAME_SIZE:
-            raise ValueError(f"frame must be {FRAME_SIZE} bytes")
-        tag, value = struct.unpack("<Ii8x", data)
-        return TaggedFrame(tag, value)
+# One wire frame: 32-bit stream tag + 32-bit value + 64 zero bits.
+_FRAME = np.dtype([("tag", "<u4"), ("value", "<i4"), ("pad", "V8")])
+_INT32 = np.iinfo(np.int32)
 
 
 def dump_frames(streams: dict[int, np.ndarray]) -> bytes:
-    """Serialize streams as interleaved frames: position-major, tag ascending."""
+    """Serialize streams as interleaved frames: position-major, tag ascending.
+
+    Raises OverflowError when a value does not fit in 32 signed bits.
+    """
     tags = sorted(streams)
     lengths = {len(streams[t]) for t in tags}
     if len(lengths) > 1:
         raise LengthMismatch(f"stream lengths differ: {sorted(lengths)}")
-    out = bytearray()
-    length = lengths.pop() if lengths else 0
-    for pos in range(length):
-        for tag in tags:
-            out += TaggedFrame(tag, int(streams[tag][pos])).to_bytes()
-    return bytes(out)
+    if not tags:
+        return b""
+    values = np.stack([np.asarray(streams[t]) for t in tags], axis=1)
+    if values.dtype != np.int32 and values.size and (
+            values.min() < _INT32.min or values.max() > _INT32.max):
+        raise OverflowError("stream value outside the int32 range")
+    frames = np.zeros(values.shape, dtype=_FRAME)
+    frames["tag"] = tags
+    frames["value"] = values
+    return frames.tobytes()
 
 
 def load_frames(data: bytes) -> dict[int, np.ndarray]:
+    """Streams from a frame stream, keyed by tag in order of first appearance."""
     if len(data) % FRAME_SIZE:
         raise ValueError("truncated frame stream")
-    values: dict[int, list[int]] = {}
-    for off in range(0, len(data), FRAME_SIZE):
-        frame = TaggedFrame.from_bytes(data[off:off + FRAME_SIZE])
-        values.setdefault(frame.tag, []).append(frame.value)
-    return {tag: np.array(vals, dtype=np.int32) for tag, vals in values.items()}
+    frames = np.frombuffer(data, dtype=_FRAME)
+    tags, first = np.unique(frames["tag"], return_index=True)
+    return {int(tag): frames["value"][frames["tag"] == tag].astype(np.int32)
+            for tag in tags[np.argsort(first)]}
 
 
 @dataclass

@@ -2,10 +2,11 @@ import csv
 
 import numpy as np
 
-from dfeoffload import cli, corpus, runtime
+from dfeoffload import cli, corpus, placer, runtime
 from dfeoffload.frontend import extract_dfg
 from dfeoffload.dfg import dfg_stats
 from dfeoffload.kernels import allocate_arrays
+from dfeoffload.overlay import OverlayShape, serialize_config
 from dfeoffload.runtime import CostModel, estimate_offload_time
 from dfeoffload.simulator import build_streams, load_frames
 
@@ -102,3 +103,59 @@ def test_run_dumps_the_streams_it_sends(monkeypatch, tmp_path, capsys):
     assert sorted(got) == sorted(want)
     for tag, stream in want.items():
         assert np.array_equal(got[tag], stream), tag
+
+
+def _place(monkeypatch, tmp_path, capsys, *argv):
+    """``dfeoffload place`` in ``tmp_path``: exit code and captured output."""
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main(["place", *argv])
+    return rc, capsys.readouterr()
+
+
+def test_place_maps_gemm_through_the_runtime(monkeypatch, tmp_path, capsys):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return placer.place_and_route(*args, **kwargs)
+
+    monkeypatch.setattr(runtime, "place_and_route", counted)
+    rc, out = _place(monkeypatch, tmp_path, capsys,
+                     str(corpus.kernel_path("gemm")), "--seed", "3")
+    assert rc == cli.EXIT_OK
+    want = placer.place_and_route(extract_dfg(corpus.load("gemm")), OverlayShape(6, 6),
+                                  placer.PlacerParams(), 3)
+    assert (tmp_path / "gemm.dfecfg").read_bytes() == serialize_config(want.apply())
+    assert len(calls) == 1
+    assert out.out.startswith("wrote gemm.dfecfg (574 bytes)")
+
+
+def test_place_rejects_a_small_kernel_with_exit_0(monkeypatch, tmp_path, capsys):
+    rc, out = _place(monkeypatch, tmp_path, capsys, str(corpus.kernel_path("scaleadd")))
+    assert rc == cli.EXIT_OK
+    assert out.err == "kernel rejected: No, too small (3 calc nodes < 8)\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_place_exits_1_on_a_parse_error(monkeypatch, tmp_path, capsys):
+    bad = tmp_path / "bad.k"
+    bad.write_text("kernel bad(N)\nfor i in 0..N {\n")
+    rc, out = _place(monkeypatch, tmp_path, capsys, str(bad))
+    assert rc == cli.EXIT_PARSE
+    assert "parse error" in out.err
+
+
+def test_place_exits_2_when_the_search_fails(monkeypatch, tmp_path, capsys):
+    rc, out = _place(monkeypatch, tmp_path, capsys, str(corpus.kernel_path("3mm")),
+                     "--overlay", "4x4", "--budget", "2000")
+    assert rc == cli.EXIT_UNROUTABLE
+    assert out.err.startswith("unroutable: global budget exhausted (attempts=2000 ")
+
+
+def test_place_applies_the_node_limit_when_unrolled(monkeypatch, tmp_path, capsys):
+    # gemm has 10 calc nodes per lane: 20 at unroll 2 exceed a 4x4 grid
+    rc, out = _place(monkeypatch, tmp_path, capsys, str(corpus.kernel_path("gemm")),
+                     "--unroll", "2", "--overlay", "4x4")
+    assert rc == cli.EXIT_UNROUTABLE
+    assert out.err == ("unroll too large: 20 calc nodes after unrolling exceed "
+                       "the limit 16\n")

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from dfeoffload import corpus, frontend, runtime, simulator
-from dfeoffload.kernels import EvalError, allocate_arrays, evaluate_kernel
+from dfeoffload.kernels import (EvalError, allocate_arrays, evaluate_kernel,
+                                parse_kernel)
 from dfeoffload.overlay import OverlayShape
 from dfeoffload.placer import PlacerParams
 from dfeoffload.runtime import CostModel, OffloadRuntime
@@ -197,3 +198,16 @@ def test_estimate_offload_time_charges_one_frame_per_streamed_word():
     estimate = runtime.estimate_offload_time
     assert estimate(stats, 64, CostModel(), cached=False) == 0.0021995217391304347
     assert estimate(stats, 1000, CostModel(), cached=True) == 0.0007506521739130436
+
+
+def test_a_kernel_that_reads_no_array_runs_in_software():
+    # Nothing streams in, so nothing would fire the overlay: without the
+    # rejection the offloaded call returned no values and write_back raised.
+    kernel = parse_kernel("kernel fill(M, N)\narrays: C[MxN]:int32\n"
+                          "for i in 0..M { for j in 0..N { C[i][j] = 7; } }")
+    rt = OffloadRuntime(OverlayShape(4, 4), frontend.Thresholds(min_nodes=0),
+                        cost_model=OFFLOAD, seed=SEED)
+    arrays, params = _inputs(kernel, 5)
+    out, trace = rt.execute(kernel, arrays, params)
+    _assert_matches_software(kernel, arrays, params, out)
+    assert trace[0].detail == "rejected: No, unsupported op"
