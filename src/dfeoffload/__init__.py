@@ -22,12 +22,11 @@ from .overlay import (CellConfig, Direction, OverlayConfig, OverlayShape, Pin,
                       new_overlay, serialize_config, trace_port,
                       validate_config)
 from .placer import (Placement, PlacerCounters, PlacerParams,
-                     PreconditionViolated, Unroutable, place_and_route,
-                     race_seeds)
+                     PreconditionViolated, Unroutable, place_and_route)
 from .runtime import (CacheEntry, ConfigCache, CostModel, Mode, OffloadRuntime,
                       OffloadState, TraceEvent, decide, estimate_offload_time,
-                      execute_kernel, format_trace, record)
+                      format_trace, record)
 from .simulator import (RunReport, build_streams, compile_config, dump_frames,
-                        load_frames, run, run_compiled, write_back)
+                        load_frames, run_compiled, write_back)
 
 __version__ = "0.1.0"

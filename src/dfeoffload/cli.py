@@ -17,8 +17,8 @@ import numpy as np
 
 from . import kernels as kl
 from .dfg import dfg_stats, dfg_to_dot, dfg_to_text
-from .frontend import (EligibilityReport, Thresholds, UnrollTooLarge,
-                       check_eligibility, extract_dfg)
+from .frontend import (EligibilityReport, IneligibleKernel, Thresholds,
+                       UnrollTooLarge, check_eligibility, extract_dfg)
 from .overlay import OverlayShape, config_to_dot, config_to_text, serialize_config
 from .placer import PlacerParams, Unroutable, place_and_route
 from .runtime import (CostModel, OffloadRuntime, estimate_offload_time,
@@ -74,6 +74,13 @@ def _runtime(args) -> OffloadRuntime:
                           unroll=args.unroll, seed=args.seed)
 
 
+def _rejected(report: EligibilityReport) -> int:
+    """Report a rejection verdict, which is not an error."""
+    print(f"kernel rejected: {report.table_label()} ({report.detail})",
+          file=sys.stderr)
+    return EXIT_OK
+
+
 def cmd_analyze(args) -> int:
     rc = EXIT_OK
     for path in args.files:
@@ -102,9 +109,7 @@ def cmd_place(args) -> int:
     rt = _runtime(args)
     analysis = rt.analyze(kernel)
     if isinstance(analysis, EligibilityReport):
-        print(f"kernel rejected: {analysis.table_label()} ({analysis.detail})",
-              file=sys.stderr)
-        return EXIT_OK
+        return _rejected(analysis)
     if isinstance(analysis, UnrollTooLarge):
         print(f"unroll too large: {analysis}", file=sys.stderr)
         return EXIT_UNROUTABLE
@@ -164,7 +169,7 @@ def cmd_run(args) -> int:
         return EXIT_UNROUTABLE
 
     trips = trip_counts(analysis.loops, values)
-    result, run_report = run_offloaded(entry, kernel, arrays, values, trips)
+    result, run_report = run_offloaded(entry, analysis, arrays, trips)
     if args.format == "frames":
         base = Path(args.file).stem
         streams = build_streams(entry.dfg, arrays, trips)
@@ -198,7 +203,7 @@ def cmd_bench(args) -> int:
         report = check_eligibility(kernel, Thresholds(min_nodes=args.min_nodes))
         if not report.accepted():
             continue
-        dfg = extract_dfg(kernel, args.unroll)
+        dfg = report.dfg if args.unroll == 1 else extract_dfg(kernel, args.unroll)
         stats = dfg_stats(dfg)
         values = _param_values(kernel, args.params, args.size)
         trips = trip_counts(kernel.canonical_nest()[0], values)
@@ -254,10 +259,12 @@ def cmd_render(args) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        dfg = extract_dfg(kernel, args.unroll)
-    except (UnrollTooLarge, ValueError) as exc:
-        print(f"cannot extract: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        dfg = extract_dfg(kernel, args.unroll, max_calc_nodes=args.max_nodes)
+    except IneligibleKernel as exc:
+        return _rejected(exc.report())
+    except UnrollTooLarge as exc:
+        print(f"unroll too large: {exc}", file=sys.stderr)
+        return EXIT_UNROUTABLE
     text = dfg_to_dot(dfg, kernel.name) if args.format == "dot" else dfg_to_text(dfg)
     if args.output:
         Path(args.output).write_text(text)
@@ -327,6 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="dump a kernel's data flow graph")
     p.add_argument("file")
     p.add_argument("--unroll", type=int, default=1)
+    p.add_argument("--max-nodes", type=int, default=None,
+                   help="refuse a graph with more calc nodes after unrolling")
     p.add_argument("--format", choices=["text", "dot"], default="dot")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_render)

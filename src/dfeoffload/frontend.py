@@ -96,6 +96,10 @@ class IneligibleKernel(ValueError):
         self.reason = reason
         self.detail = detail
 
+    def report(self) -> EligibilityReport:
+        """The rejection verdict this failure stands for."""
+        return EligibilityReport(Verdict.REJECTED, self.reason, None, self.detail)
+
 
 class UnrollTooLarge(ValueError):
     pass
@@ -428,7 +432,7 @@ def check_eligibility(k: kl.Kernel,
     try:
         g = extract_dfg(k)
     except IneligibleKernel as exc:
-        return EligibilityReport(Verdict.REJECTED, exc.reason, None, exc.detail)
+        return exc.report()
     stats = dfg_stats(g)
     if stats.calc_nodes < thresholds.min_nodes:
         return EligibilityReport(Verdict.REJECTED, Reason.TOO_SMALL, stats,

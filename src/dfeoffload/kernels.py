@@ -628,27 +628,17 @@ def allocate_arrays(k: Kernel, params: dict[str, int],
 
 
 def evaluate_kernel(k: Kernel, arrays: dict[str, np.ndarray],
-                    params: dict[str, int],
-                    innermost_start: int = 0) -> dict[str, np.ndarray]:
+                    params: dict[str, int]) -> dict[str, np.ndarray]:
     """Run the kernel in software; the ground truth for every other path.
 
     Returns fresh arrays (inputs are not modified).  Integer arithmetic wraps
     to 32 bits, comparisons yield 1/0, division truncates toward zero.
-    ``innermost_start`` skips the first iterations of the innermost loop of a
-    perfect nest (the unroll epilogue case).
     """
-    innermost = None
-    if innermost_start:
-        canon = k.canonical_nest()
-        if canon is None:
-            raise EvalError("innermost_start requires a perfect loop nest")
-        innermost = canon[0][-1]
     state = {name: np.array(a, copy=True) for name, a in arrays.items()}
     for decl in k.arrays:
         if decl.name not in state:
             raise EvalError(f"missing array {decl.name!r}")
-    _Interpreter(k, state, params, innermost, innermost_start).block(
-        [k.nest], dict(params))
+    _Interpreter(k, state, params).block([k.nest], dict(params))
     return state
 
 
@@ -662,13 +652,10 @@ class _Interpreter:
     """
 
     def __init__(self, k: Kernel, state: dict[str, np.ndarray],
-                 params: dict[str, int], innermost: Optional[For],
-                 innermost_start: int):
+                 params: dict[str, int]):
         self.state = state
         self.params = params
         self.floats = {a.name for a in k.arrays if a.dtype == "float32"}
-        self.innermost = innermost
-        self.innermost_start = innermost_start
 
     def expr(self, e: Expr, env: dict[str, int]):
         if isinstance(e, IntLit):
@@ -714,8 +701,7 @@ class _Interpreter:
         for s in stmts:
             if isinstance(s, For):
                 count = s.bound if isinstance(s.bound, int) else self.params[s.bound]
-                start = self.innermost_start if s is self.innermost else 0
-                for v in range(start, count):
+                for v in range(count):
                     env[s.var] = v
                     self.block(s.body, env)
                 env.pop(s.var, None)

@@ -604,18 +604,3 @@ def _try_place(g: DataFlowGraph, state: _State, nid: int, rng: random.Random,
         state.rollback(mark)
         failed.add(cell)
     return None
-
-
-def race_seeds(g: DataFlowGraph, shape: OverlayShape, params: PlacerParams,
-               seeds: list[int]) -> Optional[Placement]:
-    """Try several seeds, returning the first (lowest-index) success.
-
-    Independent attempts are self-contained, so callers may fan these out
-    across workers; results are merged deterministically by seed order here.
-    """
-    for seed in seeds:
-        try:
-            return place_and_route(g, shape, params, seed)
-        except Unroutable:
-            continue
-    return None

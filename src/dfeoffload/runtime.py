@@ -8,6 +8,12 @@ invocations skip place & route and lowering; failed mappings are cached too,
 so a graph that does not route is searched once.  The analysis of each
 kernel is memoized, so a call on a cached mapping does only per-call work:
 trip counts, the decision, gather, run, scatter and the epilogue.
+
+An unrolled graph leaves the last (inner extent mod unroll) iterations of
+each innermost loop to an epilogue.  The epilogue runs the kernel's unroll-1
+graph on the host over those iterations, through the same views and column
+blocks as the overlay's run but off the modelled wire; the software
+interpreter never runs on an offloaded call.
 """
 
 from __future__ import annotations
@@ -29,8 +35,8 @@ from .frontend import (EligibilityReport, Thresholds, UnrollTooLarge,
 from .overlay import OverlayConfig, OverlayShape
 from .placer import Placement, PlacerParams, Unroutable, place_and_route
 from .simulator import (FRAME_SIZE, OutOfBounds, Program, RunReport,
-                        build_streams, compile_config, run_compiled,
-                        write_back)
+                        build_streams, compile_config, lower_dfg, run_compiled,
+                        run_host, write_back)
 
 
 @dataclass
@@ -210,12 +216,26 @@ class ConfigCache:
 
 @dataclass(frozen=True)
 class _Accepted:
-    """An eligible kernel's graph at one unroll factor, ready to map."""
+    """An eligible kernel's graph at one unroll factor, ready to map.
+
+    When unrolled, it also holds the unroll-1 graph and its host program,
+    which run the leftover iterations (``run_epilogue``).
+    """
 
     dfg: DataFlowGraph
     key: int  # dfg_hash of the graph
     stats: DfgStats
     loops: tuple[kl.For, ...]  # the perfect nest, outer to inner
+    epilogue_dfg: Optional[DataFlowGraph] = None
+    epilogue_program: Optional[Program] = None
+
+
+def _accept(kernel: kl.Kernel, dfg: DataFlowGraph,
+            epilogue_dfg: Optional[DataFlowGraph] = None) -> _Accepted:
+    """The accepted analysis of ``dfg``, with its epilogue lowered for the host."""
+    program = None if epilogue_dfg is None else lower_dfg(epilogue_dfg)
+    return _Accepted(dfg, dfg_hash(dfg), dfg_stats(dfg),
+                     tuple(kernel.canonical_nest()[0]), epilogue_dfg, program)
 
 
 class _CachedUnroutable(Unroutable):
@@ -237,29 +257,46 @@ def trip_counts(loops, params: dict[str, int]) -> list[tuple[str, int]]:
 
 
 def _leftover(dfg: DataFlowGraph, trips: list[tuple[str, int]]) -> int:
-    """Innermost iterations the unrolled graph leaves to the software epilogue."""
+    """Innermost iterations the unrolled graph leaves to the epilogue."""
     if dfg.remainder is None:
         return 0
     return trips[-1][1] % dfg.remainder.factor
 
 
-def run_offloaded(entry: CacheEntry, kernel: kl.Kernel,
-                  arrays: dict[str, np.ndarray], params: dict[str, int],
-                  trips: list[tuple[str, int]]
+def run_epilogue(g: DataFlowGraph, program: Program,
+                 arrays: dict[str, np.ndarray], trips: list[tuple[str, int]],
+                 leftover: int) -> None:
+    """Run the last ``leftover`` iterations of the innermost loop on the host.
+
+    ``g`` is the kernel's unroll-1 graph and ``program`` is ``lower_dfg(g)``.
+    Every outer iteration is covered.  Results are written into ``arrays``
+    in place, so its written arrays must be the call's own copies, as
+    ``write_back`` returns them.  Raises simulator.OutOfBounds as a gather
+    does.
+    """
+    counts = [n for _, n in trips]
+    starts = [0] * len(trips)
+    counts[-1], starts[-1] = leftover, trips[-1][1] - leftover
+    run_host(program, g, arrays, trips, counts, starts)
+
+
+def run_offloaded(entry: CacheEntry, accepted: _Accepted,
+                  arrays: dict[str, np.ndarray], trips: list[tuple[str, int]]
                   ) -> tuple[dict[str, np.ndarray], RunReport]:
     """One call on a mapped kernel: gather, run, scatter, then the epilogue.
 
+    The epilogue is the unroll-1 graph of ``accepted`` run on the host.
     Returns the result arrays and the overlay's run report.  Raises
-    simulator.OutOfBounds when an access in the graph falls outside its
-    array somewhere in the domain.
+    simulator.OutOfBounds when an access in either graph falls outside its
+    array somewhere in the iterations it covers.
     """
     streams = build_streams(entry.dfg, arrays, trips)
     report = run_compiled(entry.program, streams)
     result = write_back(entry.dfg, report, arrays, trips)
     leftover = _leftover(entry.dfg, trips)
     if leftover:
-        result = kl.evaluate_kernel(kernel, result, params,
-                                    innermost_start=trips[-1][1] - leftover)
+        run_epilogue(accepted.epilogue_dfg, accepted.epilogue_program,
+                     result, trips, leftover)
     return result, report
 
 
@@ -281,7 +318,9 @@ class OffloadRuntime:
     """End-to-end pipeline: analyze, map (or fetch), decide, execute, record.
 
     Whatever path a call takes (offloaded, rejected, rolled back, or
-    unroutable), the returned arrays match pure software evaluation.
+    unroutable), the returned arrays match pure software evaluation.  An
+    offloaded call never runs the software interpreter: its unroll epilogue
+    is the unroll-1 graph run on the host (``run_epilogue``).
     Offloaded elapsed time is the simulated device time from
     ``device_model`` (the virtual hardware's clock); software elapsed time
     is wall-clock.  Distinct kernels may execute concurrently: cache and
@@ -331,7 +370,8 @@ class OffloadRuntime:
 
         Memoized per (kernel, unroll, thresholds), on which the outcome
         alone depends.  At unroll 1 the graph the eligibility check built is
-        the one mapped, so a miss extracts once.
+        the one mapped, so a miss extracts once.  When unrolled, that graph
+        is kept for the epilogue, lowered for the host once here.
         """
         memo_key = (kernel, self.unroll, self.thresholds)
         with self._lock:
@@ -341,16 +381,17 @@ class OffloadRuntime:
         report = check_eligibility(kernel, self.thresholds)
         if not report.accepted():
             analysis = report
+        elif self.unroll == 1:
+            analysis = _accept(kernel, report.dfg)
         else:
             try:
-                dfg = report.dfg if self.unroll == 1 else extract_dfg(
-                    kernel, self.unroll, max_calc_nodes=self.thresholds.max_nodes)
+                dfg = extract_dfg(kernel, self.unroll,
+                                  max_calc_nodes=self.thresholds.max_nodes)
             except UnrollTooLarge as exc:
                 # drop the traceback: its frames would keep this call alive
                 analysis = exc.with_traceback(None)
             else:
-                analysis = _Accepted(dfg, dfg_hash(dfg), dfg_stats(dfg),
-                                    tuple(kernel.canonical_nest()[0]))
+                analysis = _accept(kernel, dfg, epilogue_dfg=report.dfg)
         with self._lock:
             self._analyses.put(memo_key, analysis)
         return analysis
@@ -443,7 +484,7 @@ class OffloadRuntime:
             return software("decision: software", state)
 
         try:
-            result, run_report = run_offloaded(entry, kernel, arrays, params, trips)
+            result, run_report = run_offloaded(entry, analysis, arrays, trips)
         except OutOfBounds:
             # The overlay streams every access in the graph over the whole
             # domain; software touches only what it evaluates, and raises
@@ -482,13 +523,3 @@ class OffloadRuntime:
         for _, count in trips[:-1]:
             n *= count
         return n * (trips[-1][1] // stride)
-
-
-def execute_kernel(kernel: kl.Kernel, arrays: dict[str, np.ndarray],
-                   params: dict[str, int], shape: OverlayShape,
-                   runtime: Optional[OffloadRuntime] = None,
-                   **runtime_kwargs
-                   ) -> tuple[dict[str, np.ndarray], list[TraceEvent]]:
-    """One-shot convenience wrapper around OffloadRuntime.execute."""
-    rt = runtime or OffloadRuntime(shape, **runtime_kwargs)
-    return rt.execute(kernel, arrays, params)

@@ -5,6 +5,15 @@ instruction per active functional unit, pass-through routing collapsed by
 origin tracing), then executed position-synchronously by the stream engine.
 Wire traffic is accounted in 128-bit tagged frames carrying one 32-bit value
 each, so every transferred word costs 16 bytes on the wire: 4x the payload.
+
+The host side of a run copies each stream about once and interprets
+nothing per element.  A gather or scatter goes through a strided view of the
+array (one ``as_strided`` per access, bounds checked at the access's affine
+extremes), never through index arrays.  The engine runs the program over
+fixed-width column blocks of the streams, so its scratch stays small
+whatever the stream length.  ``lower_dfg`` lowers a graph for the host
+without placement, and ``run_host`` runs it over any box of iterations; the
+runtime's unroll epilogue is such a run.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .dfg import AffineExpr, DataFlowGraph, LengthMismatch
+from .dfg import DataFlowGraph, IoBinding, LengthMismatch, NodeKind, OpCode
 from .overlay import (FU, BorderOrigin, CellOrigin, Direction, Origin,
                       OverlayConfig, Pin, trace_port, validate_config)
 
@@ -200,6 +209,74 @@ def compile_config(cfg: OverlayConfig) -> Program:
     return Program(slot_count, instrs, const_fill, input_slots, output_slots, depth)
 
 
+
+
+def lower_dfg(g: DataFlowGraph) -> Program:
+    """Lower a graph to a host program, without placement or routing.
+
+    One slot per node in topological order; an Output reads its source's
+    slot.  MUX operands go from the graph's (select, a, b) to the engine's
+    (x, y, z) = (a, b, select).  Inputs that nothing reads get no slot, as
+    ``build_streams`` streams none for them.  The program has no depth: it
+    models no overlay.
+    """
+    read = {e.src for e in g.edges}
+    slot: dict[int, int] = {}
+    rows = []
+    const_fill: list[tuple[int, int]] = []
+    input_slots: dict[int, int] = {}
+    output_slots: dict[int, int] = {}
+    for nid in g.topo_order():
+        node = g.nodes[nid]
+        srcs = [slot[e.src] for e in g.in_edges(nid)]
+        if node.kind == NodeKind.OUTPUT:
+            output_slots[nid] = srcs[0]
+            continue
+        if node.kind == NodeKind.INPUT and nid not in read:
+            continue
+        slot[nid] = len(slot)
+        if node.kind == NodeKind.INPUT:
+            input_slots[nid] = slot[nid]
+        elif node.kind == NodeKind.CONST:
+            const_fill.append((slot[nid], node.value))
+        else:
+            if node.code == OpCode.MUX:
+                srcs = srcs[1:] + srcs[:1]
+            rows.append((int(node.code), slot[nid], *srcs, *[0] * (3 - len(srcs))))
+    instrs = np.array(rows, dtype=np.int32).reshape(len(rows), 5)
+    return Program(len(slot), instrs, const_fill, input_slots, output_slots, 0)
+
+
+# Positions per engine call.  The engine's scratch is n_slots x _BLOCK int32,
+# about 2.6 MB for 40 slots, whatever the stream length.
+_BLOCK = 1 << 14
+
+
+def _run_blocked(program: Program, streams: dict[int, np.ndarray],
+                 length: int) -> dict[int, np.ndarray]:
+    """Run ``program`` over ``length`` positions, one column block at a time.
+
+    Each block's inputs are copied into an (n_slots, block) scratch array,
+    the engine runs on it, and its output slots are copied out.
+    """
+    values = np.zeros((program.n_slots, min(length, _BLOCK)), dtype=np.int32)
+    for slot, value in program.const_fill:
+        values[slot] = value
+    inputs = [(slot, np.asarray(streams[tag]))
+              for tag, slot in program.input_slots.items()]
+    outputs = {tag: np.empty(length, dtype=np.int32) for tag in program.output_slots}
+    for lo in range(0, length, _BLOCK):
+        hi = min(lo + _BLOCK, length)
+        block = values[:, :hi - lo]
+        for slot, stream in inputs:
+            block[slot] = stream[lo:hi]
+        if len(program.instrs):
+            engine.get_runner()(program.instrs, block)
+        for tag, slot in program.output_slots.items():
+            outputs[tag][lo:hi] = block[slot]
+    return outputs
+
+
 def run_compiled(program: Program, streams: dict[int, np.ndarray]) -> RunReport:
     """Execute a lowered program over input streams keyed by tag."""
     missing = set(program.input_slots) - set(streams)
@@ -212,16 +289,7 @@ def run_compiled(program: Program, streams: dict[int, np.ndarray]) -> RunReport:
         raise LengthMismatch(f"input stream lengths differ: {sorted(lengths)}")
     length = lengths.pop() if lengths else 0
 
-    values = np.zeros((program.n_slots, length), dtype=np.int32)
-    for slot, value in program.const_fill:
-        values[slot, :] = value
-    for tag, slot in program.input_slots.items():
-        values[slot, :] = np.asarray(streams[tag], dtype=np.int32)
-    if length and len(program.instrs):
-        engine.get_runner()(program.instrs, values)
-
-    outputs = {tag: values[slot].copy()
-               for tag, slot in program.output_slots.items()}
+    outputs = _run_blocked(program, streams, length)
     frames_in = len(program.input_slots) * length
     frames_out = len(program.output_slots) * length
     return RunReport(
@@ -233,55 +301,110 @@ def run_compiled(program: Program, streams: dict[int, np.ndarray]) -> RunReport:
     )
 
 
-def run(cfg: OverlayConfig, streams: dict[int, np.ndarray]) -> RunReport:
-    return run_compiled(compile_config(cfg), streams)
-
-
 # -- stream gather / scatter ---------------------------------------------------------
+#
+# An iteration box is a start and a count per loop, outer to inner.  A gather
+# or scatter reads or writes a strided view of the array over the box, and
+# its positions are the box's points in row-major order.
 
 
-def _domain(trips: list[tuple[str, int]], stride: int):
-    """Vectorized loop-variable environment for the unrolled steady state.
+def _steady_box(g: DataFlowGraph, trips: list[tuple[str, int]]
+                ) -> tuple[list[int], list[int]]:
+    """(counts, starts) of the unrolled steady state.
 
-    The innermost count is divided by the lane stride; lane access functions
-    were rewritten at extraction so the innermost variable indexes blocks.
-    A negative count runs its loop zero times, as in software.
+    Every loop starts at 0.  The innermost count is divided by the lane
+    stride: extraction rewrote the lanes' accesses so that the innermost
+    variable indexes blocks.  A negative count runs its loop zero times, as
+    in software.
     """
     if not trips:
         raise ValueError("at least one loop required")
+    stride = g.remainder.factor if g.remainder is not None else 1
     counts = [max(n, 0) for _, n in trips]
     counts[-1] //= stride
-    grids = np.indices(counts).reshape(len(counts), -1)
-    env = {var: grids[i] for i, (var, _) in enumerate(trips)}
-    return env, int(grids.shape[1])
+    return counts, [0] * len(counts)
 
 
-def _eval_affine_vec(expr: AffineExpr, env: dict[str, np.ndarray],
-                     length: int) -> np.ndarray:
-    total = np.full(length, expr.const, dtype=np.int64)
-    for var, coeff in expr.terms:
-        if var not in env:
-            raise OutOfBounds(f"access uses unknown loop variable {var!r}")
-        total = total + coeff * env[var]
-    return total
+def _supplied(arrays: dict[str, np.ndarray], name: str) -> np.ndarray:
+    if name not in arrays:
+        raise OutOfBounds(f"array {name!r} not supplied")
+    return arrays[name]
 
 
-def _gather_indices(binding, env, length, arrays):
-    if binding.array not in arrays:
-        raise OutOfBounds(f"array {binding.array!r} not supplied")
-    arr = arrays[binding.array]
+def _view(arr: np.ndarray, binding: IoBinding, trips: list[tuple[str, int]],
+          counts: list[int], starts: list[int]) -> np.ndarray:
+    """The elements ``binding`` accesses over a box, as a view of ``arr``.
+
+    The view's shape is ``counts``; its element at n is the one accessed
+    when each loop variable is its start plus n.  A loop variable's byte
+    stride is the sum over dimensions of its coefficient times the array's
+    stride there, which covers lane strides, swapped and multi-variable
+    subscripts, negative coefficients and (stride 0) reads the variable does
+    not index.  Raises OutOfBounds when the access leaves the array anywhere
+    in the box: each dimension is checked at its affine extremes.
+    """
     if arr.ndim != len(binding.access):
         raise OutOfBounds(f"array {binding.array} has rank {arr.ndim}, "
                           f"access has {len(binding.access)} dims")
-    idxs = []
+    loop = {var: i for i, (var, _) in enumerate(trips)}
+    empty = 0 in counts
+    origin = []
+    strides = [0] * len(counts)
     for dim, expr in enumerate(binding.access):
-        idx = _eval_affine_vec(expr, env, length)
-        if length and (idx.min() < 0 or idx.max() >= arr.shape[dim]):
+        first = lo = hi = expr.const
+        for var, coeff in expr.terms:
+            if var not in loop:
+                raise OutOfBounds(f"access uses unknown loop variable {var!r}")
+            i = loop[var]
+            first += coeff * starts[i]
+            span = coeff * (counts[i] - 1)
+            lo += coeff * starts[i] + min(span, 0)
+            hi += coeff * starts[i] + max(span, 0)
+            strides[i] += coeff * arr.strides[dim]
+        if not empty and (lo < 0 or hi >= arr.shape[dim]):
             raise OutOfBounds(
                 f"{binding.array} dim {dim}: index range "
-                f"[{idx.min()},{idx.max()}] outside extent {arr.shape[dim]}")
-        idxs.append(idx)
-    return arr, tuple(idxs)
+                f"[{lo},{hi}] outside extent {arr.shape[dim]}")
+        origin.append(first)
+    if empty:
+        return np.empty(counts, dtype=arr.dtype)
+    at_origin = arr[tuple(slice(o, o + 1) for o in origin)]
+    return np.lib.stride_tricks.as_strided(at_origin, counts, strides)
+
+
+def _gather(g: DataFlowGraph, arrays: dict[str, np.ndarray],
+            trips: list[tuple[str, int]], counts: list[int],
+            starts: list[int]) -> dict[int, np.ndarray]:
+    read = {e.src for e in g.edges}
+    streams: dict[int, np.ndarray] = {}
+    for nid in g.inputs():
+        if nid not in read:
+            continue
+        binding = g.io_bindings[nid]
+        view = _view(_supplied(arrays, binding.array), binding, trips, counts, starts)
+        streams[nid] = np.array(view, dtype=np.int32, order="C").reshape(-1)
+    return streams
+
+
+def _scatter(g: DataFlowGraph, outputs: dict[int, np.ndarray],
+             arrays: dict[str, np.ndarray], trips: list[tuple[str, int]],
+             counts: list[int], starts: list[int]) -> None:
+    """Write each Output node's stream into ``arrays`` in place.
+
+    Extraction makes every write subscript a distinct loop variable plus a
+    constant, so no two positions of one output share an element.
+    """
+    length = int(np.prod(counts))
+    for nid in g.outputs():
+        if nid not in outputs:
+            raise UnconfiguredTag(f"report carries no stream for output {nid}")
+        stream = np.asarray(outputs[nid])
+        if len(stream) != length:
+            raise LengthMismatch(
+                f"output {nid}: stream length {len(stream)} != domain {length}")
+        binding = g.io_bindings[nid]
+        view = _view(_supplied(arrays, binding.array), binding, trips, counts, starts)
+        view[...] = stream.astype(np.int32, copy=False).reshape(counts)
 
 
 def build_streams(g: DataFlowGraph, arrays: dict[str, np.ndarray],
@@ -290,21 +413,12 @@ def build_streams(g: DataFlowGraph, arrays: dict[str, np.ndarray],
 
     ``trips`` lists (loop var, trip count) outer to inner.  Streams cover the
     unrolled steady state only; leftover innermost iterations (the graph's
-    remainder annotation) are the software epilogue's job.  Constants folded
-    into the configuration are not streamed, nor are Inputs that nothing
-    reads: the placer binds no port for them.
+    remainder annotation) are the epilogue's job.  Constants folded into the
+    configuration are not streamed, nor are Inputs that nothing reads: the
+    placer binds no port for them.  Each stream is a fresh 1-D int32 array,
+    one position per point of the domain in row-major order.
     """
-    stride = g.remainder.factor if g.remainder is not None else 1
-    env, length = _domain(trips, stride)
-    read = {e.src for e in g.edges}
-    streams: dict[int, np.ndarray] = {}
-    for nid in g.inputs():
-        if nid not in read:
-            continue
-        binding = g.io_bindings[nid]
-        arr, idxs = _gather_indices(binding, env, length, arrays)
-        streams[nid] = arr[idxs].astype(np.int32)
-    return streams
+    return _gather(g, arrays, trips, *_steady_box(g, trips))
 
 
 def write_back(g: DataFlowGraph, report: RunReport,
@@ -313,27 +427,24 @@ def write_back(g: DataFlowGraph, report: RunReport,
     """Scatter output streams through each Output node's access function.
 
     Returns a new mapping; written arrays are fresh copies, others pass
-    through.  Extraction guarantees each element is written at most once.
-    Epilogue iterations (remainder) are left untouched.
+    through.  Epilogue iterations (remainder) are left untouched.
     """
-    stride = g.remainder.factor if g.remainder is not None else 1
-    env, length = _domain(trips, stride)
     out = dict(arrays)
-    copied: set[str] = set()
-    for nid in g.outputs():
-        binding = g.io_bindings[nid]
-        if nid not in report.outputs:
-            raise UnconfiguredTag(f"report carries no stream for output {nid}")
-        stream = np.asarray(report.outputs[nid])
-        if len(stream) != length:
-            raise LengthMismatch(
-                f"output {nid}: stream length {len(stream)} != domain {length}")
-        if binding.array not in copied:
-            if binding.array not in out:
-                raise OutOfBounds(f"array {binding.array!r} not supplied")
-            out[binding.array] = np.array(out[binding.array], copy=True)
-            copied.add(binding.array)
-        arr = out[binding.array]
-        _, idxs = _gather_indices(binding, env, length, {binding.array: arr})
-        arr[idxs] = stream.astype(np.int32)
+    for name in sorted({g.io_bindings[nid].array for nid in g.outputs()}):
+        out[name] = np.array(_supplied(out, name), copy=True)
+    _scatter(g, report.outputs, out, trips, *_steady_box(g, trips))
     return out
+
+
+def run_host(program: Program, g: DataFlowGraph, arrays: dict[str, np.ndarray],
+             trips: list[tuple[str, int]], counts: list[int],
+             starts: list[int]) -> None:
+    """Gather, run and scatter ``g`` over one box of iterations on the host.
+
+    ``program`` is ``lower_dfg(g)``.  The results are written into
+    ``arrays`` in place, so the written arrays must be the caller's own.
+    Nothing crosses the modelled wire, and no RunReport is made.
+    """
+    streams = _gather(g, arrays, trips, counts, starts)
+    outputs = _run_blocked(program, streams, int(np.prod(counts)))
+    _scatter(g, outputs, arrays, trips, counts, starts)

@@ -2,7 +2,7 @@ import csv
 
 import numpy as np
 
-from dfeoffload import cli, corpus, placer, runtime
+from dfeoffload import cli, corpus, frontend, placer, runtime
 from dfeoffload.frontend import extract_dfg
 from dfeoffload.dfg import dfg_stats
 from dfeoffload.kernels import allocate_arrays
@@ -159,3 +159,69 @@ def test_place_applies_the_node_limit_when_unrolled(monkeypatch, tmp_path, capsy
     assert rc == cli.EXIT_UNROUTABLE
     assert out.err == ("unroll too large: 20 calc nodes after unrolling exceed "
                        "the limit 16\n")
+
+
+def _render(monkeypatch, tmp_path, capsys, *argv):
+    """``dfeoffload render`` in ``tmp_path``: exit code and captured output."""
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main(["render", *argv])
+    return rc, capsys.readouterr()
+
+
+def test_render_reports_a_rejection_with_exit_0(monkeypatch, tmp_path, capsys):
+    rc, out = _render(monkeypatch, tmp_path, capsys, str(corpus.kernel_path("lu")),
+                      "-o", "lu.dot")
+    assert rc == cli.EXIT_OK
+    assert out.err == "kernel rejected: No, divisions (operator '/')\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_render_exits_1_on_a_parse_error(monkeypatch, tmp_path, capsys):
+    bad = tmp_path / "bad.k"
+    bad.write_text("kernel bad(N)\nfor i in 0..N {\n")
+    rc, out = _render(monkeypatch, tmp_path, capsys, str(bad), "-o", "bad.dot")
+    assert rc == cli.EXIT_PARSE
+    assert "parse error" in out.err
+    assert list(tmp_path.iterdir()) == [bad]
+
+
+def test_render_exits_2_when_the_unrolled_graph_is_too_large(monkeypatch, tmp_path, capsys):
+    rc, out = _render(monkeypatch, tmp_path, capsys, str(corpus.kernel_path("gemm")),
+                      "--unroll", "2", "--max-nodes", "16", "-o", "gemm.dot")
+    assert rc == cli.EXIT_UNROUTABLE
+    assert out.err == ("unroll too large: 20 calc nodes after unrolling exceed "
+                       "the limit 16\n")
+    assert list(tmp_path.iterdir()) == []
+    rc, _ = _render(monkeypatch, tmp_path, capsys, str(corpus.kernel_path("gemm")),
+                    "--unroll", "2", "--max-nodes", "20", "-o", "gemm.dot")
+    assert rc == cli.EXIT_OK and (tmp_path / "gemm.dot").read_text().startswith("digraph gemm")
+
+
+# `dfeoffload bench` output for gemm, scaleadd and trmm at unroll 1, as it was
+# when each kernel was extracted twice.
+BENCH_CSV = """\
+kernel,rows,cols,seeds,successes,success_rate,mean_attempts,mean_backtracks,est_transfer_s
+gemm,4,4,2,2,1.000,52.0,3.0,9.952174e-05
+gemm,6,6,2,2,1.000,10.0,0.0,9.952174e-05
+scaleadd,4,4,2,2,1.000,3.0,0.0,6.835652e-05
+scaleadd,6,6,2,2,1.000,3.0,0.0,6.835652e-05
+trmm,4,4,2,2,1.000,8.5,0.0,9.061739e-05
+trmm,6,6,2,2,1.000,8.0,0.0,9.061739e-05
+"""
+
+
+def test_bench_extracts_each_kernel_once_at_unroll_1(monkeypatch, capsys):
+    calls = []
+    original = frontend.extract_dfg
+
+    def counted(kernel, *args, **kwargs):
+        calls.append(kernel.name)
+        return original(kernel, *args, **kwargs)
+
+    monkeypatch.setattr(frontend, "extract_dfg", counted)
+    monkeypatch.setattr(cli, "extract_dfg", counted)
+    rc = cli.main(["bench", *(str(corpus.kernel_path(k)) for k in ("gemm", "scaleadd", "trmm")),
+                   "--sizes", "4x4,6x6", "--seeds", "2", "--budget", "500"])
+    assert rc == cli.EXIT_OK
+    assert capsys.readouterr().out.splitlines() == BENCH_CSV.splitlines()
+    assert calls == ["gemm", "scaleadd", "trmm"]

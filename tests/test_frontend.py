@@ -12,7 +12,8 @@ from dfeoffload.frontend import (IneligibleKernel, Reason, Thresholds,
                                  UnrollTooLarge, Verdict, check_eligibility,
                                  extract_dfg, to_affine)
 from dfeoffload.kernels import evaluate_kernel, allocate_arrays, parse_kernel
-from dfeoffload.simulator import build_streams, write_back
+from dfeoffload.runtime import run_epilogue
+from dfeoffload.simulator import build_streams, lower_dfg, write_back
 from dfeoffload.simulator import RunReport
 
 
@@ -511,6 +512,7 @@ def test_generated_kernels_extract_as_the_oracle_evaluates(body, m, n, seed):
     arrays = allocate_arrays(k, params, np.random.default_rng(seed))
     want = evaluate_kernel(k, arrays, params)
     trips = [("i", m), ("j", n)]
+    base = extract_dfg(k, 1)
     for unroll in (1, 2, 3):
         g = extract_dfg(k, unroll)
         streams = build_streams(g, arrays, trips)
@@ -519,6 +521,6 @@ def test_generated_kernels_extract_as_the_oracle_evaluates(body, m, n, seed):
         got = write_back(g, run, arrays, trips)
         leftover = n % unroll
         if leftover:
-            got = evaluate_kernel(k, got, params, innermost_start=n - leftover)
+            run_epilogue(base, lower_dfg(base), got, trips, leftover)
         for name in want:
             assert np.array_equal(got[name], want[name]), (body, unroll, name)

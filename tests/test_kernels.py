@@ -138,16 +138,6 @@ def test_evaluate_wraps_int32():
     assert out["B"][0] == -2147483648
 
 
-def test_evaluate_innermost_start():
-    k = parse_kernel(SCALEADD)
-    rng = np.random.default_rng(1)
-    arrays = allocate_arrays(k, {"M": 2, "N": 6}, rng)
-    partial = evaluate_kernel(k, arrays, {"M": 2, "N": 6}, innermost_start=4)
-    full = evaluate_kernel(k, arrays, {"M": 2, "N": 6})
-    assert np.array_equal(partial["C"][:, 4:], full["C"][:, 4:])
-    assert np.array_equal(partial["C"][:, :4], arrays["C"][:, :4])
-
-
 def test_evaluate_kernel_leaves_no_reference_cycle():
     # Without the cyclic collector, the returned arrays must die with the
     # last reference to them: nothing the evaluation built may hold them.
@@ -156,7 +146,7 @@ def test_evaluate_kernel_leaves_no_reference_cycle():
     arrays = allocate_arrays(k, params, np.random.default_rng(0))
     gc.disable()
     try:
-        out = evaluate_kernel(k, arrays, params, innermost_start=1)
+        out = evaluate_kernel(k, arrays, params)
         ref = weakref.ref(out["C"])
         del out
         assert ref() is None

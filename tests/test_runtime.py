@@ -211,3 +211,66 @@ def test_a_kernel_that_reads_no_array_runs_in_software():
     out, trace = rt.execute(kernel, arrays, params)
     _assert_matches_software(kernel, arrays, params, out)
     assert trace[0].detail == "rejected: No, unsupported op"
+
+
+# Every corpus kernel that routes on 8x8 when unrolled, each at a placer seed
+# at which it routes in well under a second.  Unroll 2 routes for all but 3mm;
+# at unroll 3 and 4 the rest run out of border interfaces or search for
+# seconds.
+EPILOGUE_CASES = [
+    ("2mm", 2, 2), ("atax", 2, 1), ("bicg", 2, 3), ("branchmix", 2, 0),
+    ("gemm", 2, 0), ("gemver", 2, 0), ("gesummv", 2, 0), ("mvt", 2, 0),
+    ("symm", 2, 2), ("syr2k", 2, 1), ("syrk", 2, 4), ("trmm", 2, 1),
+    ("trmm", 3, 2), ("scaleadd", 3, 0), ("scaleadd", 4, 0),
+]
+
+
+@pytest.mark.parametrize("name,unroll,seed", EPILOGUE_CASES,
+                         ids=[f"{n}-u{u}" for n, u, _ in EPILOGUE_CASES])
+def test_every_leftover_runs_on_the_host_as_software_would(monkeypatch, name, unroll, seed):
+    kernel = corpus.load(name)
+    software = []
+    monkeypatch.setattr(runtime.kl, "evaluate_kernel",
+                        lambda *args: software.append(args) or evaluate_kernel(*args))
+    rt = OffloadRuntime(OverlayShape(8, 8), frontend.Thresholds(min_nodes=0),
+                        cost_model=OFFLOAD, unroll=unroll, seed=seed)
+    inner = kernel.canonical_nest()[0][-1].bound
+    extents = [3 * unroll + leftover for leftover in range(unroll)]
+    if name in ("gemm", "trmm", "scaleadd"):
+        # below the unroll factor, every iteration is the epilogue's; the
+        # other kernels read fixed columns that such an extent lacks
+        extents.append(unroll - 1)
+    for extent in extents:
+        params = {p: 5 for p in kernel.params}
+        params[inner] = extent
+        arrays = allocate_arrays(kernel, params, np.random.default_rng(extent),
+                                 -2**31, 2**31 - 1)
+        before = {k: a.copy() for k, a in arrays.items()}
+        out, trace = rt.execute(kernel, arrays, params)
+        assert "compute" in _phases(trace), (extent, _phases(trace))
+        assert ("epilogue" in _phases(trace)) == (extent % unroll != 0)
+        for k, a in arrays.items():
+            assert np.array_equal(a, before[k]), k
+        _assert_matches_software(kernel, arrays, params, out)
+    assert software == []
+
+
+def test_an_out_of_range_read_in_the_leftover_columns_raises_what_software_raises(
+        monkeypatch):
+    # A[i][j+1] leaves A only at j = N-1, which unroll 2 and an odd N leave
+    # to the epilogue: the overlay's run succeeds, the epilogue's gather fails.
+    kernel = parse_kernel("kernel shift(M, N)\narrays: A[MxN]:int32, C[MxN]:int32\n"
+                          "for i in 0..M { for j in 0..N { C[i][j] = 2*A[i][j+1] + 1; } }")
+    arrays, params = _inputs(kernel, 5)
+    with pytest.raises(EvalError) as want:
+        evaluate_kernel(kernel, arrays, params)
+    runs = []
+    original = runtime.run_compiled
+    monkeypatch.setattr(runtime, "run_compiled",
+                        lambda *args: runs.append(1) or original(*args))
+    rt = OffloadRuntime(OverlayShape(6, 6), frontend.Thresholds(min_nodes=0),
+                        cost_model=OFFLOAD, unroll=2, seed=SEED)
+    with pytest.raises(EvalError) as got:
+        rt.execute(kernel, arrays, params)
+    assert str(got.value) == str(want.value)
+    assert runs == [1]

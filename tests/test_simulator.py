@@ -4,16 +4,19 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dfeoffload import corpus
-from dfeoffload.dfg import LengthMismatch, NodeKind, interpret_dfg, validate_dfg
+from dfeoffload import corpus, engine, simulator
+from dfeoffload.dfg import (AffineExpr, DataFlowGraph, IoBinding, LengthMismatch,
+                            NodeKind, OpCode, Remainder, interpret_dfg, validate_dfg)
 from dfeoffload.frontend import extract_dfg
 from dfeoffload.kernels import allocate_arrays
 from dfeoffload.overlay import OverlayShape
 from dfeoffload.placer import place_and_route
 from dfeoffload.runtime import trip_counts
-from dfeoffload.simulator import (build_streams, compile_config, dump_frames,
-                                  load_frames, run_compiled)
+from dfeoffload.simulator import (OutOfBounds, RunReport, build_streams,
+                                  compile_config, dump_frames, load_frames,
+                                  lower_dfg, run_compiled, write_back)
 
 
 def test_an_input_that_nothing_reads_is_not_streamed():
@@ -58,3 +61,255 @@ def test_frames_refuse_what_the_wire_cannot_carry():
     with pytest.raises(ValueError, match="truncated"):
         load_frames(bytes(17))
     assert dump_frames({}) == b"" and load_frames(b"") == {}
+
+
+# -- gather and scatter through views, against index arrays ----------------------------
+
+LOOP_VARS = ("i", "j", "k")
+
+
+def _steady_counts(trips, factor):
+    """Every loop from 0 to its count (negative counts run zero times), with
+    the innermost count divided by the lane stride."""
+    counts = [max(n, 0) for _, n in trips]
+    counts[-1] //= factor
+    return counts
+
+
+def _reference(binding, trips, factor, shape):
+    """Index arrays of ``binding`` over the steady state, and whether all are in range."""
+    counts = _steady_counts(trips, factor)
+    grids = np.indices(counts).reshape(len(counts), -1)
+    env = {var: grids[i] for i, (var, _) in enumerate(trips)}
+    idx = []
+    for expr in binding.access:
+        total = np.full(grids.shape[1], expr.const, dtype=np.int64)
+        for var, coeff in expr.terms:
+            total = total + coeff * env[var]
+        idx.append(total)
+    in_range = all(((i >= 0) & (i < n)).all() for i, n in zip(idx, shape))
+    return tuple(idx), in_range
+
+
+def _array(rng, shape, layout, dtype):
+    """A random array of ``shape`` laid out as C, Fortran, sliced, reversed or read-only."""
+    if layout == "sliced":
+        big = rng.integers(-2**31, 2**31, tuple(2 * s + 1 for s in shape))
+        arr = big[tuple(slice(1, None, 2) for _ in shape)]
+    else:
+        arr = rng.integers(-2**31, 2**31, shape)
+        if layout == "fortran":
+            arr = np.asfortranarray(arr)
+        elif layout == "reversed":
+            arr = arr[tuple(slice(None, None, -1) for _ in shape)]
+    arr = arr.astype(dtype, copy=False)
+    if layout == "read-only":
+        arr.flags.writeable = False
+    assert arr.shape == shape
+    return arr
+
+
+def _graph(reads=(), writes=(), factor=1):
+    """Inputs bound to ``reads``, each feeding a PASS, and Outputs bound to ``writes``."""
+    g = DataFlowGraph()
+    for binding in reads:
+        nid = g.add_node(NodeKind.INPUT)
+        g.io_bindings[nid] = binding
+        g.add_edge(nid, g.add_node(NodeKind.OP, code=OpCode.PASS), 0)
+    for binding in writes:
+        g.io_bindings[g.add_node(NodeKind.OUTPUT)] = binding
+    if factor > 1:
+        g.remainder = Remainder(LOOP_VARS[0], factor)
+    return g
+
+
+_LAYOUTS = st.sampled_from(["C", "fortran", "sliced", "reversed", "read-only"])
+_DTYPES = st.sampled_from([np.int32, np.int64])
+
+
+@st.composite
+def _domains(draw):
+    """Up to three loops with a lane stride of 1 to 3.  One domain in four is
+    empty: one loop's trip count is 0 or negative."""
+    n, factor = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    counts = [draw(st.integers(1, 5)) for _ in range(n - 1)]
+    counts.append(draw(st.integers(factor, 7)))
+    if draw(st.sampled_from([False, False, False, True])):
+        counts[draw(st.integers(0, n - 1))] = draw(st.integers(-1, 0))
+    return [(LOOP_VARS[d], c) for d, c in enumerate(counts)], factor
+
+
+@st.composite
+def _subscript(draw, trips, factor, coeffs):
+    """(extent, subscript) for one dimension: the extent fits the subscript's
+    range over the domain with 0 to 2 to spare, and the constant puts the
+    range anywhere from one before the array's start to one past its end."""
+    counts = _steady_counts(trips, factor)
+    spans = [c * (max(n, 1) - 1) for c, n in zip(coeffs, counts)]
+    lo = sum(min(x, 0) for x in spans)
+    hi = sum(max(x, 0) for x in spans)
+    extent = draw(st.integers(hi - lo + 1, hi - lo + 3))
+    const = draw(st.integers(-lo - 1, extent - hi))
+    return extent, AffineExpr.of(const, **{var: c for (var, _), c in zip(trips, coeffs)})
+
+
+@st.composite
+def _reads(draw, trips, factor, name):
+    """Any affine read: every loop variable may appear in every subscript
+    with a coefficient from -2 to 2 (0 gives a stride-0 read)."""
+    dims = [draw(_subscript(trips, factor,
+                            [draw(st.integers(-2, 2)) for _ in trips]))
+            for _ in range(draw(st.integers(1, 3)))]
+    return tuple(e for e, _ in dims), IoBinding(name, tuple(a for _, a in dims))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(domain=_domains(), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_build_streams_gathers_what_index_arrays_gather(domain, data, seed):
+    trips, factor = domain
+    rng = np.random.default_rng(seed)
+    arrays, in_range, out_of_range = {}, [], []
+    for name in ("A", "B", "C", "D"):
+        shape, binding = data.draw(_reads(trips, factor, name))
+        arrays[name] = _array(rng, shape, data.draw(_LAYOUTS), data.draw(_DTYPES))
+        idx, ok = _reference(binding, trips, factor, shape)
+        (in_range if ok or not len(idx[0]) else out_of_range).append((binding, idx))
+    before = {name: a.copy() for name, a in arrays.items()}
+    for binding, _ in out_of_range:
+        with pytest.raises(OutOfBounds, match=rf"^{binding.array} dim \d: index range"):
+            build_streams(_graph([binding], factor=factor), arrays, trips)
+    g = _graph([binding for binding, _ in in_range], factor=factor)
+    got = build_streams(g, arrays, trips)
+    assert sorted(got) == g.inputs()
+    for nid, (binding, idx) in zip(g.inputs(), in_range):
+        want = arrays[binding.array][idx] if len(idx[0]) else np.zeros(0)
+        assert got[nid].dtype == np.int32 and got[nid].ndim == 1
+        assert got[nid].tolist() == want.astype(np.int32).tolist(), binding
+    for name, a in arrays.items():
+        assert np.array_equal(a, before[name])
+
+
+@st.composite
+def _writes(draw, trips, factor, name):
+    """A write as extraction makes one: each dimension one distinct loop
+    variable, here with any nonzero coefficient, plus a constant."""
+    order = draw(st.permutations(range(len(trips))))
+    dims = []
+    for var in order:
+        coeffs = [0] * len(trips)
+        coeffs[var] = draw(st.sampled_from([-2, -1, 1, 2]))
+        dims.append(draw(_subscript(trips, factor, coeffs)))
+    return tuple(e for e, _ in dims), IoBinding(name, tuple(a for _, a in dims))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(domain=_domains(), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_write_back_scatters_what_index_arrays_scatter(domain, data, seed):
+    trips, factor = domain
+    rng = np.random.default_rng(seed)
+    arrays, in_range, out_of_range = {}, [], []
+    for name in ("C", "D", "E"):
+        shape, binding = data.draw(_writes(trips, factor, name))
+        layout = data.draw(st.sampled_from(["C", "fortran", "sliced", "reversed"]))
+        arrays[name] = _array(rng, shape, layout, data.draw(_DTYPES))
+        idx, ok = _reference(binding, trips, factor, shape)
+        stream = rng.integers(-2**31, 2**31, len(idx[0])).astype(np.int32)
+        (in_range if ok or not len(idx[0]) else out_of_range).append((binding, idx, stream))
+    arrays["F"] = np.zeros(3, np.int32)  # written by nothing
+    before = {name: a.copy() for name, a in arrays.items()}
+    for binding, _, stream in out_of_range:
+        with pytest.raises(OutOfBounds, match=rf"^{binding.array} dim \d: index range"):
+            write_back(_graph(writes=[binding], factor=factor),
+                       RunReport({0: stream}, 0, 0, 0, 0), arrays, trips)
+    g = _graph(writes=[binding for binding, _, _ in in_range], factor=factor)
+    outputs = dict(zip(g.outputs(), [stream for _, _, stream in in_range]))
+    got = write_back(g, RunReport(outputs, 0, 0, 0, 0), arrays, trips)
+    want = {name: a.copy() for name, a in arrays.items()}
+    for binding, idx, stream in in_range:
+        want[binding.array][idx] = stream
+    assert got["F"] is arrays["F"]
+    for name in arrays:
+        assert got[name].dtype == arrays[name].dtype
+        assert np.array_equal(got[name], want[name]), name
+        assert np.array_equal(arrays[name], before[name]), name
+
+
+def test_an_access_out_of_range_at_either_extreme_is_named():
+    # i runs 0..3 and j 0..4: A[i+1][2-j] reaches row 4 of 4, B[j-1] reaches -1.
+    trips = [("i", 4), ("j", 5)]
+    a = IoBinding("A", (AffineExpr.of(1, i=1), AffineExpr.of(2, j=-1)))
+    b = IoBinding("B", (AffineExpr.of(-1, j=1),))
+    arrays = {"A": np.zeros((4, 3), np.int32), "B": np.zeros(6, np.int32)}
+    with pytest.raises(OutOfBounds, match=r"^A dim 0: index range \[1,4\] outside extent 4$"):
+        build_streams(_graph([a]), arrays, trips)
+    with pytest.raises(OutOfBounds, match=r"^B dim 0: index range \[-1,3\] outside extent 6$"):
+        build_streams(_graph([b]), arrays, trips)
+    # an empty domain reads nothing, so nothing is out of range
+    for trips in ([("i", 0), ("j", 5)], [("i", 4), ("j", -2)]):
+        streams = build_streams(_graph([a, b]), arrays, trips)
+        assert [(s.dtype, s.shape) for s in streams.values()] == [(np.int32, (0,))] * 2
+
+
+def test_a_bad_binding_is_refused_with_its_reason():
+    trips = [("i", 2)]
+    arrays = {"A": np.zeros((2, 2), np.int32)}
+    cases = [
+        (IoBinding("Z", (AffineExpr.of(0, i=1),)), "array 'Z' not supplied"),
+        (IoBinding("A", (AffineExpr.of(0, i=1),)), "array A has rank 2, access has 1 dims"),
+        (IoBinding("A", (AffineExpr.of(0, i=1), AffineExpr.of(0, q=1))),
+         "access uses unknown loop variable 'q'"),
+    ]
+    for binding, message in cases:
+        with pytest.raises(OutOfBounds) as exc:
+            build_streams(_graph([binding]), arrays, trips)
+        assert str(exc.value) == message
+        with pytest.raises(OutOfBounds) as exc:
+            write_back(_graph(writes=[binding]), RunReport({0: np.zeros(2, np.int32)},
+                                                           0, 0, 0, 0), arrays, trips)
+        assert str(exc.value) == message
+
+
+# -- the column-blocked run ------------------------------------------------------------
+
+_BLOCK = simulator._BLOCK
+_LENGTHS = (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)
+
+
+@pytest.fixture(scope="module")
+def branchmix_run():
+    """branchmix's graph (compares and MUXes), random streams of the longest
+    length, and what ``interpret_dfg`` makes of them."""
+    g = extract_dfg(corpus.load("branchmix"), 1)
+    rng = np.random.default_rng(4)
+    streams = {nid: rng.integers(-2**31, 2**31, _LENGTHS[-1]).astype(np.int32)
+               for nid in g.inputs()}
+    want = interpret_dfg(g, {nid: s.tolist() for nid, s in streams.items()})
+    return g, streams, want
+
+
+@pytest.mark.parametrize("lowering", ["overlay", "host"])
+def test_run_compiled_equals_interpret_dfg_across_block_edges(
+        monkeypatch, branchmix_run, lowering):
+    g, streams, want = branchmix_run
+    program = (compile_config(place_and_route(g, OverlayShape(6, 6), seed=3).apply())
+               if lowering == "overlay" else lower_dfg(g))
+    widths = []
+
+    def runner():
+        def run(instrs, values):
+            widths.append(values.shape[1])
+            engine.run_program(instrs, values)
+        return run
+
+    monkeypatch.setattr(engine, "get_runner", runner)
+    for length in _LENGTHS:
+        widths.clear()
+        report = run_compiled(program, {nid: s[:length] for nid, s in streams.items()})
+        assert widths == [min(_BLOCK, length - lo) for lo in range(0, length, _BLOCK)]
+        assert sorted(report.outputs) == g.outputs()
+        for tag, stream in report.outputs.items():
+            assert stream.dtype == np.int32
+            assert stream.tolist() == want[tag][:length], (length, tag)
+        assert report.frames_in == len(streams) * length
+        assert report.frames_out == len(g.outputs()) * length
+        assert report.cycles == program.depth + length
