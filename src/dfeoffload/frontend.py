@@ -388,7 +388,7 @@ def extract_dfg(k: kl.Kernel, unroll: int = 1,
     iterations {L, L+u, L+2u, ...} of the innermost loop, recorded in each
     io binding as (offset, stride).  Iterations beyond the last full block
     of u are flagged via the graph's ``remainder`` annotation and are the
-    caller's job (software epilogue).
+    caller's job (the runtime runs them as the unroll-1 graph on the host).
     """
     if unroll < 1:
         raise ValueError("unroll factor must be >= 1")

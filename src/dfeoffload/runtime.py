@@ -36,7 +36,7 @@ from .overlay import OverlayConfig, OverlayShape
 from .placer import Placement, PlacerParams, Unroutable, place_and_route
 from .simulator import (FRAME_SIZE, OutOfBounds, Program, RunReport,
                         build_streams, compile_config, lower_dfg, run_compiled,
-                        run_host, write_back)
+                        run_epilogue, write_back)
 
 
 @dataclass
@@ -261,23 +261,6 @@ def _leftover(dfg: DataFlowGraph, trips: list[tuple[str, int]]) -> int:
     if dfg.remainder is None:
         return 0
     return trips[-1][1] % dfg.remainder.factor
-
-
-def run_epilogue(g: DataFlowGraph, program: Program,
-                 arrays: dict[str, np.ndarray], trips: list[tuple[str, int]],
-                 leftover: int) -> None:
-    """Run the last ``leftover`` iterations of the innermost loop on the host.
-
-    ``g`` is the kernel's unroll-1 graph and ``program`` is ``lower_dfg(g)``.
-    Every outer iteration is covered.  Results are written into ``arrays``
-    in place, so its written arrays must be the call's own copies, as
-    ``write_back`` returns them.  Raises simulator.OutOfBounds as a gather
-    does.
-    """
-    counts = [n for _, n in trips]
-    starts = [0] * len(trips)
-    counts[-1], starts[-1] = leftover, trips[-1][1] - leftover
-    run_host(program, g, arrays, trips, counts, starts)
 
 
 def run_offloaded(entry: CacheEntry, accepted: _Accepted,

@@ -12,8 +12,8 @@ array (one ``as_strided`` per access, bounds checked at the access's affine
 extremes), never through index arrays.  The engine runs the program over
 fixed-width column blocks of the streams, so its scratch stays small
 whatever the stream length.  ``lower_dfg`` lowers a graph for the host
-without placement, and ``run_host`` runs it over any box of iterations; the
-runtime's unroll epilogue is such a run.
+without placement, and ``run_epilogue`` runs the unroll-1 graph so lowered
+over the leftover innermost iterations of an unrolled call.
 """
 
 from __future__ import annotations
@@ -207,8 +207,6 @@ def compile_config(cfg: OverlayConfig) -> Program:
 
     instrs = np.array(rows, dtype=np.int32).reshape(len(rows), 5)
     return Program(slot_count, instrs, const_fill, input_slots, output_slots, depth)
-
-
 
 
 def lower_dfg(g: DataFlowGraph) -> Program:
@@ -436,15 +434,22 @@ def write_back(g: DataFlowGraph, report: RunReport,
     return out
 
 
-def run_host(program: Program, g: DataFlowGraph, arrays: dict[str, np.ndarray],
-             trips: list[tuple[str, int]], counts: list[int],
-             starts: list[int]) -> None:
-    """Gather, run and scatter ``g`` over one box of iterations on the host.
+def run_epilogue(g: DataFlowGraph, program: Program,
+                 arrays: dict[str, np.ndarray], trips: list[tuple[str, int]],
+                 leftover: int) -> None:
+    """Run the last ``leftover`` iterations of the innermost loop on the host.
 
-    ``program`` is ``lower_dfg(g)``.  The results are written into
-    ``arrays`` in place, so the written arrays must be the caller's own.
-    Nothing crosses the modelled wire, and no RunReport is made.
+    ``g`` is the kernel's unroll-1 graph and ``program`` is ``lower_dfg(g)``.
+    Every outer iteration is covered: the box is the leftover columns, which
+    are gathered, run through the blocked loop and scattered.  Results are
+    written into ``arrays`` in place, so its written arrays must be the
+    call's own copies, as ``write_back`` returns them.  Nothing crosses the
+    modelled wire, and no RunReport is made.  Raises OutOfBounds as a
+    gather does.
     """
+    counts = [n for _, n in trips]
+    starts = [0] * len(trips)
+    counts[-1], starts[-1] = leftover, trips[-1][1] - leftover
     streams = _gather(g, arrays, trips, counts, starts)
     outputs = _run_blocked(program, streams, int(np.prod(counts)))
     _scatter(g, outputs, arrays, trips, counts, starts)

@@ -1,6 +1,7 @@
 import csv
 
 import numpy as np
+import pytest
 
 from dfeoffload import cli, corpus, frontend, placer, runtime
 from dfeoffload.frontend import extract_dfg
@@ -88,6 +89,32 @@ def test_run_exits_3_when_the_overlay_result_differs(monkeypatch, tmp_path, caps
                    str(corpus.kernel_path("gemm")), "--seed", "3")
     assert rc == cli.EXIT_MISMATCH
     assert out.out.splitlines()[-1] == "FAIL: array C differs from software evaluation"
+
+
+# Software reads A[i][j+1] only when A[i][j] > A[i][j], which never holds;
+# the overlay and the epilogue stream both arms of the branch.
+GUARDED_READ = """\
+kernel guard(M, N)
+arrays: A[MxN]:int32, C[MxN]:int32
+for i in 0..M { for j in 0..N {
+  if (A[i][j] > A[i][j]) { C[i][j] = A[i][j+1] + 1; } else { C[i][j] = A[i][j] - 1; }
+} }
+"""
+
+
+@pytest.mark.parametrize("unroll,index_range", [(1, "[1,5]"), (2, "[5,5]")])
+def test_run_falls_back_to_software_on_a_read_out_of_range(monkeypatch, tmp_path, capsys,
+                                                           unroll, index_range):
+    # at unroll 2 and N=5 only the epilogue's column j=4 reads past A
+    path = tmp_path / "guard.k"
+    path.write_text(GUARDED_READ)
+    rc, out = _run(monkeypatch, tmp_path, capsys, str(path), "--min-nodes", "0",
+                   "--unroll", str(unroll), "--param", "N=5", "--format", "frames")
+    assert rc == cli.EXIT_OK
+    assert out.out.splitlines() == [
+        f"guard: access out of range (A dim 1: index range {index_range} outside "
+        "extent 5); software path", "PASS (software)"]
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_run_dumps_the_streams_it_sends(monkeypatch, tmp_path, capsys):
@@ -185,16 +212,12 @@ def test_render_exits_1_on_a_parse_error(monkeypatch, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [bad]
 
 
-def test_render_exits_2_when_the_unrolled_graph_is_too_large(monkeypatch, tmp_path, capsys):
+def test_render_exits_1_on_an_unroll_factor_below_1(monkeypatch, tmp_path, capsys):
     rc, out = _render(monkeypatch, tmp_path, capsys, str(corpus.kernel_path("gemm")),
-                      "--unroll", "2", "--max-nodes", "16", "-o", "gemm.dot")
-    assert rc == cli.EXIT_UNROUTABLE
-    assert out.err == ("unroll too large: 20 calc nodes after unrolling exceed "
-                       "the limit 16\n")
+                      "--unroll", "0", "-o", "gemm.dot")
+    assert rc == cli.EXIT_PARSE
+    assert out.err == "cannot extract: unroll factor must be >= 1\n"
     assert list(tmp_path.iterdir()) == []
-    rc, _ = _render(monkeypatch, tmp_path, capsys, str(corpus.kernel_path("gemm")),
-                    "--unroll", "2", "--max-nodes", "20", "-o", "gemm.dot")
-    assert rc == cli.EXIT_OK and (tmp_path / "gemm.dot").read_text().startswith("digraph gemm")
 
 
 # `dfeoffload bench` output for gemm, scaleadd and trmm at unroll 1, as it was

@@ -12,8 +12,7 @@ from dfeoffload.frontend import (IneligibleKernel, Reason, Thresholds,
                                  UnrollTooLarge, Verdict, check_eligibility,
                                  extract_dfg, to_affine)
 from dfeoffload.kernels import evaluate_kernel, allocate_arrays, parse_kernel
-from dfeoffload.runtime import run_epilogue
-from dfeoffload.simulator import build_streams, lower_dfg, write_back
+from dfeoffload.simulator import build_streams, lower_dfg, run_epilogue, write_back
 from dfeoffload.simulator import RunReport
 
 
