@@ -18,7 +18,8 @@ import numpy as np
 from . import kernels as kl
 from .dfg import dfg_stats, dfg_to_dot, dfg_to_text
 from .frontend import (EligibilityReport, IneligibleKernel, Thresholds,
-                       UnrollTooLarge, check_eligibility, extract_dfg)
+                       UnrollTooLarge, check_eligibility, check_unroll,
+                       extract_dfg)
 from .overlay import OverlayShape, config_to_dot, config_to_text, serialize_config
 from .placer import PlacerParams, Unroutable, place_and_route
 from .runtime import (CostModel, OffloadRuntime, estimate_offload_time,
@@ -74,6 +75,12 @@ def _runtime(args) -> OffloadRuntime:
                           unroll=args.unroll, seed=args.seed)
 
 
+def _cannot_extract(exc: ValueError) -> int:
+    """Report a kernel that cannot be extracted as asked: exit 1."""
+    print(f"cannot extract: {exc}", file=sys.stderr)
+    return EXIT_PARSE
+
+
 def _rejected(report: EligibilityReport) -> int:
     """Report a rejection verdict, which is not an error."""
     print(f"kernel rejected: {report.table_label()} ({report.detail})",
@@ -106,7 +113,10 @@ def cmd_place(args) -> int:
     except kl.KernelSyntaxError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    rt = _runtime(args)
+    try:
+        rt = _runtime(args)
+    except ValueError as exc:
+        return _cannot_extract(exc)
     analysis = rt.analyze(kernel)
     if isinstance(analysis, EligibilityReport):
         return _rejected(analysis)
@@ -121,7 +131,8 @@ def cmd_place(args) -> int:
               f"restarts={c.node_restarts} backtracks={c.backtracks})",
               file=sys.stderr)
         return EXIT_UNROUTABLE
-    placement, config = entry.placement, entry.config
+    placement = entry.placement
+    config = placement.apply()
     out = Path(args.output or (Path(args.file).stem + ".dfecfg"))
     out.write_bytes(serialize_config(config))
     sidecar = out.with_suffix(out.suffix + ".map.txt")
@@ -148,12 +159,15 @@ def cmd_run(args) -> int:
     except kl.KernelSyntaxError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    try:
+        rt = _runtime(args)
+    except ValueError as exc:
+        return _cannot_extract(exc)
     values = _param_values(kernel, args.params, args.size)
     rng = np.random.default_rng(args.data_seed)
     arrays = kl.allocate_arrays(kernel, values, rng)
     software = kl.evaluate_kernel(kernel, arrays, values)
 
-    rt = _runtime(args)
     analysis = rt.analyze(kernel)
     if isinstance(analysis, EligibilityReport):
         print(f"{Path(args.file).stem}: {analysis.table_label()}; software path")
@@ -199,6 +213,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    try:
+        check_unroll(args.unroll)
+    except ValueError as exc:
+        return _cannot_extract(exc)
     rows = []
     for path in args.files:
         try:
@@ -270,8 +288,7 @@ def cmd_render(args) -> int:
     except IneligibleKernel as exc:
         return _rejected(exc.report())
     except ValueError as exc:
-        print(f"cannot extract: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _cannot_extract(exc)
     text = dfg_to_dot(dfg, kernel.name) if args.format == "dot" else dfg_to_text(dfg)
     if args.output:
         Path(args.output).write_text(text)
@@ -290,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--min-nodes", type=int, default=8,
                        help="smallest offloadable graph (calc nodes)")
         p.add_argument("--max-nodes", type=int, default=None)
-        p.add_argument("--unroll", type=int, default=1)
         if overlay:
+            p.add_argument("--unroll", type=int, default=1)
             p.add_argument("--overlay", type=_parse_overlay, default=OverlayShape(6, 6),
                            help="grid size, e.g. 4x4")
             p.add_argument("--seed", type=int, default=0)

@@ -144,9 +144,6 @@ class AffineExpr:
         terms = tuple(sorted((v, k) for v, k in new.items() if k != 0))
         return AffineExpr(terms, self.const + c * offset)
 
-    def variables(self) -> set[str]:
-        return {v for v, _ in self.terms}
-
     def __str__(self) -> str:
         parts = []
         for var, coeff in self.terms:

@@ -380,6 +380,12 @@ def _insert_pass_nodes(g: DataFlowGraph) -> None:
             g.add_edge(pid, e.dst, e.dport)
 
 
+def check_unroll(unroll: int) -> None:
+    """Raise ValueError unless ``unroll`` is an unroll factor, 1 or more."""
+    if unroll < 1:
+        raise ValueError("unroll factor must be >= 1")
+
+
 def extract_dfg(k: kl.Kernel, unroll: int = 1,
                 max_calc_nodes: Optional[int] = None) -> DataFlowGraph:
     """Extract the innermost loop body as a data flow graph.
@@ -390,8 +396,7 @@ def extract_dfg(k: kl.Kernel, unroll: int = 1,
     of u are flagged via the graph's ``remainder`` annotation and are the
     caller's job (the runtime runs them as the unroll-1 graph on the host).
     """
-    if unroll < 1:
-        raise ValueError("unroll factor must be >= 1")
+    check_unroll(unroll)
     written = _check_structure(k)
     loops, body = k.canonical_nest()
     inner_var = loops[-1].var

@@ -72,9 +72,6 @@ class OverlayShape:
         nr, nc = r + dr, c + dc
         return (nr, nc) if self.in_bounds(nr, nc) else None
 
-    def outward_sides(self, r: int, c: int) -> list[Direction]:
-        return [d for d in Direction if self.neighbor(r, c, d) is None]
-
     def io_capacity(self) -> tuple[int, int]:
         """(input interfaces, output interfaces): one per outward cell side."""
         n = 2 * (self.rows + self.cols)
@@ -158,7 +155,8 @@ def trace_port(cfg: OverlayConfig, cell: tuple[int, int],
 
     Returns the border input interface or the cell whose FU produces the
     value, and the number of cell outputs the value passes on the way;
-    raises UnroutedPort when the chain hits a disabled output.
+    raises UnroutedPort when the chain hits a disabled output or comes back
+    to a port it passed (a loop of pass-through outputs).
     """
     r, c = cell
     d = port
@@ -195,8 +193,36 @@ def _fed_pins(cell: CellConfig) -> dict[Pin, str]:
     return fed
 
 
+def fu_order(deps: dict[tuple[int, int], set[tuple[int, int]]]
+             ) -> Optional[list[tuple[int, int]]]:
+    """The FU cells of ``deps`` in data-dependency order, or None on a cycle.
+
+    ``deps`` maps each FU cell to the cells whose FU results its pins read;
+    reads of cells that are not keys are ignored.  Each round takes every
+    cell whose reads are all ordered, in cell order.
+    """
+    remaining = {rc: ds & deps.keys() for rc, ds in deps.items()}
+    order: list[tuple[int, int]] = []
+    while remaining:
+        ready = sorted(rc for rc, ds in remaining.items() if not ds)
+        if not ready:
+            return None
+        order.extend(ready)
+        for rc in ready:
+            del remaining[rc]
+        for ds in remaining.values():
+            ds.difference_update(ready)
+    return order
+
+
 def validate_config(cfg: OverlayConfig) -> list[Violation]:
-    """All invariant violations, each naming the offending cell and port."""
+    """All invariant violations, each naming the offending cell and port.
+
+    Every wired FU pin and every forwarding output is traced to its source,
+    so a loop of pass-through outputs shows as ``unrouted`` ("routing cycle
+    at ..."); FUs that read one another's results in a loop are a ``cycle``.
+    ``simulator.compile_config`` runs this once per config it lowers.
+    """
     out: list[Violation] = []
     shape = cfg.shape
     for rc in shape.cells():
@@ -206,6 +232,8 @@ def validate_config(cfg: OverlayConfig) -> list[Violation]:
         extra = set(cfg.cells) - set(shape.cells())
         if extra:
             out.append(Violation("extra-cell", f"{sorted(extra)}"))
+    if out:
+        return out  # the checks below look up cells by grid position
 
     for (r, c), cell in sorted(cfg.cells.items()):
         where = f"cell ({r},{c})"
@@ -252,96 +280,42 @@ def validate_config(cfg: OverlayConfig) -> list[Violation]:
         if shape.in_bounds(r, c) and cfg.cell(r, c).out_sel[d] is None:
             out.append(Violation("silent-output", f"io_out ({r},{c}) {d.name} is disabled"))
 
-    if _routing_cycle(cfg):
-        out.append(Violation("cycle", "routing graph has a cycle"))
-        return out  # tracing below would not terminate meaningfully
-
-    # every consumer must resolve to a border input or an FU, and consumed
-    # border inputs must carry a stream tag
+    # every consumer must resolve to a border input or an FU, consumed
+    # border inputs must carry a stream tag, and the FUs must have an order
     used_border: set[tuple[int, int, Direction]] = set()
+    deps: dict[tuple[int, int], set[tuple[int, int]]] = {}
 
-    def check_pin(r, c, d, what):
+    def trace(r, c, d, what) -> Optional[Origin]:
         try:
             origin, _ = trace_port(cfg, (r, c), d)
         except UnroutedPort as exc:
             out.append(Violation("unrouted", f"{what}: {exc}"))
-            return
+            return None
         if isinstance(origin, BorderOrigin):
             used_border.add((origin.r, origin.c, origin.side))
+        return origin
 
     for (r, c), cell in sorted(cfg.cells.items()):
+        reads = set()
         for pin in Pin:
             d = cell.pin_select(pin)
             if d is not None:
-                check_pin(r, c, d, f"cell ({r},{c}) {pin.name}")
+                origin = trace(r, c, d, f"cell ({r},{c}) {pin.name}")
+                if isinstance(origin, CellOrigin):
+                    reads.add((origin.r, origin.c))
+        if cell.fu_op is not None:
+            deps[(r, c)] = reads
         for d in Direction:
             sel = cell.out_sel[d]
             if isinstance(sel, Direction):
-                check_pin(r, c, sel, f"cell ({r},{c}) out {d.name}")
+                trace(r, c, sel, f"cell ({r},{c}) out {d.name}")
     for port in used_border:
         if port not in cfg.io_in:
             r, c, d = port
             out.append(Violation("untagged-input", f"({r},{c}) {d.name}"))
+    if fu_order(deps) is None:
+        out.append(Violation("cycle", "functional units form a cycle"))
     return out
-
-
-def _routing_cycle(cfg: OverlayConfig) -> bool:
-    """Detect cycles in the directed value-forwarding graph."""
-    # node: ("in"|"out", r, c, d) or ("fu", r, c, None)
-    def deps(node):
-        kind, r, c, d = node
-        cell = cfg.cell(r, c)
-        if kind == "out":
-            sel = cell.out_sel[d]
-            if isinstance(sel, Direction):
-                return [("in", r, c, sel)]
-            if sel == FU:
-                return [("fu", r, c, None)]
-            return []
-        if kind == "in":
-            nb = cfg.shape.neighbor(r, c, d)
-            if nb is None:
-                return []
-            return [("out", nb[0], nb[1], opposite(d))]
-        pins = []
-        for pin in Pin:
-            sel = cell.pin_select(pin)
-            if sel is not None:
-                pins.append(("in", r, c, sel))
-        return pins
-
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict = {}
-
-    def visit(root) -> bool:
-        if color.get(root, WHITE) != WHITE:
-            return False
-        stack = [(root, iter(deps(root)))]
-        color[root] = GRAY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for dep in it:
-                state = color.get(dep, WHITE)
-                if state == GRAY:
-                    return True
-                if state == WHITE:
-                    color[dep] = GRAY
-                    stack.append((dep, iter(deps(dep))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
-        return False
-
-    for (r, c) in cfg.shape.cells():
-        for d in Direction:
-            if visit(("out", r, c, d)):
-                return True
-        if visit(("fu", r, c, None)):
-            return True
-    return False
 
 
 # -- serialization -----------------------------------------------------------------

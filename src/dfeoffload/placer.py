@@ -10,6 +10,11 @@ edges over free resources with Dijkstra (shortest path from wherever the
 value is already replicated), and exhaustion triggers node switches and
 random-depth backtracking.  The algorithm only ever returns correct
 answers; only its running time is random.
+
+The search writes straight into the ``OverlayConfig`` it returns: each claim
+sets one field of a cell or one io binding and journals the old value, so a
+backtrack restores the fields it journaled.  The result is not validated
+here; ``simulator.compile_config`` validates a config once, where it is used.
 """
 
 from __future__ import annotations
@@ -17,16 +22,15 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
-from .dfg import DataFlowGraph, Edge, NodeKind, OpCode, validate_dfg
-from .overlay import (FU, CellConfig, Direction, OverlayConfig, OverlayShape,
-                      Pin, new_overlay, opposite, validate_config)
+from .dfg import DataFlowGraph, NodeKind, OpCode, validate_dfg
+from .overlay import (FU, Direction, OverlayConfig, OverlayShape, Pin,
+                      new_overlay, opposite)
 
 Cell = tuple[int, int]
 Port = tuple[int, int, Direction]  # border interface: cell + outward side
-RouteHop = tuple[int, int, Direction, Union[Direction, str]]  # cell, out, source
 
 
 @dataclass(frozen=True)
@@ -72,45 +76,21 @@ RNG_ALGORITHM = "python-mt19937"
 class Placement:
     """A complete mapping of one graph onto one overlay shape.
 
-    ``routes`` holds only the output-selector hops newly claimed for each
-    edge; edges that tap an already-routed copy of a value contribute no new
-    hops.  ``apply()`` rebuilds the overlay configuration from scratch.
+    ``config`` is the overlay configuration the search built, not yet
+    validated; ``node_cells`` says which cell's FU computes each op node.
+    Stream tags are node ids: an Input's on ``config.io_in``, an Output's on
+    ``config.io_out``.
     """
 
     shape: OverlayShape
+    config: OverlayConfig
     node_cells: dict[int, Cell]
-    node_ops: dict[int, OpCode]
-    pin_sources: dict[tuple[Cell, Pin], Direction]
-    masks: dict[Cell, tuple[Pin, int]]
-    input_ports: dict[int, Port]
-    output_ports: dict[int, Port]
-    routes: dict[Edge, tuple[RouteHop, ...]]
     rng_seed: int
     counters: PlacerCounters
     rng_algorithm: str = RNG_ALGORITHM
 
     def apply(self) -> OverlayConfig:
-        cfg = new_overlay(self.shape.rows, self.shape.cols)
-        for nid, cell in self.node_cells.items():
-            cfg.cells[cell].fu_op = self.node_ops[nid]
-        for (cell, pin), direction in self.pin_sources.items():
-            cc = cfg.cells[cell]
-            if pin == Pin.IN1:
-                cc.fu_in1 = direction
-            elif pin == Pin.IN2:
-                cc.fu_in2 = direction
-            else:
-                cc.fu_sel = direction
-        for cell, mask in self.masks.items():
-            cfg.cells[cell].mask = mask
-        for hops in self.routes.values():
-            for (r, c, out_d, source) in hops:
-                cfg.cells[(r, c)].out_sel[out_d] = source
-        for nid, (r, c, d) in self.input_ports.items():
-            cfg.io_in[(r, c, d)] = nid
-        for nid, (r, c, d) in self.output_ports.items():
-            cfg.io_out[(r, c, d)] = nid
-        return cfg
+        return self.config
 
 
 # -- node selection and position sampling -------------------------------------------
@@ -175,103 +155,73 @@ def sample_position(free: list[Cell], related: list[Cell], shape: OverlayShape,
 # -- routing state -------------------------------------------------------------------
 
 
+_ABSENT = object()  # journaled old value of a key that was not there
+_PIN_FIELD = ("fu_in1", "fu_in2", "fu_sel")  # CellConfig field per Pin
+
+
 class _State:
-    """Mutable resource book-keeping with a journal for transactional undo."""
+    """The config under construction, its reverse indexes, and an undo journal.
+
+    Every write goes through ``_set``, which journals (owner, key, old
+    value); a cell's fields are written through ``vars(cell)``, so every
+    owner is a dict and undo is one restore.
+    """
 
     def __init__(self, shape: OverlayShape):
         self.shape = shape
-        self.fu_owner: dict[Cell, int] = {}
-        self.fu_ops: dict[Cell, OpCode] = {}
-        self.out_source: dict[tuple[Cell, Direction], Union[Direction, str]] = {}
-        self.pin_sources: dict[tuple[Cell, Pin], Direction] = {}
-        self.masks: dict[Cell, tuple[Pin, int]] = {}
-        self.io_in: dict[Port, int] = {}
-        self.io_out: dict[Port, int] = {}
-        self.input_ports: dict[int, Port] = {}
-        self.output_ports: dict[int, Port] = {}
-        # value id -> input-pin sites where that value can be tapped
-        self.sites: dict[int, set[tuple[Cell, Direction]]] = {}
+        self.cfg = new_overlay(shape.rows, shape.cols)
+        self.cells = self.cfg.cells
+        self.input_ports: dict[int, Port] = {}  # input value id -> bound port
+        # value id -> input-pin sites where that value can be tapped (keys only)
+        self.sites: dict[int, dict[tuple[Cell, Direction], None]] = {}
         self.origin_cell: dict[int, Cell] = {}  # op value id -> producing cell
-        self.routes: dict[Edge, tuple[RouteHop, ...]] = {}
-        self._journal: list[tuple] = []
+        self._journal: list[tuple[dict, object, object]] = []
 
-    # journal actions are add-only, so undo is deletion
+    def _set(self, owner: dict, key, value) -> None:
+        self._journal.append((owner, key, owner.get(key, _ABSENT)))
+        owner[key] = value
+
     def mark(self) -> int:
         return len(self._journal)
 
     def rollback(self, mark: int) -> None:
         while len(self._journal) > mark:
-            kind, key = self._journal.pop()
-            if kind == "fu":
-                cell, nid = key
-                del self.fu_owner[cell]
-                del self.fu_ops[cell]
-                del self.origin_cell[nid]
-            elif kind == "out":
-                del self.out_source[key]
-            elif kind == "pin":
-                del self.pin_sources[key]
-            elif kind == "mask":
-                del self.masks[key]
-            elif kind == "io_in":
-                port, nid = key
-                del self.io_in[port]
-                del self.input_ports[nid]
-            elif kind == "io_out":
-                port, nid = key
-                del self.io_out[port]
-                del self.output_ports[nid]
-            elif kind == "site":
-                vid, site = key
-                self.sites[vid].discard(site)
-            elif kind == "route":
-                del self.routes[key]
+            owner, key, old = self._journal.pop()
+            if old is _ABSENT:
+                del owner[key]
+            else:
+                owner[key] = old
 
     def claim_fu(self, cell: Cell, nid: int, op: OpCode) -> None:
-        self.fu_owner[cell] = nid
-        self.fu_ops[cell] = op
-        self.origin_cell[nid] = cell
-        self._journal.append(("fu", (cell, nid)))
+        self._set(vars(self.cells[cell]), "fu_op", op)
+        self._set(self.origin_cell, nid, cell)
 
     def claim_out(self, cell: Cell, out_d: Direction,
                   source: Union[Direction, str]) -> None:
-        key = (cell, out_d)
-        assert key not in self.out_source
-        self.out_source[key] = source
-        self._journal.append(("out", key))
+        self._set(self.cells[cell].out_sel, out_d, source)
 
     def set_pin(self, cell: Cell, pin: Pin, direction: Direction) -> None:
-        key = (cell, pin)
-        self.pin_sources[key] = direction
-        self._journal.append(("pin", key))
+        self._set(vars(self.cells[cell]), _PIN_FIELD[pin], direction)
 
     def claim_mask(self, cell: Cell, pin: Pin, value: int) -> bool:
-        if cell in self.masks:
+        fields = vars(self.cells[cell])
+        if fields["mask"] is not None:
             return False
-        self.masks[cell] = (pin, value)
-        self._journal.append(("mask", cell))
+        self._set(fields, "mask", (pin, value))
         return True
 
     def bind_input(self, port: Port, nid: int) -> None:
-        self.io_in[port] = nid
-        self.input_ports[nid] = port
-        self._journal.append(("io_in", (port, nid)))
+        self._set(self.cfg.io_in, port, nid)
+        self._set(self.input_ports, nid, port)
         self.add_site(nid, ((port[0], port[1]), port[2]))
 
     def bind_output(self, port: Port, nid: int) -> None:
-        self.io_out[port] = nid
-        self.output_ports[nid] = port
-        self._journal.append(("io_out", (port, nid)))
+        self._set(self.cfg.io_out, port, nid)
 
     def add_site(self, vid: int, site: tuple[Cell, Direction]) -> None:
-        box = self.sites.setdefault(vid, set())
+        box = self.sites.setdefault(vid, {})
         if site not in box:
-            box.add(site)
-            self._journal.append(("site", (vid, site)))
-
-    def add_route(self, edge: Edge, hops: tuple[RouteHop, ...]) -> None:
-        self.routes[edge] = hops
-        self._journal.append(("route", edge))
+            self._set(box, site, None)
 
 
 def _pin_for(code: OpCode, dport: int) -> Pin:
@@ -282,14 +232,16 @@ def _pin_for(code: OpCode, dport: int) -> Pin:
 
 def route_edge(state: _State, value: int, *, sink_cell: Optional[Cell] = None,
                sink_pin: Optional[Pin] = None, to_border: bool = False,
-               bindable_input: Optional[int] = None) -> tuple[RouteHop, ...]:
+               bindable_input: Optional[int] = None) -> tuple[Cell, Direction]:
     """Shortest route from any replication site of ``value`` to the sink.
 
     The sink is either an FU pin (sink_cell, sink_pin) or the nearest free
     border output interface (to_border).  Multi-source Dijkstra over free
     output selectors; hop cost is 1; ties resolve by port order N<E<S<W then
-    cell order.  On success all traversed selectors are claimed and every
-    pin reached becomes a new replication site.  Raises NoPath otherwise.
+    cell order.  On success all traversed selectors are claimed, every pin
+    reached becomes a new replication site, and the sink reached is
+    returned: the cell and its input side, or for the border its outward
+    side.  Raises NoPath otherwise.
     """
     shape = state.shape
     # search states: ("pin", cell, d) value present at an input pin;
@@ -312,18 +264,19 @@ def route_edge(state: _State, value: int, *, sink_cell: Optional[Cell] = None,
         push(("pin", cell, d), 0, ("seed", None))
     if bindable_input is not None and bindable_input not in state.input_ports:
         for port in shape.border_ports():
-            if port not in state.io_in:
+            if port not in state.cfg.io_in:
                 push(("pin", (port[0], port[1]), port[2]), 0, ("bind", port))
     origin = state.origin_cell.get(value)
     if origin is not None:
+        out_sel = state.cells[origin].out_sel
         for out_d in Direction:
-            if (origin, out_d) in state.out_source:
+            if out_sel[out_d] is not None:
                 continue
             nb = shape.neighbor(*origin, out_d)
             hop = (origin[0], origin[1], out_d, FU)
             if nb is not None:
                 push(("pin", nb, opposite(out_d)), 1, ("claim", hop))
-            elif to_border and (origin[0], origin[1], out_d) not in state.io_out:
+            elif to_border and (origin[0], origin[1], out_d) not in state.cfg.io_out:
                 push(("goal", origin, out_d), 1, ("claim", hop))
 
     goal = None
@@ -341,16 +294,17 @@ def route_edge(state: _State, value: int, *, sink_cell: Optional[Cell] = None,
             goal = node
             break
         base = dist[node]
+        out_sel = state.cells[cell].out_sel
         for out_d in Direction:
             if out_d == d:  # reflecting a port back out the same side
                 continue
-            if (cell, out_d) in state.out_source:
+            if out_sel[out_d] is not None:
                 continue
             hop = (cell[0], cell[1], out_d, d)
             nb = shape.neighbor(*cell, out_d)
             if nb is not None:
                 push(("pin", nb, opposite(out_d)), base + 1, ("claim", hop))
-            elif to_border and (cell[0], cell[1], out_d) not in state.io_out:
+            elif to_border and (cell[0], cell[1], out_d) not in state.cfg.io_out:
                 push(("goal", cell, out_d), base + 1, ("claim", hop))
     if goal is None:
         raise NoPath(f"value {value} cannot reach its sink")
@@ -368,18 +322,16 @@ def route_edge(state: _State, value: int, *, sink_cell: Optional[Cell] = None,
             break
         node = ("pin", (hop[0], hop[1]), hop[3])
     chain.reverse()
-    hops: list[RouteHop] = []
     for node, par in chain:
         if par[0] == "bind":
             state.bind_input(par[1], bindable_input)
         elif par[0] == "claim":
             state.claim_out((par[1][0], par[1][1]), par[1][2], par[1][3])
-            hops.append(par[1])
         if node[0] == "pin":
             state.add_site(value, (node[1], node[2]))
     if sink_pin is not None:
         state.set_pin(sink_cell, sink_pin, goal[2])
-    return tuple(hops)
+    return goal[1], goal[2]
 
 
 # -- the main loop -------------------------------------------------------------------
@@ -414,52 +366,37 @@ def _route_node_edges(g: DataFlowGraph, state: _State, nid: int,
         if producer.kind == NodeKind.CONST:
             if not state.claim_mask(cell, pin, producer.value):
                 return False
-        elif producer.kind == NodeKind.INPUT:
+        elif producer.kind == NodeKind.INPUT or e.src in state.origin_cell:
+            bindable = e.src if producer.kind == NodeKind.INPUT else None
             try:
-                hops = route_edge(state, e.src, sink_cell=cell, sink_pin=pin,
-                                  bindable_input=e.src)
+                route_edge(state, e.src, sink_cell=cell, sink_pin=pin,
+                           bindable_input=bindable)
             except NoPath:
                 return False
-            state.add_route(e, hops)
-        elif e.src in state.origin_cell:
-            try:
-                hops = route_edge(state, e.src, sink_cell=cell, sink_pin=pin)
-            except NoPath:
-                return False
-            state.add_route(e, hops)
         # else: producer not placed yet; its placement will connect us
     for e in sorted(g.out_edges(nid), key=lambda e: (e.dst, e.dport)):
-        consumer = g.nodes[e.dst]
-        if consumer.kind == NodeKind.OUTPUT:
-            try:
-                hops = route_edge(state, nid, to_border=True)
-            except NoPath:
+        if g.nodes[e.dst].kind == NodeKind.OUTPUT:
+            if not _route_to_output(state, nid, e.dst):
                 return False
-            port_hop = hops[-1]
-            port = (port_hop[0], port_hop[1], port_hop[2])
-            state.bind_output(port, e.dst)
-            state.add_route(e, hops)
         elif e.dst in state.origin_cell:
             pin = _pin_for(g.nodes[e.dst].code, e.dport)
             try:
-                hops = route_edge(state, nid, sink_cell=state.origin_cell[e.dst],
-                                  sink_pin=pin)
+                route_edge(state, nid, sink_cell=state.origin_cell[e.dst],
+                           sink_pin=pin)
             except NoPath:
                 return False
-            state.add_route(e, hops)
     return True
 
 
-def _route_copy(g: DataFlowGraph, state: _State, edge: Edge) -> bool:
-    """Route a direct Input -> Output edge (no functional unit involved)."""
+def _route_to_output(state: _State, value: int, output: int,
+                     bindable_input: Optional[int] = None) -> bool:
+    """Route ``value`` out of the nearest free border output, tagged ``output``."""
     try:
-        hops = route_edge(state, edge.src, to_border=True,
-                          bindable_input=edge.src)
+        (r, c), side = route_edge(state, value, to_border=True,
+                                  bindable_input=bindable_input)
     except NoPath:
         return False
-    port_hop = hops[-1]
-    state.bind_output((port_hop[0], port_hop[1], port_hop[2]), edge.dst)
-    state.add_route(edge, hops)
+    state.bind_output((r, c, side), output)
     return True
 
 
@@ -557,30 +494,15 @@ def place_and_route(g: DataFlowGraph, shape: OverlayShape,
             edge = min(copies, key=lambda e: (e.src, e.dst))
             counters.position_attempts += 1
             mark = state.mark()
-            if _route_copy(g, state, edge):
+            if _route_to_output(state, edge.src, edge.dst, bindable_input=edge.src):
                 stack.append(("copy", edge, mark))
                 copies.discard(edge)
             else:
                 state.rollback(mark)
                 backtrack()
 
-    placement = Placement(
-        shape=shape,
-        node_cells={nid: state.origin_cell[nid] for nid in ops},
-        node_ops={nid: g.nodes[nid].code for nid in ops},
-        pin_sources=dict(state.pin_sources),
-        masks=dict(state.masks),
-        input_ports=dict(state.input_ports),
-        output_ports=dict(state.output_ports),
-        routes=dict(state.routes),
-        rng_seed=seed,
-        counters=counters,
-    )
-    cfg = placement.apply()
-    problems = validate_config(cfg)
-    if problems:  # would be an algorithm bug, not an input condition
-        raise AssertionError(f"placement produced an invalid config: {problems}")
-    return placement
+    return Placement(shape, state.cfg,
+                     {nid: state.origin_cell[nid] for nid in ops}, seed, counters)
 
 
 def _try_place(g: DataFlowGraph, state: _State, nid: int, rng: random.Random,
@@ -592,7 +514,7 @@ def _try_place(g: DataFlowGraph, state: _State, nid: int, rng: random.Random,
         if counters.position_attempts >= params.global_budget:
             return None
         free = [cell for cell in state.shape.cells()
-                if cell not in state.fu_owner and cell not in failed]
+                if state.cells[cell].fu_op is None and cell not in failed]
         if not free:
             return None
         counters.position_attempts += 1

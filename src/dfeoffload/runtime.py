@@ -31,8 +31,8 @@ import numpy as np
 from . import kernels as kl
 from .dfg import DataFlowGraph, DfgStats, dfg_hash, dfg_stats
 from .frontend import (EligibilityReport, Thresholds, UnrollTooLarge,
-                       check_eligibility, extract_dfg)
-from .overlay import OverlayConfig, OverlayShape
+                       check_eligibility, check_unroll, extract_dfg)
+from .overlay import OverlayShape
 from .placer import Placement, PlacerParams, Unroutable, place_and_route
 from .simulator import (FRAME_SIZE, OutOfBounds, Program, RunReport,
                         build_streams, compile_config, lower_dfg, run_compiled,
@@ -95,8 +95,7 @@ class OffloadState:
     """Per-kernel execution statistics driving the rollback policy.
 
     ROLLED_BACK is absorbing: once offloading measured worse than software
-    it stays off until the graph changes (new hash, new state) or an
-    explicit reset.
+    it stays off until the graph changes (new hash, new state).
     """
 
     alpha: float = 0.2
@@ -106,13 +105,6 @@ class OffloadState:
     ema_offload: Optional[float] = None
     software_calls: int = 0
     offload_calls: int = 0
-
-    def reset(self) -> None:
-        self.mode = Mode.SOFTWARE
-        self.ema_software = None
-        self.ema_offload = None
-        self.software_calls = 0
-        self.offload_calls = 0
 
 
 def decide(state: OffloadState, estimate: float, measured_software: float,
@@ -180,10 +172,10 @@ class _Lru:
 
 @dataclass
 class CacheEntry:
-    """A mapping ready to run: ``program`` is the lowered, validated config."""
+    """A mapping ready to run: ``program`` is the placement's config, lowered
+    and validated."""
 
     key: int
-    config: OverlayConfig
     placement: Placement
     dfg: DataFlowGraph
     program: Program
@@ -322,6 +314,7 @@ class OffloadRuntime:
                  unroll: int = 1,
                  seed: int = 0,
                  clock: Callable[[], float] = time.perf_counter):
+        check_unroll(unroll)
         self.shape = shape
         self.thresholds = thresholds or Thresholds(
             max_nodes=shape.rows * shape.cols)
@@ -382,6 +375,8 @@ class OffloadRuntime:
     def map(self, accepted: _Accepted) -> CacheEntry:
         """Place, route and lower an accepted graph, and cache the mapping.
 
+        Lowering validates the placement's config, once per mapping.
+
         Raises Unroutable when the graph does not route on this runtime's
         shape, placer params and seed.  The failure is cached too, so the
         search runs once: a later call raises _CachedUnroutable at once.
@@ -398,9 +393,8 @@ class OffloadRuntime:
             with self._lock:
                 self._unroutable.put(failure_key, str(exc))
             raise
-        config = placement.apply()
-        entry = CacheEntry(accepted.key, config, placement, accepted.dfg,
-                           compile_config(config))
+        entry = CacheEntry(accepted.key, placement, accepted.dfg,
+                           compile_config(placement.apply()))
         self.cache.put(entry)
         return entry
 
@@ -478,8 +472,9 @@ class OffloadRuntime:
         config_cost = 0.0 if cached else self.device_model.config_time
         config_cost += self.device_model.const_transfer_time
         device_elapsed += config_cost
+        # one constant slot per masked cell of the validated config
         emit("configure", f"{'cached, ' if cached else ''}"
-                          f"consts={len(entry.placement.masks)} "
+                          f"consts={len(entry.program.const_fill)} "
                           f"t={config_cost * 1e6:.1f}us")
         t_in = FRAME_SIZE * run_report.frames_in / self.device_model.wire_rate
         device_elapsed += t_in

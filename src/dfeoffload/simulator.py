@@ -25,7 +25,7 @@ import numpy as np
 from . import engine
 from .dfg import DataFlowGraph, IoBinding, LengthMismatch, NodeKind, OpCode
 from .overlay import (FU, BorderOrigin, CellOrigin, Direction, Origin,
-                      OverlayConfig, Pin, trace_port, validate_config)
+                      OverlayConfig, Pin, fu_order, trace_port, validate_config)
 
 FRAME_SIZE = 16  # bytes: tag(4) + value(4) + reserved zeros(8)
 
@@ -100,7 +100,11 @@ class Program:
 
 
 def compile_config(cfg: OverlayConfig) -> Program:
-    """Validate and lower a configuration to a flat execution program."""
+    """Validate and lower a configuration to a flat execution program.
+
+    The one place a config is validated: every path that runs or writes a
+    config lowers it here first.  Raises InvalidConfig on any violation.
+    """
     violations = validate_config(cfg)
     if violations:
         raise InvalidConfig("; ".join(map(repr, violations)))
@@ -141,35 +145,21 @@ def compile_config(cfg: OverlayConfig) -> Program:
                 continue
             origin, hops = trace_port(cfg, rc, d)
             if isinstance(origin, BorderOrigin):
-                key = (origin.r, origin.c, origin.side)
-                if key not in border_slot:
-                    raise InvalidConfig(f"border input {key} carries no tag")
-                slot = border_slot[key]
+                slot = border_slot[(origin.r, origin.c, origin.side)]
             else:
                 slot = fu_slot[(origin.r, origin.c)]
             resolved[(rc, pin)] = (slot, hops, origin)
 
-    # order functional units by data dependency
+    # order functional units by data dependency; validation excluded a cycle
     deps: dict[tuple[int, int], set] = {rc: set() for rc, _ in used}
     for (rc, pin), (_, _, origin) in resolved.items():
         if isinstance(origin, CellOrigin):
             deps[rc].add((origin.r, origin.c))
-    order: list[tuple[int, int]] = []
-    remaining = dict(deps)
-    while remaining:
-        ready = sorted(rc for rc, ds in remaining.items() if not ds)
-        if not ready:
-            raise InvalidConfig("functional units form a cycle")
-        for rc in ready:
-            order.append(rc)
-            del remaining[rc]
-        for ds in remaining.values():
-            ds.difference_update(ready)
 
     depth_fu: dict[tuple[int, int], int] = {}
     rows = []
     cells = dict(cfg.cells)
-    for rc in order:
+    for rc in fu_order(deps):
         cell = cells[rc]
         operands = []
         pin_depth = 0
@@ -196,10 +186,7 @@ def compile_config(cfg: OverlayConfig) -> Program:
         else:
             origin, hops = trace_port(cfg, (r, c), sel)
             if isinstance(origin, BorderOrigin):
-                key = (origin.r, origin.c, origin.side)
-                if key not in border_slot:
-                    raise InvalidConfig(f"border input {key} carries no tag")
-                output_slots[tag] = border_slot[key]
+                output_slots[tag] = border_slot[(origin.r, origin.c, origin.side)]
                 depth = max(depth, hops + 1)
             else:
                 output_slots[tag] = fu_slot[(origin.r, origin.c)]

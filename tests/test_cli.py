@@ -188,6 +188,23 @@ def test_place_applies_the_node_limit_when_unrolled(monkeypatch, tmp_path, capsy
                        "the limit 16\n")
 
 
+@pytest.mark.parametrize("command", ["place", "run", "bench"])
+def test_an_unroll_factor_below_1_exits_1(monkeypatch, tmp_path, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main([command, str(corpus.kernel_path("gemm")), "--unroll", "0"])
+    out = capsys.readouterr()
+    assert rc == cli.EXIT_PARSE
+    assert (out.out, out.err) == ("", "cannot extract: unroll factor must be >= 1\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_analyze_takes_no_unroll_factor(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["analyze", str(corpus.kernel_path("gemm")), "--unroll", "2"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --unroll 2" in capsys.readouterr().err
+
+
 def _render(monkeypatch, tmp_path, capsys, *argv):
     """``dfeoffload render`` in ``tmp_path``: exit code and captured output."""
     monkeypatch.chdir(tmp_path)

@@ -96,8 +96,12 @@ def _fus_feed_each_other(cfg):
     cfg.io_out.clear()
 
 
+def _valid(cfg):
+    pass
+
+
 @pytest.mark.parametrize("mutate, kinds", [
-    (lambda cfg: None, set()),
+    (_valid, set()),
     (_extra_cell, {"extra-cell"}),
     (_pin_conflict, {"pin-conflict"}),
     (_mask_without_fu, {"mask-without-fu"}),
@@ -120,14 +124,24 @@ def test_each_violation_is_reported_by_its_kind(mutate, kinds):
     assert {v.kind for v in validate_config(cfg)} == kinds
 
 
-def test_a_loop_of_pass_through_outputs_is_a_cycle():
-    """Four outputs of a 2x2 grid forward one another around the ring."""
+def test_a_loop_of_pass_through_outputs_is_unrouted():
+    """Four outputs of a 2x2 grid forward one another around the ring, so
+    tracing any of them comes back to where it started."""
     cfg = new_overlay(2, 2)
     cfg.cells[(0, 0)].out_sel[E] = S
     cfg.cells[(1, 0)].out_sel[N] = E
     cfg.cells[(1, 1)].out_sel[W] = N
     cfg.cells[(0, 1)].out_sel[S] = W
-    assert {v.kind for v in validate_config(cfg)} == {"cycle"}
+    violations = validate_config(cfg)
+    assert len(violations) == 4
+    assert all(v.kind == "unrouted" and "routing cycle at" in v.detail
+               for v in violations)
+
+
+def test_a_missing_cell_is_reported_before_any_lookup():
+    cfg = _base()
+    del cfg.cells[(0, 1)]
+    assert [v.kind for v in validate_config(cfg)] == ["missing-cell"]
 
 
 # -- verdicts over mutated placements ----------------------------------------------

@@ -8,7 +8,7 @@ below.  Every returned array must equal ``evaluate_kernel``.
 import numpy as np
 import pytest
 
-from dfeoffload import corpus, frontend, runtime, simulator
+from dfeoffload import corpus, frontend, overlay, placer, runtime, simulator
 from dfeoffload.kernels import (EvalError, allocate_arrays, evaluate_kernel,
                                 parse_kernel)
 from dfeoffload.overlay import OverlayShape
@@ -110,7 +110,7 @@ def test_a_hit_neither_analyses_nor_lowers(counts):
     arrays, params = _inputs(kernel, 6)
     rt.execute(kernel, arrays, params)
     # a miss at unroll 1 extracts once, inside the eligibility check, and
-    # lowers once (the placer's own validation is bound in its module)
+    # lowers once, which validates once
     assert _analysis_calls(counts) == {"extract_dfg": 1, "check_eligibility": 1,
                                        "validate_config": 1, "compile_config": 1}
     for name in counts.calls:
@@ -125,6 +125,31 @@ def test_a_hit_neither_analyses_nor_lowers(counts):
     # an equal kernel parsed again is the same analysis
     rt.execute(corpus.load("gemm"), arrays, params)
     assert counts.calls["check_eligibility"] == 0
+
+
+def test_a_cold_mapping_is_validated_once_where_it_is_lowered(monkeypatch):
+    checked = []
+    original = overlay.validate_config
+
+    def counted(cfg):
+        checked.append(cfg)
+        return original(cfg)
+
+    for module in (overlay, placer, runtime, simulator):
+        if getattr(module, "validate_config", None) is original:
+            monkeypatch.setattr(module, "validate_config", counted)
+    kernel = corpus.load("gemm")
+    rt = OffloadRuntime(OverlayShape(6, 6), cost_model=OFFLOAD, seed=SEED)
+    arrays, params = _inputs(kernel, 6)
+    _, trace = rt.execute(kernel, arrays, params)
+    entry = rt.cache.get(rt.analyze(kernel).key)
+    assert len(checked) == 1 and checked[0] is entry.placement.apply()
+    assert "compute" in _phases(trace)
+
+
+def test_an_unroll_factor_below_1_is_refused():
+    with pytest.raises(ValueError, match="unroll factor must be >= 1"):
+        OffloadRuntime(OverlayShape(6, 6), unroll=0)
 
 
 def test_changing_unroll_analyses_a_new_graph(counts):
