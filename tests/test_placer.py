@@ -13,8 +13,8 @@ from dfeoffload.dfg import DataFlowGraph, NodeKind, OpCode, interpret_dfg
 from dfeoffload.frontend import extract_dfg
 from dfeoffload.overlay import (OverlayShape, deserialize_config, serialize_config,
                                 validate_config)
-from dfeoffload.placer import (PlacerParams, PreconditionViolated, Unroutable,
-                               place_and_route)
+from dfeoffload.placer import (PlacerCounters, PlacerParams, PreconditionViolated,
+                               Unroutable, place_and_route)
 from dfeoffload.simulator import compile_config, run_compiled
 
 
@@ -63,6 +63,64 @@ def test_corpus_placements_match_the_golden_digests(name, unroll, side):
     got = tuple(_digest(place_and_route(g, OverlayShape(side, side), seed=seed))
                 for seed in range(4))
     assert got == _GOLDEN[(name, unroll, side)]
+
+
+# (kernel, unroll, rows, cols) -> digest per placer seed 0..3, at the default
+# budget.  Non-square and one-row/one-column grids, so a row/column slip in
+# how the placer numbers cells moves them where a square grid may not.
+_GOLDEN_RECT = {
+    ("branchmix", 1, 4, 9): (
+        "6ed8b42e7d91432031c6d716fa69161f319d6390",
+        "1af626684a65c34dcaca1a940573d26e1a978e3f",
+        "9a5175402e3f59863598f0ecbb2965c30260109f",
+        "6b1b7a5761c90340d5ef2084048621b2a8fd8773",
+    ),
+    ("branchmix", 1, 9, 4): (
+        "3ccf2d3710b2255a0cf6c89d77c8f62b4cc57ace",
+        "8be904130a1787e593c3415a9293b1b11f2172d4",
+        "5feffb9d0ea6e0c30ecfc09eaffe183fa29aadba",
+        "7ce18a36c11808e31d89b6446dfb5ef4270be4d6",
+    ),
+    ("scaleadd", 1, 1, 8): (
+        "a5edeff5c78dbf3948d6a40adaa2714f158a680b",
+        "6022b3e2d937e96aa688e58a9aee59cd3e8a865c",
+        "f6925e5c961ab9f401706ca31adadd29e423ee09",
+        "28d299cb79a5ee6b1f6f021b29cbd0ad16566273",
+    ),
+    ("scaleadd", 1, 8, 1): (
+        "a233dde665f5e4d0ec8eb27187d07fe663c03389",
+        "adeaf6ac556f9d6b9b94df8cc6d0bac96941b5c9",
+        "b10001cad2becdd5d79a10430dbe00c871842a6f",
+        "a730576c11df83d073d2609d676a2a165ad79ad2",
+    ),
+    ("trmm", 2, 6, 9): (
+        "4a59bb6ef63e762b859ab7e0c50f7b77eb1d9809",
+        "0a2a4ec67399ea777cb2031f52c63d2a0145e347",
+        "ecab23e1e108ddd892c360e759954a17e2d2a581",
+        "b1f49b97ee77e1a5f45a98e8b04d405cd3c1fb39",
+    ),
+    ("trmm", 2, 9, 6): (
+        "033273048c3e11c11c381651873d565086098493",
+        "26f3056ba0c11d8c8f0bb4b2844f28ee6f3a4df1",
+        "2dcb43aaa69599a58987605cc2808a5991523a3f",
+        "9f9bd7a8efe666871143834a63fc12704c4c3292",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, unroll, rows, cols", sorted(_GOLDEN_RECT))
+def test_placements_on_non_square_grids_match_the_golden_digests(name, unroll, rows, cols):
+    g = extract_dfg(corpus.load(name), unroll)
+    got = tuple(_digest(place_and_route(g, OverlayShape(rows, cols), seed=seed))
+                for seed in range(4))
+    assert got == _GOLDEN_RECT[(name, unroll, rows, cols)]
+
+
+def test_a_failing_search_spends_its_budget_the_same_way():
+    g = extract_dfg(corpus.load("3mm"), 1)
+    with pytest.raises(Unroutable, match="global budget exhausted") as info:
+        place_and_route(g, OverlayShape(4, 4), PlacerParams(global_budget=1000), seed=0)
+    assert info.value.counters == PlacerCounters(1000, 151, 29)
 
 
 def test_the_same_graph_shape_params_and_seed_give_the_same_placement():
