@@ -9,6 +9,8 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -30,6 +32,11 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_UNROUTABLE = 2
 EXIT_MISMATCH = 3
+
+# `bench` columns; the attempts columns are over the placer seeds of a row
+BENCH_FIELDS = ["kernel", "rows", "cols", "seeds", "successes", "success_rate",
+                "mean_attempts", "mean_backtracks", "est_transfer_s",
+                "median_attempts", "p90_attempts", "max_attempts"]
 
 
 def _parse_overlay(text: str) -> OverlayShape:
@@ -250,6 +257,7 @@ def cmd_bench(args) -> int:
                 except Unroutable as exc:
                     attempts.append(exc.counters.position_attempts)
                     backtracks.append(exc.counters.backtracks)
+            ranked = sorted(attempts)
             rows.append({
                 "kernel": name,
                 "rows": shape.rows,
@@ -260,13 +268,13 @@ def cmd_bench(args) -> int:
                 "mean_attempts": f"{sum(attempts) / len(attempts):.1f}",
                 "mean_backtracks": f"{sum(backtracks) / len(backtracks):.1f}",
                 "est_transfer_s": f"{est:.6e}",
+                "median_attempts": f"{statistics.median(ranked):.1f}",
+                "p90_attempts": ranked[math.ceil(0.9 * len(ranked)) - 1],  # nearest rank
+                "max_attempts": ranked[-1],
             })
     rows.sort(key=lambda r: (r["kernel"], r["rows"] * r["cols"], r["rows"]))
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()) if rows else
-                            ["kernel", "rows", "cols", "seeds", "successes",
-                             "success_rate", "mean_attempts", "mean_backtracks",
-                             "est_transfer_s"])
+    writer = csv.DictWriter(buf, fieldnames=BENCH_FIELDS)
     writer.writeheader()
     writer.writerows(rows)
     text = buf.getvalue()

@@ -357,12 +357,19 @@ def serialize_config(cfg: OverlayConfig) -> bytes:
     return bytes(buf)
 
 
+def _need(data: bytes, off: int, size: int) -> None:
+    if len(data) < off + size:
+        raise ValueError("truncated overlay config")
+
+
 def deserialize_config(data: bytes) -> OverlayConfig:
     if data[:4] != _MAGIC:
         raise ValueError("not an overlay config file")
+    _need(data, 4, 4)
     rows, cols = struct.unpack_from("<HH", data, 4)
     cfg = new_overlay(rows, cols)
     off = 8
+    _need(data, off, 13 * rows * cols)
     for rc in cfg.shape.cells():
         cell = cfg.cells[rc]
         fu_op = data[off]
@@ -386,8 +393,10 @@ def deserialize_config(data: bytes) -> OverlayConfig:
                 cell.out_sel[d] = Direction(raw)
         off += 13
     for table in (cfg.io_in, cfg.io_out):
+        _need(data, off, 4)
         (count,) = struct.unpack_from("<I", data, off)
         off += 4
+        _need(data, off, 9 * count)
         for _ in range(count):
             d, r, c, tag = struct.unpack_from("<BHHI", data, off)
             table[(r, c, Direction(d))] = tag

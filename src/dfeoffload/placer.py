@@ -15,22 +15,25 @@ The search writes straight into the ``OverlayConfig`` it returns: each claim
 sets one field of a cell or one io binding and journals the old value, so a
 backtrack restores the fields it journaled.  The result is not validated
 here; ``simulator.compile_config`` validates a config once, where it is used.
+
+Inside the search, cells are numbered ``i = r*C + c`` and input pins (or
+border sides) ``p = side*R*C + i``; the config itself keeps its
+``(r, c)`` and ``Direction`` keys.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter
 from typing import Optional, Union
 
-from .dfg import DataFlowGraph, NodeKind, OpCode, validate_dfg
-from .overlay import (FU, Direction, OverlayConfig, OverlayShape, Pin,
-                      new_overlay, opposite)
+from .dfg import DataFlowGraph, Edge, NodeKind, OpCode, validate_dfg
+from .overlay import FU, Direction, OverlayConfig, OverlayShape, Pin, new_overlay, opposite
 
 Cell = tuple[int, int]
-Port = tuple[int, int, Direction]  # border interface: cell + outward side
 
 
 @dataclass(frozen=True)
@@ -93,89 +96,122 @@ class Placement:
         return self.config
 
 
-# -- node selection and position sampling -------------------------------------------
-
-
-def io_adjacent_nodes(g: DataFlowGraph) -> set[int]:
-    """Op nodes with a direct edge to an Input or Output node."""
-    io = {nid for nid, n in g.nodes.items()
-          if n.kind in (NodeKind.INPUT, NodeKind.OUTPUT)}
-    adjacent = set()
-    for e in g.edges:
-        if e.src in io and g.nodes[e.dst].kind == NodeKind.OP:
-            adjacent.add(e.dst)
-        if e.dst in io and g.nodes[e.src].kind == NodeKind.OP:
-            adjacent.add(e.src)
-    return adjacent
-
-
-def select_node(unplaced: list[int], g: DataFlowGraph, rng: random.Random,
-                io_weight: float = 4.0) -> int:
-    """Weighted draw: io-adjacent nodes are io_weight times as likely."""
-    if not unplaced:
-        raise ValueError("no nodes to select")
-    candidates = sorted(unplaced)
-    favored = io_adjacent_nodes(g)
-    weights = [io_weight if nid in favored else 1.0 for nid in candidates]
-    return rng.choices(candidates, weights=weights)[0]
-
-
-def position_weights(cells: list[Cell], related: list[Cell],
-                     shape: OverlayShape, params: PlacerParams) -> list[float]:
-    """Sampling weight per candidate cell.
-
-    The distance term is the complement of a center-peaked Gaussian, so
-    border cells (short paths to the scarce border interfaces) are favored;
-    the affinity term pulls toward already-placed related nodes.
-    """
-    sigma = params.sigma if params.sigma is not None else min(shape.rows, shape.cols) / 4
-    cr = (shape.rows - 1) / 2
-    cc = (shape.cols - 1) / 2
-    weights = []
-    for (r, c) in cells:
-        d2 = (r - cr) ** 2 + (c - cc) ** 2
-        w = 1.0 - math.exp(-d2 / (2 * sigma * sigma))
-        bonus = sum(1.0 / (1 + abs(r - rr) + abs(c - rc))
-                    for (rr, rc) in related)
-        weights.append(w * (1.0 + params.affinity_bonus * bonus))
-    return weights
-
-
-def sample_position(free: list[Cell], related: list[Cell], shape: OverlayShape,
-                    params: PlacerParams, rng: random.Random) -> Cell:
-    cells = sorted(free)
-    if not cells:
-        raise ValueError("no free cells")
-    weights = position_weights(cells, related, shape, params)
-    if sum(weights) <= 0.0:  # e.g. only the exact center is free
-        return rng.choice(cells)
-    return rng.choices(cells, weights=weights)[0]
-
-
-# -- routing state -------------------------------------------------------------------
+# -- search state ---------------------------------------------------------------------
 
 
 _ABSENT = object()  # journaled old value of a key that was not there
 _PIN_FIELD = ("fu_in1", "fu_in2", "fu_sel")  # CellConfig field per Pin
+_DIRS = tuple(Direction)
+_FU_SIDE = 4  # pin side that stands for a cell's FU output
+# (out side, the neighbour's facing side, row step, column step)
+_STEPS = tuple((d, opposite(d), dr, dc)
+               for d, (dr, dc) in zip(_DIRS, ((-1, 0), (0, 1), (1, 0), (0, -1))))
+_SEED, _BIND = -1, -2  # route_edge parents of a start state
 
 
 class _State:
-    """The config under construction, its reverse indexes, and an undo journal.
+    """The config under construction, its lookup tables, and an undo journal.
 
     Every write goes through ``_set``, which journals (owner, key, old
     value); a cell's fields are written through ``vars(cell)``, so every
-    owner is a dict and undo is one restore.
+    owner is a dict and undo is one restore.  The grid and graph tables are
+    built once per search.
     """
 
-    def __init__(self, shape: OverlayShape):
+    def __init__(self, g: DataFlowGraph, shape: OverlayShape, params: PlacerParams):
         self.shape = shape
+        self.params = params
         self.cfg = new_overlay(shape.rows, shape.cols)
-        self.cells = self.cfg.cells
-        self.input_ports: dict[int, Port] = {}  # input value id -> bound port
-        # value id -> input-pin sites where that value can be tapped (keys only)
-        self.sites: dict[int, dict[tuple[Cell, Direction], None]] = {}
-        self.origin_cell: dict[int, Cell] = {}  # op value id -> producing cell
+        self.coords = list(shape.cells())  # cell id -> (r, c)
+        self.cells = [self.cfg.cells[rc] for rc in self.coords]
+        self.out_sels = [cell.out_sel for cell in self.cells]
+        n = self.n_cells = len(self.coords)
+        # pin id -> (r, c, side): the border port of an outward side
+        self.pin_port = [(r, c, d) for d in _DIRS for (r, c) in self.coords]
+        self.border_pins = [(port, port[2] * n + port[0] * shape.cols + port[1])
+                            for port in shape.border_ports()]
+        # pin id (side 4: the FU) -> (out side, next search state, border port
+        # or None) for every output the value could leave through: the
+        # neighbour's facing input pin, or on the border the output as a goal
+        exits = []
+        for i, (r, c) in enumerate(self.coords):
+            ways = []
+            for out_d, in_d, dr, dc in _STEPS:
+                if shape.in_bounds(r + dr, c + dc):
+                    ways.append((out_d, (in_d * n + i + dr * shape.cols + dc) << 1, None))
+                else:
+                    ways.append((out_d, (out_d * n + i) << 1 | 1, (r, c, out_d)))
+            exits.append(tuple(ways))
+        self.moves = [ways[:side] + ways[side + 1:]  # never back out the side it came in
+                      for side in range(_FU_SIDE) for ways in exits] + exits
+
+        self.input_ports: dict[int, int] = {}  # input value id -> bound pin id
+        # value id -> pin ids where that value can be tapped (keys only)
+        self.sites: dict[int, dict[int, None]] = {}
+        self.origin_cell: dict[int, int] = {}  # op value id -> producing cell id
         self._journal: list[tuple[dict, object, object]] = []
+        self._affinity_rows: dict[int, list[float]] = {}
+
+        ops = g.op_nodes()
+        ins: dict[int, list[Edge]] = {nid: [] for nid in g.nodes}
+        outs: dict[int, list[Edge]] = {nid: [] for nid in g.nodes}
+        for e in g.edges:
+            ins[e.dst].append(e)
+            outs[e.src].append(e)
+        self.in_edges = {nid: sorted(ins[nid], key=attrgetter("dport")) for nid in ops}
+        self.out_edges = {nid: sorted(outs[nid], key=attrgetter("dst", "dport"))
+                          for nid in ops}
+        io = {nid for nid, node in g.nodes.items()
+              if node.kind in (NodeKind.INPUT, NodeKind.OUTPUT)}
+        self.io_adjacent = ({e.dst for e in g.edges if e.src in io}
+                            | {e.src for e in g.edges if e.dst in io}).intersection(ops)
+        # op id -> ids of the op nodes sharing an edge, a producer or a consumer
+        self.related: dict[int, list[int]] = {}
+        for nid in ops:
+            producers = {e.src for e in ins[nid]}
+            consumers = {e.dst for e in outs[nid]}
+            related = producers | consumers
+            for v in producers:
+                related.update(e.dst for e in outs[v])
+            for v in consumers:
+                related.update(e.src for e in ins[v])
+            related.discard(nid)
+            self.related[nid] = sorted(related.intersection(ops))
+
+    # -- position sampling weights
+
+    @cached_property
+    def border_weights(self) -> list[float]:
+        """Per cell, the complement of a center-peaked Gaussian: border cells
+        (short paths to the scarce border interfaces) are favored."""
+        shape, sigma = self.shape, self.params.sigma
+        if sigma is None:
+            sigma = min(shape.rows, shape.cols) / 4
+        cr = (shape.rows - 1) / 2
+        cc = (shape.cols - 1) / 2
+        return [1.0 - math.exp(-((r - cr) ** 2 + (c - cc) ** 2) / (2 * sigma * sigma))
+                for (r, c) in self.coords]
+
+    def position_weights(self, related: list[int]) -> list[float]:
+        """Sampling weight per cell: the border term, sharpened by affinity
+        to the cells of already-placed related nodes."""
+        bonus = [0.0] * self.n_cells
+        for k in related:
+            row = self._affinity_rows.get(k)
+            if row is None:
+                (rr, rc) = self.coords[k]
+                row = self._affinity_rows[k] = [1.0 / (1 + abs(r - rr) + abs(c - rc))
+                                                for (r, c) in self.coords]
+            bonus = [b + x for b, x in zip(bonus, row)]
+        a = self.params.affinity_bonus
+        return [w * (1.0 + a * b) for w, b in zip(self.border_weights, bonus)]
+
+    def related_cells(self, nid: int) -> list[int]:
+        """Cells of placed nodes that share an edge, a producer, or a consumer."""
+        origin = self.origin_cell
+        return [origin[v] for v in self.related[nid] if v in origin]
+
+    # -- journaled writes
 
     def _set(self, owner: dict, key, value) -> None:
         self._journal.append((owner, key, owner.get(key, _ABSENT)))
@@ -192,36 +228,35 @@ class _State:
             else:
                 owner[key] = old
 
-    def claim_fu(self, cell: Cell, nid: int, op: OpCode) -> None:
+    def claim_fu(self, cell: int, nid: int, op: OpCode) -> None:
         self._set(vars(self.cells[cell]), "fu_op", op)
         self._set(self.origin_cell, nid, cell)
 
-    def claim_out(self, cell: Cell, out_d: Direction,
-                  source: Union[Direction, str]) -> None:
-        self._set(self.cells[cell].out_sel, out_d, source)
+    def claim_out(self, cell: int, out_d: Direction, source: Union[Direction, str]) -> None:
+        self._set(self.out_sels[cell], out_d, source)
 
-    def set_pin(self, cell: Cell, pin: Pin, direction: Direction) -> None:
+    def set_pin(self, cell: int, pin: Pin, direction: Direction) -> None:
         self._set(vars(self.cells[cell]), _PIN_FIELD[pin], direction)
 
-    def claim_mask(self, cell: Cell, pin: Pin, value: int) -> bool:
+    def claim_mask(self, cell: int, pin: Pin, value: int) -> bool:
         fields = vars(self.cells[cell])
         if fields["mask"] is not None:
             return False
         self._set(fields, "mask", (pin, value))
         return True
 
-    def bind_input(self, port: Port, nid: int) -> None:
-        self._set(self.cfg.io_in, port, nid)
-        self._set(self.input_ports, nid, port)
-        self.add_site(nid, ((port[0], port[1]), port[2]))
+    def bind_input(self, pin: int, nid: int) -> None:
+        self._set(self.cfg.io_in, self.pin_port[pin], nid)
+        self._set(self.input_ports, nid, pin)
+        self.add_site(nid, pin)
 
-    def bind_output(self, port: Port, nid: int) -> None:
-        self._set(self.cfg.io_out, port, nid)
+    def bind_output(self, pin: int, nid: int) -> None:
+        self._set(self.cfg.io_out, self.pin_port[pin], nid)
 
-    def add_site(self, vid: int, site: tuple[Cell, Direction]) -> None:
+    def add_site(self, vid: int, pin: int) -> None:
         box = self.sites.setdefault(vid, {})
-        if site not in box:
-            self._set(box, site, None)
+        if pin not in box:
+            self._set(box, pin, None)
 
 
 def _pin_for(code: OpCode, dport: int) -> Pin:
@@ -230,137 +265,94 @@ def _pin_for(code: OpCode, dport: int) -> Pin:
     return (Pin.IN1, Pin.IN2)[dport]
 
 
-def route_edge(state: _State, value: int, *, sink_cell: Optional[Cell] = None,
+def route_edge(state: _State, value: int, *, sink_cell: Optional[int] = None,
                sink_pin: Optional[Pin] = None, to_border: bool = False,
-               bindable_input: Optional[int] = None) -> tuple[Cell, Direction]:
+               bindable_input: Optional[int] = None) -> int:
     """Shortest route from any replication site of ``value`` to the sink.
 
-    The sink is either an FU pin (sink_cell, sink_pin) or the nearest free
-    border output interface (to_border).  Multi-source Dijkstra over free
-    output selectors; hop cost is 1; ties resolve by port order N<E<S<W then
-    cell order.  On success all traversed selectors are claimed, every pin
-    reached becomes a new replication site, and the sink reached is
-    returned: the cell and its input side, or for the border its outward
-    side.  Raises NoPath otherwise.
+    The sink is either an FU pin (cell id sink_cell, sink_pin) or the
+    nearest free border output interface (to_border).  Multi-source
+    breadth-first search over free output selectors; every hop costs 1.  A
+    search state is ``(p << 1) | kind`` for pin id ``p = side*R*C + r*C +
+    c``, kind 0 for the value at an input pin and 1 for a border output
+    goal.  States are expanded in increasing order of the integer key
+    ``dist*8*R*C + state`` (each distance's states sorted, the producing
+    FU's hops ahead of all of them), so distance ties break by side
+    (N<E<S<W), then row, column and kind, and a state's parent is the first
+    state to reach it.  On success all traversed selectors are claimed,
+    every pin reached becomes a new replication site, and the sink reached
+    is returned as a pin id: the cell and its input side, or for the border
+    its outward side.  Raises NoPath otherwise.
     """
-    shape = state.shape
-    # search states: ("pin", cell, d) value present at an input pin;
-    # goal pseudo-state: ("goal", cell, out_d) for a border output.
-    dist: dict[tuple, int] = {}
-    parent: dict[tuple, tuple] = {}
-    heap: list[tuple] = []
-
-    def push(node, d, par):
-        if node in dist and dist[node] <= d:
-            return
-        dist[node] = d
-        parent[node] = par
-        kind = 0 if node[0] == "pin" else 1
-        (r, c) = node[1]
-        heapq.heappush(heap, (d, int(node[2]), r, c, kind, node))
-
-    for (cell, d) in sorted(state.sites.get(value, ()),
-                            key=lambda s: (int(s[1]), s[0])):
-        push(("pin", cell, d), 0, ("seed", None))
+    n = state.n_cells
+    fu_pins = _FU_SIDE * n
+    parent: list[Optional[int]] = [None] * (8 * n)  # state -> pin id it came from
+    starts = []
+    for p in state.sites.get(value, ()):
+        parent[p << 1] = _SEED
+        starts.append(p << 1)
     if bindable_input is not None and bindable_input not in state.input_ports:
-        for port in shape.border_ports():
-            if port not in state.cfg.io_in:
-                push(("pin", (port[0], port[1]), port[2]), 0, ("bind", port))
+        io_in = state.cfg.io_in
+        for port, p in state.border_pins:
+            if parent[p << 1] is None and port not in io_in:
+                parent[p << 1] = _BIND
+                starts.append(p << 1)
+    starts.sort()
     origin = state.origin_cell.get(value)
-    if origin is not None:
-        out_sel = state.cells[origin].out_sel
-        for out_d in Direction:
-            if out_sel[out_d] is not None:
-                continue
-            nb = shape.neighbor(*origin, out_d)
-            hop = (origin[0], origin[1], out_d, FU)
-            if nb is not None:
-                push(("pin", nb, opposite(out_d)), 1, ("claim", hop))
-            elif to_border and (origin[0], origin[1], out_d) not in state.cfg.io_out:
-                push(("goal", origin, out_d), 1, ("claim", hop))
+    if origin is not None:  # hops off the producing FU have distance 1, too
+        starts.insert(0, (fu_pins + origin) << 1)
 
-    goal = None
-    settled = set()
-    while heap:
-        _, _, _, _, _, node = heapq.heappop(heap)
-        if node in settled:
-            continue
-        settled.add(node)
-        if node[0] == "goal":
-            goal = node
-            break
-        _, cell, d = node
-        if sink_cell is not None and cell == sink_cell:
-            goal = node
-            break
-        base = dist[node]
-        out_sel = state.cells[cell].out_sel
-        for out_d in Direction:
-            if out_d == d:  # reflecting a port back out the same side
-                continue
-            if out_sel[out_d] is not None:
-                continue
-            hop = (cell[0], cell[1], out_d, d)
-            nb = shape.neighbor(*cell, out_d)
-            if nb is not None:
-                push(("pin", nb, opposite(out_d)), base + 1, ("claim", hop))
-            elif to_border and (cell[0], cell[1], out_d) not in state.cfg.io_out:
-                push(("goal", cell, out_d), base + 1, ("claim", hop))
+    io_out, out_sels, moves = state.cfg.io_out, state.out_sels, state.moves
+    sink = -1 if sink_cell is None else sink_cell
+    level, goal = starts, None
+    while level and goal is None:
+        ahead = []
+        for t in level:
+            p = t >> 1
+            cell = p % n
+            if t & 1 or cell == sink:
+                goal = t
+                break
+            out_sel = out_sels[cell]
+            for out_d, nt, port in moves[p]:
+                if (out_sel[out_d] is None and parent[nt] is None
+                        and (port is None or to_border and port not in io_out)):
+                    parent[nt] = p
+                    ahead.append(nt)
+        level = sorted(ahead)
     if goal is None:
         raise NoPath(f"value {value} cannot reach its sink")
 
     # replay the parent chain: claim selectors, register sites, bind io
-    chain = []
-    node = goal
+    t, chain = goal, []
     while True:
-        par = parent[node]
-        chain.append((node, par))
-        if par[0] in ("seed", "bind"):
+        src = parent[t]
+        chain.append((t, src))
+        if src < 0 or src >= fu_pins:  # a start state, or the producing FU
             break
-        hop = par[1]
-        if hop[3] == FU:  # expanded straight off the producing cell
-            break
-        node = ("pin", (hop[0], hop[1]), hop[3])
-    chain.reverse()
-    for node, par in chain:
-        if par[0] == "bind":
-            state.bind_input(par[1], bindable_input)
-        elif par[0] == "claim":
-            state.claim_out((par[1][0], par[1][1]), par[1][2], par[1][3])
-        if node[0] == "pin":
-            state.add_site(value, (node[1], node[2]))
+        t = src << 1
+    for t, src in reversed(chain):
+        if src == _BIND:
+            state.bind_input(t >> 1, bindable_input)
+        elif src != _SEED:
+            side, cell = divmod(src, n)
+            to_side = _DIRS[(t >> 1) // n]  # a goal's outward side, or the pin's
+            state.claim_out(cell, to_side if t & 1 else opposite(to_side),
+                            FU if side == _FU_SIDE else _DIRS[side])
+        if not t & 1:
+            state.add_site(value, t >> 1)
     if sink_pin is not None:
-        state.set_pin(sink_cell, sink_pin, goal[2])
-    return goal[1], goal[2]
+        state.set_pin(sink_cell, sink_pin, _DIRS[(goal >> 1) // n])
+    return goal >> 1
 
 
 # -- the main loop -------------------------------------------------------------------
 
 
-def _related_cells(g: DataFlowGraph, nid: int, state: _State) -> list[Cell]:
-    """Cells of placed nodes that share an edge, a producer, or a consumer."""
-    related: set[int] = set()
-    producers = {e.src for e in g.edges if e.dst == nid}
-    consumers = {e.dst for e in g.edges if e.src == nid}
-    for e in g.edges:
-        if e.dst == nid or e.src == nid:
-            related.add(e.src)
-            related.add(e.dst)
-        if e.src in producers:
-            related.add(e.dst)  # shares an input with nid
-        if e.dst in consumers:
-            related.add(e.src)  # shares an output with nid
-    related.discard(nid)
-    cells = [state.origin_cell[v] for v in sorted(related)
-             if v in state.origin_cell]
-    return cells
-
-
-def _route_node_edges(g: DataFlowGraph, state: _State, nid: int,
-                      cell: Cell) -> bool:
+def _route_node_edges(g: DataFlowGraph, state: _State, nid: int, cell: int) -> bool:
     """Mask constants and route every already-satisfiable edge of nid."""
     code = g.nodes[nid].code
-    for e in g.in_edges(nid):
+    for e in state.in_edges[nid]:
         producer = g.nodes[e.src]
         pin = _pin_for(code, e.dport)
         if producer.kind == NodeKind.CONST:
@@ -374,7 +366,7 @@ def _route_node_edges(g: DataFlowGraph, state: _State, nid: int,
             except NoPath:
                 return False
         # else: producer not placed yet; its placement will connect us
-    for e in sorted(g.out_edges(nid), key=lambda e: (e.dst, e.dport)):
+    for e in state.out_edges[nid]:
         if g.nodes[e.dst].kind == NodeKind.OUTPUT:
             if not _route_to_output(state, nid, e.dst):
                 return False
@@ -392,11 +384,10 @@ def _route_to_output(state: _State, value: int, output: int,
                      bindable_input: Optional[int] = None) -> bool:
     """Route ``value`` out of the nearest free border output, tagged ``output``."""
     try:
-        (r, c), side = route_edge(state, value, to_border=True,
-                                  bindable_input=bindable_input)
+        pin = route_edge(state, value, to_border=True, bindable_input=bindable_input)
     except NoPath:
         return False
-    state.bind_output((r, c, side), output)
+    state.bind_output(pin, output)
     return True
 
 
@@ -423,9 +414,10 @@ def place_and_route(g: DataFlowGraph, shape: OverlayShape,
         raise PreconditionViolated(
             f"{n_in} inputs / {n_out} outputs exceed {cap_in} border interfaces",
             counters)
+    state = _State(g, shape, params)
     const_ids = {nid for nid, n in g.nodes.items() if n.kind == NodeKind.CONST}
     for nid in ops:
-        const_pins = sum(1 for e in g.in_edges(nid) if e.src in const_ids)
+        const_pins = sum(1 for e in state.in_edges[nid] if e.src in const_ids)
         if const_pins > 1:
             raise PreconditionViolated(
                 f"node {nid} has {const_pins} constant pins; a cell masks one signal",
@@ -436,7 +428,6 @@ def place_and_route(g: DataFlowGraph, shape: OverlayShape,
                 f"constant {e.src} feeds an output interface directly", counters)
 
     rng = random.Random(seed)
-    state = _State(shape)
     unplaced = set(ops)
     copies = {e for e in g.edges
               if g.nodes[e.src].kind == NodeKind.INPUT
@@ -476,8 +467,11 @@ def place_and_route(g: DataFlowGraph, shape: OverlayShape,
                 failed_round.clear()
                 restarts_this_round = 0
                 continue
-            nid = select_node(candidates, g, rng, params.io_weight)
-            mark = _try_place(g, state, nid, rng, params, counters)
+            # io-adjacent nodes are io_weight times as likely to be drawn
+            weights = [params.io_weight if nid in state.io_adjacent else 1.0
+                       for nid in candidates]
+            nid = rng.choices(candidates, weights=weights)[0]
+            mark = _try_place(g, state, nid, rng, counters)
             if mark is not None:
                 stack.append(("node", nid, mark))
                 unplaced.discard(nid)
@@ -502,23 +496,31 @@ def place_and_route(g: DataFlowGraph, shape: OverlayShape,
                 backtrack()
 
     return Placement(shape, state.cfg,
-                     {nid: state.origin_cell[nid] for nid in ops}, seed, counters)
+                     {nid: state.coords[state.origin_cell[nid]] for nid in ops},
+                     seed, counters)
 
 
 def _try_place(g: DataFlowGraph, state: _State, nid: int, rng: random.Random,
-               params: PlacerParams, counters: PlacerCounters) -> Optional[int]:
+               counters: PlacerCounters) -> Optional[int]:
     """Sample positions for one node until its edges route; None on failure."""
-    failed: set[Cell] = set()
-    related = _related_cells(g, nid, state)
+    params = state.params
+    failed: set[int] = set()
+    weights = None
     for _ in range(params.max_position_attempts):
         if counters.position_attempts >= params.global_budget:
             return None
-        free = [cell for cell in state.shape.cells()
-                if state.cells[cell].fu_op is None and cell not in failed]
+        free = [i for i, cell in enumerate(state.cells)
+                if cell.fu_op is None and i not in failed]
         if not free:
             return None
         counters.position_attempts += 1
-        cell = sample_position(free, related, state.shape, params, rng)
+        if weights is None:
+            weights = state.position_weights(state.related_cells(nid))
+        free_weights = [weights[i] for i in free]
+        if sum(free_weights) <= 0.0:  # e.g. only the exact center is free
+            cell = rng.choice(free)
+        else:
+            cell = rng.choices(free, weights=free_weights)[0]
         mark = state.mark()
         state.claim_fu(cell, nid, g.nodes[nid].code)
         if _route_node_edges(g, state, nid, cell):

@@ -237,16 +237,17 @@ def test_render_exits_1_on_an_unroll_factor_below_1(monkeypatch, tmp_path, capsy
     assert list(tmp_path.iterdir()) == []
 
 
-# `dfeoffload bench` output for gemm, scaleadd and trmm at unroll 1, as it was
-# when each kernel was extracted twice.
+# `dfeoffload bench` output for gemm, scaleadd and trmm at unroll 1.  The
+# columns up to est_transfer_s are as they were when each kernel was
+# extracted twice.
 BENCH_CSV = """\
-kernel,rows,cols,seeds,successes,success_rate,mean_attempts,mean_backtracks,est_transfer_s
-gemm,4,4,2,2,1.000,52.0,3.0,9.952174e-05
-gemm,6,6,2,2,1.000,10.0,0.0,9.952174e-05
-scaleadd,4,4,2,2,1.000,3.0,0.0,6.835652e-05
-scaleadd,6,6,2,2,1.000,3.0,0.0,6.835652e-05
-trmm,4,4,2,2,1.000,8.5,0.0,9.061739e-05
-trmm,6,6,2,2,1.000,8.0,0.0,9.061739e-05
+kernel,rows,cols,seeds,successes,success_rate,mean_attempts,mean_backtracks,est_transfer_s,median_attempts,p90_attempts,max_attempts
+gemm,4,4,2,2,1.000,52.0,3.0,9.952174e-05,52.0,90,90
+gemm,6,6,2,2,1.000,10.0,0.0,9.952174e-05,10.0,10,10
+scaleadd,4,4,2,2,1.000,3.0,0.0,6.835652e-05,3.0,3,3
+scaleadd,6,6,2,2,1.000,3.0,0.0,6.835652e-05,3.0,3,3
+trmm,4,4,2,2,1.000,8.5,0.0,9.061739e-05,8.5,9,9
+trmm,6,6,2,2,1.000,8.0,0.0,9.061739e-05,8.0,8,8
 """
 
 
@@ -265,3 +266,25 @@ def test_bench_extracts_each_kernel_once_at_unroll_1(monkeypatch, capsys):
     assert rc == cli.EXIT_OK
     assert capsys.readouterr().out.splitlines() == BENCH_CSV.splitlines()
     assert calls == ["gemm", "scaleadd", "trmm"]
+
+
+def test_bench_reports_attempts_as_a_distribution_over_seeds(tmp_path):
+    out = tmp_path / "bench.csv"
+    rc = cli.main(["bench", str(corpus.kernel_path("gemm")), "--sizes", "4x4",
+                   "--seeds", "10", "--budget", "60", "-o", str(out)])
+    assert rc == cli.EXIT_OK
+    (row,) = csv.DictReader(out.read_text().splitlines())
+    g = extract_dfg(corpus.load("gemm"), 1)
+    attempts = []
+    for seed in range(10):
+        try:
+            p = placer.place_and_route(g, OverlayShape(4, 4),
+                                       placer.PlacerParams(global_budget=60), seed)
+        except placer.Unroutable as exc:
+            p = exc
+        attempts.append(p.counters.position_attempts)
+    attempts.sort()
+    assert row["median_attempts"] == f"{(attempts[4] + attempts[5]) / 2:.1f}"
+    assert row["p90_attempts"] == str(attempts[8])  # the 9th of 10, by nearest rank
+    assert row["max_attempts"] == str(attempts[9])
+    assert int(row["successes"]) < 10 and len(set(attempts)) > 3  # a spread worth ranking

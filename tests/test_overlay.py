@@ -218,3 +218,24 @@ def test_deserialize_refuses_a_bad_magic():
 def test_deserialize_refuses_trailing_bytes():
     with pytest.raises(ValueError, match="trailing bytes in overlay config"):
         deserialize_config(serialize_config(_base()) + b"\0")
+
+
+def _placed(name: str, side: int) -> bytes:
+    g = extract_dfg(corpus.load(name), 1)
+    return serialize_config(place_and_route(g, OverlayShape(side, side)).apply())
+
+
+@pytest.mark.parametrize("name, side", [("scaleadd", 2), ("gemm", 4)])
+def test_deserialize_refuses_a_config_cut_at_any_length(name, side):
+    blob = _placed(name, side)
+    for cut in range(len(blob)):
+        with pytest.raises(ValueError):
+            deserialize_config(blob[:cut])
+    assert serialize_config(deserialize_config(blob)) == blob
+
+
+def test_a_cut_config_is_reported_as_truncated():
+    blob = _placed("scaleadd", 2)
+    for cut in (6, 9, 20, len(blob) - 2):
+        with pytest.raises(ValueError, match="truncated overlay config"):
+            deserialize_config(blob[:cut])
