@@ -367,9 +367,9 @@ def deserialize_config(data: bytes) -> OverlayConfig:
         raise ValueError("not an overlay config file")
     _need(data, 4, 4)
     rows, cols = struct.unpack_from("<HH", data, 4)
+    _need(data, 8, 13 * rows * cols)  # before building a grid the file may lack
     cfg = new_overlay(rows, cols)
     off = 8
-    _need(data, off, 13 * rows * cols)
     for rc in cfg.shape.cells():
         cell = cfg.cells[rc]
         fu_op = data[off]

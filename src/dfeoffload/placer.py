@@ -299,7 +299,7 @@ def route_edge(state: _State, value: int, *, sink_cell: Optional[int] = None,
                 starts.append(p << 1)
     starts.sort()
     origin = state.origin_cell.get(value)
-    if origin is not None:  # hops off the producing FU have distance 1, too
+    if origin is not None:  # its FU goes first: its hops win distance-1 ties
         starts.insert(0, (fu_pins + origin) << 1)
 
     io_out, out_sels, moves = state.cfg.io_out, state.out_sels, state.moves
@@ -514,7 +514,7 @@ def _try_place(g: DataFlowGraph, state: _State, nid: int, rng: random.Random,
         if not free:
             return None
         counters.position_attempts += 1
-        if weights is None:
+        if weights is None:  # once per node, and only when a cell is drawn
             weights = state.position_weights(state.related_cells(nid))
         free_weights = [weights[i] for i in free]
         if sum(free_weights) <= 0.0:  # e.g. only the exact center is free

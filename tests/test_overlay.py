@@ -2,10 +2,11 @@
 
 import hashlib
 import random
+import struct
 
 import pytest
 
-from dfeoffload import corpus
+from dfeoffload import corpus, overlay
 from dfeoffload.dfg import INT32_MAX, OpCode
 from dfeoffload.frontend import extract_dfg
 from dfeoffload.overlay import (FU, CellConfig, Direction, OverlayConfig, OverlayShape,
@@ -220,22 +221,21 @@ def test_deserialize_refuses_trailing_bytes():
         deserialize_config(serialize_config(_base()) + b"\0")
 
 
-def _placed(name: str, side: int) -> bytes:
-    g = extract_dfg(corpus.load(name), 1)
-    return serialize_config(place_and_route(g, OverlayShape(side, side)).apply())
-
-
 @pytest.mark.parametrize("name, side", [("scaleadd", 2), ("gemm", 4)])
 def test_deserialize_refuses_a_config_cut_at_any_length(name, side):
-    blob = _placed(name, side)
+    g = extract_dfg(corpus.load(name), 1)
+    blob = serialize_config(place_and_route(g, OverlayShape(side, side)).apply())
     for cut in range(len(blob)):
-        with pytest.raises(ValueError):
+        match = "not an overlay config file" if cut < 4 else "truncated overlay config"
+        with pytest.raises(ValueError, match=match):
             deserialize_config(blob[:cut])
     assert serialize_config(deserialize_config(blob)) == blob
 
 
-def test_a_cut_config_is_reported_as_truncated():
-    blob = _placed("scaleadd", 2)
-    for cut in (6, 9, 20, len(blob) - 2):
-        with pytest.raises(ValueError, match="truncated overlay config"):
-            deserialize_config(blob[:cut])
+def test_deserialize_checks_the_grid_size_before_building_the_grid(monkeypatch):
+    def refuse(rows, cols):
+        raise AssertionError(f"built a {rows}x{cols} grid for a 21-byte file")
+
+    monkeypatch.setattr(overlay, "new_overlay", refuse)
+    with pytest.raises(ValueError, match="truncated overlay config"):
+        deserialize_config(b"DFE1" + struct.pack("<HH", 60000, 60000) + bytes(13))
