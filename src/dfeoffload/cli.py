@@ -200,7 +200,7 @@ def cmd_run(args) -> int:
         return EXIT_OK
     if args.format == "frames":
         base = Path(args.file).stem
-        streams = build_streams(entry.dfg, arrays, trips)
+        streams = build_streams(entry.dfg, arrays, trips, entry.io)
         Path(f"{base}.in.frames").write_bytes(dump_frames(streams))
         Path(f"{base}.out.frames").write_bytes(dump_frames(run_report.outputs))
         print(f"dumped {base}.in.frames / {base}.out.frames")
@@ -224,6 +224,9 @@ def cmd_bench(args) -> int:
         check_unroll(args.unroll)
     except ValueError as exc:
         return _cannot_extract(exc)
+    if args.seeds < 1:
+        print("bench: --seeds must be >= 1", file=sys.stderr)
+        return EXIT_PARSE
     rows = []
     for path in args.files:
         try:

@@ -42,7 +42,9 @@ rejected later by the eligibility check, as are float arrays and literals.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Optional, Union
 
 import numpy as np
@@ -147,6 +149,18 @@ class Kernel:
     params: tuple[str, ...]
     arrays: tuple[ArrayDecl, ...]
     nest: For
+
+    @cached_property
+    def content_key(self) -> str:
+        """A sha1 of the whole AST, computed once per kernel object.
+
+        Equal kernels have equal keys, so the runtime memoizes analyses on
+        this key instead of hashing and comparing the AST on every call.  It
+        is a digest, not ``hash()``: string hashes are salted per process
+        (``PYTHONHASHSEED``), so a cached ``hash()`` would go stale in a
+        pickled kernel, whereas a digest is the same in every process.
+        """
+        return hashlib.sha1(repr(self).encode()).hexdigest()
 
     def array(self, name: str) -> ArrayDecl:
         for a in self.arrays:

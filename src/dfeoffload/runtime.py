@@ -34,9 +34,9 @@ from .frontend import (EligibilityReport, Thresholds, UnrollTooLarge,
                        check_eligibility, check_unroll, extract_dfg)
 from .overlay import OverlayShape
 from .placer import Placement, PlacerParams, Unroutable, place_and_route
-from .simulator import (FRAME_SIZE, OutOfBounds, Program, RunReport,
-                        build_streams, compile_config, lower_dfg, run_compiled,
-                        run_epilogue, write_back)
+from .simulator import (FRAME_SIZE, GraphIo, OutOfBounds, Program, RunReport,
+                        build_streams, compile_config, graph_io, lower_dfg,
+                        run_compiled, run_epilogue, write_back)
 
 
 @dataclass
@@ -173,12 +173,17 @@ class _Lru:
 @dataclass
 class CacheEntry:
     """A mapping ready to run: ``program`` is the placement's config, lowered
-    and validated."""
+    and validated, and ``io`` is what a gather or scatter needs of ``dfg``.
+
+    A kernel whose graph has the same hash but another node numbering runs
+    on this entry, so its streams are keyed by this ``dfg``'s node ids.
+    """
 
     key: int
     placement: Placement
     dfg: DataFlowGraph
     program: Program
+    io: GraphIo
 
 
 class ConfigCache:
@@ -210,8 +215,9 @@ class ConfigCache:
 class _Accepted:
     """An eligible kernel's graph at one unroll factor, ready to map.
 
-    When unrolled, it also holds the unroll-1 graph and its host program,
-    which run the leftover iterations (``run_epilogue``).
+    When unrolled, it also holds the unroll-1 graph, its host program and
+    its gather and scatter lists, which run the leftover iterations
+    (``run_epilogue``).
     """
 
     dfg: DataFlowGraph
@@ -220,14 +226,17 @@ class _Accepted:
     loops: tuple[kl.For, ...]  # the perfect nest, outer to inner
     epilogue_dfg: Optional[DataFlowGraph] = None
     epilogue_program: Optional[Program] = None
+    epilogue_io: Optional[GraphIo] = None
 
 
 def _accept(kernel: kl.Kernel, dfg: DataFlowGraph,
             epilogue_dfg: Optional[DataFlowGraph] = None) -> _Accepted:
     """The accepted analysis of ``dfg``, with its epilogue lowered for the host."""
-    program = None if epilogue_dfg is None else lower_dfg(epilogue_dfg)
+    program = io = None
+    if epilogue_dfg is not None:
+        program, io = lower_dfg(epilogue_dfg), graph_io(epilogue_dfg)
     return _Accepted(dfg, dfg_hash(dfg), dfg_stats(dfg),
-                     tuple(kernel.canonical_nest()[0]), epilogue_dfg, program)
+                     tuple(kernel.canonical_nest()[0]), epilogue_dfg, program, io)
 
 
 class _CachedUnroutable(Unroutable):
@@ -265,13 +274,13 @@ def run_offloaded(entry: CacheEntry, accepted: _Accepted,
     simulator.OutOfBounds when an access in either graph falls outside its
     array somewhere in the iterations it covers.
     """
-    streams = build_streams(entry.dfg, arrays, trips)
+    streams = build_streams(entry.dfg, arrays, trips, entry.io)
     report = run_compiled(entry.program, streams)
-    result = write_back(entry.dfg, report, arrays, trips)
+    result = write_back(entry.dfg, report, arrays, trips, entry.io)
     leftover = _leftover(entry.dfg, trips)
     if leftover:
         run_epilogue(accepted.epilogue_dfg, accepted.epilogue_program,
-                     result, trips, leftover)
+                     result, trips, leftover, accepted.epilogue_io)
     return result, report
 
 
@@ -325,7 +334,7 @@ class OffloadRuntime:
         self.alpha = alpha
         self.warmup_calls = warmup_calls
         self.cache = ConfigCache(cache_capacity)
-        # (kernel, unroll, thresholds) -> _Analysis
+        # (kernel content key, unroll, thresholds) -> _Analysis
         self._analyses = _Lru(cache_capacity)
         # (graph hash, shape, placer params, seed) -> the Unroutable message
         self._unroutable = _Lru(cache_capacity)
@@ -344,12 +353,15 @@ class OffloadRuntime:
     def analyze(self, kernel: kl.Kernel) -> _Analysis:
         """Eligibility and extraction at the current unroll and thresholds.
 
-        Memoized per (kernel, unroll, thresholds), on which the outcome
-        alone depends.  At unroll 1 the graph the eligibility check built is
+        Memoized per (``kernel.content_key``, unroll, thresholds), on which
+        the outcome alone depends.  The key is a digest of the AST computed
+        once per kernel object, so a hit neither hashes nor compares the
+        AST, and an equal kernel parsed again, or unpickled, shares the
+        analysis.  At unroll 1 the graph the eligibility check built is
         the one mapped, so a miss extracts once.  When unrolled, that graph
         is kept for the epilogue, lowered for the host once here.
         """
-        memo_key = (kernel, self.unroll, self.thresholds)
+        memo_key = (kernel.content_key, self.unroll, self.thresholds)
         with self._lock:
             analysis = self._analyses.get(memo_key)
         if analysis is not None:
@@ -394,7 +406,7 @@ class OffloadRuntime:
                 self._unroutable.put(failure_key, str(exc))
             raise
         entry = CacheEntry(accepted.key, placement, accepted.dfg,
-                           compile_config(placement.apply()))
+                           compile_config(placement.apply()), graph_io(accepted.dfg))
         self.cache.put(entry)
         return entry
 

@@ -8,8 +8,10 @@ each, so every transferred word costs 16 bytes on the wire: 4x the payload.
 
 The host side of a run copies each stream about once and interprets
 nothing per element.  A gather or scatter goes through a strided view of the
-array (one ``as_strided`` per access, bounds checked at the access's affine
-extremes), never through index arrays.  The engine runs the program over
+array (one per access, bounds checked at the access's affine extremes), never
+through index arrays.  What it needs of the graph (``GraphIo``: the streamed
+Inputs, the Outputs and the written arrays) is listed once per graph, so a
+call on a cached mapping does not rescan it.  The engine runs the program over
 fixed-width column blocks of the streams, so its scratch stays small
 whatever the stream length.  ``lower_dfg`` lowers a graph for the host
 without placement, and ``run_epilogue`` runs the unroll-1 graph so lowered
@@ -18,7 +20,9 @@ over the leftover innermost iterations of an unrolled call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -293,6 +297,29 @@ def run_compiled(program: Program, streams: dict[int, np.ndarray]) -> RunReport:
 # its positions are the box's points in row-major order.
 
 
+@dataclass(frozen=True)
+class GraphIo:
+    """What a gather or scatter derives from its graph alone.
+
+    ``reads`` are the Inputs that some edge reads and ``writes`` the
+    Outputs, each with its binding, in node id order; ``written`` is the
+    sorted names of the arrays the Outputs write.  Built once per graph by
+    ``graph_io``, so that a call on a cached mapping does not rescan the
+    graph.
+    """
+
+    reads: tuple[tuple[int, IoBinding], ...]
+    writes: tuple[tuple[int, IoBinding], ...]
+    written: tuple[str, ...]
+
+
+def graph_io(g: DataFlowGraph) -> GraphIo:
+    read = {e.src for e in g.edges}
+    reads = tuple((nid, g.io_bindings[nid]) for nid in g.inputs() if nid in read)
+    writes = tuple((nid, g.io_bindings[nid]) for nid in g.outputs())
+    return GraphIo(reads, writes, tuple(sorted({b.array for _, b in writes})))
+
+
 def _steady_box(g: DataFlowGraph, trips: list[tuple[str, int]]
                 ) -> tuple[list[int], list[int]]:
     """(counts, starts) of the unrolled steady state.
@@ -316,84 +343,100 @@ def _supplied(arrays: dict[str, np.ndarray], name: str) -> np.ndarray:
     return arrays[name]
 
 
-def _view(arr: np.ndarray, binding: IoBinding, trips: list[tuple[str, int]],
+def _view(arr: np.ndarray, binding: IoBinding, loop: dict[str, int],
           counts: list[int], starts: list[int]) -> np.ndarray:
     """The elements ``binding`` accesses over a box, as a view of ``arr``.
 
-    The view's shape is ``counts``; its element at n is the one accessed
-    when each loop variable is its start plus n.  A loop variable's byte
-    stride is the sum over dimensions of its coefficient times the array's
-    stride there, which covers lane strides, swapped and multi-variable
-    subscripts, negative coefficients and (stride 0) reads the variable does
-    not index.  Raises OutOfBounds when the access leaves the array anywhere
-    in the box: each dimension is checked at its affine extremes.
+    ``loop`` maps each loop variable to its position in ``counts``.  The
+    view's shape is ``counts``; its element at n is the one accessed when
+    each loop variable is its start plus n.  A loop variable's byte stride
+    is the sum over dimensions of its coefficient times the array's stride
+    there, which covers lane strides, swapped and multi-variable subscripts,
+    negative coefficients and (stride 0) reads the variable does not index.
+    Raises OutOfBounds when the access leaves the array anywhere in the box:
+    each dimension is checked at its affine extremes.
+
+    Over an array that is one C- or Fortran-ordered block, the view is made
+    by the ``np.ndarray`` constructor on the array's memory, at the origin
+    element's byte offset.  That constructor takes only a contiguous buffer,
+    so a sliced or reversed array goes through ``as_strided`` from the
+    origin element instead, which costs several times as much per view.
     """
     if arr.ndim != len(binding.access):
         raise OutOfBounds(f"array {binding.array} has rank {arr.ndim}, "
                           f"access has {len(binding.access)} dims")
-    loop = {var: i for i, (var, _) in enumerate(trips)}
+    shape, steps = arr.shape, arr.strides
     empty = 0 in counts
     origin = []
+    offset = 0  # of the origin element, in bytes
     strides = [0] * len(counts)
     for dim, expr in enumerate(binding.access):
-        first = lo = hi = expr.const
+        first, down, up = expr.const, 0, 0
         for var, coeff in expr.terms:
-            if var not in loop:
+            i = loop.get(var)
+            if i is None:
                 raise OutOfBounds(f"access uses unknown loop variable {var!r}")
-            i = loop[var]
             first += coeff * starts[i]
             span = coeff * (counts[i] - 1)
-            lo += coeff * starts[i] + min(span, 0)
-            hi += coeff * starts[i] + max(span, 0)
-            strides[i] += coeff * arr.strides[dim]
-        if not empty and (lo < 0 or hi >= arr.shape[dim]):
+            if span < 0:
+                down += span
+            else:
+                up += span
+            strides[i] += coeff * steps[dim]
+        if not empty and (first + down < 0 or first + up >= shape[dim]):
             raise OutOfBounds(
                 f"{binding.array} dim {dim}: index range "
-                f"[{lo},{hi}] outside extent {arr.shape[dim]}")
+                f"[{first + down},{first + up}] outside extent {shape[dim]}")
         origin.append(first)
+        offset += first * steps[dim]
     if empty:
         return np.empty(counts, dtype=arr.dtype)
+    if arr.flags.forc:
+        return np.ndarray(counts, arr.dtype, arr, offset, strides)
     at_origin = arr[tuple(slice(o, o + 1) for o in origin)]
     return np.lib.stride_tricks.as_strided(at_origin, counts, strides)
 
 
-def _gather(g: DataFlowGraph, arrays: dict[str, np.ndarray],
-            trips: list[tuple[str, int]], counts: list[int],
-            starts: list[int]) -> dict[int, np.ndarray]:
-    read = {e.src for e in g.edges}
+def _loop_positions(trips: list[tuple[str, int]]) -> dict[str, int]:
+    return {var: i for i, (var, _) in enumerate(trips)}
+
+
+def _gather(reads: tuple[tuple[int, IoBinding], ...],
+            arrays: dict[str, np.ndarray], trips: list[tuple[str, int]],
+            counts: list[int], starts: list[int]) -> dict[int, np.ndarray]:
+    loop = _loop_positions(trips)
     streams: dict[int, np.ndarray] = {}
-    for nid in g.inputs():
-        if nid not in read:
-            continue
-        binding = g.io_bindings[nid]
-        view = _view(_supplied(arrays, binding.array), binding, trips, counts, starts)
+    for nid, binding in reads:
+        view = _view(_supplied(arrays, binding.array), binding, loop, counts, starts)
         streams[nid] = np.array(view, dtype=np.int32, order="C").reshape(-1)
     return streams
 
 
-def _scatter(g: DataFlowGraph, outputs: dict[int, np.ndarray],
-             arrays: dict[str, np.ndarray], trips: list[tuple[str, int]],
-             counts: list[int], starts: list[int]) -> None:
+def _scatter(writes: tuple[tuple[int, IoBinding], ...],
+             outputs: dict[int, np.ndarray], arrays: dict[str, np.ndarray],
+             trips: list[tuple[str, int]], counts: list[int],
+             starts: list[int]) -> None:
     """Write each Output node's stream into ``arrays`` in place.
 
     Extraction makes every write subscript a distinct loop variable plus a
     constant, so no two positions of one output share an element.
     """
-    length = int(np.prod(counts))
-    for nid in g.outputs():
+    loop = _loop_positions(trips)
+    length = math.prod(counts)
+    for nid, binding in writes:
         if nid not in outputs:
             raise UnconfiguredTag(f"report carries no stream for output {nid}")
         stream = np.asarray(outputs[nid])
         if len(stream) != length:
             raise LengthMismatch(
                 f"output {nid}: stream length {len(stream)} != domain {length}")
-        binding = g.io_bindings[nid]
-        view = _view(_supplied(arrays, binding.array), binding, trips, counts, starts)
+        view = _view(_supplied(arrays, binding.array), binding, loop, counts, starts)
         view[...] = stream.astype(np.int32, copy=False).reshape(counts)
 
 
 def build_streams(g: DataFlowGraph, arrays: dict[str, np.ndarray],
-                  trips: list[tuple[str, int]]) -> dict[int, np.ndarray]:
+                  trips: list[tuple[str, int]],
+                  io: Optional[GraphIo] = None) -> dict[int, np.ndarray]:
     """Gather one tagged input stream per Input node over the iteration domain.
 
     ``trips`` lists (loop var, trip count) outer to inner.  Streams cover the
@@ -401,42 +444,48 @@ def build_streams(g: DataFlowGraph, arrays: dict[str, np.ndarray],
     remainder annotation) are the epilogue's job.  Constants folded into the
     configuration are not streamed, nor are Inputs that nothing reads: the
     placer binds no port for them.  Each stream is a fresh 1-D int32 array,
-    one position per point of the domain in row-major order.
+    one position per point of the domain in row-major order.  ``io`` is
+    ``graph_io(g)``, built here when not given.
     """
-    return _gather(g, arrays, trips, *_steady_box(g, trips))
+    reads = (io or graph_io(g)).reads
+    return _gather(reads, arrays, trips, *_steady_box(g, trips))
 
 
 def write_back(g: DataFlowGraph, report: RunReport,
-               arrays: dict[str, np.ndarray],
-               trips: list[tuple[str, int]]) -> dict[str, np.ndarray]:
+               arrays: dict[str, np.ndarray], trips: list[tuple[str, int]],
+               io: Optional[GraphIo] = None) -> dict[str, np.ndarray]:
     """Scatter output streams through each Output node's access function.
 
     Returns a new mapping; written arrays are fresh copies, others pass
-    through.  Epilogue iterations (remainder) are left untouched.
+    through.  Epilogue iterations (remainder) are left untouched.  ``io`` is
+    ``graph_io(g)``, built here when not given.
     """
+    io = io or graph_io(g)
     out = dict(arrays)
-    for name in sorted({g.io_bindings[nid].array for nid in g.outputs()}):
+    for name in io.written:
         out[name] = np.array(_supplied(out, name), copy=True)
-    _scatter(g, report.outputs, out, trips, *_steady_box(g, trips))
+    _scatter(io.writes, report.outputs, out, trips, *_steady_box(g, trips))
     return out
 
 
 def run_epilogue(g: DataFlowGraph, program: Program,
                  arrays: dict[str, np.ndarray], trips: list[tuple[str, int]],
-                 leftover: int) -> None:
+                 leftover: int, io: Optional[GraphIo] = None) -> None:
     """Run the last ``leftover`` iterations of the innermost loop on the host.
 
-    ``g`` is the kernel's unroll-1 graph and ``program`` is ``lower_dfg(g)``.
-    Every outer iteration is covered: the box is the leftover columns, which
-    are gathered, run through the blocked loop and scattered.  Results are
+    ``g`` is the kernel's unroll-1 graph, ``program`` is ``lower_dfg(g)``
+    and ``io`` is ``graph_io(g)``, built here when not given.  Every outer
+    iteration is covered: the box is the leftover columns, which are
+    gathered, run through the blocked loop and scattered.  Results are
     written into ``arrays`` in place, so its written arrays must be the
     call's own copies, as ``write_back`` returns them.  Nothing crosses the
     modelled wire, and no RunReport is made.  Raises OutOfBounds as a
     gather does.
     """
+    io = io or graph_io(g)
     counts = [n for _, n in trips]
     starts = [0] * len(trips)
     counts[-1], starts[-1] = leftover, trips[-1][1] - leftover
-    streams = _gather(g, arrays, trips, counts, starts)
-    outputs = _run_blocked(program, streams, int(np.prod(counts)))
-    _scatter(g, outputs, arrays, trips, counts, starts)
+    streams = _gather(io.reads, arrays, trips, counts, starts)
+    outputs = _run_blocked(program, streams, math.prod(counts))
+    _scatter(io.writes, outputs, arrays, trips, counts, starts)

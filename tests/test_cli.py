@@ -198,6 +198,17 @@ def test_an_unroll_factor_below_1_exits_1(monkeypatch, tmp_path, capsys, command
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_bench_with_fewer_than_one_seed_exits_1(monkeypatch, tmp_path, capsys, seeds):
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main(["bench", str(corpus.kernel_path("gemm")), "--sizes", "4x4",
+                   "--seeds", seeds, "-o", "bench.csv"])
+    out = capsys.readouterr()
+    assert rc == cli.EXIT_PARSE
+    assert (out.out, out.err) == ("", "bench: --seeds must be >= 1\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_analyze_takes_no_unroll_factor(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["analyze", str(corpus.kernel_path("gemm")), "--unroll", "2"])

@@ -5,12 +5,20 @@ eligible call that maps runs on the overlay; software is forced with one far
 below.  Every returned array must equal ``evaluate_kernel``.
 """
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dfeoffload
 from dfeoffload import corpus, frontend, overlay, placer, runtime, simulator
-from dfeoffload.kernels import (EvalError, allocate_arrays, evaluate_kernel,
-                                parse_kernel)
+from dfeoffload.dfg import DataFlowGraph
+from dfeoffload.kernels import (EvalError, Kernel, allocate_arrays,
+                                evaluate_kernel, parse_kernel)
 from dfeoffload.overlay import OverlayShape
 from dfeoffload.placer import PlacerParams
 from dfeoffload.runtime import CostModel, OffloadRuntime
@@ -125,6 +133,110 @@ def test_a_hit_neither_analyses_nor_lowers(counts):
     # an equal kernel parsed again is the same analysis
     rt.execute(corpus.load("gemm"), arrays, params)
     assert counts.calls["check_eligibility"] == 0
+
+
+# scaleadd, with the literal 3, C's dtype and the inner loop bound as holes
+SCALEADD = ("kernel scaleadd(M, N)\narrays: A[MxN]:int32, B[MxN]:int32, C[MxN]:{dtype}\n"
+            "for i in 0..M {{ for j in 0..{bound} {{ C[i][j] = A[i][j] + {k}*B[i][j] + 1; }} }}")
+SCALEADD_HOLES = {"dtype": "int32", "bound": "N", "k": 3}
+
+
+@pytest.mark.parametrize("change", [{"k": 4}, {"dtype": "float32"}, {"bound": 3}],
+                         ids=["literal", "dtype", "loop-bound"])
+def test_a_kernel_that_differs_in_one_place_gets_its_own_analysis(counts, change):
+    rt = OffloadRuntime(OverlayShape(6, 6), frontend.Thresholds(min_nodes=0),
+                        cost_model=OFFLOAD, seed=SEED)
+    kernels = [parse_kernel(SCALEADD.format(**SCALEADD_HOLES)),
+               parse_kernel(SCALEADD.format(**{**SCALEADD_HOLES, **change}))]
+    for kernel in kernels + kernels:
+        arrays, params = _inputs(kernel, 5)
+        out, _ = rt.execute(kernel, arrays, params)
+        _assert_matches_software(kernel, arrays, params, out)
+    assert counts.calls["check_eligibility"] == 2
+
+
+def test_a_pickled_kernel_hits_the_memo(counts):
+    kernel = corpus.load("gemm")
+    rt = OffloadRuntime(OverlayShape(6, 6), cost_model=OFFLOAD, seed=SEED)
+    arrays, params = _inputs(kernel, 6)
+    rt.execute(kernel, arrays, params)
+    copy = pickle.loads(pickle.dumps(kernel))
+    assert copy is not kernel
+    out, trace = rt.execute(copy, arrays, params)
+    _assert_matches_software(kernel, arrays, params, out)
+    assert "cache" in _phases(trace)
+    assert counts.calls["check_eligibility"] == 1
+
+
+def test_the_memo_key_is_the_same_in_every_process(tmp_path):
+    kernel = corpus.load("gemm")
+    key = kernel.content_key
+    pickled = tmp_path / "gemm.pickle"
+    pickled.write_bytes(pickle.dumps(kernel))
+    script = ("import pickle, sys\nfrom dfeoffload import corpus\n"
+              "copy = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+              "print(copy.content_key, corpus.load('gemm').content_key)")
+    src = str(Path(dfeoffload.__file__).resolve().parents[1])
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-c", script, str(pickled)], env=env,
+                             capture_output=True, text=True, check=True)
+        assert run.stdout.split() == [key, key]
+
+
+def _refuse(*args):
+    raise AssertionError("called on a hit")
+
+
+def test_a_hit_neither_hashes_nor_compares_the_kernel(monkeypatch):
+    kernel = corpus.load("gemm")
+    rt = OffloadRuntime(OverlayShape(6, 6), cost_model=OFFLOAD, seed=SEED)
+    arrays, params = _inputs(kernel, 6)
+    rt.execute(kernel, arrays, params)
+    expected = evaluate_kernel(kernel, arrays, params)
+    equal = corpus.load("gemm")
+    monkeypatch.setattr(Kernel, "__hash__", _refuse)
+    monkeypatch.setattr(Kernel, "__eq__", _refuse)
+    for hit in (kernel, equal):
+        out, trace = rt.execute(hit, arrays, params)
+        assert "cache" in _phases(trace) and "compute" in _phases(trace)
+        assert out.keys() == expected.keys()
+        for name, want in expected.items():
+            assert np.array_equal(out[name], want), name
+
+
+@pytest.mark.parametrize("unroll,extent", [(1, 6), (2, 7)], ids=["u1", "u2-odd"])
+def test_a_hit_does_not_rescan_the_graph(monkeypatch, unroll, extent):
+    kernel = corpus.load("gemm")
+    rt = OffloadRuntime(OverlayShape(8, 8), cost_model=OFFLOAD, unroll=unroll, seed=SEED)
+    rt.execute(kernel, *_inputs(kernel, extent))
+    arrays, params = _inputs(kernel, extent, seed=1)
+    expected = evaluate_kernel(kernel, arrays, params)
+    monkeypatch.setattr(DataFlowGraph, "inputs", _refuse)
+    monkeypatch.setattr(DataFlowGraph, "outputs", _refuse)
+    out, trace = rt.execute(kernel, arrays, params)
+    assert "cache" in _phases(trace)
+    assert ("epilogue" in _phases(trace)) == (unroll == 2)
+    for name, want in expected.items():
+        assert np.array_equal(out[name], want), name
+
+
+def test_graphs_that_differ_only_in_numbering_share_one_mapping():
+    # The same two statements in either order extract to one graph under two
+    # numberings, with one hash: the second kernel runs on the first one's
+    # mapping and streams by that mapping's node ids.
+    text = ("kernel two(M, N)\narrays: A[MxN]:int32, B[MxN]:int32, C[MxN]:int32, "
+            "D[MxN]:int32\nfor i in 0..M {{ for j in 0..N {{ {} {} }} }}")
+    first, second = "C[i][j] = A[i][j] + 3*B[i][j];", "D[i][j] = 5*A[i][j] - B[i][j];"
+    rt = OffloadRuntime(OverlayShape(6, 6), frontend.Thresholds(min_nodes=0),
+                        cost_model=OFFLOAD, seed=SEED)
+    for call, kernel in enumerate([parse_kernel(text.format(first, second)),
+                                   parse_kernel(text.format(second, first))]):
+        arrays, params = _inputs(kernel, 5, seed=call)
+        out, trace = rt.execute(kernel, arrays, params)
+        _assert_matches_software(kernel, arrays, params, out)
+        assert ("cache" in _phases(trace)) == (call == 1)
+    assert len(rt.cache) == 1
 
 
 def test_a_cold_mapping_is_validated_once_where_it_is_lowered(monkeypatch):
