@@ -18,14 +18,15 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels as kl
-from .dfg import dfg_stats, dfg_to_dot, dfg_to_text
+from .dfg import dfg_to_dot, dfg_to_text
 from .frontend import (EligibilityReport, IneligibleKernel, Thresholds,
                        UnrollTooLarge, check_eligibility, check_unroll,
                        extract_dfg)
 from .overlay import OverlayShape, config_to_dot, config_to_text, serialize_config
 from .placer import PlacerParams, Unroutable, place_and_route
-from .runtime import (CostModel, OffloadRuntime, estimate_offload_time,
-                      run_offloaded, trip_counts)
+from .runtime import (CostModel, OffloadRuntime, analyze_kernel,
+                      estimate_offload_time, run_offloaded, stream_length,
+                      trip_counts)
 from .simulator import OutOfBounds, build_streams, dump_frames
 
 EXIT_OK = 0
@@ -162,6 +163,12 @@ def cmd_place(args) -> int:
 
 def cmd_run(args) -> int:
     try:
+        model = CostModel.from_file(args.cost_model) if args.cost_model else CostModel()
+    except (OSError, KeyError, ValueError) as exc:
+        reason = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"run: --cost-model {args.cost_model}: {reason}", file=sys.stderr)
+        return EXIT_PARSE
+    try:
         kernel = _load_kernel(args.file)
     except kl.KernelSyntaxError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
@@ -205,8 +212,7 @@ def cmd_run(args) -> int:
         Path(f"{base}.out.frames").write_bytes(dump_frames(run_report.outputs))
         print(f"dumped {base}.in.frames / {base}.out.frames")
 
-    model = CostModel.from_file(args.cost_model) if args.cost_model else CostModel()
-    n_iter = OffloadRuntime._stream_length(entry.dfg, trips)
+    n_iter = stream_length(entry.dfg, trips)
     est = estimate_offload_time(analysis.stats, n_iter, model, cached=False)
     print(f"frames_in={run_report.frames_in} frames_out={run_report.frames_out} "
           f"bytes_on_wire={run_report.bytes_on_wire} cycles={run_report.cycles} "
@@ -227,6 +233,11 @@ def cmd_bench(args) -> int:
     if args.seeds < 1:
         print("bench: --seeds must be >= 1", file=sys.stderr)
         return EXIT_PARSE
+    try:
+        shapes = [_parse_overlay(text) for text in args.sizes.split(",")]
+    except argparse.ArgumentTypeError as exc:
+        print(f"bench: --sizes: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     rows = []
     for path in args.files:
         try:
@@ -235,23 +246,20 @@ def cmd_bench(args) -> int:
             print(f"parse error: {exc}", file=sys.stderr)
             return EXIT_PARSE
         name = Path(path).stem
-        report = check_eligibility(kernel, Thresholds(min_nodes=args.min_nodes))
-        if not report.accepted():
+        # without a node limit an accepted kernel is never UnrollTooLarge
+        analysis = analyze_kernel(kernel, args.unroll, Thresholds(min_nodes=args.min_nodes))
+        if isinstance(analysis, EligibilityReport):
             continue
-        dfg = report.dfg if args.unroll == 1 else extract_dfg(kernel, args.unroll)
-        stats = dfg_stats(dfg)
-        values = _param_values(kernel, args.params, args.size)
-        trips = trip_counts(kernel.canonical_nest()[0], values)
-        n_iter = OffloadRuntime._stream_length(dfg, trips)
-        est = estimate_offload_time(stats, n_iter, CostModel(), cached=True)
-        for shape_text in args.sizes.split(","):
-            shape = _parse_overlay(shape_text)
+        trips = trip_counts(analysis.loops, _param_values(kernel, args.params, args.size))
+        n_iter = stream_length(analysis.dfg, trips)
+        est = estimate_offload_time(analysis.stats, n_iter, CostModel(), cached=True)
+        for shape in shapes:
             successes = 0
             attempts = []
             backtracks = []
             for seed in range(args.seeds):
                 try:
-                    p = place_and_route(dfg, shape,
+                    p = place_and_route(analysis.dfg, shape,
                                         PlacerParams(global_budget=args.budget),
                                         seed)
                     successes += 1

@@ -36,16 +36,18 @@ from .overlay import FU, Direction, OverlayConfig, OverlayShape, Pin, new_overla
 Cell = tuple[int, int]
 
 
+SIGMA_DIVISOR = 4  # border Gaussian width: the grid's shorter side over this
+IO_WEIGHT = 4.0  # selection bias for io-adjacent nodes
+AFFINITY_BONUS = 3.0  # position weight gained per unit of affinity
+MAX_POSITION_ATTEMPTS = 10  # cells sampled per node before it is set aside
+MAX_NODE_RESTARTS = 5  # nodes set aside in a row before a backtrack
+BACKTRACK_DIVISOR = 4  # backtrack depth cap: placed nodes over this, at least 1
+
+
 @dataclass(frozen=True)
 class PlacerParams:
-    """Search knobs; defaults follow the shipped tuning, all overridable."""
+    """How long the search may run; the tuning is the constants above."""
 
-    sigma: Optional[float] = None  # Gaussian width; default min(R,C)/4
-    io_weight: float = 4.0  # selection bias for io-adjacent nodes
-    affinity_bonus: float = 3.0
-    max_position_attempts: int = 10
-    max_node_restarts: int = 5
-    backtrack_max_depth: Optional[int] = None  # default: placed/4, at least 1
     global_budget: int = 100_000  # total position attempts before giving up
 
 
@@ -80,12 +82,12 @@ class Placement:
     """A complete mapping of one graph onto one overlay shape.
 
     ``config`` is the overlay configuration the search built, not yet
-    validated; ``node_cells`` says which cell's FU computes each op node.
+    validated; its grid is ``config.shape``.  ``node_cells`` says which
+    cell's FU computes each op node.
     Stream tags are node ids: an Input's on ``config.io_in``, an Output's on
     ``config.io_out``.
     """
 
-    shape: OverlayShape
     config: OverlayConfig
     node_cells: dict[int, Cell]
     rng_seed: int
@@ -118,9 +120,8 @@ class _State:
     built once per search.
     """
 
-    def __init__(self, g: DataFlowGraph, shape: OverlayShape, params: PlacerParams):
+    def __init__(self, g: DataFlowGraph, shape: OverlayShape):
         self.shape = shape
-        self.params = params
         self.cfg = new_overlay(shape.rows, shape.cols)
         self.coords = list(shape.cells())  # cell id -> (r, c)
         self.cells = [self.cfg.cells[rc] for rc in self.coords]
@@ -184,9 +185,8 @@ class _State:
     def border_weights(self) -> list[float]:
         """Per cell, the complement of a center-peaked Gaussian: border cells
         (short paths to the scarce border interfaces) are favored."""
-        shape, sigma = self.shape, self.params.sigma
-        if sigma is None:
-            sigma = min(shape.rows, shape.cols) / 4
+        shape = self.shape
+        sigma = min(shape.rows, shape.cols) / SIGMA_DIVISOR
         cr = (shape.rows - 1) / 2
         cc = (shape.cols - 1) / 2
         return [1.0 - math.exp(-((r - cr) ** 2 + (c - cc) ** 2) / (2 * sigma * sigma))
@@ -203,8 +203,7 @@ class _State:
                 row = self._affinity_rows[k] = [1.0 / (1 + abs(r - rr) + abs(c - rc))
                                                 for (r, c) in self.coords]
             bonus = [b + x for b, x in zip(bonus, row)]
-        a = self.params.affinity_bonus
-        return [w * (1.0 + a * b) for w, b in zip(self.border_weights, bonus)]
+        return [w * (1.0 + AFFINITY_BONUS * b) for w, b in zip(self.border_weights, bonus)]
 
     def related_cells(self, nid: int) -> list[int]:
         """Cells of placed nodes that share an edge, a producer, or a consumer."""
@@ -414,7 +413,7 @@ def place_and_route(g: DataFlowGraph, shape: OverlayShape,
         raise PreconditionViolated(
             f"{n_in} inputs / {n_out} outputs exceed {cap_in} border interfaces",
             counters)
-    state = _State(g, shape, params)
+    state = _State(g, shape)
     const_ids = {nid for nid, n in g.nodes.items() if n.kind == NodeKind.CONST}
     for nid in ops:
         const_pins = sum(1 for e in state.in_edges[nid] if e.src in const_ids)
@@ -443,9 +442,7 @@ def place_and_route(g: DataFlowGraph, shape: OverlayShape,
         counters.backtracks += 1
         stall_streak += 1
         if stack:
-            cap = params.backtrack_max_depth
-            if cap is None:
-                cap = max(1, len(stack) // 4)
+            cap = max(1, len(stack) // BACKTRACK_DIVISOR)
             # a stalled search unwinds ever deeper, up to a full restart
             cap = min(len(stack), cap * (1 + stall_streak // 3))
             k = rng.randint(1, max(1, cap))
@@ -462,16 +459,16 @@ def place_and_route(g: DataFlowGraph, shape: OverlayShape,
             raise Unroutable("global budget exhausted", counters)
         if unplaced:
             candidates = sorted(unplaced - failed_round)
-            if not candidates or restarts_this_round >= params.max_node_restarts:
+            if not candidates or restarts_this_round >= MAX_NODE_RESTARTS:
                 backtrack()
                 failed_round.clear()
                 restarts_this_round = 0
                 continue
-            # io-adjacent nodes are io_weight times as likely to be drawn
-            weights = [params.io_weight if nid in state.io_adjacent else 1.0
+            # io-adjacent nodes are IO_WEIGHT times as likely to be drawn
+            weights = [IO_WEIGHT if nid in state.io_adjacent else 1.0
                        for nid in candidates]
             nid = rng.choices(candidates, weights=weights)[0]
-            mark = _try_place(g, state, nid, rng, counters)
+            mark = _try_place(g, state, nid, rng, counters, params.global_budget)
             if mark is not None:
                 stack.append(("node", nid, mark))
                 unplaced.discard(nid)
@@ -495,19 +492,18 @@ def place_and_route(g: DataFlowGraph, shape: OverlayShape,
                 state.rollback(mark)
                 backtrack()
 
-    return Placement(shape, state.cfg,
+    return Placement(state.cfg,
                      {nid: state.coords[state.origin_cell[nid]] for nid in ops},
                      seed, counters)
 
 
 def _try_place(g: DataFlowGraph, state: _State, nid: int, rng: random.Random,
-               counters: PlacerCounters) -> Optional[int]:
+               counters: PlacerCounters, budget: int) -> Optional[int]:
     """Sample positions for one node until its edges route; None on failure."""
-    params = state.params
     failed: set[int] = set()
     weights = None
-    for _ in range(params.max_position_attempts):
-        if counters.position_attempts >= params.global_budget:
+    for _ in range(MAX_POSITION_ATTEMPTS):
+        if counters.position_attempts >= budget:
             return None
         free = [i for i, cell in enumerate(state.cells)
                 if cell.fu_op is None and i not in failed]

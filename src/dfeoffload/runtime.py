@@ -84,6 +84,12 @@ def estimate_offload_time(stats: DfgStats, n_iterations: int,
     return t
 
 
+MARGIN = 0.9  # offload when the estimate is under this share of software time
+ALPHA = 0.2  # weight of the newest call in each moving average
+WARMUP_CALLS = 5  # offloaded calls before a rollback may trip
+CACHE_CAPACITY = 32  # mappings, analyses and routing failures a runtime keeps
+
+
 class Mode(Enum):
     SOFTWARE = "software"
     OFFLOADED = "offloaded"
@@ -94,12 +100,10 @@ class Mode(Enum):
 class OffloadState:
     """Per-kernel execution statistics driving the rollback policy.
 
-    ROLLED_BACK is absorbing: once offloading measured worse than software
-    it stays off until the graph changes (new hash, new state).
+    ROLLED_BACK is absorbing: once offloading measured worse than software,
+    after WARMUP_CALLS offloaded calls, it stays off until the graph changes.
     """
 
-    alpha: float = 0.2
-    warmup_calls: int = 5
     mode: Mode = Mode.SOFTWARE
     ema_software: Optional[float] = None
     ema_offload: Optional[float] = None
@@ -107,14 +111,13 @@ class OffloadState:
     offload_calls: int = 0
 
 
-def decide(state: OffloadState, estimate: float, measured_software: float,
-           margin: float = 0.9) -> Mode:
-    """Offload only when the estimate clearly beats measured software time."""
+def decide(state: OffloadState, estimate: float, measured_software: float) -> Mode:
+    """Offload only when the estimate is under MARGIN times measured software."""
     if measured_software <= 0:
         raise ValueError("measured software time must be positive")
     if state.mode == Mode.ROLLED_BACK:
         return Mode.SOFTWARE
-    if estimate < margin * measured_software:
+    if estimate < MARGIN * measured_software:
         return Mode.OFFLOADED
     return Mode.SOFTWARE
 
@@ -123,17 +126,16 @@ def record(state: OffloadState, mode: Mode, elapsed: float) -> OffloadState:
     """Fold one measured call into the state; may trip the rollback."""
     if elapsed <= 0:
         raise ValueError("elapsed time must be positive")
-    a = state.alpha
     if mode == Mode.SOFTWARE:
         state.software_calls += 1
         state.ema_software = (elapsed if state.ema_software is None
-                              else a * elapsed + (1 - a) * state.ema_software)
+                              else ALPHA * elapsed + (1 - ALPHA) * state.ema_software)
     elif mode == Mode.OFFLOADED:
         state.offload_calls += 1
         state.ema_offload = (elapsed if state.ema_offload is None
-                             else a * elapsed + (1 - a) * state.ema_offload)
+                             else ALPHA * elapsed + (1 - ALPHA) * state.ema_offload)
         state.mode = Mode.OFFLOADED
-        if (state.offload_calls >= state.warmup_calls
+        if (state.offload_calls >= WARMUP_CALLS
                 and state.ema_software is not None
                 and state.ema_offload > state.ema_software):
             state.mode = Mode.ROLLED_BACK
@@ -143,15 +145,12 @@ def record(state: OffloadState, mode: Mode, elapsed: float) -> OffloadState:
 
 
 class _Lru:
-    """A map of at most ``capacity`` keys that drops the least recently used.
+    """A map of at most CACHE_CAPACITY keys that drops the least recently used.
 
     Not locked: its owner holds a lock around every use.
     """
 
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
+    def __init__(self):
         self._entries: OrderedDict = OrderedDict()
 
     def get(self, key: Hashable):
@@ -163,7 +162,7 @@ class _Lru:
     def put(self, key: Hashable, value) -> None:
         self._entries[key] = value
         self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
+        while len(self._entries) > CACHE_CAPACITY:
             self._entries.popitem(last=False)
 
     def __len__(self) -> int:
@@ -187,15 +186,14 @@ class CacheEntry:
 
 
 class ConfigCache:
-    """LRU map from graph hash to ready-to-run configuration.
+    """LRU map of at most CACHE_CAPACITY graph hashes to ready-to-run configs.
 
     Reads are cheap and common, writes rare; a single lock keeps both
     consistent for concurrent callers.
     """
 
-    def __init__(self, capacity: int = 32):
-        self._entries = _Lru(capacity)
-        self.capacity = capacity
+    def __init__(self):
+        self._entries = _Lru()
         self._lock = threading.RLock()
 
     def get(self, key: int) -> Optional[CacheEntry]:
@@ -248,6 +246,25 @@ class _CachedUnroutable(Unroutable):
 _Analysis = Union[_Accepted, EligibilityReport, UnrollTooLarge]
 
 
+def analyze_kernel(kernel: kl.Kernel, unroll: int, thresholds: Thresholds) -> _Analysis:
+    """Eligibility and extraction of ``kernel`` at one unroll factor.
+
+    The verdict is taken on the unroll-1 graph.  At unroll 1 it is the graph
+    mapped, so it is extracted once; when unrolled, it is the epilogue's.
+    """
+    report = check_eligibility(kernel, thresholds)
+    if not report.accepted():
+        return report
+    if unroll == 1:
+        return _accept(kernel, report.dfg)
+    try:
+        dfg = extract_dfg(kernel, unroll, max_calc_nodes=thresholds.max_nodes)
+    except UnrollTooLarge as exc:
+        # drop the traceback: its frames would keep this call alive
+        return exc.with_traceback(None)
+    return _accept(kernel, dfg, epilogue_dfg=report.dfg)
+
+
 def trip_counts(loops, params: dict[str, int]) -> list[tuple[str, int]]:
     """(loop var, trip count) outer to inner for one call's parameters.
 
@@ -255,6 +272,15 @@ def trip_counts(loops, params: dict[str, int]) -> list[tuple[str, int]]:
     """
     return [(f.var, max(f.bound if isinstance(f.bound, int) else params[f.bound], 0))
             for f in loops]
+
+
+def stream_length(dfg: DataFlowGraph, trips: list[tuple[str, int]]) -> int:
+    """Stream positions per run: the unrolled steady-state domain size."""
+    stride = dfg.remainder.factor if dfg.remainder is not None else 1
+    n = 1
+    for _, count in trips[:-1]:
+        n *= count
+    return n * (trips[-1][1] // stride)
 
 
 def _leftover(dfg: DataFlowGraph, trips: list[tuple[str, int]]) -> int:
@@ -304,11 +330,12 @@ class OffloadRuntime:
     Whatever path a call takes (offloaded, rejected, rolled back, or
     unroutable), the returned arrays match pure software evaluation.  An
     offloaded call never runs the software interpreter: its unroll epilogue
-    is the unroll-1 graph run on the host (``run_epilogue``).
-    Offloaded elapsed time is the simulated device time from
-    ``device_model`` (the virtual hardware's clock); software elapsed time
-    is wall-clock.  Distinct kernels may execute concurrently: cache and
-    per-kernel state updates are lock-protected.
+    is the unroll-1 graph run on the host (``run_epilogue``).  Offloaded
+    elapsed time is simulated on ``device_model``: by default the estimate's
+    ``cost_model``, and another model is what makes measured device time
+    depart from the estimate.  Software elapsed time is read from ``clock``.
+    ``decide`` and ``record`` hold the policy.  Distinct kernels may execute
+    concurrently: cache and per-kernel state updates are lock-protected.
     """
 
     def __init__(self, shape: OverlayShape,
@@ -316,10 +343,6 @@ class OffloadRuntime:
                  placer_params: PlacerParams = PlacerParams(),
                  cost_model: Optional[CostModel] = None,
                  device_model: Optional[CostModel] = None,
-                 margin: float = 0.9,
-                 alpha: float = 0.2,
-                 warmup_calls: int = 5,
-                 cache_capacity: int = 32,
                  unroll: int = 1,
                  seed: int = 0,
                  clock: Callable[[], float] = time.perf_counter):
@@ -330,14 +353,11 @@ class OffloadRuntime:
         self.placer_params = placer_params
         self.cost_model = cost_model or CostModel()
         self.device_model = device_model or self.cost_model
-        self.margin = margin
-        self.alpha = alpha
-        self.warmup_calls = warmup_calls
-        self.cache = ConfigCache(cache_capacity)
+        self.cache = ConfigCache()
         # (kernel content key, unroll, thresholds) -> _Analysis
-        self._analyses = _Lru(cache_capacity)
+        self._analyses = _Lru()
         # (graph hash, shape, placer params, seed) -> the Unroutable message
-        self._unroutable = _Lru(cache_capacity)
+        self._unroutable = _Lru()
         self.unroll = unroll
         self.seed = seed
         self.clock = clock
@@ -347,39 +367,21 @@ class OffloadRuntime:
     def state_for(self, key: int) -> OffloadState:
         with self._lock:
             if key not in self._states:
-                self._states[key] = OffloadState(self.alpha, self.warmup_calls)
+                self._states[key] = OffloadState()
             return self._states[key]
 
     def analyze(self, kernel: kl.Kernel) -> _Analysis:
-        """Eligibility and extraction at the current unroll and thresholds.
-
-        Memoized per (``kernel.content_key``, unroll, thresholds), on which
-        the outcome alone depends.  The key is a digest of the AST computed
-        once per kernel object, so a hit neither hashes nor compares the
-        AST, and an equal kernel parsed again, or unpickled, shares the
-        analysis.  At unroll 1 the graph the eligibility check built is
-        the one mapped, so a miss extracts once.  When unrolled, that graph
-        is kept for the epilogue, lowered for the host once here.
+        """``analyze_kernel`` at this runtime's unroll and thresholds, memoized
+        per ``kernel.content_key``: a digest of the AST computed once per
+        kernel object, so a hit neither hashes nor compares the AST, and an
+        equal kernel parsed again, or unpickled, shares the analysis.
         """
         memo_key = (kernel.content_key, self.unroll, self.thresholds)
         with self._lock:
             analysis = self._analyses.get(memo_key)
         if analysis is not None:
             return analysis
-        report = check_eligibility(kernel, self.thresholds)
-        if not report.accepted():
-            analysis = report
-        elif self.unroll == 1:
-            analysis = _accept(kernel, report.dfg)
-        else:
-            try:
-                dfg = extract_dfg(kernel, self.unroll,
-                                  max_calc_nodes=self.thresholds.max_nodes)
-            except UnrollTooLarge as exc:
-                # drop the traceback: its frames would keep this call alive
-                analysis = exc.with_traceback(None)
-            else:
-                analysis = _accept(kernel, dfg, epilogue_dfg=report.dfg)
+        analysis = analyze_kernel(kernel, self.unroll, self.thresholds)
         with self._lock:
             self._analyses.put(memo_key, analysis)
         return analysis
@@ -459,14 +461,14 @@ class OffloadRuntime:
             emit("cache", "hit, reusing configuration")
 
         trips = trip_counts(analysis.loops, params)
-        n_iter = self._stream_length(dfg, trips)
+        n_iter = stream_length(dfg, trips)
         baseline = state.ema_software
         if baseline is None and self.cost_model.software_time_per_call > 0:
             baseline = self.cost_model.software_time_per_call
         if baseline is None:
             return software("measuring software baseline", state)
         estimate = estimate_offload_time(stats, n_iter, self.cost_model, cached)
-        decision = decide(state, estimate, baseline, self.margin)
+        decision = decide(state, estimate, baseline)
         emit("decision", f"estimate={estimate:.3e}s software={baseline:.3e}s "
                          f"-> {decision.value}")
         if decision != Mode.OFFLOADED:
@@ -505,11 +507,3 @@ class OffloadRuntime:
             emit("rollback", "offload slower than software; reverting for good")
         return result, trace
 
-    @staticmethod
-    def _stream_length(dfg: DataFlowGraph, trips: list[tuple[str, int]]) -> int:
-        """Stream positions per run: the unrolled steady-state domain size."""
-        stride = dfg.remainder.factor if dfg.remainder is not None else 1
-        n = 1
-        for _, count in trips[:-1]:
-            n *= count
-        return n * (trips[-1][1] // stride)

@@ -198,6 +198,37 @@ def test_an_unroll_factor_below_1_exits_1(monkeypatch, tmp_path, capsys, command
     assert list(tmp_path.iterdir()) == []
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("work started before the options were checked")
+
+
+@pytest.mark.parametrize("text,reason", [
+    (None, "[Errno 2] No such file or directory: 'model.cost'"),
+    ("wire_speed = 1e6\n", "unknown cost-model key 'wire_speed'"),
+    ("config_time = 0  # free\n", "cost model constants must be positive"),
+], ids=["missing", "unknown-key", "non-positive"])
+def test_run_with_a_bad_cost_model_exits_1(monkeypatch, tmp_path, capsys, text, reason):
+    if text is not None:
+        (tmp_path / "model.cost").write_text(text)
+    monkeypatch.setattr(cli, "_load_kernel", _refuse)
+    rc, out = _run(monkeypatch, tmp_path, capsys, str(corpus.kernel_path("gemm")),
+                   "--cost-model", "model.cost")
+    assert rc == cli.EXIT_PARSE
+    assert (out.out, out.err) == ("", f"run: --cost-model model.cost: {reason}\n")
+
+
+def test_bench_with_a_bad_size_exits_1(monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "place_and_route", _refuse)
+    rc = cli.main(["bench", str(corpus.kernel_path("gemm")), "--sizes", "4x4,bad",
+                   "-o", "bench.csv"])
+    out = capsys.readouterr()
+    assert rc == cli.EXIT_PARSE
+    assert (out.out, out.err) == ("", "bench: --sizes: overlay must look like 4x4: "
+                                      "not enough values to unpack (expected 2, got 1)\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("seeds", ["0", "-1"])
 def test_bench_with_fewer_than_one_seed_exits_1(monkeypatch, tmp_path, capsys, seeds):
     monkeypatch.chdir(tmp_path)

@@ -1,4 +1,5 @@
-"""Runtime: the warm path, the analysis memo and the cached failures.
+"""Runtime: the warm path, the analysis memo, the cached failures, LRU
+eviction and the measured-cost rollback.
 
 Offload is forced with a software baseline far above any estimate, so every
 eligible call that maps runs on the overlay; software is forced with one far
@@ -411,3 +412,64 @@ def test_an_out_of_range_read_in_the_leftover_columns_raises_what_software_raise
         rt.execute(kernel, arrays, params)
     assert str(got.value) == str(want.value)
     assert runs == [1]
+
+
+class _FakeClock:
+    """A clock that advances a fixed step on every read."""
+
+    def __init__(self, step):
+        self.step, self.now = step, 0.0
+
+    def __call__(self):
+        self.now += self.step
+        return self.now
+
+
+def _policy_run(device_model):
+    """Nine gemm calls at N=8 on 6x6, software timed by a 0.5 s-per-read clock."""
+    kernel = corpus.load("gemm")
+    rt = OffloadRuntime(OverlayShape(6, 6), device_model=device_model,
+                        clock=_FakeClock(0.5))
+    traces = []
+    for call in range(9):
+        arrays, params = _inputs(kernel, 8, seed=call)
+        out, trace = rt.execute(kernel, arrays, params)
+        _assert_matches_software(kernel, arrays, params, out)
+        traces.append(trace)
+    return traces
+
+
+def test_offloading_measured_slower_than_software_rolls_back_for_good():
+    # At 1 byte/s the device time of a call is far above the 0.5 s that
+    # software measures, while the estimate (default model) is far below it:
+    # the runtime offloads through the warm-up, then rolls back.
+    traces = _policy_run(CostModel(wire_rate=1.0))
+    assert traces[0][-1].detail == "measuring software baseline"
+    for trace in traces[1:6]:
+        assert "compute" in _phases(trace)
+    assert [_phases(trace)[-1] for trace in traces[1:6]] == ["transfer_out"] * 4 + ["rollback"]
+    for trace in traces[6:]:
+        assert "compute" not in _phases(trace)
+        assert (trace[-1].phase, trace[-1].detail) == ("software", "decision: software")
+
+
+def test_offloading_measured_faster_than_software_never_rolls_back():
+    traces = _policy_run(None)
+    assert traces[0][-1].detail == "measuring software baseline"
+    for trace in traces[1:]:
+        assert "compute" in _phases(trace) and "rollback" not in _phases(trace)
+
+
+@pytest.mark.parametrize("capacity,maps", [(2, 4), (runtime.CACHE_CAPACITY, 3)],
+                         ids=["capacity-2", "default"])
+def test_the_least_recently_used_mapping_is_evicted(monkeypatch, counts, capacity, maps):
+    monkeypatch.setattr(runtime, "CACHE_CAPACITY", capacity)
+    rt = OffloadRuntime(OverlayShape(6, 6), cost_model=OFFLOAD, seed=SEED)
+    for i, name in enumerate(["gemm", "trmm", "atax", "gemm"]):
+        kernel = corpus.load(name)
+        arrays, params = _inputs(kernel, 5, seed=i)
+        out, trace = rt.execute(kernel, arrays, params)
+        _assert_matches_software(kernel, arrays, params, out)
+    assert ("place_route" in _phases(trace)) == (maps == 4)
+    assert counts.calls["place_and_route"] == maps
+    assert len(rt.cache) == min(capacity, 3)
