@@ -27,6 +27,6 @@ from .runtime import (CacheEntry, ConfigCache, CostModel, Mode, OffloadRuntime,
                       OffloadState, TraceEvent, decide, estimate_offload_time,
                       format_trace, record)
 from .simulator import (RunReport, build_streams, compile_config, dump_frames,
-                        load_frames, run_compiled, write_back)
+                        load_frames, run_compiled, stream_views, write_back)
 
 __version__ = "0.1.0"

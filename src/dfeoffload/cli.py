@@ -238,14 +238,15 @@ def cmd_bench(args) -> int:
     except argparse.ArgumentTypeError as exc:
         print(f"bench: --sizes: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    rows = []
+    kernels = []
     for path in args.files:
         try:
-            kernel = _load_kernel(path)
+            kernels.append((Path(path).stem, _load_kernel(path)))
         except kl.KernelSyntaxError as exc:
-            print(f"parse error: {exc}", file=sys.stderr)
+            print(f"parse error: {path}: {exc}", file=sys.stderr)
             return EXIT_PARSE
-        name = Path(path).stem
+    rows = []
+    for name, kernel in kernels:
         # without a node limit an accepted kernel is never UnrollTooLarge
         analysis = analyze_kernel(kernel, args.unroll, Thresholds(min_nodes=args.min_nodes))
         if isinstance(analysis, EligibilityReport):

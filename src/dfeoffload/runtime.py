@@ -35,8 +35,8 @@ from .frontend import (EligibilityReport, Thresholds, UnrollTooLarge,
 from .overlay import OverlayShape
 from .placer import Placement, PlacerParams, Unroutable, place_and_route
 from .simulator import (FRAME_SIZE, GraphIo, OutOfBounds, Program, RunReport,
-                        build_streams, compile_config, graph_io, lower_dfg,
-                        run_compiled, run_epilogue, write_back)
+                        compile_config, graph_io, lower_dfg, run_compiled,
+                        run_epilogue, stream_views, write_back)
 
 
 @dataclass
@@ -295,12 +295,16 @@ def run_offloaded(entry: CacheEntry, accepted: _Accepted,
                   ) -> tuple[dict[str, np.ndarray], RunReport]:
     """One call on a mapped kernel: gather, run, scatter, then the epilogue.
 
+    The gather makes views of the caller's arrays, and the run copies each
+    block straight from them, so no full-length input stream is built.
     The epilogue is the unroll-1 graph of ``accepted`` run on the host.
     Returns the result arrays and the overlay's run report.  Raises
     simulator.OutOfBounds when an access in either graph falls outside its
-    array somewhere in the iterations it covers.
+    array somewhere in the iterations it covers; each graph's views are all
+    checked before its run, so nothing has been written when the overlay's
+    gather raises.
     """
-    streams = build_streams(entry.dfg, arrays, trips, entry.io)
+    streams = stream_views(entry.dfg, arrays, trips, entry.io)
     report = run_compiled(entry.program, streams)
     result = write_back(entry.dfg, report, arrays, trips, entry.io)
     leftover = _leftover(entry.dfg, trips)
@@ -312,9 +316,19 @@ def run_offloaded(entry: CacheEntry, accepted: _Accepted,
 
 @dataclass
 class TraceEvent:
+    """One step of a call: host microseconds since the call began, its phase,
+    and a detail, ``template.format(*args)``.  The detail is formatted only
+    when read, so a call whose trace nobody reads formats no text.
+    """
+
     t_us: float
     phase: str
-    detail: str = ""
+    template: str = ""
+    args: tuple = ()
+
+    @property
+    def detail(self) -> str:
+        return self.template.format(*self.args) if self.args else self.template
 
     def line(self) -> str:
         return f"{self.t_us:.1f} {self.phase} {self.detail}".rstrip()
@@ -420,28 +434,28 @@ class OffloadRuntime:
         trace: list[TraceEvent] = []
         t0 = self.clock()
 
-        def emit(phase: str, detail: str = ""):
-            trace.append(TraceEvent((self.clock() - t0) * 1e6, phase, detail))
+        def emit(phase: str, template: str = "", *args):
+            trace.append(TraceEvent((self.clock() - t0) * 1e6, phase, template, args))
 
-        def software(detail: str, state: Optional[OffloadState]):
+        def software(template: str, state: Optional[OffloadState], *args):
             start = self.clock()
             result = kl.evaluate_kernel(kernel, arrays, params)
             elapsed = self.clock() - start
             if state is not None:
                 record(state, Mode.SOFTWARE, max(elapsed, 1e-9))
-            emit("software", detail)
+            emit("software", template, *args)
             return result, trace
 
         analysis = self.analyze(kernel)
         if isinstance(analysis, EligibilityReport):
-            emit("analysis", f"rejected: {analysis.table_label()}")
-            return software(f"ineligible: {analysis.reason.value}", None)
+            emit("analysis", "rejected: {}", analysis.table_label())
+            return software("ineligible: {}", None, analysis.reason.value)
         if isinstance(analysis, UnrollTooLarge):
-            emit("analysis", f"unroll too large: {analysis}")
+            emit("analysis", "unroll too large: {}", analysis)
             return software("unroll too large", None)
         dfg, key, stats = analysis.dfg, analysis.key, analysis.stats
-        emit("analysis", f"accepted hash={key:016x} "
-                         f"in={stats.inputs} out={stats.outputs} calc={stats.calc_nodes}")
+        emit("analysis", "accepted hash={:016x} in={} out={} calc={}",
+             key, stats.inputs, stats.outputs, stats.calc_nodes)
         state = self.state_for(key)
 
         entry = self.cache.get(key)
@@ -452,11 +466,11 @@ class OffloadRuntime:
                 entry = self.map(analysis)
             except Unroutable as exc:
                 note = " (cached failure)" if isinstance(exc, _CachedUnroutable) else ""
-                emit("place_route", f"unroutable{note}: {exc}")
+                emit("place_route", "unroutable{}: {}", note, str(exc))
                 return software("unroutable, software fallback", state)
-            emit("place_route",
-                 f"placed in {(self.clock() - pr_start) * 1e3:.2f} ms, "
-                 f"attempts={entry.placement.counters.position_attempts}")
+            emit("place_route", "placed in {:.2f} ms, attempts={}",
+                 (self.clock() - pr_start) * 1e3,
+                 entry.placement.counters.position_attempts)
         else:
             emit("cache", "hit, reusing configuration")
 
@@ -469,8 +483,8 @@ class OffloadRuntime:
             return software("measuring software baseline", state)
         estimate = estimate_offload_time(stats, n_iter, self.cost_model, cached)
         decision = decide(state, estimate, baseline)
-        emit("decision", f"estimate={estimate:.3e}s software={baseline:.3e}s "
-                         f"-> {decision.value}")
+        emit("decision", "estimate={:.3e}s software={:.3e}s -> {}",
+             estimate, baseline, decision.value)
         if decision != Mode.OFFLOADED:
             return software("decision: software", state)
 
@@ -487,20 +501,19 @@ class OffloadRuntime:
         config_cost += self.device_model.const_transfer_time
         device_elapsed += config_cost
         # one constant slot per masked cell of the validated config
-        emit("configure", f"{'cached, ' if cached else ''}"
-                          f"consts={len(entry.program.const_fill)} "
-                          f"t={config_cost * 1e6:.1f}us")
+        emit("configure", "{}consts={} t={:.1f}us", "cached, " if cached else "",
+             len(entry.program.const_fill), config_cost * 1e6)
         t_in = FRAME_SIZE * run_report.frames_in / self.device_model.wire_rate
         device_elapsed += t_in
-        emit("transfer_in", f"frames={run_report.frames_in} t={t_in * 1e6:.1f}us")
-        emit("compute", f"cycles={run_report.cycles}")
+        emit("transfer_in", "frames={} t={:.1f}us", run_report.frames_in, t_in * 1e6)
+        emit("compute", "cycles={}", run_report.cycles)
         t_out = FRAME_SIZE * run_report.frames_out / self.device_model.wire_rate
         device_elapsed += t_out
-        emit("transfer_out", f"frames={run_report.frames_out} t={t_out * 1e6:.1f}us")
+        emit("transfer_out", "frames={} t={:.1f}us", run_report.frames_out, t_out * 1e6)
 
         leftover = _leftover(entry.dfg, trips)
         if leftover:
-            emit("epilogue", f"{leftover} leftover iterations of {trips[-1][0]}")
+            emit("epilogue", "{} leftover iterations of {}", leftover, trips[-1][0])
 
         record(state, Mode.OFFLOADED, device_elapsed)
         if state.mode == Mode.ROLLED_BACK:

@@ -6,20 +6,24 @@ origin tracing), then executed position-synchronously by the stream engine.
 Wire traffic is accounted in 128-bit tagged frames carrying one 32-bit value
 each, so every transferred word costs 16 bytes on the wire: 4x the payload.
 
-The host side of a run copies each stream about once and interprets
-nothing per element.  A gather or scatter goes through a strided view of the
-array (one per access, bounds checked at the access's affine extremes), never
-through index arrays.  What it needs of the graph (``GraphIo``: the streamed
-Inputs, the Outputs and the written arrays) is listed once per graph, so a
-call on a cached mapping does not rescan it.  The engine runs the program over
-fixed-width column blocks of the streams, so its scratch stays small
-whatever the stream length.  ``lower_dfg`` lowers a graph for the host
+The host side of a run interprets nothing per element and builds no
+full-length input stream.  A gather or scatter goes through a strided view of
+the array (one per access, bounds checked at the access's affine extremes),
+never through index arrays.  The run copies each block of positions straight
+from the gather's views into the engine's scratch, so each input value is
+copied once, and a read that a loop does not index (a stride-0 view) is read
+in place rather than expanded.  What a gather or scatter needs of the graph
+(``GraphIo``: the streamed Inputs, the Outputs and the written arrays) is
+listed once per graph, so a call on a cached mapping does not rescan it.  The
+engine runs over blocks of at most ``_BLOCK`` positions, so its scratch stays
+small whatever the stream length.  ``lower_dfg`` lowers a graph for the host
 without placement, and ``run_epilogue`` runs the unroll-1 graph so lowered
 over the leftover innermost iterations of an unrolled call.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -241,44 +245,79 @@ def lower_dfg(g: DataFlowGraph) -> Program:
 _BLOCK = 1 << 14
 
 
-def _run_blocked(program: Program, streams: dict[int, np.ndarray],
-                 length: int) -> dict[int, np.ndarray]:
-    """Run ``program`` over ``length`` positions, one column block at a time.
+def _pieces(shape: tuple[int, ...]):
+    """Tile a box of ``shape`` into pieces of at most _BLOCK positions.
 
-    Each block's inputs are copied into an (n_slots, block) scratch array,
-    the engine runs on it, and its output slots are copied out.
+    Yields (index, piece shape) in row-major order.  An index is leading
+    integers plus a slice of the next axis, which takes whole rows of the
+    axes after it: the axis sliced is the outermost whose rows fit in
+    _BLOCK, and an innermost row wider than _BLOCK is itself sliced.  A 1-D
+    box is cut every _BLOCK positions.
     """
+    if 0 in shape:
+        return
+    axis, row = len(shape) - 1, 1
+    while axis > 0 and row * shape[axis] <= _BLOCK:
+        row *= shape[axis]
+        axis -= 1
+    step, rest = _BLOCK // row, shape[axis + 1:]
+    for lead in itertools.product(*map(range, shape[:axis])):
+        for lo in range(0, shape[axis], step):
+            hi = min(lo + step, shape[axis])
+            yield (*lead, slice(lo, hi)), (hi - lo, *rest)
+
+
+def _run_blocked(program: Program, streams: dict[int, np.ndarray],
+                 shape: tuple[int, ...]) -> dict[int, np.ndarray]:
+    """Run ``program`` over a box of ``shape``, one piece at a time.
+
+    Every stream has ``shape``: a 1-D stream or a strided view of an array.
+    Each piece's inputs are copied straight from the streams into rows of an
+    (n_slots, _BLOCK) scratch array, cast to int32 on the way, the engine
+    runs on it, and its output slots are copied out.  Outputs are fresh 1-D
+    int32 streams, one position per point of the box in row-major order.
+    """
+    length = math.prod(shape)
     values = np.zeros((program.n_slots, min(length, _BLOCK)), dtype=np.int32)
     for slot, value in program.const_fill:
         values[slot] = value
-    inputs = [(slot, np.asarray(streams[tag]))
-              for tag, slot in program.input_slots.items()]
+    inputs = [(slot, streams[tag]) for tag, slot in program.input_slots.items()]
     outputs = {tag: np.empty(length, dtype=np.int32) for tag in program.output_slots}
-    for lo in range(0, length, _BLOCK):
-        hi = min(lo + _BLOCK, length)
+    lo = 0
+    for index, piece in _pieces(shape):
+        hi = lo + math.prod(piece)
         block = values[:, :hi - lo]
         for slot, stream in inputs:
-            block[slot] = stream[lo:hi]
+            block[slot].reshape(piece)[...] = stream[index]
         if len(program.instrs):
             engine.get_runner()(program.instrs, block)
         for tag, slot in program.output_slots.items():
             outputs[tag][lo:hi] = block[slot]
+        lo = hi
     return outputs
 
 
 def run_compiled(program: Program, streams: dict[int, np.ndarray]) -> RunReport:
-    """Execute a lowered program over input streams keyed by tag."""
+    """Execute a lowered program over input streams keyed by tag.
+
+    The streams share one shape: 1-D streams as ``build_streams`` makes
+    them, or the N-D views ``stream_views`` makes, read in row-major order
+    without a full-length copy.  A run covers ``prod(shape)`` positions, and
+    its output streams are fresh 1-D int32 arrays of that length.
+    """
     missing = set(program.input_slots) - set(streams)
     extra = set(streams) - set(program.input_slots)
     if missing or extra:
         raise UnconfiguredTag(f"missing input tags {sorted(missing)}, "
                               f"unexpected {sorted(extra)}")
-    lengths = {len(v) for v in streams.values()}
-    if len(lengths) > 1:
-        raise LengthMismatch(f"input stream lengths differ: {sorted(lengths)}")
-    length = lengths.pop() if lengths else 0
+    streams = {tag: np.asarray(s) for tag, s in streams.items()}
+    shapes = {s.shape for s in streams.values()}
+    if len(shapes) > 1:
+        raise LengthMismatch(f"input stream shapes differ: {sorted(shapes)}")
+    shape = shapes.pop() if shapes else (0,)
 
-    outputs = _run_blocked(program, streams, length)
+    outputs = _run_blocked(program, streams, shape)
+    length = math.prod(shape)
     frames_in = len(program.input_slots) * length
     frames_out = len(program.output_slots) * length
     return RunReport(
@@ -404,12 +443,11 @@ def _loop_positions(trips: list[tuple[str, int]]) -> dict[str, int]:
 def _gather(reads: tuple[tuple[int, IoBinding], ...],
             arrays: dict[str, np.ndarray], trips: list[tuple[str, int]],
             counts: list[int], starts: list[int]) -> dict[int, np.ndarray]:
+    """Each read's view over the box, keyed by node id; every view is built
+    and bounds checked before this returns."""
     loop = _loop_positions(trips)
-    streams: dict[int, np.ndarray] = {}
-    for nid, binding in reads:
-        view = _view(_supplied(arrays, binding.array), binding, loop, counts, starts)
-        streams[nid] = np.array(view, dtype=np.int32, order="C").reshape(-1)
-    return streams
+    return {nid: _view(_supplied(arrays, binding.array), binding, loop, counts, starts)
+            for nid, binding in reads}
 
 
 def _scatter(writes: tuple[tuple[int, IoBinding], ...],
@@ -434,21 +472,36 @@ def _scatter(writes: tuple[tuple[int, IoBinding], ...],
         view[...] = stream.astype(np.int32, copy=False).reshape(counts)
 
 
-def build_streams(g: DataFlowGraph, arrays: dict[str, np.ndarray],
-                  trips: list[tuple[str, int]],
-                  io: Optional[GraphIo] = None) -> dict[int, np.ndarray]:
-    """Gather one tagged input stream per Input node over the iteration domain.
+def stream_views(g: DataFlowGraph, arrays: dict[str, np.ndarray],
+                 trips: list[tuple[str, int]],
+                 io: Optional[GraphIo] = None) -> dict[int, np.ndarray]:
+    """One input stream per Input node over the iteration domain, as a view.
 
     ``trips`` lists (loop var, trip count) outer to inner.  Streams cover the
     unrolled steady state only; leftover innermost iterations (the graph's
     remainder annotation) are the epilogue's job.  Constants folded into the
     configuration are not streamed, nor are Inputs that nothing reads: the
-    placer binds no port for them.  Each stream is a fresh 1-D int32 array,
-    one position per point of the domain in row-major order.  ``io`` is
-    ``graph_io(g)``, built here when not given.
+    placer binds no port for them.  Each stream is a strided view of its
+    array (or an empty array) of the domain's shape, one loop per axis, in
+    the array's dtype; nothing is copied, and a read that does not use a
+    loop variable has stride 0 along it.  ``run_compiled`` takes the views
+    as they are.  Raises OutOfBounds, before any view is returned, when an
+    access leaves its array.  ``io`` is ``graph_io(g)``, built here when not
+    given.
     """
     reads = (io or graph_io(g)).reads
     return _gather(reads, arrays, trips, *_steady_box(g, trips))
+
+
+def build_streams(g: DataFlowGraph, arrays: dict[str, np.ndarray],
+                  trips: list[tuple[str, int]],
+                  io: Optional[GraphIo] = None) -> dict[int, np.ndarray]:
+    """``stream_views`` copied out: each stream a fresh 1-D int32 array, one
+    position per point of the domain in row-major order, as the frames dump
+    writes them.
+    """
+    return {nid: np.array(view, dtype=np.int32, order="C").reshape(-1)
+            for nid, view in stream_views(g, arrays, trips, io).items()}
 
 
 def write_back(g: DataFlowGraph, report: RunReport,
@@ -475,17 +528,18 @@ def run_epilogue(g: DataFlowGraph, program: Program,
 
     ``g`` is the kernel's unroll-1 graph, ``program`` is ``lower_dfg(g)``
     and ``io`` is ``graph_io(g)``, built here when not given.  Every outer
-    iteration is covered: the box is the leftover columns, which are
-    gathered, run through the blocked loop and scattered.  Results are
-    written into ``arrays`` in place, so its written arrays must be the
-    call's own copies, as ``write_back`` returns them.  Nothing crosses the
-    modelled wire, and no RunReport is made.  Raises OutOfBounds as a
-    gather does.
+    iteration is covered: the box is the leftover columns.  Their views are
+    built and bounds checked first, the blocked run copies from them, and
+    the outputs are scattered once the whole run is done, so no read sees a
+    write.  Results are written into ``arrays`` in place, so its written
+    arrays must be the call's own copies, as ``write_back`` returns them.
+    Nothing crosses the modelled wire, and no RunReport is made.  Raises
+    OutOfBounds as a gather does, before anything is written.
     """
     io = io or graph_io(g)
     counts = [n for _, n in trips]
     starts = [0] * len(trips)
     counts[-1], starts[-1] = leftover, trips[-1][1] - leftover
-    streams = _gather(io.reads, arrays, trips, counts, starts)
-    outputs = _run_blocked(program, streams, math.prod(counts))
+    views = _gather(io.reads, arrays, trips, counts, starts)
+    outputs = _run_blocked(program, views, tuple(counts))
     _scatter(io.writes, outputs, arrays, trips, counts, starts)

@@ -1,19 +1,24 @@
 """What the benchmark in ``offloadbench/`` uses of the program.
 
-The benchmark wraps the functions its tracer names and builds runtimes with
-a fixed set of keywords.  A change that renames or drops one of them breaks
-the benchmark run; these tests make it fail here as well.
+The benchmark wraps the functions its tracer names, builds runtimes with a
+fixed set of keywords, and reads each call's device time from the text of
+its trace.  A change that renames or drops one of them, or changes that
+text, breaks the benchmark run; these tests make it fail here as well.
 """
 
 import importlib
 import runpy
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from dfeoffload import CostModel, OffloadRuntime, OverlayShape, PlacerParams, engine
+from dfeoffload import (CostModel, OffloadRuntime, OverlayShape, PlacerParams,
+                        corpus, engine)
+from dfeoffload.kernels import allocate_arrays
 
-TRACER = Path(__file__).resolve().parent.parent / "offloadbench" / "tracer.py"
+BENCH = Path(__file__).resolve().parent.parent / "offloadbench"
+TRACER = BENCH / "tracer.py"
 LAYER_FUNCTIONS = runpy.run_path(str(TRACER))["LAYER_FUNCTIONS"]
 
 
@@ -36,3 +41,22 @@ def test_the_runtime_takes_the_keywords_the_workloads_pass():
                         cost_model=CostModel(software_time_per_call=10.0), seed=0,
                         placer_params=PlacerParams(global_budget=20_000))
     assert rt.placer_params.global_budget == 20_000
+
+
+def test_the_benchmark_reads_each_calls_device_time_from_its_trace(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    model = CostModel(software_time_per_call=10.0)
+    rt = OffloadRuntime(OverlayShape(6, 6), cost_model=model, seed=3)
+    kernel = corpus.load("gemm")
+    params = {"M": 7, "N": 9}
+    arrays = allocate_arrays(kernel, params, np.random.default_rng(0))
+    stats = rt.analyze(kernel).stats
+    frames = (stats.inputs + stats.outputs) * params["M"] * params["N"]
+    wire = 16 * frames / model.wire_rate
+    # three device figures, each printed to 0.1 us
+    for setup in (model.config_time, 0.0):  # a miss, then a hit
+        _, trace = rt.execute(kernel, arrays, params)
+        assert workloads.ran_on_overlay(trace)
+        assert workloads.device_seconds(trace) == pytest.approx(
+            setup + model.const_transfer_time + wire, rel=0, abs=2e-7)

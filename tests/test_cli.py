@@ -240,6 +240,20 @@ def test_bench_with_fewer_than_one_seed_exits_1(monkeypatch, tmp_path, capsys, s
     assert list(tmp_path.iterdir()) == []
 
 
+def test_bench_parses_every_file_before_any_sweep(monkeypatch, tmp_path, capsys):
+    bad = tmp_path / "bad.k"
+    bad.write_text("kernel bad(N)\nfor i in 0..N {\n")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "place_and_route", _refuse)
+    rc = cli.main(["bench", str(corpus.kernel_path("gemm")), str(bad), "--sizes", "4x4",
+                   "-o", "bench.csv"])
+    out = capsys.readouterr()
+    assert rc == cli.EXIT_PARSE
+    assert out.out == ""
+    assert out.err.startswith(f"parse error: {bad}: ")
+    assert list(tmp_path.iterdir()) == [bad]
+
+
 def test_analyze_takes_no_unroll_factor(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["analyze", str(corpus.kernel_path("gemm")), "--unroll", "2"])

@@ -10,6 +10,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -391,6 +392,27 @@ def test_every_leftover_runs_on_the_host_as_software_would(monkeypatch, name, un
             assert np.array_equal(a, before[k]), k
         _assert_matches_software(kernel, arrays, params, out)
     assert software == []
+
+
+def test_an_offloaded_call_builds_no_full_length_input_stream():
+    # gemm at unroll 2 on 8x8 streams 18 inputs over 707 rows of 353 lane
+    # blocks.  As int32 streams they would take 18 MB; a cached call holds
+    # the result array, the output streams and the engine's scratch.
+    kernel = corpus.load("gemm")
+    params = {"M": 707, "N": 707}
+    arrays = allocate_arrays(kernel, params, np.random.default_rng(0))
+    rt = OffloadRuntime(OverlayShape(8, 8), cost_model=OFFLOAD, unroll=2)
+    rt.execute(kernel, arrays, params)  # maps and caches
+    tracemalloc.start()
+    try:
+        _, trace = rt.execute(kernel, arrays, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _phases(trace)[:3] == ["analysis", "cache", "decision"]
+    assert "compute" in _phases(trace)
+    stream_bytes = rt.analyze(kernel).stats.inputs * 707 * (707 // 2) * 4
+    assert peak < stream_bytes / 2, (peak, stream_bytes)
 
 
 def test_an_out_of_range_read_in_the_leftover_columns_raises_what_software_raises(

@@ -1,10 +1,11 @@
 """Simulator: gather, lowering and the run, against ``dfg.interpret_dfg``."""
 
+import math
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dfeoffload import corpus, engine, simulator
 from dfeoffload.dfg import (AffineExpr, DataFlowGraph, IoBinding, LengthMismatch,
@@ -16,7 +17,8 @@ from dfeoffload.placer import place_and_route
 from dfeoffload.runtime import trip_counts
 from dfeoffload.simulator import (OutOfBounds, RunReport, build_streams,
                                   compile_config, dump_frames, load_frames,
-                                  lower_dfg, run_compiled, write_back)
+                                  lower_dfg, run_compiled, stream_views,
+                                  write_back)
 
 
 def test_an_input_that_nothing_reads_is_not_streamed():
@@ -313,3 +315,95 @@ def test_run_compiled_equals_interpret_dfg_across_block_edges(
         assert report.frames_in == len(streams) * length
         assert report.frames_out == len(g.outputs()) * length
         assert report.cycles == program.depth + length
+
+
+@pytest.mark.parametrize("block", [1, 4, 5, 12, 64])
+@pytest.mark.parametrize("shape", [(7,), (70,), (3, 5), (5, 3), (2, 13), (2, 3, 4),
+                                   (4, 1, 9), (1, 1, 1), (0,), (0, 3), (3, 0)])
+def test_pieces_tile_the_box_once_in_row_major_order(monkeypatch, block, shape):
+    monkeypatch.setattr(simulator, "_BLOCK", block)
+    box = np.arange(math.prod(shape)).reshape(shape)
+    seen, widths = [], []
+    for index, piece in simulator._pieces(shape):
+        assert box[index].shape == piece
+        widths.append(math.prod(piece))
+        seen.extend(box[index].reshape(-1).tolist())
+    assert seen == list(range(box.size))
+    assert all(1 <= w <= block for w in widths)
+    if len(shape) == 1:  # a 1-D stream is cut every block positions
+        assert widths == [min(block, box.size - lo) for lo in range(0, box.size, block)]
+
+
+def _summing_graph(reads, factor):
+    """``_graph(reads)`` with one Output per Input: the Input plus the Input
+    before it, so that streams running out of step show in the outputs.  An
+    Output is bound to its Input's read; nothing scatters it here."""
+    g = _graph(reads, factor=factor)
+    inputs = g.inputs()
+    for prev, nid in zip(inputs[-1:] + inputs[:-1], inputs):
+        add = g.add_node(NodeKind.OP, code=OpCode.ADD)
+        g.add_edge(nid, add, 0)
+        g.add_edge(prev, add, 1)
+        out = g.add_node(NodeKind.OUTPUT)
+        g.add_edge(add, out, 0)
+        g.io_bindings[out] = g.io_bindings[nid]
+    return g
+
+
+def _source_array(rng, shape, layout, dtype):
+    """An array of ``shape`` laid out as C, Fortran, sliced, reversed or
+    "broadcast": one row repeated along the other axes with stride 0.  An
+    int64 array holds values beyond int32, which a stream wraps."""
+    values = rng.integers(-2**31, 2**31, shape)
+    if dtype == np.int64:
+        values += rng.integers(-3, 4, shape) << 32
+    values = values.astype(dtype)
+    if layout == "fortran":
+        return np.asfortranarray(values)
+    if layout == "reversed":
+        return values[(slice(None, None, -1),) * len(shape)]
+    if layout == "sliced":
+        arr = np.zeros(tuple(2 * n + 1 for n in shape), dtype)[(slice(1, None, 2),) * len(shape)]
+        arr[...] = values
+        return arr
+    if layout == "broadcast":
+        return np.broadcast_to(values[(0,) * (len(shape) - 1)], shape)
+    return values
+
+
+@pytest.mark.parametrize("block", [1, 5, 64])
+@settings(max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(domain=_domains(), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_run_compiled_runs_views_as_it_runs_built_streams(monkeypatch, block, domain,
+                                                          data, seed):
+    monkeypatch.setattr(simulator, "_BLOCK", block)
+    trips, factor = domain
+    rng = np.random.default_rng(seed)
+    arrays, reads = {}, []
+    for name in ("A", "B", "C"):
+        shape, binding = data.draw(_reads(trips, factor, name))
+        layout = data.draw(st.sampled_from(["C", "fortran", "sliced", "reversed",
+                                            "broadcast"]))
+        idx, ok = _reference(binding, trips, factor, shape)
+        if ok or not len(idx[0]):
+            arrays[name] = _source_array(rng, shape, layout, data.draw(_DTYPES))
+            reads.append(binding)
+    before = {name: a.copy() for name, a in arrays.items()}
+    g = _summing_graph(reads, factor)
+    program = lower_dfg(g)
+    views = stream_views(g, arrays, trips)
+    box = tuple(_steady_counts(trips, factor))
+    for nid, binding in zip(g.inputs(), reads):
+        assert views[nid].shape == box
+        assert not views[nid].size or np.shares_memory(views[nid], arrays[binding.array])
+    got = run_compiled(program, views)
+    want = run_compiled(program, build_streams(g, arrays, trips))
+    assert (got.frames_in, got.frames_out, got.cycles, got.bytes_on_wire) == (
+        want.frames_in, want.frames_out, want.cycles, want.bytes_on_wire)
+    assert sorted(got.outputs) == sorted(want.outputs) == g.outputs()
+    for tag, stream in got.outputs.items():
+        assert stream.dtype == np.int32 and stream.shape == (math.prod(box),)
+        assert np.array_equal(stream, want.outputs[tag]), tag
+    for name, a in arrays.items():
+        assert np.array_equal(a, before[name])
