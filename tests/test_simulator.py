@@ -1,5 +1,6 @@
 """Simulator: gather, lowering and the run, against ``dfg.interpret_dfg``."""
 
+import hashlib
 import math
 import struct
 
@@ -13,7 +14,7 @@ from dfeoffload.dfg import (AffineExpr, DataFlowGraph, IoBinding, LengthMismatch
 from dfeoffload.frontend import extract_dfg
 from dfeoffload.kernels import allocate_arrays
 from dfeoffload.overlay import OverlayShape
-from dfeoffload.placer import place_and_route
+from dfeoffload.placer import PlacerParams, place_and_route
 from dfeoffload.runtime import trip_counts
 from dfeoffload.simulator import (OutOfBounds, RunReport, build_streams,
                                   compile_config, dump_frames, load_frames,
@@ -37,6 +38,63 @@ def test_an_input_that_nothing_reads_is_not_streamed():
     want = interpret_dfg(g, {**{nid: s.tolist() for nid, s in streams.items()},
                              unread: streams[first].tolist()})
     assert {tag: s.tolist() for tag, s in report.outputs.items()} == want
+
+
+# -- the lowering of placed configs ----------------------------------------------------
+
+# One digest per placer seed 0..3 of each lowered (kernel, unroll): unroll 1
+# on 6x6 and unroll 2 on 8x8, at a placer budget of 20,000.
+_PROGRAM_DIGESTS = {
+    ("2mm", 1): ("d6b5f067d8ae154c", "14f2158fef100c87", "c9d3268c3b3a928b", "d8d5844d682ee848"),
+    ("3mm", 1): ("5a31c55c934056a2", "55bd6b10a36dea5c", "abb6edd0f33aff43", "9c193c4da0fde4eb"),
+    ("atax", 1): ("002240478c7b305e", "bc71bc20599c6988", "d36cbe7c285f8627", "1b848cf9ebc041cb"),
+    ("bicg", 1): ("2f31ffb5e6983f94", "5e9cdcf439a78da4", "34a8074bd78fe749", "a24befffbb89ae85"),
+    ("branchmix", 1): ("1ba212b8a26f37dd", "c092308520d65511", "61fc94f7c160289c",
+                       "bd66f56ff5c15ce1"),
+    ("gemm", 1): ("72fdb7b22252ca13", "a9a5fc0b65b4167e", "68ee71165a287b74", "3a1256dac7b75b76"),
+    ("gemver", 1): ("5ce5a25107458e95", "5c267beded04e245", "e447a30dfc0fa2c6",
+                    "5329a650d4432fa2"),
+    ("gesummv", 1): ("021f6bda2644732e", "d5c2bb6aa1026c91", "1e40d45e8f5d8ff0",
+                     "1ac9842635bf7f92"),
+    ("mvt", 1): ("b043a6516a5e7455", "831bf9449d1545b1", "c97ec19dc664f4db", "4f09fe5ce778d9a0"),
+    ("symm", 1): ("99588bddeb97c48e", "e7887e84ce5ef12d", "333ead887ff274c9", "e47fb95f72e62739"),
+    ("syr2k", 1): ("a0673531b9289a74", "b86450419be4abb0", "81ab24d76ac839b7", "b22c0b6ed329d2f1"),
+    ("syrk", 1): ("4cf93ec484d2d565", "4584fd951d492fca", "c21ec0c46662b0c7", "f464f4efd7192599"),
+    ("trmm", 1): ("4a30b87ff7130dff", "06c0ef3ea59d1b77", "92916bd0ae6194f1", "723fb7017292120b"),
+    ("2mm", 2): ("2dbd9ca02d283ac4", "464a70f239066771", "dab0932f09259464", "e5716133eaae6b11"),
+    ("atax", 2): ("e87fe2d6ab165592", "321adb624fd6ecbe", "09153dd4774499fa", "af35e22b06072fb8"),
+    ("bicg", 2): ("01ad514f0cbd1f19", "71be605af6862229", "aee44eba3ccbd14d", "4d4583f188c1aa08"),
+    ("branchmix", 2): ("36a48a2901909433", "975b133c079aff6b", "e69f02f205b00b42",
+                       "69fe0f4eb6d16b60"),
+    ("gemm", 2): ("727899f0bd796baf", "e55eba60653a08bb", "bdf34f7c7c86bf28", "99fa64dd6f3f82b4"),
+    ("gemver", 2): ("5f5ef8801d9587ed", "75c60a8740cba019", "b0462c06f9e7142c",
+                    "2b3ea56c09f1ff68"),
+    ("gesummv", 2): ("74016bfd757612a0", "27e4f1559e5a937a", "db7e3430df9a4ed3",
+                     "683f197af480836f"),
+    ("mvt", 2): ("d6b201f0b1a887c1", "0803dde2504af24e", "2e2e3248e29a1757", "b7e26fb9b747d7c5"),
+    ("symm", 2): ("309b7c9a75339a73", "4f567d254d4c3920", "b3f63baa937af80e", "a3ce9981de2d82a4"),
+    ("syr2k", 2): ("3d52171461f68b51", "328fd2e4e12d4a89", "41d22e5cdf0a1f0c", "1e2c4b0d378347c3"),
+    ("syrk", 2): ("e31ad76bf2aa247e", "e8c852efa90edad4", "7d97311e8313b4db", "99ed0dfe83b0d4d6"),
+    ("trmm", 2): ("25b7be44b58c94c3", "bb878ce518f8698c", "35ce46dc3f294509", "bfb753c23a069499"),
+}
+
+
+def _program_digest(program: simulator.Program) -> str:
+    """Every field of a program, slot numbers and dict order included."""
+    fields = (program.n_slots, program.instrs.tolist(), program.const_fill,
+              list(program.input_slots.items()), list(program.output_slots.items()),
+              program.depth)
+    return hashlib.sha1(repr(fields).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name, unroll", list(_PROGRAM_DIGESTS))
+def test_placed_configs_lower_to_the_pinned_programs(name, unroll):
+    g = extract_dfg(corpus.load(name), unroll)
+    shape = OverlayShape(6, 6) if unroll == 1 else OverlayShape(8, 8)
+    got = tuple(_program_digest(compile_config(
+        place_and_route(g, shape, PlacerParams(global_budget=20_000), seed).apply()))
+        for seed in range(4))
+    assert got == _PROGRAM_DIGESTS[(name, unroll)]
 
 
 def test_frames_are_tag_value_and_eight_zero_bytes():
