@@ -25,9 +25,8 @@ from .frontend import (EligibilityReport, IneligibleKernel, Thresholds,
 from .overlay import OverlayShape, config_to_dot, config_to_text, serialize_config
 from .placer import PlacerParams, Unroutable, place_and_route
 from .runtime import (CostModel, OffloadRuntime, analyze_kernel,
-                      estimate_offload_time, run_offloaded, stream_length,
-                      trip_counts)
-from .simulator import OutOfBounds, build_streams, dump_frames
+                      estimate_offload_time, run_offloaded, trip_counts)
+from .simulator import OutOfBounds, build_streams, dump_frames, stream_length
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -245,13 +244,17 @@ def cmd_bench(args) -> int:
         except kl.KernelSyntaxError as exc:
             print(f"parse error: {path}: {exc}", file=sys.stderr)
             return EXIT_PARSE
-    rows = []
+    # every accepted kernel's --param names are checked before any sweep
+    accepted = []
     for name, kernel in kernels:
         # without a node limit an accepted kernel is never UnrollTooLarge
         analysis = analyze_kernel(kernel, args.unroll, Thresholds(min_nodes=args.min_nodes))
         if isinstance(analysis, EligibilityReport):
             continue
         trips = trip_counts(analysis.loops, _param_values(kernel, args.params, args.size))
+        accepted.append((name, analysis, trips))
+    rows = []
+    for name, analysis, trips in accepted:
         n_iter = stream_length(analysis.dfg, trips)
         est = estimate_offload_time(analysis.stats, n_iter, CostModel(), cached=True)
         for shape in shapes:

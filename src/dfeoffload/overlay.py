@@ -13,7 +13,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .dfg import INT32_MAX, INT32_MIN, OP_ARITY, OpCode, Violation
 
@@ -133,30 +133,19 @@ def new_overlay(rows: int, cols: int) -> OverlayConfig:
     return OverlayConfig(shape, {rc: CellConfig() for rc in shape.cells()})
 
 
-@dataclass(frozen=True)
-class BorderOrigin:
-    r: int
-    c: int
-    side: Direction
-
-
-@dataclass(frozen=True)
-class CellOrigin:
-    r: int
-    c: int
-
-
-Origin = Union[BorderOrigin, CellOrigin]
+# Where a traced value comes from: a border input port (r, c, side), keyed as
+# in ``OverlayConfig.io_in``, or the cell (r, c) whose FU produces it.
+Origin = Union[tuple[int, int, Direction], tuple[int, int]]
 
 
 def trace_port(cfg: OverlayConfig, cell: tuple[int, int],
                port: Direction) -> tuple[Origin, int]:
     """Walk an input pin backwards through pass-through outputs to its source.
 
-    Returns the border input interface or the cell whose FU produces the
-    value, and the number of cell outputs the value passes on the way;
-    raises UnroutedPort when the chain hits a disabled output or comes back
-    to a port it passed (a loop of pass-through outputs).
+    Returns the value's origin, a border input port or an FU cell, and the
+    number of cell outputs the value passes on the way; raises UnroutedPort
+    when the chain hits a disabled output or comes back to a port it passed
+    (a loop of pass-through outputs).
     """
     r, c = cell
     d = port
@@ -167,13 +156,13 @@ def trace_port(cfg: OverlayConfig, cell: tuple[int, int],
         seen.add((r, c, d))
         nb = cfg.shape.neighbor(r, c, d)
         if nb is None:
-            return BorderOrigin(r, c, d), len(seen) - 1
+            return (r, c, d), len(seen) - 1
         sel = cfg.cell(*nb).out_sel[opposite(d)]
         if sel is None:
             raise UnroutedPort(f"cell ({nb[0]},{nb[1]}) output "
                                f"{opposite(d).name} is disabled")
         if sel == FU:
-            return CellOrigin(*nb), len(seen)
+            return nb, len(seen)
         r, c = nb
         d = sel
 
@@ -193,13 +182,13 @@ def _fed_pins(cell: CellConfig) -> dict[Pin, str]:
     return fed
 
 
-def fu_order(deps: dict[tuple[int, int], set[tuple[int, int]]]
-             ) -> Optional[list[tuple[int, int]]]:
+def _fu_order(deps: dict[tuple[int, int], set[Origin]]
+              ) -> Optional[list[tuple[int, int]]]:
     """The FU cells of ``deps`` in data-dependency order, or None on a cycle.
 
-    ``deps`` maps each FU cell to the cells whose FU results its pins read;
-    reads of cells that are not keys are ignored.  Each round takes every
-    cell whose reads are all ordered, in cell order.
+    ``deps`` maps each FU cell to the origins its pins read; origins that
+    are not keys are ignored.  Each round takes every cell whose reads are
+    all ordered, in cell order.
     """
     remaining = {rc: ds & deps.keys() for rc, ds in deps.items()}
     order: list[tuple[int, int]] = []
@@ -215,13 +204,30 @@ def fu_order(deps: dict[tuple[int, int], set[tuple[int, int]]]
     return order
 
 
-def validate_config(cfg: OverlayConfig) -> list[Violation]:
-    """All invariant violations, each naming the offending cell and port.
+class ConfigTrace(NamedTuple):
+    """What one pass over a config finds.
+
+    ``pins`` maps each wired FU pin, as (cell, Pin), and ``outputs`` each
+    enabled cell output, as (r, c, side), to the (origin, hops) of its
+    value, as ``trace_port`` gives them; an output of the FU result is its
+    own cell at 0 hops.  A route that does not trace is a violation and has
+    no entry.  ``order`` is the FU cells in data-dependency order, or None
+    on a cycle or when cells are missing.
+    """
+
+    violations: list[Violation]
+    pins: dict[tuple[tuple[int, int], Pin], tuple[Origin, int]]
+    outputs: dict[tuple[int, int, Direction], tuple[Origin, int]]
+    order: Optional[list[tuple[int, int]]]
+
+
+def trace_config(cfg: OverlayConfig) -> ConfigTrace:
+    """Check every invariant of ``cfg`` and trace each route once.
 
     Every wired FU pin and every forwarding output is traced to its source,
     so a loop of pass-through outputs shows as ``unrouted`` ("routing cycle
     at ..."); FUs that read one another's results in a loop are a ``cycle``.
-    ``simulator.compile_config`` runs this once per config it lowers.
+    ``simulator.compile_config`` lowers a config from this one pass.
     """
     out: list[Violation] = []
     shape = cfg.shape
@@ -233,7 +239,8 @@ def validate_config(cfg: OverlayConfig) -> list[Violation]:
         if extra:
             out.append(Violation("extra-cell", f"{sorted(extra)}"))
     if out:
-        return out  # the checks below look up cells by grid position
+        # the checks below look up cells by grid position
+        return ConfigTrace(out, {}, {}, None)
 
     for (r, c), cell in sorted(cfg.cells.items()):
         where = f"cell ({r},{c})"
@@ -282,40 +289,52 @@ def validate_config(cfg: OverlayConfig) -> list[Violation]:
 
     # every consumer must resolve to a border input or an FU, consumed
     # border inputs must carry a stream tag, and the FUs must have an order
-    used_border: set[tuple[int, int, Direction]] = set()
-    deps: dict[tuple[int, int], set[tuple[int, int]]] = {}
+    pins: dict[tuple[tuple[int, int], Pin], tuple[Origin, int]] = {}
+    outputs: dict[tuple[int, int, Direction], tuple[Origin, int]] = {}
+    used_border: set[Origin] = set()
+    deps: dict[tuple[int, int], set[Origin]] = {}
 
-    def trace(r, c, d, what) -> Optional[Origin]:
+    def trace(table, key, rc, d, what) -> None:
         try:
-            origin, _ = trace_port(cfg, (r, c), d)
+            origin, hops = trace_port(cfg, rc, d)
         except UnroutedPort as exc:
             out.append(Violation("unrouted", f"{what}: {exc}"))
-            return None
-        if isinstance(origin, BorderOrigin):
-            used_border.add((origin.r, origin.c, origin.side))
-        return origin
+            return
+        table[key] = origin, hops
+        if len(origin) == 3:
+            used_border.add(origin)
 
     for (r, c), cell in sorted(cfg.cells.items()):
-        reads = set()
         for pin in Pin:
             d = cell.pin_select(pin)
             if d is not None:
-                origin = trace(r, c, d, f"cell ({r},{c}) {pin.name}")
-                if isinstance(origin, CellOrigin):
-                    reads.add((origin.r, origin.c))
+                trace(pins, ((r, c), pin), (r, c), d, f"cell ({r},{c}) {pin.name}")
         if cell.fu_op is not None:
-            deps[(r, c)] = reads
+            deps[(r, c)] = {pins[((r, c), pin)][0] for pin in Pin if ((r, c), pin) in pins}
         for d in Direction:
             sel = cell.out_sel[d]
-            if isinstance(sel, Direction):
-                trace(r, c, sel, f"cell ({r},{c}) out {d.name}")
+            if sel == FU:
+                outputs[(r, c, d)] = (r, c), 0
+            elif sel is not None:
+                trace(outputs, (r, c, d), (r, c), sel, f"cell ({r},{c}) out {d.name}")
     for port in used_border:
         if port not in cfg.io_in:
             r, c, d = port
             out.append(Violation("untagged-input", f"({r},{c}) {d.name}"))
-    if fu_order(deps) is None:
+    order = _fu_order(deps)
+    if order is None:
         out.append(Violation("cycle", "functional units form a cycle"))
-    return out
+    return ConfigTrace(out, pins, outputs, order)
+
+
+def validate_config(cfg: OverlayConfig) -> list[Violation]:
+    """All invariant violations, each naming the offending cell and port.
+
+    These are ``trace_config``'s violations, without its route tables.
+    ``simulator.compile_config`` runs ``trace_config`` itself, so a config
+    it lowers is traced once and not validated here first.
+    """
+    return trace_config(cfg).violations
 
 
 # -- serialization -----------------------------------------------------------------
@@ -451,10 +470,9 @@ def config_to_dot(cfg: OverlayConfig) -> str:
         lines.append(f'  o{tag} [label="out {tag}", shape=box];')
 
     def origin_name(origin: Origin) -> str:
-        if isinstance(origin, BorderOrigin):
-            tag = cfg.io_in.get((origin.r, origin.c, origin.side))
-            return f"i{tag}"
-        return f"c{origin.r}_{origin.c}"
+        if len(origin) == 3:
+            return f"i{cfg.io_in.get(origin)}"
+        return f"c{origin[0]}_{origin[1]}"
 
     for (r, c), cell in sorted(cfg.cells.items()):
         for pin in Pin:

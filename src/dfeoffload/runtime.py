@@ -36,7 +36,7 @@ from .overlay import OverlayShape
 from .placer import Placement, PlacerParams, Unroutable, place_and_route
 from .simulator import (FRAME_SIZE, GraphIo, OutOfBounds, Program, RunReport,
                         compile_config, graph_io, lower_dfg, run_compiled,
-                        run_epilogue, stream_views, write_back)
+                        run_epilogue, stream_length, stream_views, write_back)
 
 
 @dataclass
@@ -272,15 +272,6 @@ def trip_counts(loops, params: dict[str, int]) -> list[tuple[str, int]]:
     """
     return [(f.var, max(f.bound if isinstance(f.bound, int) else params[f.bound], 0))
             for f in loops]
-
-
-def stream_length(dfg: DataFlowGraph, trips: list[tuple[str, int]]) -> int:
-    """Stream positions per run: the unrolled steady-state domain size."""
-    stride = dfg.remainder.factor if dfg.remainder is not None else 1
-    n = 1
-    for _, count in trips[:-1]:
-        n *= count
-    return n * (trips[-1][1] // stride)
 
 
 def _leftover(dfg: DataFlowGraph, trips: list[tuple[str, int]]) -> int:

@@ -32,8 +32,7 @@ import numpy as np
 
 from . import engine
 from .dfg import DataFlowGraph, IoBinding, LengthMismatch, NodeKind, OpCode
-from .overlay import (FU, BorderOrigin, CellOrigin, Direction, Origin,
-                      OverlayConfig, Pin, fu_order, trace_port, validate_config)
+from .overlay import Origin, OverlayConfig, Pin, trace_config
 
 FRAME_SIZE = 16  # bytes: tag(4) + value(4) + reserved zeros(8)
 
@@ -111,97 +110,57 @@ def compile_config(cfg: OverlayConfig) -> Program:
     """Validate and lower a configuration to a flat execution program.
 
     The one place a config is validated: every path that runs or writes a
-    config lowers it here first.  Raises InvalidConfig on any violation.
+    config lowers it here first.  One ``trace_config`` pass both checks the
+    config and resolves each wired pin and output to its origin, and the
+    program is built from that pass.  Raises InvalidConfig on any violation.
+    Slots go to the border inputs by port, then to the FU results and then
+    to the masks, each by cell.
     """
-    violations = validate_config(cfg)
-    if violations:
-        raise InvalidConfig("; ".join(map(repr, violations)))
+    trace = trace_config(cfg)
+    if trace.violations:
+        raise InvalidConfig("; ".join(map(repr, trace.violations)))
 
-    slot_count = 0
-
-    def new_slot() -> int:
-        nonlocal slot_count
-        slot_count += 1
-        return slot_count - 1
-
+    slot: dict[Origin, int] = {}  # a border input port or an FU cell -> its slot
     input_slots: dict[int, int] = {}
-    border_slot: dict[tuple[int, int, Direction], int] = {}
-    for (r, c, d), tag in sorted(cfg.io_in.items()):
-        slot = new_slot()
-        input_slots[tag] = slot
-        border_slot[(r, c, d)] = slot
-
-    used = [(rc, cell) for rc, cell in sorted(cfg.cells.items())
-            if cell.fu_op is not None]
-    fu_slot = {rc: new_slot() for rc, _ in used}
-
+    for port, tag in sorted(cfg.io_in.items()):
+        input_slots[tag] = slot[port] = len(slot)
+    fus = sorted(trace.order)
+    for rc in fus:
+        slot[rc] = len(slot)
+    operand = {key: slot[origin] for key, (origin, _) in trace.pins.items()}
+    n_slots = len(slot)
     const_fill: list[tuple[int, int]] = []
-    const_slot: dict[tuple[tuple[int, int], Pin], int] = {}
-    for rc, cell in used:
-        if cell.mask is not None:
-            pin, value = cell.mask
-            slot = new_slot()
-            const_slot[(rc, pin)] = slot
-            const_fill.append((slot, value))
+    for rc in fus:
+        if cfg.cells[rc].mask is not None:
+            pin, value = cfg.cells[rc].mask
+            operand[(rc, pin)] = n_slots
+            const_fill.append((n_slots, value))
+            n_slots += 1
 
-    # resolve each wired pin to (origin slot, hop count)
-    resolved: dict[tuple[tuple[int, int], Pin], tuple[int, int, Origin]] = {}
-    for rc, cell in used:
-        for pin in Pin:
-            d = cell.pin_select(pin)
-            if d is None:
-                continue
-            origin, hops = trace_port(cfg, rc, d)
-            if isinstance(origin, BorderOrigin):
-                slot = border_slot[(origin.r, origin.c, origin.side)]
-            else:
-                slot = fu_slot[(origin.r, origin.c)]
-            resolved[(rc, pin)] = (slot, hops, origin)
-
-    # order functional units by data dependency; validation excluded a cycle
-    deps: dict[tuple[int, int], set] = {rc: set() for rc, _ in used}
-    for (rc, pin), (_, _, origin) in resolved.items():
-        if isinstance(origin, CellOrigin):
-            deps[rc].add((origin.r, origin.c))
-
-    depth_fu: dict[tuple[int, int], int] = {}
+    # a border input arrives at depth 0, and an FU result one step after
+    # its latest operand; each output a value passes adds its hop
+    depth_fu: dict[Origin, int] = {}
     rows = []
-    cells = dict(cfg.cells)
-    for rc in fu_order(deps):
-        cell = cells[rc]
-        operands = []
+    for rc in trace.order:
         pin_depth = 0
         for pin in Pin:
-            if (rc, pin) in const_slot:
-                operands.append(const_slot[(rc, pin)])
-            elif (rc, pin) in resolved:
-                slot, hops, origin = resolved[(rc, pin)]
-                operands.append(slot)
-                base = depth_fu[(origin.r, origin.c)] if isinstance(origin, CellOrigin) else 0
-                pin_depth = max(pin_depth, base + hops)
-            else:
-                operands.append(0)  # unused by this op code
+            if (rc, pin) in trace.pins:
+                origin, hops = trace.pins[(rc, pin)]
+                pin_depth = max(pin_depth, depth_fu.get(origin, 0) + hops)
         depth_fu[rc] = pin_depth + 1
-        rows.append((int(cell.fu_op), fu_slot[rc], *operands))
+        # operand 0 stands for a pin the op code does not use
+        rows.append((int(cfg.cells[rc].fu_op), slot[rc],
+                     *(operand.get((rc, pin), 0) for pin in Pin)))
 
     output_slots: dict[int, int] = {}
     depth = 0
-    for (r, c, d), tag in sorted(cfg.io_out.items()):
-        sel = cfg.cell(r, c).out_sel[d]
-        if sel == FU:
-            output_slots[tag] = fu_slot[(r, c)]
-            depth = max(depth, depth_fu[(r, c)] + 1)
-        else:
-            origin, hops = trace_port(cfg, (r, c), sel)
-            if isinstance(origin, BorderOrigin):
-                output_slots[tag] = border_slot[(origin.r, origin.c, origin.side)]
-                depth = max(depth, hops + 1)
-            else:
-                output_slots[tag] = fu_slot[(origin.r, origin.c)]
-                depth = max(depth, depth_fu[(origin.r, origin.c)] + hops + 1)
+    for port, tag in sorted(cfg.io_out.items()):
+        origin, hops = trace.outputs[port]
+        output_slots[tag] = slot[origin]
+        depth = max(depth, depth_fu.get(origin, 0) + hops + 1)
 
     instrs = np.array(rows, dtype=np.int32).reshape(len(rows), 5)
-    return Program(slot_count, instrs, const_fill, input_slots, output_slots, depth)
+    return Program(n_slots, instrs, const_fill, input_slots, output_slots, depth)
 
 
 def lower_dfg(g: DataFlowGraph) -> Program:
@@ -374,6 +333,11 @@ def _steady_box(g: DataFlowGraph, trips: list[tuple[str, int]]
     counts = [max(n, 0) for _, n in trips]
     counts[-1] //= stride
     return counts, [0] * len(counts)
+
+
+def stream_length(g: DataFlowGraph, trips: list[tuple[str, int]]) -> int:
+    """Stream positions per run: the size of the unrolled steady-state box."""
+    return math.prod(_steady_box(g, trips)[0])
 
 
 def _supplied(arrays: dict[str, np.ndarray], name: str) -> np.ndarray:

@@ -254,6 +254,18 @@ def test_bench_parses_every_file_before_any_sweep(monkeypatch, tmp_path, capsys)
     assert list(tmp_path.iterdir()) == [bad]
 
 
+def test_bench_checks_every_kernels_parameters_before_any_sweep(monkeypatch, tmp_path):
+    # gemm has a parameter M and atax has not, so the second kernel refuses
+    # --param M=8 before the first one's sweep starts
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "place_and_route", _refuse)
+    with pytest.raises(SystemExit) as info:
+        cli.main(["bench", str(corpus.kernel_path("gemm")), str(corpus.kernel_path("atax")),
+                  "--param", "M=8", "--sizes", "4x4", "--seeds", "3", "-o", "bench.csv"])
+    assert info.value.code == "kernel atax has no parameter 'M'"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_analyze_takes_no_unroll_factor(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["analyze", str(corpus.kernel_path("gemm")), "--unroll", "2"])

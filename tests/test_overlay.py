@@ -13,6 +13,7 @@ from dfeoffload.overlay import (FU, CellConfig, Direction, OverlayConfig, Overla
                                 Pin, deserialize_config, new_overlay, serialize_config,
                                 validate_config)
 from dfeoffload.placer import PlacerParams, place_and_route
+from dfeoffload.simulator import InvalidConfig, compile_config
 
 N, E, S, W = Direction
 
@@ -101,7 +102,8 @@ def _valid(cfg):
     pass
 
 
-@pytest.mark.parametrize("mutate, kinds", [
+# (mutator of ``_base()``, the violation kinds it must cause)
+_VIOLATION_CASES = [
     (_valid, set()),
     (_extra_cell, {"extra-cell"}),
     (_pin_conflict, {"pin-conflict"}),
@@ -118,11 +120,36 @@ def _valid(cfg):
     (_disabled_output, {"unrouted"}),
     (_untagged_input, {"untagged-input"}),
     (_fus_feed_each_other, {"cycle"}),
-], ids=lambda x: x.__name__.strip("_") if callable(x) else None)
+]
+
+
+def _case_id(x):
+    return x.__name__.strip("_") if callable(x) else None
+
+
+@pytest.mark.parametrize("mutate, kinds", _VIOLATION_CASES, ids=_case_id)
 def test_each_violation_is_reported_by_its_kind(mutate, kinds):
     cfg = _base()
     mutate(cfg)
     assert {v.kind for v in validate_config(cfg)} == kinds
+
+
+@pytest.mark.parametrize("mutate", [mutate for mutate, _ in _VIOLATION_CASES], ids=_case_id)
+def test_lowering_refuses_a_config_with_exactly_its_violations(mutate):
+    cfg = _base()
+    mutate(cfg)
+    violations = validate_config(cfg)
+    if not violations:
+        # slot 0 is input tag 0, slot 1 the sum and slot 2 the constant 5;
+        # the sum passes one output to reach the E border
+        program = compile_config(cfg)
+        assert program.instrs.tolist() == [[int(OpCode.ADD), 1, 0, 2, 0]]
+        assert (program.input_slots, program.output_slots, program.const_fill,
+                program.depth) == ({0: 0}, {1: 1}, [(2, 5)], 3)
+        return
+    with pytest.raises(InvalidConfig) as info:
+        compile_config(cfg)
+    assert str(info.value) == "; ".join(map(repr, violations))
 
 
 def test_a_loop_of_pass_through_outputs_is_unrouted():

@@ -76,7 +76,7 @@ def counts(monkeypatch):
     c.watch(frontend, "extract_dfg")
     c.watch(runtime, "extract_dfg")
     c.watch(runtime, "check_eligibility")
-    c.watch(simulator, "validate_config")
+    c.watch(simulator, "trace_config")
     c.watch(runtime, "compile_config")
     c.watch(runtime, "place_and_route")
     return c
@@ -84,7 +84,7 @@ def counts(monkeypatch):
 
 def _analysis_calls(c):
     return {name: c.calls[name] for name in
-            ("extract_dfg", "check_eligibility", "validate_config", "compile_config")}
+            ("extract_dfg", "check_eligibility", "trace_config", "compile_config")}
 
 
 def test_each_warm_kernel_misses_once_then_hits():
@@ -120,9 +120,9 @@ def test_a_hit_neither_analyses_nor_lowers(counts):
     arrays, params = _inputs(kernel, 6)
     rt.execute(kernel, arrays, params)
     # a miss at unroll 1 extracts once, inside the eligibility check, and
-    # lowers once, which validates once
+    # lowers once, which traces the config once
     assert _analysis_calls(counts) == {"extract_dfg": 1, "check_eligibility": 1,
-                                       "validate_config": 1, "compile_config": 1}
+                                       "trace_config": 1, "compile_config": 1}
     for name in counts.calls:
         counts.calls[name] = 0
     for size in (4, 9):
@@ -131,7 +131,7 @@ def test_a_hit_neither_analyses_nor_lowers(counts):
         _assert_matches_software(kernel, arrays, params, out)
         assert "cache" in _phases(trace) and "compute" in _phases(trace)
     assert _analysis_calls(counts) == {"extract_dfg": 0, "check_eligibility": 0,
-                                       "validate_config": 0, "compile_config": 0}
+                                       "trace_config": 0, "compile_config": 0}
     # an equal kernel parsed again is the same analysis
     rt.execute(corpus.load("gemm"), arrays, params)
     assert counts.calls["check_eligibility"] == 0
@@ -243,15 +243,15 @@ def test_graphs_that_differ_only_in_numbering_share_one_mapping():
 
 def test_a_cold_mapping_is_validated_once_where_it_is_lowered(monkeypatch):
     checked = []
-    original = overlay.validate_config
+    original = overlay.trace_config
 
     def counted(cfg):
         checked.append(cfg)
         return original(cfg)
 
     for module in (overlay, placer, runtime, simulator):
-        if getattr(module, "validate_config", None) is original:
-            monkeypatch.setattr(module, "validate_config", counted)
+        if getattr(module, "trace_config", None) is original:
+            monkeypatch.setattr(module, "trace_config", counted)
     kernel = corpus.load("gemm")
     rt = OffloadRuntime(OverlayShape(6, 6), cost_model=OFFLOAD, seed=SEED)
     arrays, params = _inputs(kernel, 6)

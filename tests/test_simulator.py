@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from dfeoffload import corpus, engine, simulator
+import dfeoffload
+from dfeoffload import corpus, engine, overlay, placer, runtime, simulator
 from dfeoffload.dfg import (AffineExpr, DataFlowGraph, IoBinding, LengthMismatch,
                             NodeKind, OpCode, Remainder, interpret_dfg, validate_dfg)
 from dfeoffload.frontend import extract_dfg
 from dfeoffload.kernels import allocate_arrays
-from dfeoffload.overlay import OverlayShape
+from dfeoffload.overlay import Direction, OverlayShape, Pin
 from dfeoffload.placer import PlacerParams, place_and_route
 from dfeoffload.runtime import trip_counts
 from dfeoffload.simulator import (OutOfBounds, RunReport, build_streams,
@@ -95,6 +96,28 @@ def test_placed_configs_lower_to_the_pinned_programs(name, unroll):
         place_and_route(g, shape, PlacerParams(global_budget=20_000), seed).apply()))
         for seed in range(4))
     assert got == _PROGRAM_DIGESTS[(name, unroll)]
+
+
+def test_lowering_traces_each_route_once(monkeypatch):
+    """One trace per wired FU pin and one per forwarding output, wherever
+    ``trace_port`` is bound."""
+    cfg = place_and_route(extract_dfg(corpus.load("gemm"), 2), OverlayShape(8, 8),
+                          seed=3).apply()
+    original = overlay.trace_port
+    traced = []
+
+    def counted(cfg, cell, port):
+        traced.append((cell, port))
+        return original(cfg, cell, port)
+
+    for module in (dfeoffload, overlay, placer, runtime, simulator):
+        if getattr(module, "trace_port", None) is original:
+            monkeypatch.setattr(module, "trace_port", counted)
+    compile_config(cfg)
+    routes = [(rc, d) for rc, cell in cfg.cells.items()
+              for d in [*map(cell.pin_select, Pin), *cell.out_sel.values()]
+              if isinstance(d, Direction)]
+    assert sorted(traced) == sorted(routes)
 
 
 def test_frames_are_tag_value_and_eight_zero_bytes():
