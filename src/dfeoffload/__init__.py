@@ -10,10 +10,10 @@ offload vs software with measured-cost rollback (`runtime`).
 
 from .dfg import (AffineExpr, DataFlowGraph, DfgStats, IoBinding, Node,
                   NodeKind, OpCode, Remainder, dfg_from_text, dfg_hash,
-                  dfg_stats, dfg_to_dot, dfg_to_text, fold_inputs_to_constants,
-                  interpret_dfg, validate_dfg, wrap32)
+                  dfg_stats, dfg_to_dot, dfg_to_text, interpret_dfg,
+                  validate_dfg, wrap32)
 from .frontend import (EligibilityReport, IneligibleKernel, Reason, Thresholds,
-                       UnrollTooLarge, Verdict, check_eligibility, extract_dfg)
+                       Verdict, check_eligibility, extract_dfg)
 from .kernels import (Kernel, KernelSyntaxError, UnknownIdentifier,
                       allocate_arrays, evaluate_kernel, format_kernel,
                       parse_kernel)
@@ -25,8 +25,9 @@ from .placer import (Placement, PlacerCounters, PlacerParams,
                      PreconditionViolated, Unroutable, place_and_route)
 from .runtime import (CacheEntry, ConfigCache, CostModel, Mode, OffloadRuntime,
                       OffloadState, TraceEvent, decide, estimate_offload_time,
-                      format_trace, record)
+                      record)
 from .simulator import (RunReport, build_streams, compile_config, dump_frames,
-                        load_frames, run_compiled, stream_views, write_back)
+                        graph_io, load_frames, run_compiled, stream_views,
+                        write_back)
 
 __version__ = "0.1.0"

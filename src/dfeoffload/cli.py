@@ -20,13 +20,13 @@ import numpy as np
 from . import kernels as kl
 from .dfg import dfg_to_dot, dfg_to_text
 from .frontend import (EligibilityReport, IneligibleKernel, Thresholds,
-                       UnrollTooLarge, check_eligibility, check_unroll,
-                       extract_dfg)
+                       check_eligibility, check_unroll, extract_dfg)
 from .overlay import OverlayShape, config_to_dot, config_to_text, serialize_config
 from .placer import PlacerParams, Unroutable, place_and_route
 from .runtime import (CostModel, OffloadRuntime, analyze_kernel,
                       estimate_offload_time, run_offloaded, trip_counts)
-from .simulator import OutOfBounds, build_streams, dump_frames, stream_length
+from .simulator import (OutOfBounds, build_streams, dump_frames, graph_io,
+                        stream_length)
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -127,9 +127,6 @@ def cmd_place(args) -> int:
     analysis = rt.analyze(kernel)
     if isinstance(analysis, EligibilityReport):
         return _rejected(analysis)
-    if isinstance(analysis, UnrollTooLarge):
-        print(f"unroll too large: {analysis}", file=sys.stderr)
-        return EXIT_UNROUTABLE
     try:
         entry = rt.map(analysis)
     except Unroutable as exc:
@@ -186,9 +183,6 @@ def cmd_run(args) -> int:
         print(f"{Path(args.file).stem}: {analysis.table_label()}; software path")
         print("PASS (software)")
         return EXIT_OK
-    if isinstance(analysis, UnrollTooLarge):
-        print(f"unroll too large: {analysis}", file=sys.stderr)
-        return EXIT_UNROUTABLE
     try:
         entry = rt.map(analysis)
     except Unroutable as exc:
@@ -206,12 +200,12 @@ def cmd_run(args) -> int:
         return EXIT_OK
     if args.format == "frames":
         base = Path(args.file).stem
-        streams = build_streams(entry.dfg, arrays, trips, entry.io)
+        streams = build_streams(entry.io, arrays, trips)
         Path(f"{base}.in.frames").write_bytes(dump_frames(streams))
         Path(f"{base}.out.frames").write_bytes(dump_frames(run_report.outputs))
         print(f"dumped {base}.in.frames / {base}.out.frames")
 
-    n_iter = stream_length(entry.dfg, trips)
+    n_iter = stream_length(entry.io, trips)
     est = estimate_offload_time(analysis.stats, n_iter, model, cached=False)
     print(f"frames_in={run_report.frames_in} frames_out={run_report.frames_out} "
           f"bytes_on_wire={run_report.bytes_on_wire} cycles={run_report.cycles} "
@@ -247,7 +241,6 @@ def cmd_bench(args) -> int:
     # every accepted kernel's --param names are checked before any sweep
     accepted = []
     for name, kernel in kernels:
-        # without a node limit an accepted kernel is never UnrollTooLarge
         analysis = analyze_kernel(kernel, args.unroll, Thresholds(min_nodes=args.min_nodes))
         if isinstance(analysis, EligibilityReport):
             continue
@@ -255,7 +248,7 @@ def cmd_bench(args) -> int:
         accepted.append((name, analysis, trips))
     rows = []
     for name, analysis, trips in accepted:
-        n_iter = stream_length(analysis.dfg, trips)
+        n_iter = stream_length(graph_io(analysis.dfg), trips)
         est = estimate_offload_time(analysis.stats, n_iter, CostModel(), cached=True)
         for shape in shapes:
             successes = 0

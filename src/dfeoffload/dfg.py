@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import Iterable, Iterator, Optional
+from typing import Optional
 
 INT32_MIN = -(1 << 31)
 INT32_MAX = (1 << 31) - 1
@@ -387,21 +387,6 @@ def interpret_dfg(g: DataFlowGraph,
             else:  # OUTPUT
                 results[nid].append(values[in_edges[nid][0].src])
     return results
-
-
-def fold_inputs_to_constants(g: DataFlowGraph,
-                             known: dict[int, int]) -> DataFlowGraph:
-    """Turn selected Input nodes into Const nodes carrying fixed values."""
-    input_ids = set(g.inputs())
-    for nid in known:
-        if nid not in input_ids:
-            raise UnknownInput(f"node {nid} is not an Input node")
-    nodes = dict(g.nodes)
-    bindings = dict(g.io_bindings)
-    for nid, value in known.items():
-        nodes[nid] = Node(nid, NodeKind.CONST, value=wrap32(value))
-        bindings.pop(nid, None)
-    return DataFlowGraph(nodes, list(g.edges), bindings, g.remainder)
 
 
 def dfg_stats(g: DataFlowGraph) -> DfgStats:

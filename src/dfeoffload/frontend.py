@@ -65,7 +65,12 @@ _TABLE_LABELS = {
 
 @dataclass(frozen=True)
 class Thresholds:
-    """Node-count gates for the offload decision; both are policy knobs."""
+    """Node-count gates of the eligibility verdict; both are policy knobs.
+
+    They gate the unroll-1 graph only: ``max_nodes`` gives the verdict
+    "No, too large".  Whether an unrolled graph fits the grid is decided
+    where it is mapped, by the placer.
+    """
 
     min_nodes: int = 8
     max_nodes: Optional[int] = None
@@ -99,10 +104,6 @@ class IneligibleKernel(ValueError):
     def report(self) -> EligibilityReport:
         """The rejection verdict this failure stands for."""
         return EligibilityReport(Verdict.REJECTED, self.reason, None, self.detail)
-
-
-class UnrollTooLarge(ValueError):
-    pass
 
 
 # -- structure scan ---------------------------------------------------------------
@@ -386,8 +387,7 @@ def check_unroll(unroll: int) -> None:
         raise ValueError("unroll factor must be >= 1")
 
 
-def extract_dfg(k: kl.Kernel, unroll: int = 1,
-                max_calc_nodes: Optional[int] = None) -> DataFlowGraph:
+def extract_dfg(k: kl.Kernel, unroll: int = 1) -> DataFlowGraph:
     """Extract the innermost loop body as a data flow graph.
 
     With ``unroll`` = u the datapath is replicated u times; lane L handles
@@ -419,12 +419,6 @@ def extract_dfg(k: kl.Kernel, unroll: int = 1,
     _insert_pass_nodes(g)
     if unroll > 1:
         g.remainder = Remainder(inner_var, unroll)
-
-    if max_calc_nodes is not None:
-        calc = dfg_stats(g).calc_nodes
-        if calc > max_calc_nodes:
-            raise UnrollTooLarge(
-                f"{calc} calc nodes after unrolling exceed the limit {max_calc_nodes}")
     violations = validate_dfg(g)
     if violations:  # internal error, not an input condition
         raise AssertionError(f"extraction produced an invalid graph: {violations}")

@@ -43,9 +43,9 @@ rejected later by the eligibility check, as are float arrays and literals.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -161,12 +161,6 @@ class Kernel:
         pickled kernel, whereas a digest is the same in every process.
         """
         return hashlib.sha1(repr(self).encode()).hexdigest()
-
-    def array(self, name: str) -> ArrayDecl:
-        for a in self.arrays:
-            if a.name == name:
-                return a
-        raise KeyError(name)
 
     def canonical_nest(self) -> Optional[tuple[list[For], tuple[Stmt, ...]]]:
         """(loops outer-to-inner, innermost body) for a perfect nest, else None.

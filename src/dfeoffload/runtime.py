@@ -18,6 +18,7 @@ interpreter never runs on an offloaded call.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import OrderedDict
@@ -30,13 +31,14 @@ import numpy as np
 
 from . import kernels as kl
 from .dfg import DataFlowGraph, DfgStats, dfg_hash, dfg_stats
-from .frontend import (EligibilityReport, Thresholds, UnrollTooLarge,
-                       check_eligibility, check_unroll, extract_dfg)
+from .frontend import (EligibilityReport, Thresholds, check_eligibility,
+                       check_unroll, extract_dfg)
 from .overlay import OverlayShape
 from .placer import Placement, PlacerParams, Unroutable, place_and_route
 from .simulator import (FRAME_SIZE, GraphIo, OutOfBounds, Program, RunReport,
-                        compile_config, graph_io, lower_dfg, run_compiled,
-                        run_epilogue, stream_length, stream_views, write_back)
+                        compile_config, graph_io, leftover, lower_dfg,
+                        run_compiled, run_epilogue, stream_length, stream_views,
+                        write_back)
 
 
 @dataclass
@@ -49,8 +51,11 @@ class CostModel:
     software_time_per_call: float = 0.0  # measured online, 0 = unknown
 
     def __post_init__(self):
-        if self.wire_rate <= 0 or self.config_time <= 0 or self.const_transfer_time <= 0:
+        constants = (self.wire_rate, self.config_time, self.const_transfer_time)
+        if any(c <= 0 for c in constants):
             raise ValueError("cost model constants must be positive")
+        if not all(map(math.isfinite, constants)):
+            raise ValueError("cost model constants must be finite")
 
     @staticmethod
     def from_file(path: str | Path) -> "CostModel":
@@ -172,15 +177,16 @@ class _Lru:
 @dataclass
 class CacheEntry:
     """A mapping ready to run: ``program`` is the placement's config, lowered
-    and validated, and ``io`` is what a gather or scatter needs of ``dfg``.
+    and validated, and ``io`` is ``graph_io`` of the graph placed, all that
+    the gather, the scatter and the leftover count read of it.
 
     A kernel whose graph has the same hash but another node numbering runs
-    on this entry, so its streams are keyed by this ``dfg``'s node ids.
+    on this entry, so its streams are keyed by the placed graph's node ids,
+    as ``io`` lists them.
     """
 
     key: int
     placement: Placement
-    dfg: DataFlowGraph
     program: Program
     io: GraphIo
 
@@ -213,16 +219,14 @@ class ConfigCache:
 class _Accepted:
     """An eligible kernel's graph at one unroll factor, ready to map.
 
-    When unrolled, it also holds the unroll-1 graph, its host program and
-    its gather and scatter lists, which run the leftover iterations
-    (``run_epilogue``).
+    When unrolled, it also holds the unroll-1 graph's host program and
+    ``graph_io``, which run the leftover iterations (``run_epilogue``).
     """
 
     dfg: DataFlowGraph
     key: int  # dfg_hash of the graph
     stats: DfgStats
     loops: tuple[kl.For, ...]  # the perfect nest, outer to inner
-    epilogue_dfg: Optional[DataFlowGraph] = None
     epilogue_program: Optional[Program] = None
     epilogue_io: Optional[GraphIo] = None
 
@@ -234,7 +238,7 @@ def _accept(kernel: kl.Kernel, dfg: DataFlowGraph,
     if epilogue_dfg is not None:
         program, io = lower_dfg(epilogue_dfg), graph_io(epilogue_dfg)
     return _Accepted(dfg, dfg_hash(dfg), dfg_stats(dfg),
-                     tuple(kernel.canonical_nest()[0]), epilogue_dfg, program, io)
+                     tuple(kernel.canonical_nest()[0]), program, io)
 
 
 class _CachedUnroutable(Unroutable):
@@ -243,26 +247,23 @@ class _CachedUnroutable(Unroutable):
 
 # What analysing a kernel at one unroll factor and thresholds concluded: a
 # graph to map, or the reason it runs in software.
-_Analysis = Union[_Accepted, EligibilityReport, UnrollTooLarge]
+_Analysis = Union[_Accepted, EligibilityReport]
 
 
 def analyze_kernel(kernel: kl.Kernel, unroll: int, thresholds: Thresholds) -> _Analysis:
     """Eligibility and extraction of ``kernel`` at one unroll factor.
 
-    The verdict is taken on the unroll-1 graph.  At unroll 1 it is the graph
-    mapped, so it is extracted once; when unrolled, it is the epilogue's.
+    The verdict, with its size thresholds, is taken on the unroll-1 graph.
+    At unroll 1 it is the graph mapped, so it is extracted once; when
+    unrolled, it is the epilogue's, and the unrolled graph is accepted
+    whatever its size: whether it fits the grid is the placer's to say.
     """
     report = check_eligibility(kernel, thresholds)
     if not report.accepted():
         return report
     if unroll == 1:
         return _accept(kernel, report.dfg)
-    try:
-        dfg = extract_dfg(kernel, unroll, max_calc_nodes=thresholds.max_nodes)
-    except UnrollTooLarge as exc:
-        # drop the traceback: its frames would keep this call alive
-        return exc.with_traceback(None)
-    return _accept(kernel, dfg, epilogue_dfg=report.dfg)
+    return _accept(kernel, extract_dfg(kernel, unroll), epilogue_dfg=report.dfg)
 
 
 def trip_counts(loops, params: dict[str, int]) -> list[tuple[str, int]]:
@@ -272,13 +273,6 @@ def trip_counts(loops, params: dict[str, int]) -> list[tuple[str, int]]:
     """
     return [(f.var, max(f.bound if isinstance(f.bound, int) else params[f.bound], 0))
             for f in loops]
-
-
-def _leftover(dfg: DataFlowGraph, trips: list[tuple[str, int]]) -> int:
-    """Innermost iterations the unrolled graph leaves to the epilogue."""
-    if dfg.remainder is None:
-        return 0
-    return trips[-1][1] % dfg.remainder.factor
 
 
 def run_offloaded(entry: CacheEntry, accepted: _Accepted,
@@ -295,13 +289,13 @@ def run_offloaded(entry: CacheEntry, accepted: _Accepted,
     checked before its run, so nothing has been written when the overlay's
     gather raises.
     """
-    streams = stream_views(entry.dfg, arrays, trips, entry.io)
+    streams = stream_views(entry.io, arrays, trips)
     report = run_compiled(entry.program, streams)
-    result = write_back(entry.dfg, report, arrays, trips, entry.io)
-    leftover = _leftover(entry.dfg, trips)
-    if leftover:
-        run_epilogue(accepted.epilogue_dfg, accepted.epilogue_program,
-                     result, trips, leftover, accepted.epilogue_io)
+    result = write_back(entry.io, report, arrays, trips)
+    left = leftover(entry.io, trips)
+    if left:
+        run_epilogue(accepted.epilogue_io, accepted.epilogue_program,
+                     result, trips, left)
     return result, report
 
 
@@ -323,10 +317,6 @@ class TraceEvent:
 
     def line(self) -> str:
         return f"{self.t_us:.1f} {self.phase} {self.detail}".rstrip()
-
-
-def format_trace(events: list[TraceEvent]) -> str:
-    return "\n".join(e.line() for e in events) + "\n"
 
 
 class OffloadRuntime:
@@ -397,7 +387,8 @@ class OffloadRuntime:
         Lowering validates the placement's config, once per mapping.
 
         Raises Unroutable when the graph does not route on this runtime's
-        shape, placer params and seed.  The failure is cached too, so the
+        shape, placer params and seed, PreconditionViolated among them when
+        it cannot fit the grid at all.  The failure is cached too, so the
         search runs once: a later call raises _CachedUnroutable at once.
         """
         failure_key = (accepted.key, self.shape, self.placer_params, self.seed)
@@ -412,8 +403,8 @@ class OffloadRuntime:
             with self._lock:
                 self._unroutable.put(failure_key, str(exc))
             raise
-        entry = CacheEntry(accepted.key, placement, accepted.dfg,
-                           compile_config(placement.apply()), graph_io(accepted.dfg))
+        entry = CacheEntry(accepted.key, placement, compile_config(placement.apply()),
+                           graph_io(accepted.dfg))
         self.cache.put(entry)
         return entry
 
@@ -441,10 +432,7 @@ class OffloadRuntime:
         if isinstance(analysis, EligibilityReport):
             emit("analysis", "rejected: {}", analysis.table_label())
             return software("ineligible: {}", None, analysis.reason.value)
-        if isinstance(analysis, UnrollTooLarge):
-            emit("analysis", "unroll too large: {}", analysis)
-            return software("unroll too large", None)
-        dfg, key, stats = analysis.dfg, analysis.key, analysis.stats
+        key, stats = analysis.key, analysis.stats
         emit("analysis", "accepted hash={:016x} in={} out={} calc={}",
              key, stats.inputs, stats.outputs, stats.calc_nodes)
         state = self.state_for(key)
@@ -466,7 +454,7 @@ class OffloadRuntime:
             emit("cache", "hit, reusing configuration")
 
         trips = trip_counts(analysis.loops, params)
-        n_iter = stream_length(dfg, trips)
+        n_iter = stream_length(entry.io, trips)
         baseline = state.ema_software
         if baseline is None and self.cost_model.software_time_per_call > 0:
             baseline = self.cost_model.software_time_per_call
@@ -502,9 +490,9 @@ class OffloadRuntime:
         device_elapsed += t_out
         emit("transfer_out", "frames={} t={:.1f}us", run_report.frames_out, t_out * 1e6)
 
-        leftover = _leftover(entry.dfg, trips)
-        if leftover:
-            emit("epilogue", "{} leftover iterations of {}", leftover, trips[-1][0])
+        left = leftover(entry.io, trips)
+        if left:
+            emit("epilogue", "{} leftover iterations of {}", left, trips[-1][0])
 
         record(state, Mode.OFFLOADED, device_elapsed)
         if state.mode == Mode.ROLLED_BACK:

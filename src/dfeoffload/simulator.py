@@ -12,13 +12,14 @@ the array (one per access, bounds checked at the access's affine extremes),
 never through index arrays.  The run copies each block of positions straight
 from the gather's views into the engine's scratch, so each input value is
 copied once, and a read that a loop does not index (a stride-0 view) is read
-in place rather than expanded.  What a gather or scatter needs of the graph
-(``GraphIo``: the streamed Inputs, the Outputs and the written arrays) is
-listed once per graph, so a call on a cached mapping does not rescan it.  The
-engine runs over blocks of at most ``_BLOCK`` positions, so its scratch stays
-small whatever the stream length.  ``lower_dfg`` lowers a graph for the host
-without placement, and ``run_epilogue`` runs the unroll-1 graph so lowered
-over the leftover innermost iterations of an unrolled call.
+in place rather than expanded.  The stream layer reads nothing of a graph but
+its ``GraphIo``: the streamed Inputs, the Outputs, the written arrays and the
+lane stride, listed once per graph, so a call on a cached mapping does not
+rescan it.  The engine runs over blocks of at most ``_BLOCK`` positions, so
+its scratch stays small whatever the stream length.  ``lower_dfg`` lowers a
+graph for the host without placement, and ``run_epilogue`` runs the unroll-1
+graph so lowered over the ``leftover`` innermost iterations of an unrolled
+call.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -297,11 +297,12 @@ def run_compiled(program: Program, streams: dict[int, np.ndarray]) -> RunReport:
 
 @dataclass(frozen=True)
 class GraphIo:
-    """What a gather or scatter derives from its graph alone.
+    """All that the stream layer reads of a graph.
 
     ``reads`` are the Inputs that some edge reads and ``writes`` the
     Outputs, each with its binding, in node id order; ``written`` is the
-    sorted names of the arrays the Outputs write.  Built once per graph by
+    sorted names of the arrays the Outputs write; ``factor`` is the graph's
+    unroll factor (its lane stride), or 1.  Built once per graph by
     ``graph_io``, so that a call on a cached mapping does not rescan the
     graph.
     """
@@ -309,16 +310,18 @@ class GraphIo:
     reads: tuple[tuple[int, IoBinding], ...]
     writes: tuple[tuple[int, IoBinding], ...]
     written: tuple[str, ...]
+    factor: int
 
 
 def graph_io(g: DataFlowGraph) -> GraphIo:
     read = {e.src for e in g.edges}
     reads = tuple((nid, g.io_bindings[nid]) for nid in g.inputs() if nid in read)
     writes = tuple((nid, g.io_bindings[nid]) for nid in g.outputs())
-    return GraphIo(reads, writes, tuple(sorted({b.array for _, b in writes})))
+    factor = g.remainder.factor if g.remainder is not None else 1
+    return GraphIo(reads, writes, tuple(sorted({b.array for _, b in writes})), factor)
 
 
-def _steady_box(g: DataFlowGraph, trips: list[tuple[str, int]]
+def _steady_box(io: GraphIo, trips: list[tuple[str, int]]
                 ) -> tuple[list[int], list[int]]:
     """(counts, starts) of the unrolled steady state.
 
@@ -329,15 +332,19 @@ def _steady_box(g: DataFlowGraph, trips: list[tuple[str, int]]
     """
     if not trips:
         raise ValueError("at least one loop required")
-    stride = g.remainder.factor if g.remainder is not None else 1
     counts = [max(n, 0) for _, n in trips]
-    counts[-1] //= stride
+    counts[-1] //= io.factor
     return counts, [0] * len(counts)
 
 
-def stream_length(g: DataFlowGraph, trips: list[tuple[str, int]]) -> int:
+def stream_length(io: GraphIo, trips: list[tuple[str, int]]) -> int:
     """Stream positions per run: the size of the unrolled steady-state box."""
-    return math.prod(_steady_box(g, trips)[0])
+    return math.prod(_steady_box(io, trips)[0])
+
+
+def leftover(io: GraphIo, trips: list[tuple[str, int]]) -> int:
+    """Innermost iterations the unrolled steady state leaves to the epilogue."""
+    return trips[-1][1] % io.factor
 
 
 def _supplied(arrays: dict[str, np.ndarray], name: str) -> np.ndarray:
@@ -436,71 +443,64 @@ def _scatter(writes: tuple[tuple[int, IoBinding], ...],
         view[...] = stream.astype(np.int32, copy=False).reshape(counts)
 
 
-def stream_views(g: DataFlowGraph, arrays: dict[str, np.ndarray],
-                 trips: list[tuple[str, int]],
-                 io: Optional[GraphIo] = None) -> dict[int, np.ndarray]:
-    """One input stream per Input node over the iteration domain, as a view.
+def stream_views(io: GraphIo, arrays: dict[str, np.ndarray],
+                 trips: list[tuple[str, int]]) -> dict[int, np.ndarray]:
+    """One input stream per read of ``io`` over the iteration domain, as a view.
 
     ``trips`` lists (loop var, trip count) outer to inner.  Streams cover the
-    unrolled steady state only; leftover innermost iterations (the graph's
-    remainder annotation) are the epilogue's job.  Constants folded into the
-    configuration are not streamed, nor are Inputs that nothing reads: the
-    placer binds no port for them.  Each stream is a strided view of its
-    array (or an empty array) of the domain's shape, one loop per axis, in
-    the array's dtype; nothing is copied, and a read that does not use a
-    loop variable has stride 0 along it.  ``run_compiled`` takes the views
-    as they are.  Raises OutOfBounds, before any view is returned, when an
-    access leaves its array.  ``io`` is ``graph_io(g)``, built here when not
-    given.
+    unrolled steady state only; the ``leftover`` innermost iterations are
+    the epilogue's job.  Constants folded into the configuration are not
+    streamed, nor are Inputs that nothing reads: the placer binds no port
+    for them.  Each stream is a strided view of its array (or an empty
+    array) of the domain's shape, one loop per axis, in the array's dtype;
+    nothing is copied, and a read that does not use a loop variable has
+    stride 0 along it.  ``run_compiled`` takes the views as they are.
+    Raises OutOfBounds, before any view is returned, when an access leaves
+    its array.
     """
-    reads = (io or graph_io(g)).reads
-    return _gather(reads, arrays, trips, *_steady_box(g, trips))
+    return _gather(io.reads, arrays, trips, *_steady_box(io, trips))
 
 
-def build_streams(g: DataFlowGraph, arrays: dict[str, np.ndarray],
-                  trips: list[tuple[str, int]],
-                  io: Optional[GraphIo] = None) -> dict[int, np.ndarray]:
+def build_streams(io: GraphIo, arrays: dict[str, np.ndarray],
+                  trips: list[tuple[str, int]]) -> dict[int, np.ndarray]:
     """``stream_views`` copied out: each stream a fresh 1-D int32 array, one
     position per point of the domain in row-major order, as the frames dump
     writes them.
     """
     return {nid: np.array(view, dtype=np.int32, order="C").reshape(-1)
-            for nid, view in stream_views(g, arrays, trips, io).items()}
+            for nid, view in stream_views(io, arrays, trips).items()}
 
 
-def write_back(g: DataFlowGraph, report: RunReport,
-               arrays: dict[str, np.ndarray], trips: list[tuple[str, int]],
-               io: Optional[GraphIo] = None) -> dict[str, np.ndarray]:
-    """Scatter output streams through each Output node's access function.
+def write_back(io: GraphIo, report: RunReport,
+               arrays: dict[str, np.ndarray], trips: list[tuple[str, int]]
+               ) -> dict[str, np.ndarray]:
+    """Scatter each Output's stream through the access of its ``io`` write.
 
     Returns a new mapping; written arrays are fresh copies, others pass
-    through.  Epilogue iterations (remainder) are left untouched.  ``io`` is
-    ``graph_io(g)``, built here when not given.
+    through.  The ``leftover`` iterations are left untouched.
     """
-    io = io or graph_io(g)
     out = dict(arrays)
     for name in io.written:
         out[name] = np.array(_supplied(out, name), copy=True)
-    _scatter(io.writes, report.outputs, out, trips, *_steady_box(g, trips))
+    _scatter(io.writes, report.outputs, out, trips, *_steady_box(io, trips))
     return out
 
 
-def run_epilogue(g: DataFlowGraph, program: Program,
+def run_epilogue(io: GraphIo, program: Program,
                  arrays: dict[str, np.ndarray], trips: list[tuple[str, int]],
-                 leftover: int, io: Optional[GraphIo] = None) -> None:
+                 leftover: int) -> None:
     """Run the last ``leftover`` iterations of the innermost loop on the host.
 
-    ``g`` is the kernel's unroll-1 graph, ``program`` is ``lower_dfg(g)``
-    and ``io`` is ``graph_io(g)``, built here when not given.  Every outer
-    iteration is covered: the box is the leftover columns.  Their views are
-    built and bounds checked first, the blocked run copies from them, and
-    the outputs are scattered once the whole run is done, so no read sees a
-    write.  Results are written into ``arrays`` in place, so its written
-    arrays must be the call's own copies, as ``write_back`` returns them.
-    Nothing crosses the modelled wire, and no RunReport is made.  Raises
-    OutOfBounds as a gather does, before anything is written.
+    ``io`` is ``graph_io(g)`` and ``program`` is ``lower_dfg(g)`` of the
+    kernel's unroll-1 graph ``g``.  Every outer iteration is covered: the
+    box is the leftover columns.  Their views are built and bounds checked
+    first, the blocked run copies from them, and the outputs are scattered
+    once the whole run is done, so no read sees a write.  Results are
+    written into ``arrays`` in place, so its written arrays must be the
+    call's own copies, as ``write_back`` returns them.  Nothing crosses the
+    modelled wire, and no RunReport is made.  Raises OutOfBounds as a
+    gather does, before anything is written.
     """
-    io = io or graph_io(g)
     counts = [n for _, n in trips]
     starts = [0] * len(trips)
     counts[-1], starts[-1] = leftover, trips[-1][1] - leftover

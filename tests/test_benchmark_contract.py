@@ -8,6 +8,7 @@ text, breaks the benchmark run; these tests make it fail here as well.
 
 import importlib
 import runpy
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -60,3 +61,34 @@ def test_the_benchmark_reads_each_calls_device_time_from_its_trace(monkeypatch):
         assert workloads.ran_on_overlay(trace)
         assert workloads.device_seconds(trace) == pytest.approx(
             setup + model.const_transfer_time + wire, rel=0, abs=2e-7)
+
+
+def test_an_offloaded_call_reaches_the_functions_the_tracer_times(monkeypatch):
+    # A per-layer metric reads 0 when a refactor routes a call around the
+    # function its span wraps; pin which spans a cold and a warm call record.
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracer = importlib.import_module("tracer").Tracer()
+    rt = OffloadRuntime(OverlayShape(8, 8), unroll=2, seed=3,
+                        cost_model=CostModel(software_time_per_call=10.0))
+    kernel = corpus.load("gemm")
+    params = {"M": 7, "N": 9}
+    arrays = allocate_arrays(kernel, params, np.random.default_rng(0))
+    tracer.install()
+    try:
+        for call in range(2):
+            tracer.call = call
+            _, trace = rt.execute(kernel, arrays, params)
+            assert "compute" in [event.phase for event in trace]
+    finally:
+        tracer.uninstall()
+    cold, warm = (Counter(span.name for span in tracer.spans if span.call == call)
+                  for call in range(2))
+    assert cold == {"runtime.execute": 1, "runtime.cache_get": 1,
+                    "frontend.check_eligibility": 1, "frontend.extract_dfg": 2,
+                    "dfg.dfg_hash": 1, "placer.place_and_route": 1,
+                    "placer.apply": 1, "simulator.compile_config": 1,
+                    "simulator.run_compiled": 1, "simulator.write_back": 1,
+                    "engine.run_program": 2}
+    assert warm == {"runtime.execute": 1, "runtime.cache_get": 1,
+                    "simulator.run_compiled": 1, "simulator.write_back": 1,
+                    "engine.run_program": 2}

@@ -9,7 +9,7 @@ from dfeoffload.dfg import dfg_stats
 from dfeoffload.kernels import allocate_arrays
 from dfeoffload.overlay import OverlayShape, serialize_config
 from dfeoffload.runtime import CostModel, estimate_offload_time
-from dfeoffload.simulator import build_streams, load_frames
+from dfeoffload.simulator import build_streams, graph_io, load_frames
 
 
 def test_bench_estimates_the_stream_length_the_runtime_sends(tmp_path):
@@ -125,7 +125,7 @@ def test_run_dumps_the_streams_it_sends(monkeypatch, tmp_path, capsys):
     params = {"M": 8, "N": 8}
     arrays = allocate_arrays(kernel, params, np.random.default_rng(1))
     trips = runtime.trip_counts(kernel.canonical_nest()[0], params)
-    want = build_streams(extract_dfg(kernel, 1), arrays, trips)
+    want = build_streams(graph_io(extract_dfg(kernel, 1)), arrays, trips)
     got = load_frames((tmp_path / "gemm.in.frames").read_bytes())
     assert sorted(got) == sorted(want)
     for tag, stream in want.items():
@@ -180,12 +180,20 @@ def test_place_exits_2_when_the_search_fails(monkeypatch, tmp_path, capsys):
 
 
 def test_place_applies_the_node_limit_when_unrolled(monkeypatch, tmp_path, capsys):
-    # gemm has 10 calc nodes per lane: 20 at unroll 2 exceed a 4x4 grid
+    # gemm has 10 op nodes per lane: 20 at unroll 2 exceed a 4x4 grid
     rc, out = _place(monkeypatch, tmp_path, capsys, str(corpus.kernel_path("gemm")),
                      "--unroll", "2", "--overlay", "4x4")
     assert rc == cli.EXIT_UNROUTABLE
-    assert out.err == ("unroll too large: 20 calc nodes after unrolling exceed "
-                       "the limit 16\n")
+    assert out.err == ("unroutable: 20 op nodes exceed 16 cells "
+                       "(attempts=0 restarts=0 backtracks=0)\n")
+
+
+def test_run_applies_the_node_limit_when_unrolled(monkeypatch, tmp_path, capsys):
+    rc, out = _run(monkeypatch, tmp_path, capsys, str(corpus.kernel_path("gemm")),
+                   "--unroll", "2", "--overlay", "4x4")
+    assert rc == cli.EXIT_UNROUTABLE
+    assert (out.out, out.err) == ("", "unroutable: 20 op nodes exceed 16 cells\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["place", "run", "bench"])
@@ -206,7 +214,9 @@ def _refuse(*args, **kwargs):
     (None, "[Errno 2] No such file or directory: 'model.cost'"),
     ("wire_speed = 1e6\n", "unknown cost-model key 'wire_speed'"),
     ("config_time = 0  # free\n", "cost model constants must be positive"),
-], ids=["missing", "unknown-key", "non-positive"])
+    ("wire_rate = nan\n", "cost model constants must be finite"),
+    ("config_time = inf\n", "cost model constants must be finite"),
+], ids=["missing", "unknown-key", "non-positive", "nan", "infinite"])
 def test_run_with_a_bad_cost_model_exits_1(monkeypatch, tmp_path, capsys, text, reason):
     if text is not None:
         (tmp_path / "model.cost").write_text(text)

@@ -1,16 +1,11 @@
-import random
-
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_dfg, random_input_streams
 from dfeoffload import corpus
 from dfeoffload.dfg import (AffineExpr, DataFlowGraph, Edge, LengthMismatch,
-                            Node, NodeKind, OpCode, UnknownInput, dfg_from_text,
-                            dfg_hash, dfg_stats, dfg_to_dot, dfg_to_text,
-                            fold_inputs_to_constants, interpret_dfg,
+                            Node, NodeKind, OpCode, dfg_from_text, dfg_hash,
+                            dfg_stats, dfg_to_dot, dfg_to_text, interpret_dfg,
                             validate_dfg, wrap32)
 from dfeoffload.frontend import extract_dfg
 
@@ -110,47 +105,6 @@ def test_listing_style_branch_values(corpus_kernels):
     res = interpret_dfg(g, {ids["A"]: [5, 1], ids["B"]: [1, 5]})
     (stream,) = res.values()
     assert stream == [9, -26]
-
-
-def test_fold_identity():
-    g = fig_like_graph()
-    g2 = fold_inputs_to_constants(g, {})
-    assert dfg_stats(g2) == dfg_stats(g)
-
-
-def test_fold_unknown_input():
-    g = fig_like_graph()
-    with pytest.raises(UnknownInput):
-        fold_inputs_to_constants(g, {99: 1})
-
-
-def test_fold_equivalence_by_oracle():
-    g = fig_like_graph()
-    folded = fold_inputs_to_constants(g, {0: 0})
-    assert folded.nodes[0].kind == NodeKind.CONST
-    res = interpret_dfg(folded, {1: [7]})
-    full = interpret_dfg(g, {0: [0], 1: [7]})
-    assert list(res.values()) == list(full.values()) == [[22]]
-
-
-def test_fold_equivalence_randomized():
-    # folding any subset of inputs never changes interpreted outputs
-    rng = random.Random(1234)
-    vrng = np.random.default_rng(99)
-    for trial in range(1000):
-        g = random_dfg(rng, n_ops=rng.randint(1, 8),
-                       n_inputs=rng.randint(1, 4), n_outputs=rng.randint(1, 2))
-        assert validate_dfg(g) == []
-        streams = random_input_streams(g, vrng, length=3)
-        # keep at least one live input so the stream length stays defined
-        foldable = g.inputs()[1:]
-        chosen = [nid for nid in foldable if rng.random() < 0.5]
-        known = {nid: int(streams[nid][0]) for nid in chosen}
-        folded = fold_inputs_to_constants(g, known)
-        rest = {nid: s for nid, s in streams.items() if nid not in known}
-        got = interpret_dfg(folded, {k: [int(v[0])] for k, v in rest.items()})
-        want = interpret_dfg(g, {k: [int(v[0])] for k, v in streams.items()})
-        assert got == want
 
 
 def test_stats_fig_graph():

@@ -9,10 +9,11 @@ from dfeoffload import corpus
 from dfeoffload.dfg import (NodeKind, OpCode, dfg_stats, dfg_to_text, interpret_dfg,
                            validate_dfg)
 from dfeoffload.frontend import (IneligibleKernel, Reason, Thresholds,
-                                 UnrollTooLarge, Verdict, check_eligibility,
-                                 extract_dfg, to_affine)
+                                 Verdict, check_eligibility, extract_dfg,
+                                 to_affine)
 from dfeoffload.kernels import evaluate_kernel, allocate_arrays, parse_kernel
-from dfeoffload.simulator import build_streams, lower_dfg, run_epilogue, write_back
+from dfeoffload.simulator import (build_streams, graph_io, lower_dfg, run_epilogue,
+                                  write_back)
 from dfeoffload.simulator import RunReport
 
 
@@ -195,11 +196,6 @@ def test_unroll_access_offsets():
     assert strides == {(("j", 4),)}
 
 
-def test_unroll_too_large():
-    with pytest.raises(UnrollTooLarge):
-        extract_dfg(corpus.load("scaleadd"), unroll=8, max_calc_nodes=16)
-
-
 def test_unroll_semantic_invariance():
     for name in ("scaleadd", "branchmix", "gemm"):
         k = corpus.load(name)
@@ -211,12 +207,12 @@ def test_unroll_semantic_invariance():
         trips = [(f.var, 8) for f in loops]
         for unroll in (1, 2, 4):
             g = extract_dfg(k, unroll=unroll)
-            streams = build_streams(g, arrays, trips)
+            streams = build_streams(graph_io(g), arrays, trips)
             outs = interpret_dfg(g, {n: list(map(int, s))
                                      for n, s in streams.items()})
             report = RunReport({n: np.array(v, np.int32) for n, v in outs.items()},
                                0, 0, 0, 0)
-            got = write_back(g, report, arrays, trips)
+            got = write_back(graph_io(g), report, arrays, trips)
             for arr in want:
                 assert np.array_equal(got[arr], want[arr]), (name, unroll, arr)
 
@@ -253,7 +249,7 @@ def test_pass_inserted_for_const_output():
 def test_to_affine_forms():
     k = kparse("C[i][j] = A[2*i+3][j-1] + B[i][j];", arrays="A[99x99]:int32, "
                "B[MxN]:int32, C[MxN]:int32")
-    g = extract_dfg(k, max_calc_nodes=None)
+    g = extract_dfg(k)
     accesses = {str(b.access[0]) for b in g.io_bindings.values()
                 if b.array == "A"}
     assert accesses == {"2*i+3"}
@@ -514,12 +510,12 @@ def test_generated_kernels_extract_as_the_oracle_evaluates(body, m, n, seed):
     base = extract_dfg(k, 1)
     for unroll in (1, 2, 3):
         g = extract_dfg(k, unroll)
-        streams = build_streams(g, arrays, trips)
+        streams = build_streams(graph_io(g), arrays, trips)
         outs = interpret_dfg(g, {nid: s.tolist() for nid, s in streams.items()})
         run = RunReport({nid: np.array(v, np.int32) for nid, v in outs.items()}, 0, 0, 0, 0)
-        got = write_back(g, run, arrays, trips)
+        got = write_back(graph_io(g), run, arrays, trips)
         leftover = n % unroll
         if leftover:
-            run_epilogue(base, lower_dfg(base), got, trips, leftover)
+            run_epilogue(graph_io(base), lower_dfg(base), got, trips, leftover)
         for name in want:
             assert np.array_equal(got[name], want[name]), (body, unroll, name)

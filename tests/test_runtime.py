@@ -302,6 +302,23 @@ def test_an_unroutable_graph_is_searched_once(counts):
     assert all(_phases(trace)[-1] == "software" for trace in traces)
 
 
+def test_an_unrolled_graph_larger_than_the_grid_is_unroutable(counts):
+    # gemm has 10 op nodes per lane: 20 at unroll 2 exceed the 16 cells of a
+    # 4x4 grid, which the placer refuses before any search
+    kernel = corpus.load("gemm")
+    rt = OffloadRuntime(OverlayShape(4, 4), cost_model=OFFLOAD, unroll=2)
+    details = []
+    for call in range(2):
+        arrays, params = _inputs(kernel, 5, seed=call)
+        out, trace = rt.execute(kernel, arrays, params)
+        _assert_matches_software(kernel, arrays, params, out)
+        assert _phases(trace)[-1] == "software"
+        details += [e.detail for e in trace if e.phase == "place_route"]
+    assert details == ["unroutable: 20 op nodes exceed 16 cells",
+                       "unroutable (cached failure): 20 op nodes exceed 16 cells"]
+    assert counts.calls["place_and_route"] == 1
+
+
 @pytest.mark.parametrize("model", [OFFLOAD, SOFTWARE], ids=["offload", "software"])
 def test_out_of_range_access_raises_what_software_raises(model):
     kernel = corpus.load("atax")

@@ -18,9 +18,9 @@ from dfeoffload.overlay import Direction, OverlayShape, Pin
 from dfeoffload.placer import PlacerParams, place_and_route
 from dfeoffload.runtime import trip_counts
 from dfeoffload.simulator import (OutOfBounds, RunReport, build_streams,
-                                  compile_config, dump_frames, load_frames,
-                                  lower_dfg, run_compiled, stream_views,
-                                  write_back)
+                                  compile_config, dump_frames, graph_io,
+                                  load_frames, lower_dfg, run_compiled,
+                                  stream_views, write_back)
 
 
 def test_an_input_that_nothing_reads_is_not_streamed():
@@ -33,7 +33,8 @@ def test_an_input_that_nothing_reads_is_not_streamed():
     program = compile_config(place_and_route(g, OverlayShape(6, 6), seed=3).apply())
     params = {"M": 5, "N": 6}
     arrays = allocate_arrays(kernel, params, np.random.default_rng(0))
-    streams = build_streams(g, arrays, trip_counts(kernel.canonical_nest()[0], params))
+    streams = build_streams(graph_io(g), arrays,
+                            trip_counts(kernel.canonical_nest()[0], params))
     assert unread not in streams
     report = run_compiled(program, streams)
     want = interpret_dfg(g, {**{nid: s.tolist() for nid, s in streams.items()},
@@ -260,9 +261,9 @@ def test_build_streams_gathers_what_index_arrays_gather(domain, data, seed):
     before = {name: a.copy() for name, a in arrays.items()}
     for binding, _ in out_of_range:
         with pytest.raises(OutOfBounds, match=rf"^{binding.array} dim \d: index range"):
-            build_streams(_graph([binding], factor=factor), arrays, trips)
+            build_streams(graph_io(_graph([binding], factor=factor)), arrays, trips)
     g = _graph([binding for binding, _ in in_range], factor=factor)
-    got = build_streams(g, arrays, trips)
+    got = build_streams(graph_io(g), arrays, trips)
     assert sorted(got) == g.inputs()
     for nid, (binding, idx) in zip(g.inputs(), in_range):
         want = arrays[binding.array][idx] if len(idx[0]) else np.zeros(0)
@@ -302,11 +303,11 @@ def test_write_back_scatters_what_index_arrays_scatter(domain, data, seed):
     before = {name: a.copy() for name, a in arrays.items()}
     for binding, _, stream in out_of_range:
         with pytest.raises(OutOfBounds, match=rf"^{binding.array} dim \d: index range"):
-            write_back(_graph(writes=[binding], factor=factor),
+            write_back(graph_io(_graph(writes=[binding], factor=factor)),
                        RunReport({0: stream}, 0, 0, 0, 0), arrays, trips)
     g = _graph(writes=[binding for binding, _, _ in in_range], factor=factor)
     outputs = dict(zip(g.outputs(), [stream for _, _, stream in in_range]))
-    got = write_back(g, RunReport(outputs, 0, 0, 0, 0), arrays, trips)
+    got = write_back(graph_io(g), RunReport(outputs, 0, 0, 0, 0), arrays, trips)
     want = {name: a.copy() for name, a in arrays.items()}
     for binding, idx, stream in in_range:
         want[binding.array][idx] = stream
@@ -324,12 +325,12 @@ def test_an_access_out_of_range_at_either_extreme_is_named():
     b = IoBinding("B", (AffineExpr.of(-1, j=1),))
     arrays = {"A": np.zeros((4, 3), np.int32), "B": np.zeros(6, np.int32)}
     with pytest.raises(OutOfBounds, match=r"^A dim 0: index range \[1,4\] outside extent 4$"):
-        build_streams(_graph([a]), arrays, trips)
+        build_streams(graph_io(_graph([a])), arrays, trips)
     with pytest.raises(OutOfBounds, match=r"^B dim 0: index range \[-1,3\] outside extent 6$"):
-        build_streams(_graph([b]), arrays, trips)
+        build_streams(graph_io(_graph([b])), arrays, trips)
     # an empty domain reads nothing, so nothing is out of range
     for trips in ([("i", 0), ("j", 5)], [("i", 4), ("j", -2)]):
-        streams = build_streams(_graph([a, b]), arrays, trips)
+        streams = build_streams(graph_io(_graph([a, b])), arrays, trips)
         assert [(s.dtype, s.shape) for s in streams.values()] == [(np.int32, (0,))] * 2
 
 
@@ -344,11 +345,11 @@ def test_a_bad_binding_is_refused_with_its_reason():
     ]
     for binding, message in cases:
         with pytest.raises(OutOfBounds) as exc:
-            build_streams(_graph([binding]), arrays, trips)
+            build_streams(graph_io(_graph([binding])), arrays, trips)
         assert str(exc.value) == message
         with pytest.raises(OutOfBounds) as exc:
-            write_back(_graph(writes=[binding]), RunReport({0: np.zeros(2, np.int32)},
-                                                           0, 0, 0, 0), arrays, trips)
+            write_back(graph_io(_graph(writes=[binding])),
+                       RunReport({0: np.zeros(2, np.int32)}, 0, 0, 0, 0), arrays, trips)
         assert str(exc.value) == message
 
 
@@ -473,13 +474,13 @@ def test_run_compiled_runs_views_as_it_runs_built_streams(monkeypatch, block, do
     before = {name: a.copy() for name, a in arrays.items()}
     g = _summing_graph(reads, factor)
     program = lower_dfg(g)
-    views = stream_views(g, arrays, trips)
+    views = stream_views(graph_io(g), arrays, trips)
     box = tuple(_steady_counts(trips, factor))
     for nid, binding in zip(g.inputs(), reads):
         assert views[nid].shape == box
         assert not views[nid].size or np.shares_memory(views[nid], arrays[binding.array])
     got = run_compiled(program, views)
-    want = run_compiled(program, build_streams(g, arrays, trips))
+    want = run_compiled(program, build_streams(graph_io(g), arrays, trips))
     assert (got.frames_in, got.frames_out, got.cycles, got.bytes_on_wire) == (
         want.frames_in, want.frames_out, want.cycles, want.bytes_on_wire)
     assert sorted(got.outputs) == sorted(want.outputs) == g.outputs()
