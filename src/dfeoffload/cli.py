@@ -69,10 +69,9 @@ def _param_values(kernel: kl.Kernel, pairs: list[tuple[str, int]],
 
 
 def _thresholds(args) -> Thresholds:
-    max_nodes = args.max_nodes
-    if max_nodes is None and getattr(args, "overlay", None) is not None:
-        max_nodes = args.overlay.rows * args.overlay.cols
-    return Thresholds(min_nodes=args.min_nodes, max_nodes=max_nodes)
+    """The node gates given; the runtime limits an unset ``max_nodes`` to
+    its grid's cell count."""
+    return Thresholds(min_nodes=args.min_nodes, max_nodes=args.max_nodes)
 
 
 def _runtime(args) -> OffloadRuntime:
@@ -334,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="classify kernels for offload eligibility")
     p.add_argument("files", nargs="+")
     add_common(p)
-    p.set_defaults(func=cmd_analyze, overlay=None)
+    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("place", help="map a kernel onto the overlay and save the config")
     p.add_argument("file")

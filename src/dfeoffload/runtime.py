@@ -21,11 +21,10 @@ from __future__ import annotations
 import math
 import threading
 import time
-from collections import OrderedDict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Hashable, Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -35,10 +34,10 @@ from .frontend import (EligibilityReport, Thresholds, check_eligibility,
                        check_unroll, extract_dfg)
 from .overlay import OverlayShape
 from .placer import Placement, PlacerParams, Unroutable, place_and_route
-from .simulator import (FRAME_SIZE, GraphIo, OutOfBounds, Program, RunReport,
-                        compile_config, graph_io, leftover, lower_dfg,
-                        run_compiled, run_epilogue, stream_length, stream_views,
-                        write_back)
+from .simulator import (CACHE_CAPACITY, FRAME_SIZE, GraphIo, Lru, OutOfBounds,
+                        Program, RunReport, compile_config, graph_io, leftover,
+                        lower_dfg, run_compiled, run_epilogue, stream_length,
+                        stream_views, write_back)
 
 
 @dataclass
@@ -56,6 +55,8 @@ class CostModel:
             raise ValueError("cost model constants must be positive")
         if not all(map(math.isfinite, constants)):
             raise ValueError("cost model constants must be finite")
+        if not 0 <= self.software_time_per_call < math.inf:
+            raise ValueError("software_time_per_call must be finite and nonnegative")
 
     @staticmethod
     def from_file(path: str | Path) -> "CostModel":
@@ -92,7 +93,6 @@ def estimate_offload_time(stats: DfgStats, n_iterations: int,
 MARGIN = 0.9  # offload when the estimate is under this share of software time
 ALPHA = 0.2  # weight of the newest call in each moving average
 WARMUP_CALLS = 5  # offloaded calls before a rollback may trip
-CACHE_CAPACITY = 32  # mappings, analyses and routing failures a runtime keeps
 
 
 class Mode(Enum):
@@ -149,31 +149,6 @@ def record(state: OffloadState, mode: Mode, elapsed: float) -> OffloadState:
     return state
 
 
-class _Lru:
-    """A map of at most CACHE_CAPACITY keys that drops the least recently used.
-
-    Not locked: its owner holds a lock around every use.
-    """
-
-    def __init__(self):
-        self._entries: OrderedDict = OrderedDict()
-
-    def get(self, key: Hashable):
-        value = self._entries.get(key)
-        if value is not None:
-            self._entries.move_to_end(key)
-        return value
-
-    def put(self, key: Hashable, value) -> None:
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > CACHE_CAPACITY:
-            self._entries.popitem(last=False)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
 @dataclass
 class CacheEntry:
     """A mapping ready to run: ``program`` is the placement's config, lowered
@@ -192,27 +167,19 @@ class CacheEntry:
 
 
 class ConfigCache:
-    """LRU map of at most CACHE_CAPACITY graph hashes to ready-to-run configs.
-
-    Reads are cheap and common, writes rare; a single lock keeps both
-    consistent for concurrent callers.
-    """
+    """LRU map of at most CACHE_CAPACITY graph hashes to ready-to-run configs."""
 
     def __init__(self):
-        self._entries = _Lru()
-        self._lock = threading.RLock()
+        self._entries = Lru(CACHE_CAPACITY)
 
     def get(self, key: int) -> Optional[CacheEntry]:
-        with self._lock:
-            return self._entries.get(key)
+        return self._entries.get(key)
 
     def put(self, entry: CacheEntry) -> None:
-        with self._lock:
-            self._entries.put(entry.key, entry)
+        self._entries.put(entry.key, entry)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
 
 @dataclass(frozen=True)
@@ -283,6 +250,12 @@ def run_offloaded(entry: CacheEntry, accepted: _Accepted,
     The gather makes views of the caller's arrays, and the run copies each
     block straight from them, so no full-length input stream is built.
     The epilogue is the unroll-1 graph of ``accepted`` run on the host.
+
+    Each graph's views are laid out once per call signature and memoized on
+    its ``GraphIo``: the key is the trip counts, the box, and each accessed
+    array's shape, strides and dtype.  Arrays that are not one C- or
+    Fortran-ordered block, and failed bounds checks, bypass the memo.  A
+    box of at most ``simulator._BLOCK`` positions runs as one piece.
     Returns the result arrays and the overlay's run report.  Raises
     simulator.OutOfBounds when an access in either graph falls outside its
     array somewhere in the iterations it covers; each graph's views are all
@@ -331,10 +304,12 @@ class OffloadRuntime:
     depart from the estimate.  Software elapsed time is read from ``clock``.
     ``decide`` and ``record`` hold the policy.  Distinct kernels may execute
     concurrently: cache and per-kernel state updates are lock-protected.
+    ``thresholds`` without a ``max_nodes`` limit the unroll-1 graph to the
+    grid's cell count.
     """
 
     def __init__(self, shape: OverlayShape,
-                 thresholds: Optional[Thresholds] = None,
+                 thresholds: Thresholds = Thresholds(),
                  placer_params: PlacerParams = PlacerParams(),
                  cost_model: Optional[CostModel] = None,
                  device_model: Optional[CostModel] = None,
@@ -343,16 +318,17 @@ class OffloadRuntime:
                  clock: Callable[[], float] = time.perf_counter):
         check_unroll(unroll)
         self.shape = shape
-        self.thresholds = thresholds or Thresholds(
-            max_nodes=shape.rows * shape.cols)
+        if thresholds.max_nodes is None:
+            thresholds = replace(thresholds, max_nodes=shape.rows * shape.cols)
+        self.thresholds = thresholds
         self.placer_params = placer_params
         self.cost_model = cost_model or CostModel()
         self.device_model = device_model or self.cost_model
         self.cache = ConfigCache()
         # (kernel content key, unroll, thresholds) -> _Analysis
-        self._analyses = _Lru()
+        self._analyses = Lru(CACHE_CAPACITY)
         # (graph hash, shape, placer params, seed) -> the Unroutable message
-        self._unroutable = _Lru()
+        self._unroutable = Lru(CACHE_CAPACITY)
         self.unroll = unroll
         self.seed = seed
         self.clock = clock
@@ -372,13 +348,11 @@ class OffloadRuntime:
         equal kernel parsed again, or unpickled, shares the analysis.
         """
         memo_key = (kernel.content_key, self.unroll, self.thresholds)
-        with self._lock:
-            analysis = self._analyses.get(memo_key)
+        analysis = self._analyses.get(memo_key)
         if analysis is not None:
             return analysis
         analysis = analyze_kernel(kernel, self.unroll, self.thresholds)
-        with self._lock:
-            self._analyses.put(memo_key, analysis)
+        self._analyses.put(memo_key, analysis)
         return analysis
 
     def map(self, accepted: _Accepted) -> CacheEntry:
@@ -392,16 +366,14 @@ class OffloadRuntime:
         search runs once: a later call raises _CachedUnroutable at once.
         """
         failure_key = (accepted.key, self.shape, self.placer_params, self.seed)
-        with self._lock:
-            failure = self._unroutable.get(failure_key)
+        failure = self._unroutable.get(failure_key)
         if failure is not None:
             raise _CachedUnroutable(failure)
         try:
             placement = place_and_route(accepted.dfg, self.shape,
                                         self.placer_params, self.seed)
         except Unroutable as exc:
-            with self._lock:
-                self._unroutable.put(failure_key, str(exc))
+            self._unroutable.put(failure_key, str(exc))
             raise
         entry = CacheEntry(accepted.key, placement, compile_config(placement.apply()),
                            graph_io(accepted.dfg))

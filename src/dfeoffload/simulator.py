@@ -13,20 +13,33 @@ never through index arrays.  The run copies each block of positions straight
 from the gather's views into the engine's scratch, so each input value is
 copied once, and a read that a loop does not index (a stride-0 view) is read
 in place rather than expanded.  The stream layer reads nothing of a graph but
-its ``GraphIo``: the streamed Inputs, the Outputs, the written arrays and the
-lane stride, listed once per graph, so a call on a cached mapping does not
-rescan it.  The engine runs over blocks of at most ``_BLOCK`` positions, so
-its scratch stays small whatever the stream length.  ``lower_dfg`` lowers a
-graph for the host without placement, and ``run_epilogue`` runs the unroll-1
-graph so lowered over the ``leftover`` innermost iterations of an unrolled
-call.
+its ``GraphIo``: the streamed Inputs, the Outputs, the arrays they access and
+the lane stride, listed once per graph, so a call on a cached mapping does
+not rescan it.  The engine runs over blocks of at most ``_BLOCK`` positions,
+so its scratch stays small whatever the stream length; a box of at most
+``_BLOCK`` positions runs as one piece, its inputs copied straight into the
+scratch and its outputs the scratch's rows.  ``lower_dfg`` lowers a graph for
+the host without placement, and ``run_epilogue`` runs the unroll-1 graph so
+lowered over the ``leftover`` innermost iterations of an unrolled call.
+
+Each ``GraphIo`` memoizes its views' layouts (byte offset and strides, bounds
+already checked) per call signature: the trip counts, the box, and the
+shape, strides and dtype of each array accessed.  It keeps the
+``CACHE_CAPACITY`` most recently used signatures, so a call that repeats one
+builds each view with one ``np.ndarray`` call and redoes no per-dimension
+sums.  Arrays that are not one C- or Fortran-ordered block, and accesses that
+fail their bounds check, bypass the memo: they are computed on every call,
+and an out-of-range access raises the same OutOfBounds each time.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass, field
+from typing import Hashable, Optional
 
 import numpy as np
 
@@ -207,13 +220,17 @@ _BLOCK = 1 << 14
 def _pieces(shape: tuple[int, ...]):
     """Tile a box of ``shape`` into pieces of at most _BLOCK positions.
 
-    Yields (index, piece shape) in row-major order.  An index is leading
-    integers plus a slice of the next axis, which takes whole rows of the
-    axes after it: the axis sliced is the outermost whose rows fit in
-    _BLOCK, and an innermost row wider than _BLOCK is itself sliced.  A 1-D
-    box is cut every _BLOCK positions.
+    Yields (index, piece shape) in row-major order.  A box of at most
+    _BLOCK positions is one piece, indexed by ``()``.  Otherwise an index is
+    leading integers plus a slice of the next axis, which takes whole rows
+    of the axes after it: the axis sliced is the outermost whose rows fit
+    in _BLOCK, and an innermost row wider than _BLOCK is itself sliced.  A
+    1-D box is cut every _BLOCK positions.
     """
     if 0 in shape:
+        return
+    if math.prod(shape) <= _BLOCK:
+        yield (), shape
         return
     axis, row = len(shape) - 1, 1
     while axis > 0 and row * shape[axis] <= _BLOCK:
@@ -232,26 +249,32 @@ def _run_blocked(program: Program, streams: dict[int, np.ndarray],
 
     Every stream has ``shape``: a 1-D stream or a strided view of an array.
     Each piece's inputs are copied straight from the streams into rows of an
-    (n_slots, _BLOCK) scratch array, cast to int32 on the way, the engine
-    runs on it, and its output slots are copied out.  Outputs are fresh 1-D
-    int32 streams, one position per point of the box in row-major order.
+    (n_slots, _BLOCK) scratch array, cast to int32 on the way, and the
+    engine runs on it.  Outputs are 1-D int32 streams, one position per
+    point of the box in row-major order.  A box of one piece runs in a
+    scratch of its own width, and its outputs are the scratch's rows;
+    otherwise each piece's output slots are copied into fresh streams.
     """
     length = math.prod(shape)
     values = np.zeros((program.n_slots, min(length, _BLOCK)), dtype=np.int32)
     for slot, value in program.const_fill:
         values[slot] = value
     inputs = [(slot, streams[tag]) for tag, slot in program.input_slots.items()]
-    outputs = {tag: np.empty(length, dtype=np.int32) for tag in program.output_slots}
+    one_piece = length <= _BLOCK
+    outputs = {tag: values[slot] if one_piece else np.empty(length, dtype=np.int32)
+               for tag, slot in program.output_slots.items()}
     lo = 0
     for index, piece in _pieces(shape):
         hi = lo + math.prod(piece)
-        block = values[:, :hi - lo]
+        block = values if one_piece else values[:, :hi - lo]
+        rows = block.reshape(-1, *piece)
         for slot, stream in inputs:
-            block[slot].reshape(piece)[...] = stream[index]
+            rows[slot] = stream[index] if index else stream
         if len(program.instrs):
             engine.get_runner()(program.instrs, block)
-        for tag, slot in program.output_slots.items():
-            outputs[tag][lo:hi] = block[slot]
+        if not one_piece:
+            for tag, slot in program.output_slots.items():
+                outputs[tag][lo:hi] = block[slot]
         lo = hi
     return outputs
 
@@ -262,11 +285,12 @@ def run_compiled(program: Program, streams: dict[int, np.ndarray]) -> RunReport:
     The streams share one shape: 1-D streams as ``build_streams`` makes
     them, or the N-D views ``stream_views`` makes, read in row-major order
     without a full-length copy.  A run covers ``prod(shape)`` positions, and
-    its output streams are fresh 1-D int32 arrays of that length.
+    its output streams are 1-D int32 arrays of that length, owned by the
+    report.
     """
-    missing = set(program.input_slots) - set(streams)
-    extra = set(streams) - set(program.input_slots)
-    if missing or extra:
+    if streams.keys() != program.input_slots.keys():
+        missing = program.input_slots.keys() - streams.keys()
+        extra = streams.keys() - program.input_slots.keys()
         raise UnconfiguredTag(f"missing input tags {sorted(missing)}, "
                               f"unexpected {sorted(extra)}")
     streams = {tag: np.asarray(s) for tag, s in streams.items()}
@@ -295,22 +319,61 @@ def run_compiled(program: Program, streams: dict[int, np.ndarray]) -> RunReport:
 # its positions are the box's points in row-major order.
 
 
+# Entries an LRU keeps: a runtime's mappings, analyses and routing failures,
+# and a GraphIo's view plans.
+CACHE_CAPACITY = 32
+
+
+class Lru:
+    """A map of at most ``capacity`` keys that drops the least recently used.
+
+    Every use holds its lock, so concurrent callers may share one.
+    """
+
+    def __init__(self, capacity: int):
+        self._entries: OrderedDict = OrderedDict()
+        self._capacity = capacity
+        self._lock = threading.Lock()
+
+    def get(self, key: Hashable):
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+            return value
+
+    def put(self, key: Hashable, value) -> None:
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > self._capacity:
+                self._entries.popitem(last=False)
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+
 @dataclass(frozen=True)
 class GraphIo:
     """All that the stream layer reads of a graph.
 
     ``reads`` are the Inputs that some edge reads and ``writes`` the
-    Outputs, each with its binding, in node id order; ``written`` is the
-    sorted names of the arrays the Outputs write; ``factor`` is the graph's
-    unroll factor (its lane stride), or 1.  Built once per graph by
-    ``graph_io``, so that a call on a cached mapping does not rescan the
-    graph.
+    Outputs, each with its binding, in node id order; ``read`` and
+    ``written`` are the sorted names of the arrays they access; ``factor``
+    is the graph's unroll factor (its lane stride), or 1.  Built once per
+    graph by ``graph_io``, so that a call on a cached mapping does not
+    rescan the graph.  ``plans`` memoizes the views' layouts per call
+    signature (``_views``).
     """
 
     reads: tuple[tuple[int, IoBinding], ...]
     writes: tuple[tuple[int, IoBinding], ...]
+    read: tuple[str, ...]
     written: tuple[str, ...]
     factor: int
+    plans: Lru = field(default_factory=lambda: Lru(CACHE_CAPACITY),
+                       compare=False, repr=False)
 
 
 def graph_io(g: DataFlowGraph) -> GraphIo:
@@ -318,28 +381,34 @@ def graph_io(g: DataFlowGraph) -> GraphIo:
     reads = tuple((nid, g.io_bindings[nid]) for nid in g.inputs() if nid in read)
     writes = tuple((nid, g.io_bindings[nid]) for nid in g.outputs())
     factor = g.remainder.factor if g.remainder is not None else 1
-    return GraphIo(reads, writes, tuple(sorted({b.array for _, b in writes})), factor)
+    return GraphIo(reads, writes, tuple(sorted({b.array for _, b in reads})),
+                   tuple(sorted({b.array for _, b in writes})), factor)
 
 
-def _steady_box(io: GraphIo, trips: list[tuple[str, int]]
-                ) -> tuple[list[int], list[int]]:
-    """(counts, starts) of the unrolled steady state.
+def _box(io: GraphIo, trips: list[tuple[str, int]],
+         leftover: Optional[int] = None) -> tuple[list[int], list[int]]:
+    """(counts, starts) of the unrolled steady state, or with ``leftover``
+    of the last ``leftover`` innermost iterations of every outer iteration.
 
-    Every loop starts at 0.  The innermost count is divided by the lane
-    stride: extraction rewrote the lanes' accesses so that the innermost
-    variable indexes blocks.  A negative count runs its loop zero times, as
-    in software.
+    Every loop of the steady state starts at 0.  Its innermost count is
+    divided by the lane stride: extraction rewrote the lanes' accesses so
+    that the innermost variable indexes blocks.  A negative count runs its
+    loop zero times, as in software.
     """
     if not trips:
         raise ValueError("at least one loop required")
     counts = [max(n, 0) for _, n in trips]
-    counts[-1] //= io.factor
-    return counts, [0] * len(counts)
+    starts = [0] * len(counts)
+    if leftover is None:
+        counts[-1] //= io.factor
+    else:
+        counts[-1], starts[-1] = leftover, counts[-1] - leftover
+    return counts, starts
 
 
 def stream_length(io: GraphIo, trips: list[tuple[str, int]]) -> int:
     """Stream positions per run: the size of the unrolled steady-state box."""
-    return math.prod(_steady_box(io, trips)[0])
+    return math.prod(_box(io, trips)[0])
 
 
 def leftover(io: GraphIo, trips: list[tuple[str, int]]) -> int:
@@ -353,24 +422,22 @@ def _supplied(arrays: dict[str, np.ndarray], name: str) -> np.ndarray:
     return arrays[name]
 
 
-def _view(arr: np.ndarray, binding: IoBinding, loop: dict[str, int],
-          counts: list[int], starts: list[int]) -> np.ndarray:
-    """The elements ``binding`` accesses over a box, as a view of ``arr``.
+def _layout(arr: np.ndarray, binding: IoBinding, loop: dict[str, int],
+            counts: list[int], starts: list[int]
+            ) -> tuple[int, tuple[int, ...], list[int]]:
+    """Where ``binding`` accesses ``arr`` over a box: (byte offset, byte
+    strides, index) of the view whose element at n is the one accessed when
+    each loop variable is its start plus n.
 
-    ``loop`` maps each loop variable to its position in ``counts``.  The
-    view's shape is ``counts``; its element at n is the one accessed when
-    each loop variable is its start plus n.  A loop variable's byte stride
-    is the sum over dimensions of its coefficient times the array's stride
-    there, which covers lane strides, swapped and multi-variable subscripts,
-    negative coefficients and (stride 0) reads the variable does not index.
-    Raises OutOfBounds when the access leaves the array anywhere in the box:
-    each dimension is checked at its affine extremes.
-
-    Over an array that is one C- or Fortran-ordered block, the view is made
-    by the ``np.ndarray`` constructor on the array's memory, at the origin
-    element's byte offset.  That constructor takes only a contiguous buffer,
-    so a sliced or reversed array goes through ``as_strided`` from the
-    origin element instead, which costs several times as much per view.
+    ``loop`` maps each loop variable to its position in ``counts``.  A loop
+    variable's byte stride is the sum over dimensions of its coefficient
+    times the array's stride there, which covers lane strides, swapped and
+    multi-variable subscripts, negative coefficients and (stride 0) reads
+    the variable does not index.  The offset and index are those of the
+    origin element, the one accessed at the box's start; an empty box
+    accesses nothing and has offset 0.  Raises OutOfBounds when the access
+    leaves the array anywhere in the box: each dimension is checked at its
+    affine extremes.
     """
     if arr.ndim != len(binding.access):
         raise OutOfBounds(f"array {binding.array} has rank {arr.ndim}, "
@@ -378,7 +445,7 @@ def _view(arr: np.ndarray, binding: IoBinding, loop: dict[str, int],
     shape, steps = arr.shape, arr.strides
     empty = 0 in counts
     origin = []
-    offset = 0  # of the origin element, in bytes
+    offset = 0
     strides = [0] * len(counts)
     for dim, expr in enumerate(binding.access):
         first, down, up = expr.const, 0, 0
@@ -399,10 +466,16 @@ def _view(arr: np.ndarray, binding: IoBinding, loop: dict[str, int],
                 f"[{first + down},{first + up}] outside extent {shape[dim]}")
         origin.append(first)
         offset += first * steps[dim]
-    if empty:
+    return (0 if empty else offset), tuple(strides), origin
+
+
+def _strided(arr: np.ndarray, counts: tuple[int, ...], strides: tuple[int, ...],
+             origin: list[int]) -> np.ndarray:
+    """A view of ``arr``, which is not one contiguous block, from its origin
+    element: ``as_strided`` takes any array, at several times the cost of
+    the ``np.ndarray`` constructor, which takes only a contiguous buffer."""
+    if 0 in counts:
         return np.empty(counts, dtype=arr.dtype)
-    if arr.flags.forc:
-        return np.ndarray(counts, arr.dtype, arr, offset, strides)
     at_origin = arr[tuple(slice(o, o + 1) for o in origin)]
     return np.lib.stride_tricks.as_strided(at_origin, counts, strides)
 
@@ -411,36 +484,63 @@ def _loop_positions(trips: list[tuple[str, int]]) -> dict[str, int]:
     return {var: i for i, (var, _) in enumerate(trips)}
 
 
-def _gather(reads: tuple[tuple[int, IoBinding], ...],
-            arrays: dict[str, np.ndarray], trips: list[tuple[str, int]],
-            counts: list[int], starts: list[int]) -> dict[int, np.ndarray]:
-    """Each read's view over the box, keyed by node id; every view is built
-    and bounds checked before this returns."""
-    loop = _loop_positions(trips)
-    return {nid: _view(_supplied(arrays, binding.array), binding, loop, counts, starts)
-            for nid, binding in reads}
+def _views(io: GraphIo, writes: bool, arrays: dict[str, np.ndarray],
+           trips: list[tuple[str, int]], leftover: Optional[int] = None
+           ) -> tuple[tuple[int, ...], dict[int, np.ndarray]]:
+    """The shape of the box ``_box(io, trips, leftover)`` and the view over
+    it of each read (``writes`` false) or each write of ``io``, keyed by
+    node id; every view is built and bounds checked before this returns.
+
+    The layouts are memoized in ``io.plans``, keyed on the trips, the
+    leftover and each named array's shape, strides and dtype: all that the
+    box and every ``_layout`` depend on.  A hit builds each view with one
+    ``np.ndarray`` call over the array's memory.  A miss computes the
+    layouts, and stores them only when every named array is one C- or
+    Fortran-ordered block, so a failed bounds check is never stored and
+    raises the same OutOfBounds on every call.
+    """
+    bindings, names = (io.writes, io.written) if writes else (io.reads, io.read)
+    try:
+        key = (writes, leftover, tuple(trips),
+               tuple([(a.shape, a.strides, a.dtype) for a in map(arrays.__getitem__, names)]))
+    except KeyError:  # _supplied names the array
+        key = None
+    plan = io.plans.get(key)
+    if plan is None:
+        counts, starts = _box(io, trips, leftover)
+        loop = _loop_positions(trips)
+        layouts = [(nid, binding.array,
+                    *_layout(_supplied(arrays, binding.array), binding, loop, counts, starts))
+                   for nid, binding in bindings]
+        shape = tuple(counts)
+        if not all(arrays[name].flags.forc for name in names):
+            return shape, {nid: _strided(arrays[name], shape, strides, origin)
+                           for nid, name, _, strides, origin in layouts}
+        plan = shape, tuple((nid, name, arrays[name].dtype, offset, strides)
+                            for nid, name, offset, strides, _ in layouts)
+        io.plans.put(key, plan)
+    shape, entries = plan
+    return shape, {nid: np.ndarray(shape, dtype, arrays[name], offset, strides)
+                   for nid, name, dtype, offset, strides in entries}
 
 
-def _scatter(writes: tuple[tuple[int, IoBinding], ...],
-             outputs: dict[int, np.ndarray], arrays: dict[str, np.ndarray],
-             trips: list[tuple[str, int]], counts: list[int],
-             starts: list[int]) -> None:
-    """Write each Output node's stream into ``arrays`` in place.
+def _scatter(io: GraphIo, outputs: dict[int, np.ndarray],
+             arrays: dict[str, np.ndarray], trips: list[tuple[str, int]],
+             leftover: Optional[int] = None) -> None:
+    """Write each Output node's stream into ``arrays`` in place, over the
+    box of ``_views``, once every write view is bounds checked.
 
     Extraction makes every write subscript a distinct loop variable plus a
     constant, so no two positions of one output share an element.
     """
-    loop = _loop_positions(trips)
-    length = math.prod(counts)
-    for nid, binding in writes:
+    for nid, view in _views(io, True, arrays, trips, leftover)[1].items():
         if nid not in outputs:
             raise UnconfiguredTag(f"report carries no stream for output {nid}")
         stream = np.asarray(outputs[nid])
-        if len(stream) != length:
+        if len(stream) != view.size:
             raise LengthMismatch(
-                f"output {nid}: stream length {len(stream)} != domain {length}")
-        view = _view(_supplied(arrays, binding.array), binding, loop, counts, starts)
-        view[...] = stream.astype(np.int32, copy=False).reshape(counts)
+                f"output {nid}: stream length {len(stream)} != domain {view.size}")
+        view[...] = stream.astype(np.int32, copy=False).reshape(view.shape)
 
 
 def stream_views(io: GraphIo, arrays: dict[str, np.ndarray],
@@ -456,9 +556,9 @@ def stream_views(io: GraphIo, arrays: dict[str, np.ndarray],
     nothing is copied, and a read that does not use a loop variable has
     stride 0 along it.  ``run_compiled`` takes the views as they are.
     Raises OutOfBounds, before any view is returned, when an access leaves
-    its array.
+    its array.  The layouts are memoized per call signature on ``io``.
     """
-    return _gather(io.reads, arrays, trips, *_steady_box(io, trips))
+    return _views(io, False, arrays, trips)[1]
 
 
 def build_streams(io: GraphIo, arrays: dict[str, np.ndarray],
@@ -477,12 +577,13 @@ def write_back(io: GraphIo, report: RunReport,
     """Scatter each Output's stream through the access of its ``io`` write.
 
     Returns a new mapping; written arrays are fresh copies, others pass
-    through.  The ``leftover`` iterations are left untouched.
+    through.  The ``leftover`` iterations are left untouched.  The write
+    views' layouts over the copies are memoized per call signature on ``io``.
     """
     out = dict(arrays)
     for name in io.written:
         out[name] = np.array(_supplied(out, name), copy=True)
-    _scatter(io.writes, report.outputs, out, trips, *_steady_box(io, trips))
+    _scatter(io, report.outputs, out, trips)
     return out
 
 
@@ -494,16 +595,13 @@ def run_epilogue(io: GraphIo, program: Program,
     ``io`` is ``graph_io(g)`` and ``program`` is ``lower_dfg(g)`` of the
     kernel's unroll-1 graph ``g``.  Every outer iteration is covered: the
     box is the leftover columns.  Their views are built and bounds checked
-    first, the blocked run copies from them, and the outputs are scattered
-    once the whole run is done, so no read sees a write.  Results are
-    written into ``arrays`` in place, so its written arrays must be the
-    call's own copies, as ``write_back`` returns them.  Nothing crosses the
-    modelled wire, and no RunReport is made.  Raises OutOfBounds as a
-    gather does, before anything is written.
+    first (memoized on ``io`` as the gather's are), the blocked run copies
+    from them, and the outputs are scattered once the whole run is done, so
+    no read sees a write.  Results are written into ``arrays`` in place, so
+    its written arrays must be the call's own copies, as ``write_back``
+    returns them.  Nothing crosses the modelled wire, and no RunReport is
+    made.  Raises OutOfBounds as a gather does, before anything is written.
     """
-    counts = [n for _, n in trips]
-    starts = [0] * len(trips)
-    counts[-1], starts[-1] = leftover, trips[-1][1] - leftover
-    views = _gather(io.reads, arrays, trips, counts, starts)
-    outputs = _run_blocked(program, views, tuple(counts))
-    _scatter(io.writes, outputs, arrays, trips, counts, starts)
+    shape, views = _views(io, False, arrays, trips, leftover)
+    outputs = _run_blocked(program, views, shape)
+    _scatter(io, outputs, arrays, trips, leftover)

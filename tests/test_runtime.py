@@ -10,6 +10,7 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 import dfeoffload
-from dfeoffload import corpus, frontend, overlay, placer, runtime, simulator
+from dfeoffload import cli, corpus, frontend, overlay, placer, runtime, simulator
 from dfeoffload.dfg import DataFlowGraph
 from dfeoffload.kernels import (EvalError, Kernel, allocate_arrays,
                                 evaluate_kernel, parse_kernel)
@@ -223,6 +224,63 @@ def test_a_hit_does_not_rescan_the_graph(monkeypatch, unroll, extent):
         assert np.array_equal(out[name], want), name
 
 
+@pytest.mark.parametrize("unroll,extent", [(1, 6), (2, 7)], ids=["u1", "u2-odd"])
+def test_a_repeated_call_signature_lays_out_no_view(monkeypatch, unroll, extent):
+    # The signature is the trip counts and each array's shape, strides and
+    # dtype: new values of the same arrays repeat it, a new size does not.
+    kernel = corpus.load("gemm")
+    rt = OffloadRuntime(OverlayShape(8, 8), cost_model=OFFLOAD, unroll=unroll, seed=SEED)
+    layouts = []
+    original = simulator._layout
+    monkeypatch.setattr(simulator, "_layout",
+                        lambda *args: layouts.append(args[1]) or original(*args))
+    accepted = rt.analyze(kernel)
+    ios = [simulator.graph_io(accepted.dfg)]
+    if unroll > 1:  # the leftover column's graph
+        ios.append(accepted.epilogue_io)
+    per_call = sum(len(io.reads) + len(io.writes) for io in ios)
+    for size, seed, laid_out in [(extent, 0, per_call), (extent, 1, 0),
+                                 (extent + 2, 2, per_call), (extent, 3, 0)]:
+        layouts.clear()
+        arrays, params = _inputs(kernel, size, seed=seed)
+        out, trace = rt.execute(kernel, arrays, params)
+        assert "compute" in _phases(trace)
+        _assert_matches_software(kernel, arrays, params, out)
+        assert len(layouts) == laid_out, (size, seed)
+
+
+def test_concurrent_calls_with_different_signatures_get_their_own_arrays():
+    # Four threads share one mapping, each at its own size, so the memo is
+    # read and written from every thread at once.
+    kernel = corpus.load("gemm")
+    rt = OffloadRuntime(OverlayShape(6, 6), cost_model=OFFLOAD, seed=SEED)
+    rt.execute(kernel, *_inputs(kernel, 4))
+    calls = [_inputs(kernel, size, seed=size) for size in (5, 6, 7, 8)]
+    expected = [evaluate_kernel(kernel, *call) for call in calls]
+    wrong, done = [], []
+
+    def worker(i):
+        for _ in range(25):
+            out, trace = rt.execute(kernel, *calls[i])
+            if "compute" not in _phases(trace) or not all(
+                    np.array_equal(out[name], want) for name, want in expected[i].items()):
+                wrong.append(i)
+        done.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(done) == [0, 1, 2, 3] and wrong == []
+
+
 def test_graphs_that_differ_only_in_numbering_share_one_mapping():
     # The same two statements in either order extract to one graph under two
     # numberings, with one hash: the second kernel runs on the first one's
@@ -345,6 +403,61 @@ def test_a_negative_trip_count_runs_the_loop_zero_times(model):
     out, trace = rt.execute(kernel, arrays, params)
     _assert_matches_software(kernel, arrays, params, out)
     assert ("compute" in _phases(trace)) == (model is OFFLOAD)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_a_software_time_that_is_not_finite_and_nonnegative_is_refused(tmp_path, value):
+    message = "^software_time_per_call must be finite and nonnegative$"
+    with pytest.raises(ValueError, match=message):
+        CostModel(software_time_per_call=float(value))
+    path = tmp_path / "model.cost"
+    path.write_text(f"software_time_per_call = {value}\n")
+    with pytest.raises(ValueError, match=message):
+        CostModel.from_file(path)
+
+
+def test_a_software_time_of_0_means_measure_it(tmp_path):
+    path = tmp_path / "model.cost"
+    path.write_text("software_time_per_call = 0.0\n")
+    assert CostModel.from_file(path) == CostModel()
+    kernel = corpus.load("gemm")
+    rt = OffloadRuntime(OverlayShape(6, 6), cost_model=CostModel.from_file(path), seed=SEED)
+    _, trace = rt.execute(kernel, *_inputs(kernel, 4))
+    assert trace[-1].detail == "measuring software baseline"
+
+
+GEMM = str(corpus.kernel_path("gemm"))
+
+
+# gemm's unroll-1 graph has 10 calc nodes, one more than a 3x3 grid has cells.
+@pytest.mark.parametrize("argv,rc,out,err", [
+    (["analyze", GEMM, "--max-nodes", "9"], cli.EXIT_OK, "gemm         No, too large      9/1/10", ""),
+    (["place", GEMM, "--overlay", "3x3"], cli.EXIT_OK, "",
+     "kernel rejected: No, too large (10 calc nodes > 9)\n"),
+    (["place", GEMM, "--overlay", "3x3", "--max-nodes", "20"], cli.EXIT_UNROUTABLE, "",
+     "unroutable: 10 op nodes exceed 9 cells (attempts=0 restarts=0 backtracks=0)\n"),
+    (["run", GEMM, "--overlay", "3x3"], cli.EXIT_OK,
+     "gemm: No, too large; software path\nPASS (software)\n", ""),
+    (["run", GEMM, "--overlay", "3x3", "--max-nodes", "20"], cli.EXIT_UNROUTABLE, "",
+     "unroutable: 10 op nodes exceed 9 cells\n"),
+], ids=["analyze", "place", "place-max-nodes", "run", "run-max-nodes"])
+def test_the_node_limit_defaults_to_the_grids_cell_count(monkeypatch, tmp_path, capsys,
+                                                         argv, rc, out, err):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == rc
+    got = capsys.readouterr()
+    assert got.out.startswith(out) and got.err == err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_runtime_limits_an_unset_node_limit_to_its_grid():
+    kernel = corpus.load("gemm")
+    rt = OffloadRuntime(OverlayShape(3, 3))
+    assert rt.thresholds == frontend.Thresholds(min_nodes=8, max_nodes=9)
+    report = rt.analyze(kernel)
+    assert (report.table_label(), report.detail) == ("No, too large", "10 calc nodes > 9")
+    rt = OffloadRuntime(OverlayShape(3, 3), frontend.Thresholds(max_nodes=20))
+    assert rt.analyze(kernel).stats.calc_nodes == 10
 
 
 def test_estimate_offload_time_charges_one_frame_per_streamed_word():

@@ -489,3 +489,172 @@ def test_run_compiled_runs_views_as_it_runs_built_streams(monkeypatch, block, do
         assert np.array_equal(stream, want.outputs[tag]), tag
     for name, a in arrays.items():
         assert np.array_equal(a, before[name])
+
+
+# -- the view plans memoized per call signature -----------------------------------------
+
+_SOURCE_LAYOUTS = ["C", "fortran", "sliced", "reversed", "broadcast"]
+
+
+def _same_views(got, want):
+    """Views over the same memory with the same layout and values."""
+    assert got.keys() == want.keys()
+    for nid, view in got.items():
+        assert (view.shape, view.strides, view.dtype) == (
+            want[nid].shape, want[nid].strides, want[nid].dtype), nid
+        if view.size:
+            assert (view.__array_interface__["data"][0]
+                    == want[nid].__array_interface__["data"][0]), nid
+        assert np.array_equal(view, want[nid]), nid
+
+
+def _outcome(call):
+    """``call()``'s result, or the text of the OutOfBounds it raises."""
+    try:
+        return call()
+    except OutOfBounds as exc:
+        return str(exc)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(domain=_domains(), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_a_memoized_view_equals_a_fresh_one(domain, data, seed):
+    """Calls on one GraphIo that alternate three signatures gather and
+    scatter exactly what a fresh GraphIo, with nothing memoized, does.  The
+    second signature has the first's trip counts and shapes but the other
+    dtype, and may have other strides; the third other trip counts, which
+    may take an access out of range."""
+    trips, factor = domain
+    rng = np.random.default_rng(seed)
+    reads = [data.draw(_reads(trips, factor, name)) for name in ("A", "B")]
+    writes = [data.draw(_writes(trips, factor, "C"))]
+    g = _graph([b for _, b in reads], [b for _, b in writes], factor)
+    shapes = {binding.array: shape for shape, binding in reads + writes}
+    first_dtype = data.draw(_DTYPES)
+    other_trips = [(var, data.draw(st.integers(n - 1, n + 1))) for var, n in trips]
+    signatures = [(trips, first_dtype), (trips, np.int64 if first_dtype == np.int32 else np.int32),
+                  (other_trips, data.draw(_DTYPES))]
+    calls = []
+    for sig_trips, dtype in signatures:
+        layout = data.draw(st.sampled_from(_SOURCE_LAYOUTS))
+        arrays = {name: _source_array(rng, shape, layout, dtype)
+                  for name, shape in shapes.items()}
+        positions = math.prod(_steady_counts(sig_trips, factor))
+        outputs = dict.fromkeys(g.outputs(), rng.integers(-2**31, 2**31, positions,
+                                                          dtype=np.int32))
+        calls.append((sig_trips, arrays, RunReport(outputs, 0, 0, 0, 0)))
+    io = graph_io(g)
+    for index in data.draw(st.permutations([0, 1, 2] * 3)):
+        sig_trips, arrays, report = calls[index]
+        got = _outcome(lambda: stream_views(io, arrays, sig_trips))
+        want = _outcome(lambda: stream_views(graph_io(g), arrays, sig_trips))
+        if isinstance(want, str):
+            assert got == want
+        else:
+            _same_views(got, want)
+        got = _outcome(lambda: write_back(io, report, arrays, sig_trips))
+        want = _outcome(lambda: write_back(graph_io(g), report, arrays, sig_trips))
+        if isinstance(want, str):
+            assert got == want
+        else:
+            for name, array in want.items():
+                assert got[name].dtype == array.dtype
+                assert np.array_equal(got[name], array), name
+
+
+def _memo_counted(monkeypatch):
+    """The bindings ``_layout`` is called on, wherever it runs."""
+    layouts = []
+    original = simulator._layout
+    monkeypatch.setattr(simulator, "_layout",
+                        lambda *args: layouts.append(args[1]) or original(*args))
+    return layouts
+
+
+def test_an_out_of_range_signature_raises_the_same_text_on_every_call(monkeypatch):
+    # i runs 0..M-1 over A[i+1]: in range at M=3 on 4 elements, not at M=4.
+    binding = IoBinding("A", (AffineExpr.of(1, i=1),))
+    io = graph_io(_graph([binding]))
+    arrays = {"A": np.arange(4, dtype=np.int32)}
+    layouts = _memo_counted(monkeypatch)
+    for trips, laid_out in [([("i", 4)], 1), ([("i", 3)], 1), ([("i", 4)], 1),
+                            ([("i", 3)], 0), ([("i", 4)], 1)]:
+        layouts.clear()
+        if trips[0][1] == 4:
+            with pytest.raises(OutOfBounds) as exc:
+                stream_views(io, arrays, trips)
+            assert str(exc.value) == "A dim 0: index range [1,4] outside extent 4"
+        else:
+            (view,) = stream_views(io, arrays, trips).values()
+            assert view.tolist() == [1, 2, 3]
+        assert len(layouts) == laid_out, trips
+    assert len(io.plans) == 1
+
+
+def test_an_array_of_another_stride_or_dtype_gets_its_own_plan(monkeypatch):
+    # A[i][j] over 3x4 arrays of one shape: C and Fortran differ in
+    # strides, int64 and int32 in dtype and strides, int32 and uint32 in
+    # dtype alone.  A copy repeats its original's plan.
+    binding = IoBinding("A", (AffineExpr.of(0, i=1), AffineExpr.of(0, j=1)))
+    io = graph_io(_graph([binding]))
+    trips = [("i", 3), ("j", 4)]
+    c = np.arange(12).reshape(3, 4)
+    f = np.asfortranarray(c)
+    layouts = _memo_counted(monkeypatch)
+    for array, laid_out in [(c, 1), (c.copy(), 0), (f, 1), (c.astype(np.int32), 1),
+                            (c.astype(np.uint32), 1), (f.astype(np.int32), 1),
+                            (f.copy(order="F"), 0), (c, 0)]:
+        layouts.clear()
+        (view,) = stream_views(io, {"A": array}, trips).values()
+        assert view.dtype == array.dtype and view.tolist() == c.tolist()
+        assert len(layouts) == laid_out, (array.dtype, array.strides)
+    assert len(io.plans) == 5
+
+
+def test_the_reads_and_the_writes_of_one_array_keep_their_own_plans():
+    # C[i] = C[i+1] over 5 elements: the read and the write views of one
+    # signature lie one element apart.
+    read = IoBinding("C", (AffineExpr.of(1, i=1),))
+    write = IoBinding("C", (AffineExpr.of(0, i=1),))
+    g = _graph([read], [write])
+    io = graph_io(g)
+    trips = [("i", 4)]
+    arrays = {"C": np.arange(5, dtype=np.int32)}
+    for _ in range(2):
+        streams = build_streams(io, arrays, trips)
+        out = write_back(io, RunReport(dict(zip(g.outputs(), streams.values())), 0, 0, 0, 0),
+                         arrays, trips)
+        assert out["C"].tolist() == [1, 2, 3, 4, 4]
+    assert len(io.plans) == 2
+
+
+def test_a_box_at_another_start_gets_its_own_plan():
+    # C[i] = A[i] at lane stride 2 over i = 0..3: the steady state reads
+    # A[0..1], and an epilogue of two leftover iterations reads A[2..3], a
+    # box of the same trip counts and count at another start.
+    g = _graph([IoBinding("A", (AffineExpr.of(0, i=1),))],
+               [IoBinding("C", (AffineExpr.of(0, i=1),))], factor=2)
+    (read,), (out,) = g.inputs(), g.outputs()
+    g.add_edge(next(e.dst for e in g.edges if e.src == read), out, 0)
+    io = graph_io(g)
+    arrays = {"A": np.arange(10, 14, dtype=np.int32), "C": np.zeros(4, np.int32)}
+    trips = [("i", 4)]
+    for _ in range(2):
+        (view,) = stream_views(io, arrays, trips).values()
+        simulator.run_epilogue(io, lower_dfg(g), arrays, trips, 2)
+        assert view.tolist() == [10, 11] and arrays["C"].tolist() == [0, 0, 12, 13]
+
+
+def test_the_memo_keeps_the_most_recent_signatures(monkeypatch):
+    binding = IoBinding("A", (AffineExpr.of(0, i=1),))
+    io = graph_io(_graph([binding]))
+    arrays = {"A": np.arange(simulator.CACHE_CAPACITY + 1, dtype=np.int32)}
+    for n in range(1, simulator.CACHE_CAPACITY + 2):
+        stream_views(io, arrays, [("i", n)])
+    assert len(io.plans) == simulator.CACHE_CAPACITY
+    layouts = _memo_counted(monkeypatch)
+    stream_views(io, arrays, [("i", simulator.CACHE_CAPACITY + 1)])
+    assert layouts == []
+    (view,) = stream_views(io, arrays, [("i", 1)]).values()  # the first, evicted
+    assert layouts == [binding] and view.tolist() == [0]
+    assert len(io.plans) == simulator.CACHE_CAPACITY
