@@ -1,7 +1,9 @@
 """Command-line surface: analyze, place, run, bench, render.
 
-Exit codes: 0 success (a rejection verdict is not an error), 1 parse error,
-2 unroutable, 3 simulated/software output mismatch.
+Exit codes: 0 success (a rejection verdict is not an error), 1 bad input (a
+parse error, an unreadable or unwritable file, a bad option or parameter
+value), 2 unroutable, 3 simulated/software output mismatch.  Bad input is
+reported as one line on stderr.
 """
 
 from __future__ import annotations
@@ -54,8 +56,22 @@ def _parse_param(text: str) -> tuple[str, int]:
     return name.strip(), int(value)
 
 
+class BadInput(Exception):
+    """Input a command cannot use; ``main`` prints it as one line, exit 1."""
+
+
 def _load_kernel(path: str) -> kl.Kernel:
-    return kl.parse_kernel(Path(path).read_text())
+    try:
+        return kl.parse_kernel(Path(path).read_text())
+    except (OSError, UnicodeDecodeError, kl.KernelSyntaxError) as exc:
+        raise BadInput(f"parse error: {path}: {exc}") from None
+
+
+def _check_unroll(unroll: int) -> None:
+    try:
+        check_unroll(unroll)
+    except ValueError as exc:
+        raise BadInput(f"cannot extract: {exc}") from None
 
 
 def _param_values(kernel: kl.Kernel, pairs: list[tuple[str, int]],
@@ -76,15 +92,10 @@ def _thresholds(args) -> Thresholds:
 
 def _runtime(args) -> OffloadRuntime:
     """The runtime ``place`` and ``run`` analyze and map through."""
+    _check_unroll(args.unroll)
     return OffloadRuntime(args.overlay, _thresholds(args),
                           PlacerParams(global_budget=args.budget),
                           unroll=args.unroll, seed=args.seed)
-
-
-def _cannot_extract(exc: ValueError) -> int:
-    """Report a kernel that cannot be extracted as asked: exit 1."""
-    print(f"cannot extract: {exc}", file=sys.stderr)
-    return EXIT_PARSE
 
 
 def _rejected(report: EligibilityReport) -> int:
@@ -95,34 +106,20 @@ def _rejected(report: EligibilityReport) -> int:
 
 
 def cmd_analyze(args) -> int:
-    rc = EXIT_OK
-    for path in args.files:
-        name = Path(path).stem
-        try:
-            kernel = _load_kernel(path)
-        except kl.KernelSyntaxError as exc:
-            print(f"{name:<12} parse error: {exc}", file=sys.stderr)
-            rc = EXIT_PARSE
-            continue
+    kernels = [(Path(path).stem, _load_kernel(path)) for path in args.files]
+    for name, kernel in kernels:
         t0 = time.perf_counter()
         report = check_eligibility(kernel, _thresholds(args))
         elapsed_us = (time.perf_counter() - t0) * 1e6
         s = report.dfg_stats
         counts = f"{s.inputs}/{s.outputs}/{s.calc_nodes}" if s else "-"
         print(f"{name:<12} {report.table_label():<18} {counts:<10} {elapsed_us:8.0f}")
-    return rc
+    return EXIT_OK
 
 
 def cmd_place(args) -> int:
-    try:
-        kernel = _load_kernel(args.file)
-    except kl.KernelSyntaxError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        rt = _runtime(args)
-    except ValueError as exc:
-        return _cannot_extract(exc)
+    kernel = _load_kernel(args.file)
+    rt = _runtime(args)
     analysis = rt.analyze(kernel)
     if isinstance(analysis, EligibilityReport):
         return _rejected(analysis)
@@ -161,17 +158,9 @@ def cmd_run(args) -> int:
         model = CostModel.from_file(args.cost_model) if args.cost_model else CostModel()
     except (OSError, KeyError, ValueError) as exc:
         reason = exc.args[0] if isinstance(exc, KeyError) else exc
-        print(f"run: --cost-model {args.cost_model}: {reason}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        kernel = _load_kernel(args.file)
-    except kl.KernelSyntaxError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        rt = _runtime(args)
-    except ValueError as exc:
-        return _cannot_extract(exc)
+        raise BadInput(f"run: --cost-model {args.cost_model}: {reason}") from None
+    kernel = _load_kernel(args.file)
+    rt = _runtime(args)
     values = _param_values(kernel, args.params, args.size)
     rng = np.random.default_rng(args.data_seed)
     arrays = kl.allocate_arrays(kernel, values, rng)
@@ -218,25 +207,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    try:
-        check_unroll(args.unroll)
-    except ValueError as exc:
-        return _cannot_extract(exc)
+    _check_unroll(args.unroll)
     if args.seeds < 1:
-        print("bench: --seeds must be >= 1", file=sys.stderr)
-        return EXIT_PARSE
+        raise BadInput("bench: --seeds must be >= 1")
     try:
         shapes = [_parse_overlay(text) for text in args.sizes.split(",")]
     except argparse.ArgumentTypeError as exc:
-        print(f"bench: --sizes: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    kernels = []
-    for path in args.files:
-        try:
-            kernels.append((Path(path).stem, _load_kernel(path)))
-        except kl.KernelSyntaxError as exc:
-            print(f"parse error: {path}: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+        raise BadInput(f"bench: --sizes: {exc}") from None
+    kernels = [(Path(path).stem, _load_kernel(path)) for path in args.files]
     # every accepted kernel's --param names are checked before any sweep
     accepted = []
     for name, kernel in kernels:
@@ -293,17 +271,12 @@ def cmd_bench(args) -> int:
 
 
 def cmd_render(args) -> int:
-    try:
-        kernel = _load_kernel(args.file)
-    except kl.KernelSyntaxError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    kernel = _load_kernel(args.file)
+    _check_unroll(args.unroll)
     try:
         dfg = extract_dfg(kernel, args.unroll)
     except IneligibleKernel as exc:
         return _rejected(exc.report())
-    except ValueError as exc:
-        return _cannot_extract(exc)
     text = dfg_to_dot(dfg, kernel.name) if args.format == "dot" else dfg_to_text(dfg)
     if args.output:
         Path(args.output).write_text(text)
@@ -319,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, overlay=False):
-        p.add_argument("--min-nodes", type=int, default=8,
+        p.add_argument("--min-nodes", type=int, default=Thresholds().min_nodes,
                        help="smallest offloadable graph (calc nodes)")
         p.add_argument("--max-nodes", type=int, default=None)
         if overlay:
@@ -327,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--overlay", type=_parse_overlay, default=OverlayShape(6, 6),
                            help="grid size, e.g. 4x4")
             p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--budget", type=int, default=100_000,
+            p.add_argument("--budget", type=int, default=PlacerParams().global_budget,
                            help="place&route position-attempt budget")
 
     p = sub.add_parser("analyze", help="classify kernels for offload eligibility")
@@ -381,7 +354,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BadInput as exc:
+        print(exc, file=sys.stderr)
+    except (OSError, kl.EvalError) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+    return EXIT_PARSE
 
 
 if __name__ == "__main__":

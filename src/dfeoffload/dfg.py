@@ -8,10 +8,11 @@ evaluator that every other execution path is checked against.
 from __future__ import annotations
 
 import hashlib
+import re
 import struct
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import Optional
+from typing import Container, Iterable, Optional
 
 INT32_MIN = -(1 << 31)
 INT32_MAX = (1 << 31) - 1
@@ -117,15 +118,38 @@ class Node:
 
 @dataclass(frozen=True)
 class AffineExpr:
-    """Linear expression sum(coeff * var) + const over loop variables/params."""
+    """Linear expression sum(coeff * var) + const over loop variables/params.
+
+    ``of``, ``parse`` and the operators ``+``, ``-`` and ``*`` (by an int)
+    all give the normal form, through ``_normal``: like terms merged, zero
+    coefficients dropped, terms sorted by name.  So equal expressions compare
+    equal, and ``parse(str(a)) == a``.
+    """
 
     terms: tuple[tuple[str, int], ...] = ()
     const: int = 0
 
     @staticmethod
+    def _normal(pairs: Iterable[tuple[str, int]], const: int = 0) -> "AffineExpr":
+        """The normal form of sum(coeff * var for var, coeff in pairs) + const."""
+        coeffs: dict[str, int] = {}
+        for var, coeff in pairs:
+            coeffs[var] = coeffs.get(var, 0) + coeff
+        return AffineExpr(tuple(sorted((v, c) for v, c in coeffs.items() if c)), const)
+
+    @staticmethod
     def of(const: int = 0, **coeffs: int) -> "AffineExpr":
-        terms = tuple(sorted((v, c) for v, c in coeffs.items() if c != 0))
-        return AffineExpr(terms, const)
+        return AffineExpr._normal(coeffs.items(), const)
+
+    def __add__(self, other: "AffineExpr") -> "AffineExpr":
+        return AffineExpr._normal(self.terms + other.terms, self.const + other.const)
+
+    def __sub__(self, other: "AffineExpr") -> "AffineExpr":
+        return AffineExpr._normal(self.terms + tuple((v, -c) for v, c in other.terms),
+                                 self.const - other.const)
+
+    def __mul__(self, scale: int) -> "AffineExpr":
+        return AffineExpr._normal([(v, c * scale) for v, c in self.terms], self.const * scale)
 
     def evaluate(self, env: dict[str, int]) -> int:
         total = self.const
@@ -135,14 +159,10 @@ class AffineExpr:
 
     def shift_var(self, var: str, scale: int, offset: int) -> "AffineExpr":
         """Substitute var := scale*var + offset (used by loop unrolling)."""
-        coeffs = dict(self.terms)
-        if var not in coeffs:
+        coeff = dict(self.terms).get(var)
+        if coeff is None:
             return self
-        c = coeffs.pop(var)
-        new = dict(coeffs)
-        new[var] = new.get(var, 0) + c * scale
-        terms = tuple(sorted((v, k) for v, k in new.items() if k != 0))
-        return AffineExpr(terms, self.const + c * offset)
+        return self + AffineExpr(((var, coeff * (scale - 1)),), coeff * offset)
 
     def __str__(self) -> str:
         parts = []
@@ -159,39 +179,30 @@ class AffineExpr:
         return text[1:] if text.startswith("+") else text
 
     @staticmethod
-    def parse(text: str) -> "AffineExpr":
-        """Inverse of ``__str__`` for the line serialization format."""
-        text = text.replace(" ", "")
-        if not text:
-            raise ValueError("empty affine expression")
-        coeffs: dict[str, int] = {}
+    def parse(text: str, names: Optional[Container[str]] = None) -> "AffineExpr":
+        """Read the form ``__str__`` writes, with terms in any order.
+
+        That form is ``["-"] term { ("+" | "-") term }``, where a term is an
+        INT or ``[INT "*"] NAME`` and a name is not all digits.  Raises
+        ValueError on any other text.  With ``names`` given, raises KeyError
+        on the first name, left to right, that is not in it.
+        """
+        parts = re.split(r"([+-])", text)
+        parts = parts[1:] if text.startswith("-") else ["+", *parts]
+        pairs = []
         const = 0
-        # split into signed atoms
-        atoms: list[str] = []
-        cur = ""
-        for ch in text:
-            if ch in "+-" and cur:
-                atoms.append(cur)
-                cur = ch
-            else:
-                cur += ch
-        atoms.append(cur)
-        for atom in atoms:
-            sign = 1
-            if atom.startswith("+"):
-                atom = atom[1:]
-            elif atom.startswith("-"):
-                sign = -1
-                atom = atom[1:]
-            if "*" in atom:
-                num, var = atom.split("*", 1)
-                coeffs[var] = coeffs.get(var, 0) + sign * int(num)
-            elif atom.isdigit():
-                const += sign * int(atom)
-            else:
-                coeffs[atom] = coeffs.get(atom, 0) + sign
-        terms = tuple(sorted((v, c) for v, c in coeffs.items() if c != 0))
-        return AffineExpr(terms, const)
+        for op, term in zip(parts[::2], parts[1::2]):
+            sign = -1 if op == "-" else 1
+            if term.isdigit():
+                const += sign * int(term)
+                continue
+            coeff, star, var = term.rpartition("*")
+            if (star and not coeff.isdigit()) or not var or var.isdigit():
+                raise ValueError(f"bad affine expression {text!r}")
+            if names is not None and var not in names:
+                raise KeyError(var)
+            pairs.append((var, sign * int(coeff or 1)))
+        return AffineExpr._normal(pairs, const)
 
 
 @dataclass(frozen=True)
@@ -223,9 +234,6 @@ class DfgStats:
     outputs: int
     calc_nodes: int
     consts: int
-
-    def total(self) -> int:
-        return self.inputs + self.outputs + self.calc_nodes + self.consts
 
 
 @dataclass(frozen=True)
@@ -286,9 +294,6 @@ class DataFlowGraph:
 
     def in_edges(self, nid: int) -> list[Edge]:
         return sorted((e for e in self.edges if e.dst == nid), key=lambda e: e.dport)
-
-    def out_edges(self, nid: int) -> list[Edge]:
-        return [e for e in self.edges if e.src == nid]
 
     def topo_order(self) -> list[int]:
         """Node ids in dependency order; raises ValueError on a cycle."""

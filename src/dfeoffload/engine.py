@@ -10,16 +10,19 @@ from __future__ import annotations
 
 import numpy as np
 
-OP_ADD, OP_SUB, OP_MUL = 0, 1, 2
-OP_EQ, OP_NE, OP_LT, OP_LE, OP_GT, OP_GE = 3, 4, 5, 6, 7, 8
-OP_MUX, OP_PASS = 9, 10
+from .dfg import OpCode
 
-# Arithmetic writes straight into the destination slot.  A comparison yields
-# booleans, which the assignment stores as 1/0: a cast inside the ufunc
-# (``out=`` an int32 slot) measured slower.
-_ARITH = {OP_ADD: np.add, OP_SUB: np.subtract, OP_MUL: np.multiply}
-_COMPARE = {OP_EQ: np.equal, OP_NE: np.not_equal, OP_LT: np.less,
-            OP_LE: np.less_equal, OP_GT: np.greater, OP_GE: np.greater_equal}
+# Keys are plain ints, as the rows hold them: IntEnum keys and an enum
+# lookup per instruction measured slower.  Arithmetic writes straight into
+# the destination slot.  A comparison yields booleans, which the assignment
+# stores as 1/0: a cast inside the ufunc (``out=`` an int32 slot) measured
+# slower.
+_ARITH = {OpCode.ADD.value: np.add, OpCode.SUB.value: np.subtract,
+          OpCode.MUL.value: np.multiply}
+_COMPARE = {OpCode.EQ.value: np.equal, OpCode.NE.value: np.not_equal,
+            OpCode.LT.value: np.less, OpCode.LE.value: np.less_equal,
+            OpCode.GT.value: np.greater, OpCode.GE.value: np.greater_equal}
+_MUX, _PASS = OpCode.MUX.value, OpCode.PASS.value
 
 
 def run_program(instrs: np.ndarray, values: np.ndarray) -> None:
@@ -32,9 +35,9 @@ def run_program(instrs: np.ndarray, values: np.ndarray) -> None:
             _ARITH[op](values[x], values[y], out=values[dst])
         elif op in _COMPARE:
             values[dst] = _COMPARE[op](values[x], values[y])
-        elif op == OP_MUX:
+        elif op == _MUX:
             values[dst] = np.where(values[z] != 0, values[x], values[y])
-        elif op == OP_PASS:
+        elif op == _PASS:
             values[dst] = values[x]
         else:
             raise ValueError(f"bad op code {op}")

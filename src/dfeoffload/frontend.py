@@ -52,17 +52,6 @@ class Reason(Enum):
     UNSUPPORTED_OP = "unsupported op"
 
 
-_TABLE_LABELS = {
-    Reason.NONE: "Yes",
-    Reason.DIVISION: "No, divisions",
-    Reason.FLOATING_POINT: "No, fp data",
-    Reason.TOO_SMALL: "No, too small",
-    Reason.TOO_LARGE: "No, too large",
-    Reason.NON_AFFINE: "No, non-affine",
-    Reason.UNSUPPORTED_OP: "No, unsupported op",
-}
-
-
 @dataclass(frozen=True)
 class Thresholds:
     """Node-count gates of the eligibility verdict; both are policy knobs.
@@ -78,19 +67,28 @@ class Thresholds:
 
 @dataclass
 class EligibilityReport:
-    verdict: Verdict
+    """The verdict on one kernel, held as its ``reason`` alone.
+
+    The kernel is accepted exactly when ``reason`` is Reason.NONE; the
+    verdict, ``accepted()`` and the table label are all read from it.
+    """
+
     reason: Reason
     dfg_stats: Optional[DfgStats] = None
     detail: str = ""
     # the unroll-1 graph the verdict was taken on, kept for accepted kernels
     dfg: Optional[DataFlowGraph] = field(default=None, repr=False, compare=False)
 
+    @property
+    def verdict(self) -> Verdict:
+        return Verdict.ACCEPTED if self.accepted() else Verdict.REJECTED
+
     def accepted(self) -> bool:
-        return self.verdict == Verdict.ACCEPTED
+        return self.reason is Reason.NONE
 
     def table_label(self) -> str:
         """Classification label in benchmark-table style ('Yes' / 'No, ...')."""
-        return _TABLE_LABELS[self.reason]
+        return "Yes" if self.accepted() else f"No, {self.reason.value}"
 
 
 class IneligibleKernel(ValueError):
@@ -103,7 +101,7 @@ class IneligibleKernel(ValueError):
 
     def report(self) -> EligibilityReport:
         """The rejection verdict this failure stands for."""
-        return EligibilityReport(Verdict.REJECTED, self.reason, None, self.detail)
+        return EligibilityReport(self.reason, None, self.detail)
 
 
 # -- structure scan ---------------------------------------------------------------
@@ -149,28 +147,19 @@ def to_affine(e: kl.Expr) -> Optional[AffineExpr]:
         return AffineExpr((), e.value)
     if isinstance(e, kl.Var):
         return AffineExpr(((e.name, 1),), 0)
-    if isinstance(e, kl.BinOp):
-        if e.op not in ("+", "-", "*"):
-            return None
-        a = to_affine(e.lhs)
-        b = to_affine(e.rhs)
-        if a is None or b is None:
-            return None
-        if e.op == "*":
-            if a.terms and b.terms:
-                return None  # variable * variable
-            if b.terms:
-                a, b = b, a
-            scale = b.const
-            terms = tuple((v, c * scale) for v, c in a.terms if c * scale != 0)
-            return AffineExpr(terms, a.const * scale)
-        coeffs = dict(a.terms)
-        sign = 1 if e.op == "+" else -1
-        for v, c in b.terms:
-            coeffs[v] = coeffs.get(v, 0) + sign * c
-        terms = tuple(sorted((v, c) for v, c in coeffs.items() if c != 0))
-        return AffineExpr(terms, a.const + sign * b.const)
-    return None
+    if not isinstance(e, kl.BinOp) or e.op not in ("+", "-", "*"):
+        return None
+    a = to_affine(e.lhs)
+    b = to_affine(e.rhs)
+    if a is None or b is None:
+        return None
+    if e.op == "+":
+        return a + b
+    if e.op == "-":
+        return a - b
+    if a.terms and b.terms:
+        return None  # variable * variable
+    return b * a.const if b.terms else a * b.const
 
 
 def _access_tuple(ref: kl.ArrayRef) -> tuple[AffineExpr, ...]:
@@ -434,9 +423,9 @@ def check_eligibility(k: kl.Kernel,
         return exc.report()
     stats = dfg_stats(g)
     if stats.calc_nodes < thresholds.min_nodes:
-        return EligibilityReport(Verdict.REJECTED, Reason.TOO_SMALL, stats,
+        return EligibilityReport(Reason.TOO_SMALL, stats,
                                  f"{stats.calc_nodes} calc nodes < {thresholds.min_nodes}")
     if thresholds.max_nodes is not None and stats.calc_nodes > thresholds.max_nodes:
-        return EligibilityReport(Verdict.REJECTED, Reason.TOO_LARGE, stats,
+        return EligibilityReport(Reason.TOO_LARGE, stats,
                                  f"{stats.calc_nodes} calc nodes > {thresholds.max_nodes}")
-    return EligibilityReport(Verdict.ACCEPTED, Reason.NONE, stats, dfg=g)
+    return EligibilityReport(Reason.NONE, stats, dfg=g)

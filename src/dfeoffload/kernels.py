@@ -17,8 +17,8 @@ Grammar (EBNF)::
     kernel      = "kernel" IDENT "(" [ IDENT { "," IDENT } ] ")" arrays nest ;
     arrays      = "arrays" ":" array { "," array } ;
     array       = IDENT "[" extent { "x" extent } "]" ":" ( "int32" | "float32" ) ;
-    extent      = atom { ("+" | "-") atom } ;      (* affine in params *)
-    atom        = IDENT | INT ;
+    extent      = [ "-" ] term { ("+" | "-") term } ;   (* affine in params *)
+    term        = INT | [ INT "*" ] IDENT ;
     nest        = for_loop ;
     for_loop    = "for" IDENT "in" "0" ".." bound block ;
     bound       = IDENT | INT ;
@@ -347,7 +347,7 @@ class _Parser:
         raw = ""
         while self.peek().text != "]":
             tok = self.peek()
-            if tok.kind not in ("IDENT", "INT") and tok.text not in ("+", "-"):
+            if tok.kind not in ("IDENT", "INT") and tok.text not in ("+", "-", "*"):
                 self.error("array extents may only use params, literals, + and -", tok)
             raw += self.next().text
         pieces = raw.split("x")
@@ -355,37 +355,14 @@ class _Parser:
             self.error("arrays must have rank 1 or 2", name_tok)
         extents = []
         for piece in pieces:
-            extents.append(self.parse_extent_text(piece, name_tok))
+            try:
+                extents.append(AffineExpr.parse(piece, self.params))
+            except KeyError as exc:
+                raise UnknownIdentifier(f"unknown parameter {exc.args[0]!r} in array extent",
+                                        name_tok.line, name_tok.col) from None
+            except ValueError:
+                self.error(f"bad array extent {piece!r}", name_tok)
         return extents
-
-    def parse_extent_text(self, piece: str, tok: Token) -> AffineExpr:
-        expr = AffineExpr.of(0)
-        sign = 1
-        atom = ""
-
-        def flush():
-            nonlocal expr, atom, sign
-            if not atom:
-                self.error(f"bad array extent {piece!r}", tok)
-            if atom.isdigit():
-                expr = AffineExpr(expr.terms, expr.const + sign * int(atom))
-            elif atom in self.params:
-                coeffs = dict(expr.terms)
-                coeffs[atom] = coeffs.get(atom, 0) + sign
-                expr = AffineExpr(tuple(sorted(coeffs.items())), expr.const)
-            else:
-                raise UnknownIdentifier(
-                    f"unknown parameter {atom!r} in array extent", tok.line, tok.col)
-            atom = ""
-
-        for ch in piece:
-            if ch in "+-":
-                flush()
-                sign = 1 if ch == "+" else -1
-            else:
-                atom += ch
-        flush()
-        return expr
 
     def parse_for(self) -> For:
         self.expect("for")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from enum import Enum, IntEnum
+from enum import IntEnum
 from typing import Iterator, NamedTuple, Optional, Union
 
 from .dfg import INT32_MAX, INT32_MIN, OP_ARITY, OpCode, Violation

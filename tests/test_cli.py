@@ -76,6 +76,25 @@ def test_run_exits_1_on_a_parse_error(monkeypatch, tmp_path, capsys):
     assert "parse error" in out.err
 
 
+def test_run_exits_1_on_a_negative_extent(monkeypatch, tmp_path, capsys):
+    rc, out = _run(monkeypatch, tmp_path, capsys, str(corpus.kernel_path("gemm")),
+                   "--param", "N=-3")
+    assert rc == cli.EXIT_PARSE
+    assert (out.out, out.err) == ("", "run: array B has negative extent (4, -3)\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["analyze", "place", "run", "bench", "render"])
+def test_a_missing_kernel_file_exits_1(monkeypatch, tmp_path, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main([command, "missing.k"])
+    out = capsys.readouterr()
+    assert rc == cli.EXIT_PARSE
+    assert (out.out, out.err) == (
+        "", "parse error: missing.k: [Errno 2] No such file or directory: 'missing.k'\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_exits_3_when_the_overlay_result_differs(monkeypatch, tmp_path, capsys):
     original = runtime.write_back
 
@@ -170,6 +189,15 @@ def test_place_exits_1_on_a_parse_error(monkeypatch, tmp_path, capsys):
     rc, out = _place(monkeypatch, tmp_path, capsys, str(bad))
     assert rc == cli.EXIT_PARSE
     assert "parse error" in out.err
+
+
+def test_place_exits_1_when_the_config_cannot_be_written(monkeypatch, tmp_path, capsys):
+    rc, out = _place(monkeypatch, tmp_path, capsys, str(corpus.kernel_path("gemm")),
+                     "--seed", "3", "-o", "missing/gemm.dfecfg")
+    assert rc == cli.EXIT_PARSE
+    assert (out.out, out.err) == (
+        "", "place: [Errno 2] No such file or directory: 'missing/gemm.dfecfg'\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_place_exits_2_when_the_search_fails(monkeypatch, tmp_path, capsys):

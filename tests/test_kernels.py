@@ -52,8 +52,16 @@ def test_parse_branchy_if_else():
     assert isinstance(body[0].cond, BinOp) and body[0].cond.op == ">"
 
 
+# Extents the printer writes in its own affine form: 2*M, -M+1, 1 and 2*M+1.
+EXTENTS = """\
+kernel extents(M)
+arrays: A[M+M]:int32, B[1-M]:int32, C[M-M+1]:int32, D[2*M+1]:int32
+for i in 0..M { }
+"""
+
+
 def test_round_trip_through_printer():
-    for text in (SCALEADD, BRANCHY):
+    for text in (SCALEADD, BRANCHY, EXTENTS):
         k = parse_kernel(text)
         assert parse_kernel(format_kernel(k)) == k
 
@@ -89,6 +97,22 @@ def test_extent_forms():
     assert [len(a.extents) for a in k.arrays] == [2, 1, 2]
     assert k.arrays[0].extents[0].evaluate({"M": 3, "N": 1}) == 5
     assert k.arrays[1].extents[0].evaluate({}) == 8
+
+
+@pytest.mark.parametrize("extent,error,message", [
+    ("+M", KernelSyntaxError, "2:9: bad array extent '+M'"),
+    ("M+", KernelSyntaxError, "2:9: bad array extent 'M+'"),
+    ("M--N", KernelSyntaxError, "2:9: bad array extent 'M--N'"),
+    ("M*2", KernelSyntaxError, None),
+    ("2*3", KernelSyntaxError, None),
+    ("M+*N", KernelSyntaxError, None),
+    ("M+Q", UnknownIdentifier, "2:9: unknown parameter 'Q' in array extent"),
+])
+def test_bad_extents_are_refused(extent, error, message):
+    with pytest.raises(KernelSyntaxError) as err:
+        parse_kernel(f"kernel t(M, N)\narrays: A[{extent}]:int32\nfor i in 0..M {{ }}")
+    assert type(err.value) is error
+    assert message is None or str(err.value) == message
 
 
 def test_float_literal_parses():
