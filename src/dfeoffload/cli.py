@@ -1,9 +1,9 @@
 """Command-line surface: analyze, place, run, bench, render.
 
 Exit codes: 0 success (a rejection verdict is not an error), 1 bad input (a
-parse error, an unreadable or unwritable file, a bad option or parameter
-value), 2 unroutable, 3 simulated/software output mismatch.  Bad input is
-reported as one line on stderr.
+parse error, an unreadable or unwritable file, a usage error, a bad option or
+parameter value), 2 unroutable, 3 simulated/software output mismatch.  Bad
+input is reported as one line on stderr, after the usage for a usage error.
 """
 
 from __future__ import annotations
@@ -54,6 +54,15 @@ def _parse_param(text: str) -> tuple[str, int]:
     if not value:
         raise argparse.ArgumentTypeError("parameter must look like N=8")
     return name.strip(), int(value)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits 1, as other bad input does: argparse's own code,
+    2, is the unroutable exit."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 
 
 class BadInput(Exception):
@@ -215,13 +224,16 @@ def cmd_bench(args) -> int:
     except argparse.ArgumentTypeError as exc:
         raise BadInput(f"bench: --sizes: {exc}") from None
     kernels = [(Path(path).stem, _load_kernel(path)) for path in args.files]
-    # every accepted kernel's --param names are checked before any sweep
+    # every accepted kernel's --param names and array extents are checked
+    # before any sweep
     accepted = []
     for name, kernel in kernels:
         analysis = analyze_kernel(kernel, args.unroll, Thresholds(min_nodes=args.min_nodes))
         if isinstance(analysis, EligibilityReport):
             continue
-        trips = trip_counts(analysis.loops, _param_values(kernel, args.params, args.size))
+        values = _param_values(kernel, args.params, args.size)
+        kl.array_shapes(kernel, values)  # refuses a negative extent, as `run` does
+        trips = trip_counts(analysis.loops, values)
         accepted.append((name, analysis, trips))
     rows = []
     for name, analysis, trips in accepted:
@@ -286,7 +298,7 @@ def cmd_render(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dfeoffload",
         description="Analyze, map, and simulate loop kernels on a dataflow overlay.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -16,7 +16,11 @@ from .dfg import OpCode
 # lookup per instruction measured slower.  Arithmetic writes straight into
 # the destination slot.  A comparison yields booleans, which the assignment
 # stores as 1/0: a cast inside the ufunc (``out=`` an int32 slot) measured
-# slower.
+# slower.  MUX is ``y + (x - y) * (z != 0)``, which wraps to x or y exactly
+# and has no branch per position: over a block of random selects,
+# ``np.where`` measured about 5x slower and ``y ^ ((x ^ y) & -(z != 0))``
+# about 15% slower.  Its temporary is taken before ``dst`` is written, so
+# ``dst`` may be any operand.
 _ARITH = {OpCode.ADD.value: np.add, OpCode.SUB.value: np.subtract,
           OpCode.MUL.value: np.multiply}
 _COMPARE = {OpCode.EQ.value: np.equal, OpCode.NE.value: np.not_equal,
@@ -36,7 +40,9 @@ def run_program(instrs: np.ndarray, values: np.ndarray) -> None:
         elif op in _COMPARE:
             values[dst] = _COMPARE[op](values[x], values[y])
         elif op == _MUX:
-            values[dst] = np.where(values[z] != 0, values[x], values[y])
+            t = np.subtract(values[x], values[y])
+            t *= values[z] != 0
+            np.add(t, values[y], out=values[dst])
         elif op == _PASS:
             values[dst] = values[x]
         else:

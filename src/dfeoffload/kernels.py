@@ -590,15 +590,24 @@ def trunc_rem(a: int, b: int) -> int:
     return a - trunc_div(a, b) * b
 
 
+def array_shapes(k: Kernel, params: dict[str, int]) -> list[tuple[int, ...]]:
+    """The shape of each of a kernel's arrays under ``params``, in
+    declaration order.  Raises EvalError when an extent is negative."""
+    shapes = []
+    for decl in k.arrays:
+        shape = tuple(e.evaluate(params) for e in decl.extents)
+        if any(s < 0 for s in shape):
+            raise EvalError(f"array {decl.name} has negative extent {shape}")
+        shapes.append(shape)
+    return shapes
+
+
 def allocate_arrays(k: Kernel, params: dict[str, int],
                     rng: Optional[np.random.Generator] = None,
                     low: int = -100, high: int = 100) -> dict[str, np.ndarray]:
     """Allocate (optionally randomized) backing arrays for a kernel's decls."""
     out: dict[str, np.ndarray] = {}
-    for decl in k.arrays:
-        shape = tuple(e.evaluate(params) for e in decl.extents)
-        if any(s < 0 for s in shape):
-            raise EvalError(f"array {decl.name} has negative extent {shape}")
+    for decl, shape in zip(k.arrays, array_shapes(k, params)):
         if decl.dtype == "int32":
             if rng is None:
                 out[decl.name] = np.zeros(shape, dtype=np.int32)

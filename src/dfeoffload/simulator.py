@@ -18,9 +18,14 @@ the lane stride, listed once per graph, so a call on a cached mapping does
 not rescan it.  The engine runs over blocks of at most ``_BLOCK`` positions,
 so its scratch stays small whatever the stream length; a box of at most
 ``_BLOCK`` positions runs as one piece, its inputs copied straight into the
-scratch and its outputs the scratch's rows.  ``lower_dfg`` lowers a graph for
-the host without placement, and ``run_epilogue`` runs the unroll-1 graph so
-lowered over the ``leftover`` innermost iterations of an unrolled call.
+scratch and its outputs the scratch's rows.  A larger box is cut into pieces,
+and each input is copied into the scratch once per piece, unless its view
+has stride 0 along every axis the pieces step through (such as gemm's
+``B[k][j]``, cut along ``i``): its rows are the same in every piece, so it
+is copied once per run, as the constants are filled.  ``lower_dfg`` lowers a
+graph for the host without placement, and ``run_epilogue`` runs the unroll-1
+graph so lowered over the ``leftover`` innermost iterations of an unrolled
+call.
 
 Each ``GraphIo`` memoizes its views' layouts (byte offset and strides, bounds
 already checked) per call signature: the trip counts, the box, and the
@@ -109,7 +114,12 @@ class RunReport:
 
 @dataclass
 class Program:
-    """Lowered overlay: instruction rows (op, dst, x, y, z) over value slots."""
+    """Lowered overlay: instruction rows (op, dst, x, y, z) over value slots.
+
+    No instruction's ``dst`` is an input slot or a constant slot: each
+    result has a slot of its own.  ``_run_blocked`` relies on it when it
+    fills the constants and copies the block-invariant inputs once per run.
+    """
 
     n_slots: int
     instrs: np.ndarray
@@ -250,10 +260,15 @@ def _run_blocked(program: Program, streams: dict[int, np.ndarray],
     Every stream has ``shape``: a 1-D stream or a strided view of an array.
     Each piece's inputs are copied straight from the streams into rows of an
     (n_slots, _BLOCK) scratch array, cast to int32 on the way, and the
-    engine runs on it.  Outputs are 1-D int32 streams, one position per
-    point of the box in row-major order.  A box of one piece runs in a
-    scratch of its own width, and its outputs are the scratch's rows;
-    otherwise each piece's output slots are copied into fresh streams.
+    engine runs on it.  The first piece is a full one, and an input whose
+    stride is 0 along every axis the piece index covers is copied only for
+    it: every later piece, the last and shorter one too, reads a prefix of
+    the same rows, which no instruction overwrites (``Program``).  The
+    constants are filled once per run for the same reason.  Outputs are 1-D
+    int32 streams, one position per point of the box in row-major order.  A
+    box of one piece runs in a scratch of its own width, and its outputs are
+    the scratch's rows; otherwise each piece's output slots are copied into
+    fresh streams.
     """
     length = math.prod(shape)
     values = np.zeros((program.n_slots, min(length, _BLOCK)), dtype=np.int32)
@@ -270,6 +285,9 @@ def _run_blocked(program: Program, streams: dict[int, np.ndarray],
         rows = block.reshape(-1, *piece)
         for slot, stream in inputs:
             rows[slot] = stream[index] if index else stream
+        if index and not lo:  # later pieces copy only the inputs that vary by piece
+            inputs = [(slot, stream) for slot, stream in inputs
+                      if any(stream.strides[:len(index)])]
         if len(program.instrs):
             engine.get_runner()(program.instrs, block)
         if not one_piece:

@@ -304,11 +304,39 @@ def test_bench_checks_every_kernels_parameters_before_any_sweep(monkeypatch, tmp
     assert list(tmp_path.iterdir()) == []
 
 
+def test_bench_exits_1_on_a_negative_extent(monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "place_and_route", _refuse)
+    rc = cli.main(["bench", str(corpus.kernel_path("gemm")), "--param", "N=-3",
+                   "--sizes", "4x4", "--seeds", "1", "-o", "bench.csv"])
+    out = capsys.readouterr()
+    assert rc == cli.EXIT_PARSE
+    assert (out.out, out.err) == ("", "bench: array B has negative extent (4, -3)\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_analyze_takes_no_unroll_factor(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["analyze", str(corpus.kernel_path("gemm")), "--unroll", "2"])
-    assert info.value.code == 2
+    assert info.value.code == 1
     assert "unrecognized arguments: --unroll 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["run", "gemm.k", "--overlay", "4by4"], "argument --overlay: overlay must look like 4x4"),
+    (["bench", "gemm.k", "--seeds", "two"], "argument --seeds: invalid int value: 'two'"),
+], ids=["no command", "bad overlay", "bad seeds"])
+def test_a_usage_error_exits_1_not_the_unroutable_code(monkeypatch, tmp_path, capsys,
+                                                       argv, message):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    out = capsys.readouterr()
+    assert info.value.code == cli.EXIT_PARSE != cli.EXIT_UNROUTABLE
+    assert out.out == "" and out.err.startswith("usage: dfeoffload")
+    assert f"error: {message}" in out.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def _render(monkeypatch, tmp_path, capsys, *argv):

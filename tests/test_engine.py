@@ -29,3 +29,21 @@ def test_run_program_rejects_an_unknown_op_code():
     values = np.zeros((2, 3), dtype=np.int32)
     with pytest.raises(ValueError, match="bad op code 11"):
         engine.run_program(np.array([[11, 1, 0, 0, 0]], dtype=np.int32), values)
+
+
+@pytest.mark.parametrize("dst", [0, 1, 2], ids=["dst=x", "dst=y", "dst=z"])
+def test_a_mux_may_write_over_any_of_its_operands(dst):
+    rng = np.random.default_rng(dst)
+    x, y = (a.ravel() for a in np.meshgrid(EDGES, EDGES))
+    n = len(x) + 200
+    values = np.zeros((4, n), dtype=np.int32)
+    values[0] = np.concatenate([x, rng.integers(-2**31, 2**31, 200)])
+    values[1] = np.concatenate([y, rng.integers(-2**31, 2**31, 200)])
+    values[2] = rng.choice(EDGES, n)
+    values[3] = rng.integers(-2**31, 2**31, n)
+    before = values.copy()
+    want = [apply_op(OpCode.MUX, [int(z), int(x), int(y)]) for x, y, z in values[:3].T]
+    engine.run_program(np.array([[OpCode.MUX, dst, 0, 1, 2]], dtype=np.int32), values)
+    assert values[dst].tolist() == want
+    others = [slot for slot in range(4) if slot != dst]
+    assert np.array_equal(values[others], before[others])

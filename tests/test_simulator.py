@@ -1,6 +1,7 @@
 """Simulator: gather, lowering and the run, against ``dfg.interpret_dfg``."""
 
 import hashlib
+import itertools
 import math
 import struct
 
@@ -12,7 +13,7 @@ import dfeoffload
 from dfeoffload import corpus, engine, overlay, placer, runtime, simulator
 from dfeoffload.dfg import (AffineExpr, DataFlowGraph, IoBinding, LengthMismatch,
                             NodeKind, OpCode, Remainder, interpret_dfg, validate_dfg)
-from dfeoffload.frontend import extract_dfg
+from dfeoffload.frontend import IneligibleKernel, extract_dfg
 from dfeoffload.kernels import allocate_arrays
 from dfeoffload.overlay import Direction, OverlayShape, Pin
 from dfeoffload.placer import PlacerParams, place_and_route
@@ -97,6 +98,37 @@ def test_placed_configs_lower_to_the_pinned_programs(name, unroll):
         place_and_route(g, shape, PlacerParams(global_budget=20_000), seed).apply()))
         for seed in range(4))
     assert got == _PROGRAM_DIGESTS[(name, unroll)]
+
+
+def _assert_no_instruction_writes_an_input_or_a_constant(program):
+    """The premise of the blocked run's once-per-run fills: every result has
+    a slot of its own, and none is an input or a constant slot."""
+    dsts = program.instrs[:, 1].tolist()
+    assert len(set(dsts)) == len(dsts)
+    assert set(dsts).isdisjoint(program.input_slots.values())
+    assert set(dsts).isdisjoint(slot for slot, _ in program.const_fill)
+
+
+@pytest.mark.parametrize("name, unroll", list(_PROGRAM_DIGESTS))
+def test_a_placed_program_writes_no_input_or_constant_slot(name, unroll):
+    g = extract_dfg(corpus.load(name), unroll)
+    shape = OverlayShape(6, 6) if unroll == 1 else OverlayShape(8, 8)
+    for seed in range(4):
+        _assert_no_instruction_writes_an_input_or_a_constant(compile_config(
+            place_and_route(g, shape, PlacerParams(global_budget=20_000), seed).apply()))
+
+
+@pytest.mark.parametrize("unroll", [1, 2])
+def test_a_host_program_writes_no_input_or_constant_slot(unroll):
+    lowered = 0
+    for name in corpus.kernel_names():
+        try:
+            g = extract_dfg(corpus.load(name), unroll)
+        except IneligibleKernel:
+            continue
+        _assert_no_instruction_writes_an_input_or_a_constant(lower_dfg(g))
+        lowered += 1
+    assert lowered == 15
 
 
 def test_lowering_traces_each_route_once(monkeypatch):
@@ -489,6 +521,49 @@ def test_run_compiled_runs_views_as_it_runs_built_streams(monkeypatch, block, do
         assert np.array_equal(stream, want.outputs[tag]), tag
     for name, a in arrays.items():
         assert np.array_equal(a, before[name])
+
+
+# (box, block, the pieces' shapes): rows cut in the middle of the outer axis,
+# a cut under a leading index, an innermost row wider than the block, and a
+# 3-D box cut along its outer axis; each but the third ends on a shorter piece.
+_CUT_BOXES = [
+    ((5, 7), 16, [(2, 7), (2, 7), (1, 7)]),
+    ((3, 5, 4), 8, [(2, 4), (2, 4), (1, 4)] * 3),
+    ((3, 20), 8, [(8,), (8,), (4,)] * 3),
+    ((5, 2, 3), 12, [(2, 2, 3), (2, 2, 3), (1, 2, 3)]),
+]
+
+
+@pytest.mark.parametrize("box, block, pieces", _CUT_BOXES,
+                         ids=["2-D mid-axis", "3-D under a lead", "wide row", "3-D outer"])
+def test_an_input_that_no_piece_changes_is_copied_once(monkeypatch, box, block, pieces):
+    """One read per subset of the loops, indexed by exactly those loops, so
+    that some reads are constant along every axis the pieces cut and the
+    others are not.  One read is of a reversed array, with negative strides."""
+    monkeypatch.setattr(simulator, "_BLOCK", block)
+    assert [piece for _, piece in simulator._pieces(box)] == pieces
+    trips = list(zip(LOOP_VARS, box))
+    rng = np.random.default_rng(len(box) * block)
+    arrays, reads = {}, []
+    for used in itertools.chain.from_iterable(
+            itertools.combinations(trips, r) for r in range(len(trips) + 1)):
+        name = f"A{len(arrays)}"
+        access = tuple(AffineExpr.of(0, **{var: 1}) for var, _ in used) or (AffineExpr.of(2),)
+        shape = tuple(n for _, n in used) or (3,)
+        arrays[name] = rng.integers(-2**31, 2**31, shape).astype(np.int32)
+        reads.append(IoBinding(name, access))
+    arrays["A1"] = arrays["A1"][::-1].copy()[::-1]
+    g = _summing_graph(reads, 1)
+    program = lower_dfg(g)
+    views = stream_views(graph_io(g), arrays, trips)
+    cut = len(next(simulator._pieces(box))[0])
+    invariant = [nid for nid, view in views.items() if not any(view.strides[:cut])]
+    assert 0 < len(invariant) < len(views)
+    got = run_compiled(program, views)
+    want = run_compiled(program, build_streams(graph_io(g), arrays, trips))
+    assert sorted(got.outputs) == sorted(want.outputs)
+    for tag, stream in got.outputs.items():
+        assert np.array_equal(stream, want.outputs[tag]), tag
 
 
 # -- the view plans memoized per call signature -----------------------------------------
