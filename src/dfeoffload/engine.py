@@ -1,9 +1,11 @@
 """The stream engine: runs a lowered instruction program over int32 streams.
 
-Instructions are rows (op, dst, x, y, z) over slot indices; op codes follow
-dfg.OpCode.  Semantics per position: binary codes compute ``x op y``,
-comparisons yield 1/0, MUX yields x when z is nonzero else y, PASS copies x.
-All arithmetic wraps in int32.
+Steps are rows (op, dst, x, y, z) over the rows of a scratch array, as the
+simulator's row plan numbers them; op codes follow dfg.OpCode.  Semantics
+per position: binary codes compute ``x op y``, comparisons yield 1/0, MUX
+yields x when z is nonzero else y, PASS copies x.  All arithmetic wraps in
+int32.  A LOAD step copies the piece's source x into row dst, cast to
+int32, just before the first step that reads it.
 """
 
 from __future__ import annotations
@@ -27,14 +29,20 @@ _COMPARE = {OpCode.EQ.value: np.equal, OpCode.NE.value: np.not_equal,
             OpCode.LT.value: np.less, OpCode.LE.value: np.less_equal,
             OpCode.GT.value: np.greater, OpCode.GE.value: np.greater_equal}
 _MUX, _PASS = OpCode.MUX.value, OpCode.PASS.value
+LOAD = -1  # not an OpCode: no functional unit loads
 
 
-def run_program(instrs: np.ndarray, values: np.ndarray) -> None:
-    """Execute instructions in order, vectorized over stream positions.
+def run_program(steps, values: np.ndarray, sources=()) -> None:
+    """Execute steps in order, vectorized over stream positions.
 
-    ``values`` is an (n_slots, length) int32 array updated in place.
+    ``steps`` is a sequence of (op, dst, x, y, z) rows, ``values`` an
+    (n_rows, width) int32 array updated in place, and ``sources`` the
+    arrays LOAD steps copy from, each of ``width`` positions in row-major
+    order, all of one shape.
     """
-    for op, dst, x, y, z in instrs.tolist():
+    if sources:
+        rows = values.reshape(len(values), *sources[0].shape)
+    for op, dst, x, y, z in steps:
         if op in _ARITH:
             _ARITH[op](values[x], values[y], out=values[dst])
         elif op in _COMPARE:
@@ -45,6 +53,8 @@ def run_program(instrs: np.ndarray, values: np.ndarray) -> None:
             np.add(t, values[y], out=values[dst])
         elif op == _PASS:
             values[dst] = values[x]
+        elif op == LOAD:
+            rows[dst] = sources[x]
         else:
             raise ValueError(f"bad op code {op}")
 

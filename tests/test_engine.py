@@ -47,3 +47,13 @@ def test_a_mux_may_write_over_any_of_its_operands(dst):
     assert values[dst].tolist() == want
     others = [slot for slot in range(4) if slot != dst]
     assert np.array_equal(values[others], before[others])
+
+
+def test_a_load_copies_its_source_into_a_row_as_int32():
+    values = np.zeros((3, 6), dtype=np.int32)
+    wide = np.arange(-3, 3, dtype=np.int64).reshape(2, 3) + (5 << 32)  # wraps to -3..2
+    repeated = np.broadcast_to(np.array([7, -8, 9], np.int32), (2, 3))
+    steps = [(engine.LOAD, 2, 1, 0, 0), (engine.LOAD, 0, 0, 0, 0), (OpCode.ADD, 1, 0, 2, 0)]
+    engine.run_program(steps, values, [wide, repeated])
+    assert values.tolist() == [[-3, -2, -1, 0, 1, 2], [4, -10, 8, 7, -7, 11],
+                               [7, -8, 9, 7, -8, 9]]

@@ -281,6 +281,45 @@ def test_concurrent_calls_with_different_signatures_get_their_own_arrays():
     assert sorted(done) == [0, 1, 2, 3] and wrong == []
 
 
+def test_concurrent_first_calls_on_one_mapping_keep_one_row_plan_per_key(monkeypatch):
+    # Four threads make the first calls on a fresh mapping, in turn at a
+    # size that runs as one piece (every input pinned) and at one cut into
+    # pieces (gemm's B[k][j] pinned, A and C loaded per piece), so the
+    # program's plan memo is read and written from every thread at once.
+    monkeypatch.setattr(simulator, "_BLOCK", 64)
+    kernel = corpus.load("gemm")
+    rt = OffloadRuntime(OverlayShape(6, 6), cost_model=OFFLOAD, seed=SEED)
+    program = rt.map(rt.analyze(kernel)).program
+    assert len(program.plans) == 0
+    calls = [_inputs(kernel, size, seed=size) for size in (6, 12)]  # 36 and 144 positions
+    expected = [evaluate_kernel(kernel, *call) for call in calls]
+    wrong, done = [], []
+
+    def worker(i):
+        for turn in range(10):
+            which = (i + turn) % 2
+            out, trace = rt.execute(kernel, *calls[which])
+            if "compute" not in _phases(trace) or not all(
+                    np.array_equal(out[name], want) for name, want in expected[which].items()):
+                wrong.append(i)
+        done.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(done) == [0, 1, 2, 3] and wrong == []
+    assert len(program.plans) == 2
+    assert program.plans.get(tuple(program.input_slots)) is not None
+
+
 def test_graphs_that_differ_only_in_numbering_share_one_mapping():
     # The same two statements in either order extract to one graph under two
     # numberings, with one hash: the second kernel runs on the first one's

@@ -1,5 +1,6 @@
 """Simulator: gather, lowering and the run, against ``dfg.interpret_dfg``."""
 
+import functools
 import hashlib
 import itertools
 import math
@@ -11,8 +12,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import dfeoffload
 from dfeoffload import corpus, engine, overlay, placer, runtime, simulator
-from dfeoffload.dfg import (AffineExpr, DataFlowGraph, IoBinding, LengthMismatch,
-                            NodeKind, OpCode, Remainder, interpret_dfg, validate_dfg)
+from dfeoffload.dfg import (OP_ARITY, AffineExpr, DataFlowGraph, IoBinding,
+                            LengthMismatch, NodeKind, OpCode, Remainder, interpret_dfg,
+                            validate_dfg)
 from dfeoffload.frontend import IneligibleKernel, extract_dfg
 from dfeoffload.kernels import allocate_arrays
 from dfeoffload.overlay import Direction, OverlayShape, Pin
@@ -100,6 +102,15 @@ def test_placed_configs_lower_to_the_pinned_programs(name, unroll):
     assert got == _PROGRAM_DIGESTS[(name, unroll)]
 
 
+@functools.cache
+def _placed(name, unroll, seed):
+    """The graph and its pinned program of ``_PROGRAM_DIGESTS`` at one placer seed."""
+    g = extract_dfg(corpus.load(name), unroll)
+    shape = OverlayShape(6, 6) if unroll == 1 else OverlayShape(8, 8)
+    return g, compile_config(
+        place_and_route(g, shape, PlacerParams(global_budget=20_000), seed).apply())
+
+
 def _assert_no_instruction_writes_an_input_or_a_constant(program):
     """The premise of the blocked run's once-per-run fills: every result has
     a slot of its own, and none is an input or a constant slot."""
@@ -111,11 +122,8 @@ def _assert_no_instruction_writes_an_input_or_a_constant(program):
 
 @pytest.mark.parametrize("name, unroll", list(_PROGRAM_DIGESTS))
 def test_a_placed_program_writes_no_input_or_constant_slot(name, unroll):
-    g = extract_dfg(corpus.load(name), unroll)
-    shape = OverlayShape(6, 6) if unroll == 1 else OverlayShape(8, 8)
     for seed in range(4):
-        _assert_no_instruction_writes_an_input_or_a_constant(compile_config(
-            place_and_route(g, shape, PlacerParams(global_budget=20_000), seed).apply()))
+        _assert_no_instruction_writes_an_input_or_a_constant(_placed(name, unroll, seed)[1])
 
 
 @pytest.mark.parametrize("unroll", [1, 2])
@@ -412,9 +420,9 @@ def test_run_compiled_equals_interpret_dfg_across_block_edges(
     widths = []
 
     def runner():
-        def run(instrs, values):
+        def run(steps, values, sources):
             widths.append(values.shape[1])
-            engine.run_program(instrs, values)
+            engine.run_program(steps, values, sources)
         return run
 
     monkeypatch.setattr(engine, "get_runner", runner)
@@ -564,6 +572,140 @@ def test_an_input_that_no_piece_changes_is_copied_once(monkeypatch, box, block, 
     assert sorted(got.outputs) == sorted(want.outputs)
     for tag, stream in got.outputs.items():
         assert np.array_equal(stream, want.outputs[tag]), tag
+
+
+# -- the row plan ----------------------------------------------------------------------
+
+
+def _lowered(unroll):
+    """(graph, host program) of every corpus graph that extracts at ``unroll``."""
+    out = []
+    for name in corpus.kernel_names():
+        try:
+            g = extract_dfg(corpus.load(name), unroll)
+        except IneligibleKernel:
+            continue
+        out.append((g, lower_dfg(g)))
+    assert len(out) == 15
+    return out
+
+
+# (box, block): a 2-D box cut along its outer axis, a 3-D box cut under a
+# leading index, a 1-D box cut every block, and a box of one piece.
+_ORACLE_BOXES = [((5, 3), 6), ((3, 4, 5), 8), ((23,), 4), ((4, 3), 64)]
+
+
+def _mixed_views(rng, tags, box, cut):
+    """One view of ``box`` per tag, the layouts taken in turn from a random
+    start: values along every axis; an int64 row beyond the int32 range,
+    which a stream wraps, repeated with stride 0 along the ``cut`` axes
+    (pinned); and values repeated with stride 0 along the innermost axis."""
+    start, views = int(rng.integers(3)), {}
+    for i, tag in enumerate(tags):
+        layout = (start + i) % 3
+        if layout == 0:
+            views[tag] = rng.integers(-2**31, 2**31, box).astype(np.int32)
+        elif layout == 1:
+            row = box[cut:]
+            views[tag] = np.broadcast_to(
+                rng.integers(-2**31, 2**31, row) + (rng.integers(-3, 4, row) << 32), box)
+        else:
+            column = rng.integers(-2**31, 2**31, (*box[:-1], 1)).astype(np.int32)
+            views[tag] = np.broadcast_to(column, box)
+    return views
+
+
+def _assert_runs_as_interpret_dfg(monkeypatch, g, program, seed):
+    """``run_compiled`` over mixed views of each oracle box, against
+    ``interpret_dfg`` on the same values, which knows no plan."""
+    loads = 0
+    for box, block in _ORACLE_BOXES:
+        monkeypatch.setattr(simulator, "_BLOCK", block)
+        cut = len(next(simulator._pieces(box))[0])
+        views = _mixed_views(np.random.default_rng(seed), list(program.input_slots), box, cut)
+        unread = [0] * math.prod(box)
+        want = interpret_dfg(g, {nid: views[nid].reshape(-1).tolist() if nid in views
+                                 else unread for nid in g.inputs()})
+        got = run_compiled(program, views).outputs
+        assert sorted(got) == sorted(want) == g.outputs()
+        for tag, stream in got.items():
+            assert stream.tolist() == want[tag], (box, tag)
+        loads += sum(any(view.strides[:cut]) for view in views.values())
+    assert loads
+
+
+@pytest.mark.parametrize("name, unroll", list(_PROGRAM_DIGESTS))
+def test_a_placed_program_runs_as_interpret_dfg_in_cut_boxes(monkeypatch, name, unroll):
+    for seed in range(4):
+        _assert_runs_as_interpret_dfg(monkeypatch, *_placed(name, unroll, seed), seed)
+
+
+@pytest.mark.parametrize("unroll", [1, 2])
+def test_a_host_program_runs_as_interpret_dfg_in_cut_boxes(monkeypatch, unroll):
+    for seed, (g, program) in enumerate(_lowered(unroll)):
+        _assert_runs_as_interpret_dfg(monkeypatch, g, program, seed)
+
+
+def _assert_plan_reads_what_the_program_names(program, pinned):
+    """Run the plan of ``program`` and ``pinned`` on value ids, over two
+    pieces: every step must read the row holding the value the program's
+    instruction names, and every output row its output.  A constant or a
+    pinned input is one value for the whole run; any other value is the
+    piece's own, so a row read stale from the piece before fails."""
+    plan = simulator._row_plan(program, pinned)
+    consts = dict(program.const_fill)
+    tags = {slot: tag for tag, slot in program.input_slots.items()}
+
+    def value(slot, piece):
+        if slot in consts:
+            return "const", consts[slot]
+        if slot in tags and tags[slot] in pinned:
+            return "input", tags[slot]
+        return ("input", tags[slot], piece) if slot in tags else ("result", slot, piece)
+
+    assert plan.n_rows <= program.n_slots
+    assert set(plan.loaded).isdisjoint(pinned) and len(set(plan.loaded)) == len(plan.loaded)
+    rows = [None] * plan.n_rows
+    for row, constant in plan.const_fill:
+        rows[row] = "const", constant
+    for row, tag in plan.pinned:
+        rows[row] = "input", tag
+    for piece in range(2):
+        instrs = iter(program.instrs.tolist())
+        for op, dst, *operands in plan.steps:
+            if op == engine.LOAD:
+                rows[dst] = "input", plan.loaded[operands[0]], piece
+                continue
+            want_op, want_dst, *want_operands = next(instrs)
+            assert op == want_op
+            arity = OP_ARITY[op]
+            assert [rows[row] for row in operands[:arity]] == [
+                value(slot, piece) for slot in want_operands[:arity]]
+            rows[dst] = value(want_dst, piece)
+        assert next(instrs, None) is None
+        for tag, slot in program.output_slots.items():
+            assert rows[plan.outputs[tag]] == value(slot, piece), tag
+
+
+def _pinned_sets(program):
+    """All inputs, none, and every other input by tag order and the rest."""
+    tags = list(program.input_slots)
+    return [tuple(tags), (), tuple(tags[::2]), tuple(tags[1::2])]
+
+
+@pytest.mark.parametrize("name, unroll", list(_PROGRAM_DIGESTS))
+def test_the_row_plans_of_a_placed_program_read_what_it_names(name, unroll):
+    for seed in range(4):
+        _, program = _placed(name, unroll, seed)
+        for pinned in _pinned_sets(program):
+            _assert_plan_reads_what_the_program_names(program, pinned)
+
+
+@pytest.mark.parametrize("unroll", [1, 2])
+def test_the_row_plans_of_a_host_program_read_what_it_names(unroll):
+    for _, program in _lowered(unroll):
+        for pinned in _pinned_sets(program):
+            _assert_plan_reads_what_the_program_names(program, pinned)
 
 
 # -- the view plans memoized per call signature -----------------------------------------
