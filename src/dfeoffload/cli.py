@@ -15,6 +15,7 @@ import math
 import statistics
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +27,9 @@ from .frontend import (EligibilityReport, IneligibleKernel, Thresholds,
 from .overlay import OverlayShape, config_to_dot, config_to_text, serialize_config
 from .placer import PlacerParams, Unroutable, place_and_route
 from .runtime import (CostModel, OffloadRuntime, analyze_kernel,
-                      estimate_offload_time, run_offloaded, trip_counts)
-from .simulator import (OutOfBounds, build_streams, dump_frames, graph_io,
-                        stream_length)
+                      estimate_offload_time, trip_counts)
+from .simulator import (FRAME_SIZE, build_streams, dump_frames, graph_io,
+                        run_compiled, stream_length)
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -51,9 +52,10 @@ def _parse_overlay(text: str) -> OverlayShape:
 
 def _parse_param(text: str) -> tuple[str, int]:
     name, _, value = text.partition("=")
-    if not value:
-        raise argparse.ArgumentTypeError("parameter must look like N=8")
-    return name.strip(), int(value)
+    try:
+        return name.strip(), int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError("parameter must look like N=8") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,7 +90,7 @@ def _param_values(kernel: kl.Kernel, pairs: list[tuple[str, int]],
     values = {name: default for name in kernel.params}
     for name, value in pairs:
         if name not in values:
-            raise SystemExit(f"kernel {kernel.name} has no parameter {name!r}")
+            raise BadInput(f"kernel {kernel.name} has no parameter {name!r}")
         values[name] = value
     return values
 
@@ -99,11 +101,11 @@ def _thresholds(args) -> Thresholds:
     return Thresholds(min_nodes=args.min_nodes, max_nodes=args.max_nodes)
 
 
-def _runtime(args) -> OffloadRuntime:
-    """The runtime ``place`` and ``run`` analyze and map through."""
+def _runtime(args, cost_model: CostModel | None = None) -> OffloadRuntime:
+    """The runtime ``place`` maps through and ``run`` executes on."""
     _check_unroll(args.unroll)
     return OffloadRuntime(args.overlay, _thresholds(args),
-                          PlacerParams(global_budget=args.budget),
+                          PlacerParams(global_budget=args.budget), cost_model,
                           unroll=args.unroll, seed=args.seed)
 
 
@@ -169,44 +171,47 @@ def cmd_run(args) -> int:
         reason = exc.args[0] if isinstance(exc, KeyError) else exc
         raise BadInput(f"run: --cost-model {args.cost_model}: {reason}") from None
     kernel = _load_kernel(args.file)
-    rt = _runtime(args)
+    # offload is forced: no estimate reaches this software baseline
+    rt = _runtime(args, replace(model, software_time_per_call=sys.float_info.max))
     values = _param_values(kernel, args.params, args.size)
-    rng = np.random.default_rng(args.data_seed)
-    arrays = kl.allocate_arrays(kernel, values, rng)
+    arrays = kl.allocate_arrays(kernel, values, np.random.default_rng(args.data_seed))
+    result, trace = rt.execute(kernel, arrays, values)
+
+    # a call that fell back to software ends on a "software" event, and the
+    # event before it says why
+    *_, cause, last = trace
+    base = Path(args.file).stem
+    if last.phase == "software":
+        if cause.phase == "place_route":
+            print(f"unroutable: {cause.args[-1]}", file=sys.stderr)
+            return EXIT_UNROUTABLE
+        if cause.phase == "analysis":
+            reason = cause.args[0]
+        elif last.args:  # offload was decided, and the gather refused an access
+            reason = f"access out of range ({last.args[0]})"
+        else:  # the estimate overflowed: a cost model with a vanishing wire rate
+            reason = f"offload estimate {cause.args[0]:.3e} s"
+        print(f"{base}: {reason}; software path")
+        print("PASS (software)")
+        return EXIT_OK
+
     software = kl.evaluate_kernel(kernel, arrays, values)
-
-    analysis = rt.analyze(kernel)
-    if isinstance(analysis, EligibilityReport):
-        print(f"{Path(args.file).stem}: {analysis.table_label()}; software path")
-        print("PASS (software)")
-        return EXIT_OK
-    try:
-        entry = rt.map(analysis)
-    except Unroutable as exc:
-        print(f"unroutable: {exc}", file=sys.stderr)
-        return EXIT_UNROUTABLE
-
-    trips = trip_counts(analysis.loops, values)
-    try:
-        result, run_report = run_offloaded(entry, analysis, arrays, trips)
-    except OutOfBounds as exc:
-        # OffloadRuntime.execute falls back to software here too: software
-        # reads only what it evaluates, and its result is computed above
-        print(f"{Path(args.file).stem}: access out of range ({exc}); software path")
-        print("PASS (software)")
-        return EXIT_OK
     if args.format == "frames":
-        base = Path(args.file).stem
-        streams = build_streams(entry.io, arrays, trips)
+        # the trace holds no streams: run the mapped program once more over
+        # the gathered streams
+        analysis = rt.analyze(kernel)
+        entry = rt.cache.get(analysis.key)
+        streams = build_streams(entry.io, arrays, trip_counts(analysis.loops, values))
         Path(f"{base}.in.frames").write_bytes(dump_frames(streams))
-        Path(f"{base}.out.frames").write_bytes(dump_frames(run_report.outputs))
+        Path(f"{base}.out.frames").write_bytes(
+            dump_frames(run_compiled(entry.program, streams).outputs))
         print(f"dumped {base}.in.frames / {base}.out.frames")
 
-    n_iter = stream_length(entry.io, trips)
-    est = estimate_offload_time(analysis.stats, n_iter, model, cached=False)
-    print(f"frames_in={run_report.frames_in} frames_out={run_report.frames_out} "
-          f"bytes_on_wire={run_report.bytes_on_wire} cycles={run_report.cycles} "
-          f"est_offload={est:.3e}s")
+    events = {event.phase: event.args for event in trace}
+    (frames_in, _), (frames_out, _) = events["transfer_in"], events["transfer_out"]
+    print(f"frames_in={frames_in} frames_out={frames_out} "
+          f"bytes_on_wire={FRAME_SIZE * (frames_in + frames_out)} "
+          f"cycles={events['compute'][0]} est_offload={events['decision'][0]:.3e}s")
     for name in sorted(software):
         if not np.array_equal(result[name], software[name]):
             print(f"FAIL: array {name} differs from software evaluation")

@@ -35,7 +35,7 @@ from .frontend import (EligibilityReport, Thresholds, check_eligibility,
 from .overlay import OverlayShape
 from .placer import Placement, PlacerParams, Unroutable, place_and_route
 from .simulator import (CACHE_CAPACITY, FRAME_SIZE, GraphIo, Lru, OutOfBounds,
-                        Program, RunReport, compile_config, graph_io, leftover,
+                        Program, compile_config, graph_io, leftover,
                         lower_dfg, run_compiled, run_epilogue, stream_length,
                         stream_views, write_back)
 
@@ -242,36 +242,6 @@ def trip_counts(loops, params: dict[str, int]) -> list[tuple[str, int]]:
             for f in loops]
 
 
-def run_offloaded(entry: CacheEntry, accepted: _Accepted,
-                  arrays: dict[str, np.ndarray], trips: list[tuple[str, int]]
-                  ) -> tuple[dict[str, np.ndarray], RunReport]:
-    """One call on a mapped kernel: gather, run, scatter, then the epilogue.
-
-    The gather makes views of the caller's arrays, and the run copies each
-    block straight from them, so no full-length input stream is built.
-    The epilogue is the unroll-1 graph of ``accepted`` run on the host.
-
-    Each graph's views are laid out once per call signature and memoized on
-    its ``GraphIo``: the key is the trip counts, the box, and each accessed
-    array's shape, strides and dtype.  Arrays that are not one C- or
-    Fortran-ordered block, and failed bounds checks, bypass the memo.  A
-    box of at most ``simulator._BLOCK`` positions runs as one piece.
-    Returns the result arrays and the overlay's run report.  Raises
-    simulator.OutOfBounds when an access in either graph falls outside its
-    array somewhere in the iterations it covers; each graph's views are all
-    checked before its run, so nothing has been written when the overlay's
-    gather raises.
-    """
-    streams = stream_views(entry.io, arrays, trips)
-    report = run_compiled(entry.program, streams)
-    result = write_back(entry.io, report, arrays, trips)
-    left = leftover(entry.io, trips)
-    if left:
-        run_epilogue(accepted.epilogue_io, accepted.epilogue_program,
-                     result, trips, left)
-    return result, report
-
-
 @dataclass
 class TraceEvent:
     """One step of a call: host microseconds since the call began, its phase,
@@ -439,13 +409,21 @@ class OffloadRuntime:
         if decision != Mode.OFFLOADED:
             return software("decision: software", state)
 
+        # Gather views of the caller's arrays, run, scatter, then run the
+        # leftover iterations on the host.  Each graph's views are all
+        # bounds-checked before it runs, so a gather raises before any write.
         try:
-            result, run_report = run_offloaded(entry, analysis, arrays, trips)
-        except OutOfBounds:
+            run_report = run_compiled(entry.program, stream_views(entry.io, arrays, trips))
+            result = write_back(entry.io, run_report, arrays, trips)
+            left = leftover(entry.io, trips)
+            if left:
+                run_epilogue(analysis.epilogue_io, analysis.epilogue_program,
+                             result, trips, left)
+        except OutOfBounds as exc:
             # The overlay streams every access in the graph over the whole
             # domain; software touches only what it evaluates, and raises
             # its own error for what it cannot.
-            return software("access out of range, software fallback", state)
+            return software("access out of range ({}), software fallback", state, str(exc))
 
         device_elapsed = 0.0
         config_cost = 0.0 if cached else self.device_model.config_time
@@ -462,7 +440,6 @@ class OffloadRuntime:
         device_elapsed += t_out
         emit("transfer_out", "frames={} t={:.1f}us", run_report.frames_out, t_out * 1e6)
 
-        left = leftover(entry.io, trips)
         if left:
             emit("epilogue", "{} leftover iterations of {}", left, trips[-1][0])
 

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from dfeoffload import cli, corpus, frontend, placer, runtime
+from dfeoffload import cli, corpus, frontend, kernels, placer, runtime
 from dfeoffload.frontend import extract_dfg
 from dfeoffload.dfg import dfg_stats
 from dfeoffload.kernels import allocate_arrays
@@ -136,6 +136,17 @@ def test_run_falls_back_to_software_on_a_read_out_of_range(monkeypatch, tmp_path
     assert list(tmp_path.iterdir()) == [path]
 
 
+def test_run_takes_the_software_path_when_no_baseline_beats_the_estimate(
+        monkeypatch, tmp_path, capsys):
+    # at this wire rate the estimate overflows to infinity
+    (tmp_path / "model.cost").write_text("wire_rate = 5e-324\n")
+    rc, out = _run(monkeypatch, tmp_path, capsys, str(corpus.kernel_path("gemm")),
+                   "--cost-model", "model.cost")
+    assert rc == cli.EXIT_OK
+    assert (out.out, out.err) == (
+        "gemm: offload estimate inf s; software path\nPASS (software)\n", "")
+
+
 def test_run_dumps_the_streams_it_sends(monkeypatch, tmp_path, capsys):
     rc, _ = _run(monkeypatch, tmp_path, capsys, str(corpus.kernel_path("gemm")),
                  "--seed", "3", "--format", "frames")
@@ -149,6 +160,85 @@ def test_run_dumps_the_streams_it_sends(monkeypatch, tmp_path, capsys):
     assert sorted(got) == sorted(want)
     for tag, stream in want.items():
         assert np.array_equal(got[tag], stream), tag
+
+
+# `dfeoffload run` on every corpus kernel at the default options (6x6,
+# seed 0, size 8): the kernel, the exit code and the stdout lines.  No
+# kernel writes to stderr or leaves a file.
+RUN_CORPUS = """\
+2mm 0 frames_in=512 frames_out=64 bytes_on_wire=9216 cycles=88 est_offload=2.195e-03s | PASS
+3mm 0 frames_in=768 frames_out=64 bytes_on_wire=13312 cycles=93 est_offload=2.213e-03s | PASS
+adi 0 adi: No, divisions; software path | PASS (software)
+atax 0 frames_in=64 frames_out=8 bytes_on_wire=1152 cycles=39 est_offload=2.160e-03s | PASS
+bicg 0 frames_in=64 frames_out=16 bytes_on_wire=1280 cycles=29 est_offload=2.161e-03s | PASS
+branchmix 0 frames_in=128 frames_out=64 bytes_on_wire=3072 cycles=83 est_offload=2.168e-03s | PASS
+fdtd-2d 0 fdtd-2d: No, fp data; software path | PASS (software)
+gemm 0 frames_in=576 frames_out=64 bytes_on_wire=10240 cycles=104 est_offload=2.200e-03s | PASS
+gemver 0 frames_in=320 frames_out=64 bytes_on_wire=6144 cycles=85 est_offload=2.182e-03s | PASS
+gesummv 0 frames_in=48 frames_out=8 bytes_on_wire=896 cycles=43 est_offload=2.159e-03s | PASS
+heat-3d 0 heat-3d: No, too large; software path | PASS (software)
+jacobi-1d 0 jacobi-1d: No, fp data; software path | PASS (software)
+jacobi-2d 0 jacobi-2d: No, fp data; software path | PASS (software)
+lu 0 lu: No, divisions; software path | PASS (software)
+ludcmp 0 ludcmp: No, divisions; software path | PASS (software)
+mvt 0 frames_in=88 frames_out=8 bytes_on_wire=1536 cycles=37 est_offload=2.162e-03s | PASS
+scaleadd 0 scaleadd: No, too small; software path | PASS (software)
+seidel 0 seidel: No, divisions; software path | PASS (software)
+symm 0 frames_in=512 frames_out=64 bytes_on_wire=9216 cycles=96 est_offload=2.195e-03s | PASS
+syr2k 0 frames_in=576 frames_out=64 bytes_on_wire=10240 cycles=91 est_offload=2.200e-03s | PASS
+syrk 0 frames_in=320 frames_out=64 bytes_on_wire=6144 cycles=95 est_offload=2.182e-03s | PASS
+trisolv 0 trisolv: No, divisions; software path | PASS (software)
+trmm 0 frames_in=448 frames_out=64 bytes_on_wire=8192 cycles=97 est_offload=2.191e-03s | PASS
+"""
+
+
+def test_run_prints_what_it_printed_on_the_corpus(monkeypatch, tmp_path, capsys):
+    got = []
+    for name in corpus.kernel_names():
+        rc, out = _run(monkeypatch, tmp_path, capsys, str(corpus.kernel_path(name)))
+        assert out.err == "", name
+        got.append(f"{name} {rc} " + " | ".join(out.out.splitlines()))
+    assert got == RUN_CORPUS.splitlines()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_offloads_an_unrolled_gemm_with_its_epilogue(monkeypatch, tmp_path, capsys):
+    # at N=9 and unroll 2 each row leaves its last column to the epilogue
+    epilogues = []
+    original = runtime.run_epilogue
+    monkeypatch.setattr(runtime, "run_epilogue",
+                        lambda *args: epilogues.append(args[-1]) or original(*args))
+    rc, out = _run(monkeypatch, tmp_path, capsys, str(corpus.kernel_path("gemm")),
+                   "--unroll", "2", "--overlay", "8x8", "--size", "9")
+    assert rc == cli.EXIT_OK
+    assert (out.out, out.err) == (
+        "frames_in=648 frames_out=72 bytes_on_wire=11520 cycles=74 "
+        "est_offload=2.205e-03s\nPASS\n", "")
+    assert epilogues == [1]
+
+
+@pytest.mark.parametrize("case", ["offloaded", "rejected", "out-of-range", "unroutable"])
+def test_run_evaluates_the_oracle_once(monkeypatch, tmp_path, capsys, case):
+    guard = tmp_path / "guard.k"
+    guard.write_text(GUARDED_READ)
+    argv, rc = {
+        "offloaded": ([str(corpus.kernel_path("gemm")), "--seed", "3", "--format", "frames"],
+                      cli.EXIT_OK),
+        "rejected": ([str(corpus.kernel_path("scaleadd"))], cli.EXIT_OK),
+        "out-of-range": ([str(guard), "--min-nodes", "0", "--param", "N=5"], cli.EXIT_OK),
+        "unroutable": ([str(corpus.kernel_path("gemm")), "--unroll", "2", "--overlay", "4x4"],
+                       cli.EXIT_UNROUTABLE),
+    }[case]
+    files_seen = []
+    original = kernels.evaluate_kernel
+
+    def counted(*args):
+        files_seen.append(sorted(tmp_path.iterdir()))
+        return original(*args)
+
+    monkeypatch.setattr(kernels, "evaluate_kernel", counted)
+    assert _run(monkeypatch, tmp_path, capsys, *argv)[0] == rc
+    assert files_seen == [[guard]]  # once, and before any frames file is written
 
 
 def _place(monkeypatch, tmp_path, capsys, *argv):
@@ -292,15 +382,17 @@ def test_bench_parses_every_file_before_any_sweep(monkeypatch, tmp_path, capsys)
     assert list(tmp_path.iterdir()) == [bad]
 
 
-def test_bench_checks_every_kernels_parameters_before_any_sweep(monkeypatch, tmp_path):
+def test_bench_checks_every_kernels_parameters_before_any_sweep(monkeypatch, tmp_path,
+                                                               capsys):
     # gemm has a parameter M and atax has not, so the second kernel refuses
     # --param M=8 before the first one's sweep starts
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli, "place_and_route", _refuse)
-    with pytest.raises(SystemExit) as info:
-        cli.main(["bench", str(corpus.kernel_path("gemm")), str(corpus.kernel_path("atax")),
-                  "--param", "M=8", "--sizes", "4x4", "--seeds", "3", "-o", "bench.csv"])
-    assert info.value.code == "kernel atax has no parameter 'M'"
+    rc = cli.main(["bench", str(corpus.kernel_path("gemm")), str(corpus.kernel_path("atax")),
+                   "--param", "M=8", "--sizes", "4x4", "--seeds", "3", "-o", "bench.csv"])
+    out = capsys.readouterr()
+    assert rc == cli.EXIT_PARSE
+    assert (out.out, out.err) == ("", "kernel atax has no parameter 'M'\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -326,7 +418,8 @@ def test_analyze_takes_no_unroll_factor(capsys):
     ([], "the following arguments are required: command"),
     (["run", "gemm.k", "--overlay", "4by4"], "argument --overlay: overlay must look like 4x4"),
     (["bench", "gemm.k", "--seeds", "two"], "argument --seeds: invalid int value: 'two'"),
-], ids=["no command", "bad overlay", "bad seeds"])
+    (["run", "gemm.k", "--param", "N=abc"], "argument --param: parameter must look like N=8"),
+], ids=["no command", "bad overlay", "bad seeds", "bad param"])
 def test_a_usage_error_exits_1_not_the_unroutable_code(monkeypatch, tmp_path, capsys,
                                                        argv, message):
     monkeypatch.chdir(tmp_path)

@@ -433,6 +433,26 @@ def test_out_of_range_access_raises_what_software_raises(model):
     assert ("compute" in _phases(trace)) == (model is OFFLOAD)
 
 
+@pytest.mark.parametrize("unroll,index_range", [(1, "[1,5]"), (2, "[5,5]")])
+def test_an_out_of_range_gather_falls_back_to_software_and_names_the_access(
+        unroll, index_range):
+    # Software reads A[i][j+1] only when A[i][j] > A[i][j], which never
+    # holds; the overlay and the epilogue stream both arms of the branch.
+    kernel = parse_kernel(
+        "kernel guard(M, N)\narrays: A[MxN]:int32, C[MxN]:int32\n"
+        "for i in 0..M { for j in 0..N {\n"
+        "  if (A[i][j] > A[i][j]) { C[i][j] = A[i][j+1] + 1; } else { C[i][j] = A[i][j] - 1; }\n"
+        "} }")
+    arrays, params = _inputs(kernel, 5)
+    rt = OffloadRuntime(OverlayShape(6, 6), frontend.Thresholds(min_nodes=0),
+                        cost_model=OFFLOAD, unroll=unroll, seed=SEED)
+    out, trace = rt.execute(kernel, arrays, params)
+    _assert_matches_software(kernel, arrays, params, out)
+    access = f"A dim 1: index range {index_range} outside extent 5"
+    assert (trace[-1].phase, trace[-1].args) == ("software", (access,))
+    assert trace[-1].detail == f"access out of range ({access}), software fallback"
+
+
 @pytest.mark.parametrize("model", [OFFLOAD, SOFTWARE], ids=["offload", "software"])
 def test_a_negative_trip_count_runs_the_loop_zero_times(model):
     kernel = corpus.load("gemm")
