@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -266,6 +267,52 @@ def test_place_maps_gemm_through_the_runtime(monkeypatch, tmp_path, capsys):
     assert out.out.startswith("wrote gemm.dfecfg (574 bytes)")
 
 
+# `dfeoffload place --format text --dot g.dot` on every corpus kernel at the
+# default options (6x6, seed 0): the kernel, the exit code, a digest of the
+# stdout and of every file written (sha256 over stdout, then each file's
+# name, a NUL and its bytes, in name order; first 16 hex digits), and the
+# first line of stdout, or of stderr when stdout is empty.
+PLACE_CORPUS = """\
+2mm 0 9811ddc1f5d8974b wrote 2mm.dfecfg (565 bytes); attempts=56 restarts=4 backtracks=4
+3mm 0 d9811443032c32c4 wrote 3mm.dfecfg (601 bytes); attempts=6086 restarts=456 backtracks=160
+adi 0 e3b0c44298fc1c14 kernel rejected: No, divisions (operator '/')
+atax 0 f47c48d8013551d6 wrote atax.dfecfg (565 bytes); attempts=9 restarts=0 backtracks=0
+bicg 0 b2e14fa471e7e9d1 wrote bicg.dfecfg (574 bytes); attempts=10 restarts=0 backtracks=0
+branchmix 0 0034c35e0399d032 wrote branchmix.dfecfg (511 bytes); attempts=8 restarts=0 backtracks=0
+fdtd-2d 0 e3b0c44298fc1c14 kernel rejected: No, fp data (array ex is float32)
+gemm 0 64d22f992c87362f wrote gemm.dfecfg (574 bytes); attempts=10 restarts=0 backtracks=0
+gemver 0 a69f0a22e2ac5e25 wrote gemver.dfecfg (538 bytes); attempts=10 restarts=0 backtracks=0
+gesummv 0 79fe027ed8b430d9 wrote gesummv.dfecfg (547 bytes); attempts=66 restarts=5 backtracks=3
+heat-3d 0 e3b0c44298fc1c14 kernel rejected: No, too large (97 calc nodes > 36)
+jacobi-1d 0 e3b0c44298fc1c14 kernel rejected: No, fp data (array A is float32)
+jacobi-2d 0 e3b0c44298fc1c14 kernel rejected: No, fp data (array A is float32)
+lu 0 e3b0c44298fc1c14 kernel rejected: No, divisions (operator '/')
+ludcmp 0 e3b0c44298fc1c14 kernel rejected: No, divisions (operator '%')
+mvt 0 2ea5be388d8a8d35 wrote mvt.dfecfg (592 bytes); attempts=10 restarts=0 backtracks=0
+scaleadd 0 e3b0c44298fc1c14 kernel rejected: No, too small (3 calc nodes < 8)
+seidel 0 e3b0c44298fc1c14 kernel rejected: No, divisions (operator '/')
+symm 0 51dba8bb422db21a wrote symm.dfecfg (565 bytes); attempts=10 restarts=0 backtracks=0
+syr2k 0 b9afcc0313a5147d wrote syr2k.dfecfg (574 bytes); attempts=9 restarts=0 backtracks=0
+syrk 0 e7d0b031c1dca217 wrote syrk.dfecfg (538 bytes); attempts=20 restarts=1 backtracks=1
+trisolv 0 e3b0c44298fc1c14 kernel rejected: No, divisions (operator '/')
+trmm 0 81997b21c0cbf4c4 wrote trmm.dfecfg (556 bytes); attempts=8 restarts=0 backtracks=0
+"""
+
+
+def test_place_prints_and_writes_what_it_did_on_the_corpus(monkeypatch, tmp_path, capsys):
+    got = []
+    for name in corpus.kernel_names():
+        (tmp_path / name).mkdir()
+        rc, out = _place(monkeypatch, tmp_path / name, capsys,
+                         str(corpus.kernel_path(name)), "--format", "text", "--dot", "g.dot")
+        digest = hashlib.sha256(out.out.encode())
+        for path in sorted((tmp_path / name).iterdir()):
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        first = (out.out or out.err).splitlines()[0]
+        got.append(f"{name} {rc} {digest.hexdigest()[:16]} {first}")
+    assert got == PLACE_CORPUS.splitlines()
+
+
 def test_place_rejects_a_small_kernel_with_exit_0(monkeypatch, tmp_path, capsys):
     rc, out = _place(monkeypatch, tmp_path, capsys, str(corpus.kernel_path("scaleadd")))
     assert rc == cli.EXIT_OK
@@ -515,3 +562,48 @@ def test_bench_reports_attempts_as_a_distribution_over_seeds(tmp_path):
     assert row["p90_attempts"] == str(attempts[8])  # the 9th of 10, by nearest rank
     assert row["max_attempts"] == str(attempts[9])
     assert int(row["successes"]) < 10 and len(set(attempts)) > 3  # a spread worth ranking
+
+
+# `dfeoffload bench` over every corpus kernel at `--sizes 4x4,6x6 --seeds 3
+# --budget 500` (unroll 1, size 8, min-nodes 1): a kernel that does not fit
+# the grid reads 0 attempts, and `est_transfer_s` is the cached estimate.
+BENCH_CORPUS = """\
+kernel,rows,cols,seeds,successes,success_rate,mean_attempts,mean_backtracks,est_transfer_s,median_attempts,p90_attempts,max_attempts
+2mm,4,4,3,3,1.000,96.3,4.7,9.506957e-05,11.0,268,268
+2mm,6,6,3,3,1.000,25.0,1.3,9.506957e-05,10.0,56,56
+3mm,4,4,3,0,0.000,500.0,18.3,1.128783e-04,500.0,500,500
+3mm,6,6,3,0,0.000,500.0,15.0,1.128783e-04,500.0,500,500
+atax,4,4,3,3,1.000,141.7,7.7,6.000870e-05,46.0,368,368
+atax,6,6,3,3,1.000,9.3,0.0,6.000870e-05,9.0,10,10
+bicg,4,4,3,3,1.000,52.0,3.3,6.056522e-05,39.0,106,106
+bicg,6,6,3,3,1.000,14.3,0.3,6.056522e-05,10.0,23,23
+branchmix,4,4,3,1,0.333,429.3,21.3,6.835652e-05,500.0,500,500
+branchmix,6,6,3,3,1.000,8.0,0.0,6.835652e-05,8.0,8,8
+gemm,4,4,3,3,1.000,38.0,2.0,9.952174e-05,14.0,90,90
+gemm,6,6,3,3,1.000,25.3,1.0,9.952174e-05,10.0,56,56
+gemver,4,4,3,1,0.333,407.0,18.3,8.171304e-05,500.0,500,500
+gemver,6,6,3,3,1.000,17.0,0.7,8.171304e-05,10.0,32,32
+gesummv,4,4,3,3,1.000,101.7,6.0,5.889565e-05,85.0,209,209
+gesummv,6,6,3,3,1.000,28.3,1.0,5.889565e-05,10.0,66,66
+heat-3d,4,4,3,0,0.000,0.0,0.0,2.776087e-04,0.0,0,0
+heat-3d,6,6,3,0,0.000,0.0,0.0,2.776087e-04,0.0,0,0
+mvt,4,4,3,3,1.000,10.3,0.0,6.167826e-05,10.0,11,11
+mvt,6,6,3,3,1.000,10.3,0.0,6.167826e-05,10.0,11,11
+scaleadd,4,4,3,3,1.000,3.0,0.0,6.835652e-05,3.0,3,3
+scaleadd,6,6,3,3,1.000,3.0,0.0,6.835652e-05,3.0,3,3
+symm,4,4,3,3,1.000,19.0,1.0,9.506957e-05,9.0,39,39
+symm,6,6,3,3,1.000,9.3,0.0,9.506957e-05,9.0,10,10
+syr2k,4,4,3,3,1.000,22.3,1.0,9.952174e-05,25.0,32,32
+syr2k,6,6,3,3,1.000,9.3,0.0,9.952174e-05,9.0,10,10
+syrk,4,4,3,3,1.000,267.0,13.0,8.171304e-05,252.0,333,333
+syrk,6,6,3,3,1.000,12.7,0.3,8.171304e-05,9.0,20,20
+trmm,4,4,3,3,1.000,8.3,0.0,9.061739e-05,8.0,9,9
+trmm,6,6,3,3,1.000,8.0,0.0,9.061739e-05,8.0,8,8
+"""
+
+
+def test_bench_prints_what_it_printed_on_the_corpus(capsys):
+    rc = cli.main(["bench", *(str(corpus.kernel_path(k)) for k in corpus.kernel_names()),
+                   "--sizes", "4x4,6x6", "--seeds", "3", "--budget", "500"])
+    assert rc == cli.EXIT_OK
+    assert capsys.readouterr().out.splitlines() == BENCH_CORPUS.splitlines()
