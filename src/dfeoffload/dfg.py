@@ -57,9 +57,6 @@ OP_ARITY = {
     OpCode.PASS: 1,
 }
 
-_COMPARISONS = {OpCode.EQ, OpCode.NE, OpCode.LT, OpCode.LE, OpCode.GT, OpCode.GE}
-
-
 def apply_op(code: OpCode, args: list[int]) -> int:
     """Evaluate one op on ints, wrapping to 32 bits.  Comparisons yield 1/0."""
     if code == OpCode.ADD:

@@ -9,14 +9,14 @@ constructs, then the size thresholds.
 
 Each check lives in one place and runs once per extraction.  The structure
 scan (``_check_structure``) owns float data, division, the perfect nest,
-affine subscripts and the shape of every write.  The graph builder
-(``_LaneBuilder``) owns the remaining unsupported constructs, which it meets
-while building: a scalar used as a value, a loop-carried read, an element
-assigned twice and asymmetric if/else branches.  Last, ``extract_dfg``
-refuses a graph that reads nothing, since no stream would drive it.
-``check_eligibility`` is
-``extract_dfg`` at unroll 1, with its IneligibleKernel turned into a verdict,
-followed by the size thresholds.
+affine subscripts, the shape of every write and the variables of every
+read.  The graph builder (``_LaneBuilder``) owns the remaining unsupported
+constructs, which it meets while building: a scalar used as a value, a
+loop-carried read, an element assigned twice and asymmetric if/else
+branches.  Last, ``extract_dfg`` refuses a graph that reads nothing, since
+no stream would drive it.  ``check_eligibility`` is ``extract_dfg`` at
+unroll 1, with its IneligibleKernel turned into a verdict, followed by the
+size thresholds.
 """
 
 from __future__ import annotations
@@ -173,7 +173,9 @@ def _check_structure(k: kl.Kernel) -> dict[str, tuple[AffineExpr, ...]]:
     subscript, then writes the overlay cannot stream: each array must be
     written through one access whose subscripts are distinct loop variables
     plus constants covering the whole nest, so every element is written at
-    most once per call.  Returns array name -> its write access.
+    most once per call.  Last, a read subscript may name only loop
+    variables, since the gather lays out every stream over the loop domain.
+    Returns array name -> its write access.
     """
     for decl in k.arrays:
         if decl.dtype == "float32":
@@ -216,6 +218,12 @@ def _check_structure(k: kl.Kernel) -> dict[str, tuple[AffineExpr, ...]]:
             raise IneligibleKernel(Reason.UNSUPPORTED_OP,
                                    f"write to {name} does not cover the full iteration space")
         written[name] = access
+    for e, role in exprs:
+        if isinstance(e, kl.ArrayRef) and role != _WRITE:
+            params = {v for dim in _access_tuple(e) for v, _ in dim.terms} - loop_vars
+            if params:
+                raise IneligibleKernel(Reason.UNSUPPORTED_OP,
+                                       f"read of {e.name} indexed by parameter {min(params)!r}")
     return written
 
 

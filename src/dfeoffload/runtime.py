@@ -74,20 +74,25 @@ class CostModel:
         return CostModel(**kwargs)
 
 
+def device_time(model: CostModel, frames_in: int, frames_out: int,
+                cached: bool) -> tuple[float, float, float]:
+    """Modelled overlay seconds of one offloaded call, (configure, transfer
+    in, transfer out): ``config_time`` unless the mapping is cached, plus
+    ``const_transfer_time``, then one 16-byte frame per streamed word at
+    ``wire_rate`` each way."""
+    configure = (0.0 if cached else model.config_time) + model.const_transfer_time
+    return (configure, FRAME_SIZE * frames_in / model.wire_rate,
+            FRAME_SIZE * frames_out / model.wire_rate)
+
+
 def estimate_offload_time(stats: DfgStats, n_iterations: int,
                           model: CostModel, cached: bool) -> float:
-    """Predicted seconds for one offloaded call.
-
-    Configuration cost is skipped when the mapping is already cached; the
-    data term is the wire time for every streamed word, one 16-byte frame
-    each.
-    """
+    """Predicted seconds for one offloaded call: the summed ``device_time``
+    of the frames a run of ``n_iterations`` positions streams."""
     if n_iterations < 0:
         raise ValueError("iteration count must be nonnegative")
-    t = 0.0 if cached else model.config_time
-    t += model.const_transfer_time
-    t += FRAME_SIZE * n_iterations * (stats.inputs + stats.outputs) / model.wire_rate
-    return t
+    return sum(device_time(model, stats.inputs * n_iterations,
+                           stats.outputs * n_iterations, cached))
 
 
 MARGIN = 0.9  # offload when the estimate is under this share of software time
@@ -112,7 +117,6 @@ class OffloadState:
     mode: Mode = Mode.SOFTWARE
     ema_software: Optional[float] = None
     ema_offload: Optional[float] = None
-    software_calls: int = 0
     offload_calls: int = 0
 
 
@@ -132,7 +136,6 @@ def record(state: OffloadState, mode: Mode, elapsed: float) -> OffloadState:
     if elapsed <= 0:
         raise ValueError("elapsed time must be positive")
     if mode == Mode.SOFTWARE:
-        state.software_calls += 1
         state.ema_software = (elapsed if state.ema_software is None
                               else ALPHA * elapsed + (1 - ALPHA) * state.ema_software)
     elif mode == Mode.OFFLOADED:
@@ -269,13 +272,13 @@ class OffloadRuntime:
     unroutable), the returned arrays match pure software evaluation.  An
     offloaded call never runs the software interpreter: its unroll epilogue
     is the unroll-1 graph run on the host (``run_epilogue``).  Offloaded
-    elapsed time is simulated on ``device_model``: by default the estimate's
-    ``cost_model``, and another model is what makes measured device time
-    depart from the estimate.  Software elapsed time is read from ``clock``.
-    ``decide`` and ``record`` hold the policy.  Distinct kernels may execute
-    concurrently: cache and per-kernel state updates are lock-protected.
-    ``thresholds`` without a ``max_nodes`` limit the unroll-1 graph to the
-    grid's cell count.
+    elapsed time is ``device_time`` on ``device_model``: by default the
+    estimate's ``cost_model``, and another model is what makes measured
+    device time depart from the estimate.  Software elapsed time is read
+    from ``clock``.  ``decide`` and ``record`` hold the policy.  Distinct
+    kernels may execute concurrently: cache and per-kernel state updates are
+    lock-protected.  ``thresholds`` without a ``max_nodes`` limit the
+    unroll-1 graph to the grid's cell count.
     """
 
     def __init__(self, shape: OverlayShape,
@@ -414,7 +417,7 @@ class OffloadRuntime:
         # bounds-checked before it runs, so a gather raises before any write.
         try:
             run_report = run_compiled(entry.program, stream_views(entry.io, arrays, trips))
-            result = write_back(entry.io, run_report, arrays, trips)
+            result = write_back(entry.io, run_report.outputs, arrays, trips)
             left = leftover(entry.io, trips)
             if left:
                 run_epilogue(analysis.epilogue_io, analysis.epilogue_program,
@@ -425,25 +428,20 @@ class OffloadRuntime:
             # its own error for what it cannot.
             return software("access out of range ({}), software fallback", state, str(exc))
 
-        device_elapsed = 0.0
-        config_cost = 0.0 if cached else self.device_model.config_time
-        config_cost += self.device_model.const_transfer_time
-        device_elapsed += config_cost
+        charge = device_time(self.device_model, run_report.frames_in,
+                             run_report.frames_out, cached)
+        t_config, t_in, t_out = charge
         # one constant slot per masked cell of the validated config
         emit("configure", "{}consts={} t={:.1f}us", "cached, " if cached else "",
-             len(entry.program.const_fill), config_cost * 1e6)
-        t_in = FRAME_SIZE * run_report.frames_in / self.device_model.wire_rate
-        device_elapsed += t_in
+             len(entry.program.const_fill), t_config * 1e6)
         emit("transfer_in", "frames={} t={:.1f}us", run_report.frames_in, t_in * 1e6)
         emit("compute", "cycles={}", run_report.cycles)
-        t_out = FRAME_SIZE * run_report.frames_out / self.device_model.wire_rate
-        device_elapsed += t_out
         emit("transfer_out", "frames={} t={:.1f}us", run_report.frames_out, t_out * 1e6)
 
         if left:
             emit("epilogue", "{} leftover iterations of {}", left, trips[-1][0])
 
-        record(state, Mode.OFFLOADED, device_elapsed)
+        record(state, Mode.OFFLOADED, sum(charge))
         if state.mode == Mode.ROLLED_BACK:
             emit("rollback", "offload slower than software; reverting for good")
         return result, trace

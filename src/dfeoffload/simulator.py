@@ -114,7 +114,6 @@ class RunReport:
     frames_in: int
     frames_out: int
     cycles: int
-    bytes_on_wire: int
 
 
 @dataclass
@@ -419,15 +418,9 @@ def run_compiled(program: Program, streams: dict[int, np.ndarray]) -> RunReport:
 
     outputs = _run_blocked(program, streams, shape)
     length = math.prod(shape)
-    frames_in = len(program.input_slots) * length
-    frames_out = len(program.output_slots) * length
-    return RunReport(
-        outputs=outputs,
-        frames_in=frames_in,
-        frames_out=frames_out,
-        cycles=program.depth + length,
-        bytes_on_wire=FRAME_SIZE * (frames_in + frames_out),
-    )
+    return RunReport(outputs, frames_in=len(program.input_slots) * length,
+                     frames_out=len(program.output_slots) * length,
+                     cycles=program.depth + length)
 
 
 # -- stream gather / scatter ---------------------------------------------------------
@@ -689,10 +682,11 @@ def build_streams(io: GraphIo, arrays: dict[str, np.ndarray],
             for nid, view in stream_views(io, arrays, trips).items()}
 
 
-def write_back(io: GraphIo, report: RunReport,
+def write_back(io: GraphIo, outputs: dict[int, np.ndarray],
                arrays: dict[str, np.ndarray], trips: list[tuple[str, int]]
                ) -> dict[str, np.ndarray]:
-    """Scatter each Output's stream through the access of its ``io`` write.
+    """Scatter each Output's stream in ``outputs``, keyed by node id, through
+    the access of its ``io`` write.
 
     Returns a new mapping; written arrays are fresh copies, others pass
     through.  The ``leftover`` iterations are left untouched.  The write
@@ -701,7 +695,7 @@ def write_back(io: GraphIo, report: RunReport,
     out = dict(arrays)
     for name in io.written:
         out[name] = np.array(_supplied(out, name), copy=True)
-    _scatter(io, report.outputs, out, trips)
+    _scatter(io, outputs, out, trips)
     return out
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from dfeoffload import (CostModel, OffloadRuntime, OverlayShape, PlacerParams,
-                        corpus, engine)
+                        corpus, engine, runtime)
 from dfeoffload.kernels import allocate_arrays
 
 BENCH = Path(__file__).resolve().parent.parent / "offloadbench"
@@ -47,20 +47,31 @@ def test_the_runtime_takes_the_keywords_the_workloads_pass():
 def test_the_benchmark_reads_each_calls_device_time_from_its_trace(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     workloads = importlib.import_module("workloads")
+    charges = []
+    original = runtime.record
+    monkeypatch.setattr(runtime, "record", lambda state, mode, elapsed: (
+        charges.append(elapsed) or original(state, mode, elapsed)))
     model = CostModel(software_time_per_call=10.0)
-    rt = OffloadRuntime(OverlayShape(6, 6), cost_model=model, seed=3)
     kernel = corpus.load("gemm")
     params = {"M": 7, "N": 9}
     arrays = allocate_arrays(kernel, params, np.random.default_rng(0))
-    stats = rt.analyze(kernel).stats
-    frames = (stats.inputs + stats.outputs) * params["M"] * params["N"]
-    wire = 16 * frames / model.wire_rate
-    # three device figures, each printed to 0.1 us
-    for setup in (model.config_time, 0.0):  # a miss, then a hit
-        _, trace = rt.execute(kernel, arrays, params)
-        assert workloads.ran_on_overlay(trace)
-        assert workloads.device_seconds(trace) == pytest.approx(
-            setup + model.const_transfer_time + wire, rel=0, abs=2e-7)
+    # At unroll 2 each row streams 4 lane blocks and leaves its last column
+    # to the epilogue, which runs on the host and is not charged.
+    for shape, unroll, positions in ((OverlayShape(6, 6), 1, 7 * 9),
+                                     (OverlayShape(8, 8), 2, 7 * 4)):
+        rt = OffloadRuntime(shape, cost_model=model, unroll=unroll, seed=3)
+        stats = rt.analyze(kernel).stats
+        wire = 16 * (stats.inputs + stats.outputs) * positions / model.wire_rate
+        # three device figures, each printed to 0.1 us
+        for setup in (model.config_time, 0.0):  # a miss, then a hit
+            _, trace = rt.execute(kernel, arrays, params)
+            assert workloads.ran_on_overlay(trace)
+            assert ("epilogue" in [event.phase for event in trace]) == (unroll == 2)
+            assert workloads.device_seconds(trace) == pytest.approx(
+                setup + model.const_transfer_time + wire, rel=0, abs=2e-7)
+            # the runtime records what it predicts
+            assert charges[-1] == runtime.estimate_offload_time(
+                stats, positions, model, cached=not setup)
 
 
 def test_an_offloaded_call_reaches_the_functions_the_tracer_times(monkeypatch):

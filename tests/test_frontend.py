@@ -14,7 +14,6 @@ from dfeoffload.frontend import (IneligibleKernel, Reason, Thresholds,
 from dfeoffload.kernels import evaluate_kernel, allocate_arrays, parse_kernel
 from dfeoffload.simulator import (build_streams, graph_io, lower_dfg, run_epilogue,
                                   write_back)
-from dfeoffload.simulator import RunReport
 
 
 def kparse(body, arrays="A[MxN]:int32, B[MxN]:int32, C[MxN]:int32",
@@ -210,9 +209,8 @@ def test_unroll_semantic_invariance():
             streams = build_streams(graph_io(g), arrays, trips)
             outs = interpret_dfg(g, {n: list(map(int, s))
                                      for n, s in streams.items()})
-            report = RunReport({n: np.array(v, np.int32) for n, v in outs.items()},
-                               0, 0, 0, 0)
-            got = write_back(graph_io(g), report, arrays, trips)
+            outputs = {n: np.array(v, np.int32) for n, v in outs.items()}
+            got = write_back(graph_io(g), outputs, arrays, trips)
             for arr in want:
                 assert np.array_equal(got[arr], want[arr]), (name, unroll, arr)
 
@@ -316,6 +314,9 @@ _VERDICTS = {  # case -> (body, arrays, reason, detail)
     "write-param": (
         "C[i][M] = A[i][j];", _ARRAYS,
         _UNSUPPORTED, "write subscripts of C reuse a variable"),
+    "read-param": (
+        "C[i][j] = A[i][j] * B[i][N-1] + 3*A[i][j] + 1;", _ARRAYS,
+        _UNSUPPORTED, "read of B indexed by parameter 'N'"),
     "write-not-covering": (
         "x[i] = A[i][j];", "A[MxN]:int32, x[M]:int32",
         _UNSUPPORTED, "write to x does not cover the full iteration space"),
@@ -512,8 +513,8 @@ def test_generated_kernels_extract_as_the_oracle_evaluates(body, m, n, seed):
         g = extract_dfg(k, unroll)
         streams = build_streams(graph_io(g), arrays, trips)
         outs = interpret_dfg(g, {nid: s.tolist() for nid, s in streams.items()})
-        run = RunReport({nid: np.array(v, np.int32) for nid, v in outs.items()}, 0, 0, 0, 0)
-        got = write_back(graph_io(g), run, arrays, trips)
+        outputs = {nid: np.array(v, np.int32) for nid, v in outs.items()}
+        got = write_back(graph_io(g), outputs, arrays, trips)
         leftover = n % unroll
         if leftover:
             run_epilogue(graph_io(base), lower_dfg(base), got, trips, leftover)

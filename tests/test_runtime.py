@@ -453,6 +453,23 @@ def test_an_out_of_range_gather_falls_back_to_software_and_names_the_access(
     assert trace[-1].detail == f"access out of range ({access}), software fallback"
 
 
+def test_a_read_indexed_by_a_parameter_is_refused_before_place_and_route(counts):
+    # The gather lays streams out over the loop domain, which has no N, so
+    # no placement of this graph could ever run.
+    kernel = parse_kernel(
+        "kernel readparam(M, N)\narrays: A[MxN]:int32, B[MxN]:int32, C[MxN]:int32\n"
+        "for i in 0..M { for j in 0..N { C[i][j] = A[i][j] * B[i][N-1] + 3*A[i][j] + 1; } }")
+    rt = OffloadRuntime(OverlayShape(6, 6), frontend.Thresholds(min_nodes=0),
+                        cost_model=OFFLOAD, seed=SEED)
+    for call in range(2):
+        arrays, params = _inputs(kernel, 6, seed=call)
+        out, trace = rt.execute(kernel, arrays, params)
+        _assert_matches_software(kernel, arrays, params, out)
+        assert _phases(trace) == ["analysis", "software"]
+    assert rt.analyze(kernel).detail == "read of B indexed by parameter 'N'"
+    assert counts.calls["place_and_route"] == 0
+
+
 @pytest.mark.parametrize("model", [OFFLOAD, SOFTWARE], ids=["offload", "software"])
 def test_a_negative_trip_count_runs_the_loop_zero_times(model):
     kernel = corpus.load("gemm")

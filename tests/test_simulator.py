@@ -20,10 +20,9 @@ from dfeoffload.kernels import allocate_arrays
 from dfeoffload.overlay import Direction, OverlayShape, Pin
 from dfeoffload.placer import PlacerParams, place_and_route
 from dfeoffload.runtime import trip_counts
-from dfeoffload.simulator import (OutOfBounds, RunReport, build_streams,
-                                  compile_config, dump_frames, graph_io,
-                                  load_frames, lower_dfg, run_compiled,
-                                  stream_views, write_back)
+from dfeoffload.simulator import (OutOfBounds, build_streams, compile_config,
+                                  dump_frames, graph_io, load_frames, lower_dfg,
+                                  run_compiled, stream_views, write_back)
 
 
 def test_an_input_that_nothing_reads_is_not_streamed():
@@ -344,10 +343,10 @@ def test_write_back_scatters_what_index_arrays_scatter(domain, data, seed):
     for binding, _, stream in out_of_range:
         with pytest.raises(OutOfBounds, match=rf"^{binding.array} dim \d: index range"):
             write_back(graph_io(_graph(writes=[binding], factor=factor)),
-                       RunReport({0: stream}, 0, 0, 0, 0), arrays, trips)
+                       {0: stream}, arrays, trips)
     g = _graph(writes=[binding for binding, _, _ in in_range], factor=factor)
     outputs = dict(zip(g.outputs(), [stream for _, _, stream in in_range]))
-    got = write_back(graph_io(g), RunReport(outputs, 0, 0, 0, 0), arrays, trips)
+    got = write_back(graph_io(g), outputs, arrays, trips)
     want = {name: a.copy() for name, a in arrays.items()}
     for binding, idx, stream in in_range:
         want[binding.array][idx] = stream
@@ -389,7 +388,7 @@ def test_a_bad_binding_is_refused_with_its_reason():
         assert str(exc.value) == message
         with pytest.raises(OutOfBounds) as exc:
             write_back(graph_io(_graph(writes=[binding])),
-                       RunReport({0: np.zeros(2, np.int32)}, 0, 0, 0, 0), arrays, trips)
+                       {0: np.zeros(2, np.int32)}, arrays, trips)
         assert str(exc.value) == message
 
 
@@ -521,8 +520,8 @@ def test_run_compiled_runs_views_as_it_runs_built_streams(monkeypatch, block, do
         assert not views[nid].size or np.shares_memory(views[nid], arrays[binding.array])
     got = run_compiled(program, views)
     want = run_compiled(program, build_streams(graph_io(g), arrays, trips))
-    assert (got.frames_in, got.frames_out, got.cycles, got.bytes_on_wire) == (
-        want.frames_in, want.frames_out, want.cycles, want.bytes_on_wire)
+    assert (got.frames_in, got.frames_out, got.cycles) == (
+        want.frames_in, want.frames_out, want.cycles)
     assert sorted(got.outputs) == sorted(want.outputs) == g.outputs()
     for tag, stream in got.outputs.items():
         assert stream.dtype == np.int32 and stream.shape == (math.prod(box),)
@@ -759,18 +758,18 @@ def test_a_memoized_view_equals_a_fresh_one(domain, data, seed):
         positions = math.prod(_steady_counts(sig_trips, factor))
         outputs = dict.fromkeys(g.outputs(), rng.integers(-2**31, 2**31, positions,
                                                           dtype=np.int32))
-        calls.append((sig_trips, arrays, RunReport(outputs, 0, 0, 0, 0)))
+        calls.append((sig_trips, arrays, outputs))
     io = graph_io(g)
     for index in data.draw(st.permutations([0, 1, 2] * 3)):
-        sig_trips, arrays, report = calls[index]
+        sig_trips, arrays, outputs = calls[index]
         got = _outcome(lambda: stream_views(io, arrays, sig_trips))
         want = _outcome(lambda: stream_views(graph_io(g), arrays, sig_trips))
         if isinstance(want, str):
             assert got == want
         else:
             _same_views(got, want)
-        got = _outcome(lambda: write_back(io, report, arrays, sig_trips))
-        want = _outcome(lambda: write_back(graph_io(g), report, arrays, sig_trips))
+        got = _outcome(lambda: write_back(io, outputs, arrays, sig_trips))
+        want = _outcome(lambda: write_back(graph_io(g), outputs, arrays, sig_trips))
         if isinstance(want, str):
             assert got == want
         else:
@@ -839,8 +838,7 @@ def test_the_reads_and_the_writes_of_one_array_keep_their_own_plans():
     arrays = {"C": np.arange(5, dtype=np.int32)}
     for _ in range(2):
         streams = build_streams(io, arrays, trips)
-        out = write_back(io, RunReport(dict(zip(g.outputs(), streams.values())), 0, 0, 0, 0),
-                         arrays, trips)
+        out = write_back(io, dict(zip(g.outputs(), streams.values())), arrays, trips)
         assert out["C"].tolist() == [1, 2, 3, 4, 4]
     assert len(io.plans) == 2
 
