@@ -8,10 +8,12 @@ evaluator that every other execution path is checked against.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import re
 import struct
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from operator import attrgetter
 from typing import Container, Iterable, Optional
 
 INT32_MIN = -(1 << 31)
@@ -241,6 +243,9 @@ class Edge:
     dport: int
 
 
+_DPORT = attrgetter("dport")
+
+
 class Violation:
     """One broken graph invariant; kept as data rather than raised."""
 
@@ -290,38 +295,69 @@ class DataFlowGraph:
         return sorted(n.id for n in self.nodes.values() if n.kind == NodeKind.OP)
 
     def in_edges(self, nid: int) -> list[Edge]:
-        return sorted((e for e in self.edges if e.dst == nid), key=lambda e: e.dport)
+        return sorted((e for e in self.edges if e.dst == nid), key=_DPORT)
+
+    def in_edge_map(self) -> dict[int, list[Edge]]:
+        """``in_edges`` of every node, from one pass over the edges."""
+        ins: dict[int, list[Edge]] = {nid: [] for nid in self.nodes}
+        for e in self.edges:
+            ins.setdefault(e.dst, []).append(e)
+        for edges in ins.values():
+            edges.sort(key=_DPORT)
+        return ins
 
     def topo_order(self) -> list[int]:
-        """Node ids in dependency order; raises ValueError on a cycle."""
-        indeg = {nid: 0 for nid in self.nodes}
-        for e in self.edges:
-            indeg[e.dst] += 1
-        ready = sorted(nid for nid, d in indeg.items() if d == 0)
-        order: list[int] = []
-        while ready:
-            nid = ready.pop(0)
-            order.append(nid)
-            changed = False
-            for e in self.edges:
-                if e.src == nid:
-                    indeg[e.dst] -= 1
-                    if indeg[e.dst] == 0:
-                        ready.append(e.dst)
-                        changed = True
-            if changed:
-                ready.sort()
-        if len(order) != len(self.nodes):
-            raise ValueError("graph has a cycle")
-        return order
+        """Node ids in dependency order; raises ValueError on a cycle.
+
+        Kahn's order: of the nodes whose producers are all placed, the
+        smallest id comes next.  One pass over the edges and a heap, so it
+        costs O(E + N log N).
+        """
+        return _kahn(self.nodes, self.edges)
+
+
+def _kahn(nodes: Iterable[int], edges: Iterable[Edge]) -> list[int]:
+    """``topo_order`` over ``nodes``.  An edge into a missing node raises
+    KeyError, and one out of a missing node leaves its reader unready, so
+    ValueError."""
+    indeg = dict.fromkeys(nodes, 0)
+    succ: dict[int, list[int]] = {nid: [] for nid in indeg}
+    for e in edges:
+        indeg[e.dst] += 1
+        succ.setdefault(e.src, []).append(e.dst)
+    ready = [nid for nid, d in indeg.items() if d == 0]
+    heapq.heapify(ready)
+    order: list[int] = []
+    while ready:
+        nid = heapq.heappop(ready)
+        order.append(nid)
+        for dst in succ[nid]:
+            indeg[dst] -= 1
+            if indeg[dst] == 0:
+                heapq.heappush(ready, dst)
+    if len(order) != len(indeg):
+        raise ValueError("graph has a cycle")
+    return order
 
 
 def validate_dfg(g: DataFlowGraph) -> list[Violation]:
-    """Check all structural invariants; an empty list means the graph is valid."""
+    """Check all structural invariants; an empty list means the graph is valid.
+
+    An edge that names a missing node is a ``dangling-edge``; the arity and
+    cycle checks read only the edges between nodes, so it is none of those.
+    Each check makes one pass over the edges.
+    """
     out: list[Violation] = []
+    ports: dict[int, list[int]] = {nid: [] for nid in g.nodes}
+    sources: set[int] = set()
+    joined: list[Edge] = []
     for e in g.edges:
+        sources.add(e.src)
         if e.src not in g.nodes or e.dst not in g.nodes:
             out.append(Violation("dangling-edge", f"{e.src}->{e.dst} references a missing node"))
+            continue
+        ports[e.dst].append(e.dport)
+        joined.append(e)
     for nid, node in sorted(g.nodes.items()):
         if node.kind == NodeKind.OP:
             if node.code is None or node.code not in OP_ARITY:
@@ -330,14 +366,13 @@ def validate_dfg(g: DataFlowGraph) -> list[Violation]:
         if node.kind == NodeKind.CONST:
             if node.value is None or not (INT32_MIN <= node.value <= INT32_MAX):
                 out.append(Violation("const-range", f"node {nid} value {node.value!r}"))
-        incoming = [e for e in g.edges if e.dst == nid and e.src in g.nodes]
         arity = node.arity()
-        ports = sorted(e.dport for e in incoming)
-        if ports != list(range(arity)):
+        got = sorted(ports[nid])
+        if got != list(range(arity)):
             out.append(Violation(
                 "arity", f"node {nid} ({node.label()}) expects ports {list(range(arity))},"
-                         f" has {ports}"))
-        if node.kind == NodeKind.OUTPUT and any(e.src == nid for e in g.edges):
+                         f" has {got}"))
+        if node.kind == NodeKind.OUTPUT and nid in sources:
             out.append(Violation("output-fanout", f"output node {nid} has outgoing edges"))
     for nid, binding in g.io_bindings.items():
         if nid not in g.nodes:
@@ -348,7 +383,7 @@ def validate_dfg(g: DataFlowGraph) -> list[Violation]:
         if binding.lane_stride < 1 or binding.lane_offset < 0:
             out.append(Violation("binding", f"node {nid} lane {binding.lane_offset}/{binding.lane_stride}"))
     try:
-        g.topo_order()
+        _kahn(g.nodes, joined)
     except ValueError:
         out.append(Violation("cycle", "graph is not acyclic"))
     return out
@@ -373,7 +408,7 @@ def interpret_dfg(g: DataFlowGraph,
     length = lengths.pop() if lengths else 0
 
     order = g.topo_order()
-    in_edges = {nid: g.in_edges(nid) for nid in order}
+    in_edges = g.in_edge_map()
     results: dict[int, list[int]] = {oid: [] for oid in g.outputs()}
     values: dict[int, int] = {}
     for pos in range(length):
@@ -408,7 +443,7 @@ def dfg_stats(g: DataFlowGraph) -> DfgStats:
 def _node_digests(g: DataFlowGraph) -> dict[int, bytes]:
     """Per-node digest independent of node ids (children hashed in port order)."""
     digests: dict[int, bytes] = {}
-    in_edges = {nid: g.in_edges(nid) for nid in g.nodes}
+    in_edges = g.in_edge_map()
     for nid in g.topo_order():
         node = g.nodes[nid]
         h = hashlib.blake2b(digest_size=8)

@@ -26,7 +26,7 @@ from enum import Enum
 from typing import Optional
 
 from . import kernels as kl
-from .dfg import (AffineExpr, DataFlowGraph, DfgStats, IoBinding, Node,
+from .dfg import (AffineExpr, DataFlowGraph, DfgStats, Edge, IoBinding, Node,
                   NodeKind, OpCode, Remainder, apply_op, dfg_stats,
                   validate_dfg)
 
@@ -331,28 +331,37 @@ class _LaneBuilder:
 
 
 def _fold_constants(g: DataFlowGraph) -> None:
-    """Collapse op nodes whose inputs are all constants, then drop dead nodes."""
+    """Collapse op nodes whose inputs are all constants, then drop dead nodes.
+
+    Folding a node drops only the edges into it, and a node's in-edges are
+    read only when the topological order reaches it, before it can fold, so
+    one in-edge map taken up front serves the whole pass.
+    """
     const_val: dict[int, int] = {
         nid: n.value for nid, n in g.nodes.items() if n.kind == NodeKind.CONST}
+    in_edges = g.in_edge_map()
+    folded: set[int] = set()
     for nid in g.topo_order():
         node = g.nodes[nid]
         if node.kind != NodeKind.OP:
             continue
-        in_edges = g.in_edges(nid)
-        if all(e.src in const_val for e in in_edges):
-            value = apply_op(node.code, [const_val[e.src] for e in in_edges])
+        if all(e.src in const_val for e in in_edges[nid]):
+            value = apply_op(node.code, [const_val[e.src] for e in in_edges[nid]])
             g.nodes[nid] = Node(nid, NodeKind.CONST, value=value)
-            g.edges = [e for e in g.edges if e.dst != nid]
+            folded.add(nid)
             const_val[nid] = value
+    g.edges = [e for e in g.edges if e.dst not in folded]
     # prune anything no longer feeding an output
+    producers: dict[int, list[int]] = {}
+    for e in g.edges:
+        producers.setdefault(e.dst, []).append(e.src)
     live = set(g.outputs())
     frontier = list(live)
     while frontier:
-        nid = frontier.pop()
-        for e in g.edges:
-            if e.dst == nid and e.src not in live:
-                live.add(e.src)
-                frontier.append(e.src)
+        for src in producers.get(frontier.pop(), ()):
+            if src not in live:
+                live.add(src)
+                frontier.append(src)
     g.nodes = {nid: n for nid, n in g.nodes.items() if nid in live}
     g.edges = [e for e in g.edges if e.src in live and e.dst in live]
     g.io_bindings = {nid: b for nid, b in g.io_bindings.items() if nid in live}
@@ -360,22 +369,29 @@ def _fold_constants(g: DataFlowGraph) -> None:
 
 def _insert_pass_nodes(g: DataFlowGraph) -> None:
     """Keep at most one constant-fed pin per op (a cell masks one signal),
-    and never feed an output interface straight from a constant."""
+    and never feed an output interface straight from a constant.
+
+    A rewrite moves only edges into the node it rewrites, so one in-edge
+    map, taken before the first, serves every node.
+    """
     const_ids = {nid for nid, n in g.nodes.items() if n.kind == NodeKind.CONST}
+    in_edges = g.in_edge_map()
+    moved: set[Edge] = set()
+    added: list[Edge] = []
     for nid in list(g.nodes):
         node = g.nodes[nid]
         if node.kind == NodeKind.OP:
-            const_edges = [e for e in g.in_edges(nid) if e.src in const_ids]
-            extra = const_edges[1:]
+            extra = [e for e in in_edges[nid] if e.src in const_ids][1:]
         elif node.kind == NodeKind.OUTPUT:
-            extra = [e for e in g.in_edges(nid) if e.src in const_ids]
+            extra = [e for e in in_edges[nid] if e.src in const_ids]
         else:
             continue
         for e in extra:
             pid = g.add_node(NodeKind.OP, code=OpCode.PASS)
-            g.edges.remove(e)
-            g.add_edge(e.src, pid, 0)
-            g.add_edge(pid, e.dst, e.dport)
+            moved.add(e)
+            added += (Edge(e.src, 0, pid, 0), Edge(pid, 0, e.dst, e.dport))
+    if moved:
+        g.edges = [e for e in g.edges if e not in moved] + added
 
 
 def check_unroll(unroll: int) -> None:

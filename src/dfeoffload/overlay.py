@@ -25,10 +25,9 @@ class Direction(IntEnum):
     W = 3
 
 
-_DELTA = {Direction.N: (-1, 0), Direction.E: (0, 1),
-          Direction.S: (1, 0), Direction.W: (0, -1)}
-_OPPOSITE = {Direction.N: Direction.S, Direction.E: Direction.W,
-             Direction.S: Direction.N, Direction.W: Direction.E}
+# (row step, column step) and the opposite side, per side
+_DELTA = ((-1, 0), (0, 1), (1, 0), (0, -1))
+_OPPOSITE = (Direction.S, Direction.W, Direction.N, Direction.E)
 
 
 def opposite(d: Direction) -> Direction:
@@ -44,6 +43,19 @@ class Pin(IntEnum):
 FU = "FU"  # out_sel source meaning "this cell's functional-unit output"
 
 OutSel = Union[None, Direction, str]
+
+
+_PINS = tuple(Pin)
+_DIRECTIONS = tuple(Direction)
+_UNWIRED = (None,) * len(_PINS)
+_DISABLED = (None,) * len(_DIRECTIONS)
+_UNSEEN = object()
+# op code -> the FU pins it reads
+_NEEDED = {code: _PINS[:arity] for code, arity in OP_ARITY.items()}
+
+
+def _where(rc: tuple[int, int]) -> str:
+    return f"cell ({rc[0]},{rc[1]})"
 
 
 class UnroutedPort(LookupError):
@@ -167,21 +179,6 @@ def trace_port(cfg: OverlayConfig, cell: tuple[int, int],
         d = sel
 
 
-def _fed_pins(cell: CellConfig) -> dict[Pin, str]:
-    """pin -> 'wire' | 'mask' for every pin that has a source."""
-    fed = {}
-    for pin in Pin:
-        if cell.pin_select(pin) is not None:
-            fed[pin] = "wire"
-    if cell.mask is not None:
-        pin = cell.mask[0]
-        if pin in fed:
-            fed[pin] = "both"  # conflicting: selected and masked
-        else:
-            fed[pin] = "mask"
-    return fed
-
-
 def _fu_order(deps: dict[tuple[int, int], set[Origin]]
               ) -> Optional[list[tuple[int, int]]]:
     """The FU cells of ``deps`` in data-dependency order, or None on a cycle.
@@ -227,53 +224,143 @@ def trace_config(cfg: OverlayConfig) -> ConfigTrace:
     Every wired FU pin and every forwarding output is traced to its source,
     so a loop of pass-through outputs shows as ``unrouted`` ("routing cycle
     at ..."); FUs that read one another's results in a loop are a ``cycle``.
+    A hop, a cell's input side, is resolved at most once per config: one
+    memo serves the pins and the outputs, so a chain of pass-through
+    outputs is walked once however many outputs forward it.  A route that
+    does not trace is walked again by ``trace_port``, for its message.
     ``simulator.compile_config`` lowers a config from this one pass.
     """
     out: list[Violation] = []
     shape = cfg.shape
+    cells = cfg.cells
     for rc in shape.cells():
-        if rc not in cfg.cells:
+        if rc not in cells:
             out.append(Violation("missing-cell", f"{rc}"))
-    if len(cfg.cells) != shape.rows * shape.cols:
-        extra = set(cfg.cells) - set(shape.cells())
+    if len(cells) != shape.rows * shape.cols:
+        extra = set(cells) - set(shape.cells())
         if extra:
             out.append(Violation("extra-cell", f"{sorted(extra)}"))
     if out:
         # the checks below look up cells by grid position
         return ConfigTrace(out, {}, {}, None)
 
-    for (r, c), cell in sorted(cfg.cells.items()):
-        where = f"cell ({r},{c})"
-        fed = _fed_pins(cell)
-        if any(v == "both" for v in fed.values()):
-            out.append(Violation("pin-conflict", f"{where}: pin both wired and masked"))
-        if cell.mask is not None:
-            if cell.fu_op is None:
-                out.append(Violation("mask-without-fu", where))
-            if not (INT32_MIN <= cell.mask[1] <= INT32_MAX):
-                out.append(Violation("mask-range", f"{where}: {cell.mask[1]}"))
-        if cell.fu_op is None:
-            if fed and cell.mask is None:
-                out.append(Violation("pins-without-fu", where))
+    rows, cols = shape.rows, shape.cols
+    # hop id (r*C + c)*4 + input side -> (origin, hops), or None when it does
+    # not trace; a hop on the walk in progress is None until the walk ends
+    memo: dict[int, Optional[tuple[Origin, int]]] = {}
+
+    def resolve(r: int, c: int, d: Direction) -> Optional[tuple[Origin, int]]:
+        hop = first = (r * cols + c) * 4 + d
+        found = memo.get(hop, _UNSEEN)
+        if found is not _UNSEEN:
+            return found
+        walk = []
+        while True:
+            memo[hop] = None
+            walk.append(hop)
+            dr, dc = _DELTA[d]
+            nr, nc = r + dr, c + dc
+            if not (0 <= nr < rows and 0 <= nc < cols):
+                found = (r, c, d), 0
+                break
+            sel = cells[(nr, nc)].out_sel[_OPPOSITE[d]]
+            if sel is None:
+                return None
+            if sel == FU:
+                found = (nr, nc), 1
+                break
+            r, c, d = nr, nc, sel
+            hop = (r * cols + c) * 4 + d
+            found = memo.get(hop, _UNSEEN)
+            if found is None:  # a dead end, or a loop back into this walk
+                return None
+            if found is not _UNSEEN:
+                found = found[0], found[1] + 1
+                break
+        origin, hops = found
+        for hop in reversed(walk):
+            memo[hop] = origin, hops
+            hops += 1
+        return memo[first]
+
+    pins: dict[tuple[tuple[int, int], Pin], tuple[Origin, int]] = {}
+    outputs: dict[tuple[int, int, Direction], tuple[Origin, int]] = {}
+    used_border: set[Origin] = set()
+    deps: dict[tuple[int, int], set[Origin]] = {}
+    unrouted: list[Violation] = []  # reported after the io checks
+
+    def unroutable(rc: tuple[int, int], d: Direction, what: str) -> None:
+        try:
+            trace_port(cfg, rc, d)
+        except UnroutedPort as exc:
+            unrouted.append(Violation("unrouted", f"cell ({rc[0]},{rc[1]}) {what}: {exc}"))
+
+    north, east, south, west = _DIRECTIONS
+    for rc in shape.cells():  # in sorted order, as every cell is there
+        cell = cells[rc]
+        op, mask, out_sel = cell.fu_op, cell.mask, cell.out_sel
+        selects = (cell.fu_in1, cell.fu_in2, cell.fu_sel)
+        sels = (out_sel[north], out_sel[east], out_sel[south], out_sel[west])
+        if op is None and mask is None and selects == _UNWIRED and sels == _DISABLED:
+            continue
+
+        # pins fed, in the order they are reported: the wired ones, then a
+        # masked one that is not wired
+        fed = [pin for pin, d in zip(_PINS, selects) if d is not None]
+        if mask is not None:
+            if mask[0] in fed:
+                out.append(Violation("pin-conflict", f"{_where(rc)}: pin both wired and masked"))
+            else:
+                fed.append(mask[0])
+            if op is None:
+                out.append(Violation("mask-without-fu", _where(rc)))
+            if not (INT32_MIN <= mask[1] <= INT32_MAX):
+                out.append(Violation("mask-range", f"{_where(rc)}: {mask[1]}"))
+        if op is None:
+            if fed and mask is None:
+                out.append(Violation("pins-without-fu", _where(rc)))
         else:
-            arity = OP_ARITY[cell.fu_op]
-            needed = [Pin.IN1] if arity == 1 else [Pin.IN1, Pin.IN2]
-            if cell.fu_op == OpCode.MUX:
-                needed.append(Pin.SEL)
+            needed = _NEEDED[op]
             for pin in needed:
                 if pin not in fed:
-                    out.append(Violation("unfed-pin", f"{where}: {pin.name}"))
+                    out.append(Violation("unfed-pin", f"{_where(rc)}: {pin.name}"))
             for pin in fed:
                 if pin not in needed:
-                    out.append(Violation("extra-pin", f"{where}: {pin.name}"))
-        for d in Direction:
-            sel = cell.out_sel[d]
+                    out.append(Violation("extra-pin", f"{_where(rc)}: {pin.name}"))
+        for d, sel in zip(_DIRECTIONS, sels):
             if sel is None:
                 continue
             if sel == d:
-                out.append(Violation("reflection", f"{where}: out {d.name} from in {d.name}"))
-            if sel == FU and cell.fu_op is None:
-                out.append(Violation("dangling-fu", f"{where}: out {d.name}"))
+                out.append(Violation("reflection", f"{_where(rc)}: out {d.name} from in {d.name}"))
+            if sel == FU and op is None:
+                out.append(Violation("dangling-fu", f"{_where(rc)}: out {d.name}"))
+
+        # every consumer must resolve to a border input or an FU
+        reads = set()
+        for pin, d in zip(_PINS, selects):
+            if d is None:
+                continue
+            route = resolve(*rc, d)
+            if route is None:
+                unroutable(rc, d, pin.name)
+                continue
+            pins[(rc, pin)] = route
+            reads.add(route[0])
+            if len(route[0]) == 3:
+                used_border.add(route[0])
+        if op is not None:
+            deps[rc] = reads
+        for d, sel in zip(_DIRECTIONS, sels):
+            if sel == FU:
+                outputs[(*rc, d)] = rc, 0
+            elif sel is not None:
+                route = resolve(*rc, sel)
+                if route is None:
+                    unroutable(rc, sel, f"out {d.name}")
+                    continue
+                outputs[(*rc, d)] = route
+                if len(route[0]) == 3:
+                    used_border.add(route[0])
 
     # io map sanity
     for label, table in (("in", cfg.io_in), ("out", cfg.io_out)):
@@ -287,36 +374,9 @@ def trace_config(cfg: OverlayConfig) -> ConfigTrace:
         if shape.in_bounds(r, c) and cfg.cell(r, c).out_sel[d] is None:
             out.append(Violation("silent-output", f"io_out ({r},{c}) {d.name} is disabled"))
 
-    # every consumer must resolve to a border input or an FU, consumed
-    # border inputs must carry a stream tag, and the FUs must have an order
-    pins: dict[tuple[tuple[int, int], Pin], tuple[Origin, int]] = {}
-    outputs: dict[tuple[int, int, Direction], tuple[Origin, int]] = {}
-    used_border: set[Origin] = set()
-    deps: dict[tuple[int, int], set[Origin]] = {}
-
-    def trace(table, key, rc, d, what) -> None:
-        try:
-            origin, hops = trace_port(cfg, rc, d)
-        except UnroutedPort as exc:
-            out.append(Violation("unrouted", f"{what}: {exc}"))
-            return
-        table[key] = origin, hops
-        if len(origin) == 3:
-            used_border.add(origin)
-
-    for (r, c), cell in sorted(cfg.cells.items()):
-        for pin in Pin:
-            d = cell.pin_select(pin)
-            if d is not None:
-                trace(pins, ((r, c), pin), (r, c), d, f"cell ({r},{c}) {pin.name}")
-        if cell.fu_op is not None:
-            deps[(r, c)] = {pins[((r, c), pin)][0] for pin in Pin if ((r, c), pin) in pins}
-        for d in Direction:
-            sel = cell.out_sel[d]
-            if sel == FU:
-                outputs[(r, c, d)] = (r, c), 0
-            elif sel is not None:
-                trace(outputs, (r, c, d), (r, c), sel, f"cell ({r},{c}) out {d.name}")
+    # consumed border inputs must carry a stream tag, and the FUs must have
+    # an order
+    out += unrouted
     for port in used_border:
         if port not in cfg.io_in:
             r, c, d = port

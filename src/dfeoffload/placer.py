@@ -11,27 +11,29 @@ value is already replicated), and exhaustion triggers node switches and
 random-depth backtracking.  The algorithm only ever returns correct
 answers; only its running time is random.
 
-The search writes straight into the ``OverlayConfig`` it returns: each claim
-sets one field of a cell or one io binding and journals the old value, so a
-backtrack restores the fields it journaled.  The result is not validated
-here; ``simulator.compile_config`` validates a config once, where it is used.
+The search state is a set of flat lists indexed by cell id and pin id: each
+claim sets one slot and journals the old value, so a backtrack restores the
+slots it journaled.  The ``OverlayConfig`` is built from the lists once, when
+the search succeeds.  It is not validated here; ``simulator.compile_config``
+validates a config once, where it is used.  The tables that depend only on
+the grid are built once per shape and shared by all searches on it.
 
 Inside the search, cells are numbered ``i = r*C + c`` and input pins (or
-border sides) ``p = side*R*C + i``; the config itself keeps its
-``(r, c)`` and ``Direction`` keys.
+border sides) ``p = side*R*C + i``; the config keeps its ``(r, c)`` and
+``Direction`` keys.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from operator import attrgetter
 from typing import Optional, Union
 
 from .dfg import DataFlowGraph, Edge, NodeKind, OpCode, validate_dfg
-from .overlay import FU, Direction, OverlayConfig, OverlayShape, Pin, new_overlay, opposite
+from .overlay import FU, CellConfig, Direction, OverlayConfig, OverlayShape, Pin, opposite
 
 Cell = tuple[int, int]
 
@@ -102,8 +104,8 @@ class Placement:
 
 
 _ABSENT = object()  # journaled old value of a key that was not there
-_PIN_FIELD = ("fu_in1", "fu_in2", "fu_sel")  # CellConfig field per Pin
 _DIRS = tuple(Direction)
+_OPPOSITE = tuple(opposite(d) for d in _DIRS)
 _FU_SIDE = 4  # pin side that stands for a cell's FU output
 # (out side, the neighbour's facing side, row step, column step)
 _STEPS = tuple((d, opposite(d), dr, dc)
@@ -111,47 +113,95 @@ _STEPS = tuple((d, opposite(d), dr, dc)
 _SEED, _BIND = -1, -2  # route_edge parents of a start state
 
 
+class _Grid:
+    """The tables of a search that depend only on the grid's shape.
+
+    Built once per shape (``_grid``) and shared by every search on it, so
+    nothing here is written during a search but the affinity rows, each
+    filled once, on first use, with the same values whoever fills it.
+    """
+
+    def __init__(self, shape: OverlayShape):
+        self.coords = tuple(shape.cells())  # cell id -> (r, c)
+        n = len(self.coords)
+        # pin id -> (r, c, side): the border port of an outward side
+        self.pin_port = tuple((r, c, d) for d in _DIRS for (r, c) in self.coords)
+        self.border_pins = tuple(port[2] * n + port[0] * shape.cols + port[1]
+                                 for port in shape.border_ports())
+        # pin id (side 4: the FU) -> (out selector index, next search state,
+        # is a border goal) for every output the value could leave through:
+        # the neighbour's facing input pin, or on the border the output as a
+        # goal.  Out selector ``cell*4 + side`` is the output on that side.
+        # ``feeds``: cell id -> the out selectors of the outputs facing it.
+        exits, feeds = [], []
+        for i, (r, c) in enumerate(self.coords):
+            ways, cell_feeds = [], []
+            for out_d, in_d, dr, dc in _STEPS:
+                if shape.in_bounds(r + dr, c + dc):
+                    j = i + dr * shape.cols + dc
+                    ways.append((4 * i + out_d, (in_d * n + j) << 1, False))
+                    cell_feeds.append(4 * j + in_d)
+                else:
+                    ways.append((4 * i + out_d, (out_d * n + i) << 1 | 1, True))
+            exits.append(tuple(ways))
+            feeds.append(tuple(cell_feeds))
+        self.feeds = tuple(feeds)
+        self.moves = tuple([ways[:side] + ways[side + 1:]  # never back out the side it came in
+                            for side in range(_FU_SIDE) for ways in exits] + exits)
+        # per cell, the complement of a center-peaked Gaussian: border cells
+        # (short paths to the scarce border interfaces) are favored
+        sigma = min(shape.rows, shape.cols) / SIGMA_DIVISOR
+        cr = (shape.rows - 1) / 2
+        cc = (shape.cols - 1) / 2
+        self.border_weights = tuple(
+            1.0 - math.exp(-((r - cr) ** 2 + (c - cc) ** 2) / (2 * sigma * sigma))
+            for (r, c) in self.coords)
+        self._affinity: list[Optional[tuple[float, ...]]] = [None] * n
+
+    def affinity_row(self, k: int) -> tuple[float, ...]:
+        """Per cell, its affinity to cell ``k``: one over one plus the
+        Manhattan distance."""
+        row = self._affinity[k]
+        if row is None:
+            (rr, rc) = self.coords[k]
+            row = self._affinity[k] = tuple(1.0 / (1 + abs(r - rr) + abs(c - rc))
+                                            for (r, c) in self.coords)
+        return row
+
+
+@functools.lru_cache(maxsize=16)
+def _grid(shape: OverlayShape) -> _Grid:
+    return _Grid(shape)
+
+
 class _State:
     """The config under construction, its lookup tables, and an undo journal.
 
-    Every write goes through ``_set``, which journals (owner, key, old
-    value); a cell's fields are written through ``vars(cell)``, so every
-    owner is a dict and undo is one restore.  The grid and graph tables are
-    built once per search.
+    The config lives in flat lists: FU op and mask per cell id, pin selects
+    per ``cell*3 + Pin``, out selectors per ``cell*4 + side``, and input
+    and output tags per pin id.  Every write goes through ``_set`` (a list
+    slot) or ``_add`` (a new dict key), which journal (owner, index or key,
+    old value), so a backtrack is one restore per write.  ``config`` builds
+    the ``OverlayConfig`` once, at the end.  The grid tables are shared per
+    shape (``_grid``); the graph tables are built once per search.
     """
 
     def __init__(self, g: DataFlowGraph, shape: OverlayShape):
         self.shape = shape
-        self.cfg = new_overlay(shape.rows, shape.cols)
-        self.coords = list(shape.cells())  # cell id -> (r, c)
-        self.cells = [self.cfg.cells[rc] for rc in self.coords]
-        self.out_sels = [cell.out_sel for cell in self.cells]
-        n = self.n_cells = len(self.coords)
-        # pin id -> (r, c, side): the border port of an outward side
-        self.pin_port = [(r, c, d) for d in _DIRS for (r, c) in self.coords]
-        self.border_pins = [(port, port[2] * n + port[0] * shape.cols + port[1])
-                            for port in shape.border_ports()]
-        # pin id (side 4: the FU) -> (out side, next search state, border port
-        # or None) for every output the value could leave through: the
-        # neighbour's facing input pin, or on the border the output as a goal
-        exits = []
-        for i, (r, c) in enumerate(self.coords):
-            ways = []
-            for out_d, in_d, dr, dc in _STEPS:
-                if shape.in_bounds(r + dr, c + dc):
-                    ways.append((out_d, (in_d * n + i + dr * shape.cols + dc) << 1, None))
-                else:
-                    ways.append((out_d, (out_d * n + i) << 1 | 1, (r, c, out_d)))
-            exits.append(tuple(ways))
-        self.moves = [ways[:side] + ways[side + 1:]  # never back out the side it came in
-                      for side in range(_FU_SIDE) for ways in exits] + exits
+        grid = self.grid = _grid(shape)
+        n = self.n_cells = len(grid.coords)
+        self.fu_op: list[Optional[OpCode]] = [None] * n
+        self.mask: list[Optional[tuple[Pin, int]]] = [None] * n
+        self.pin_sel: list[Optional[Direction]] = [None] * (3 * n)
+        self.out_sel: list[Union[None, Direction, str]] = [None] * (4 * n)
+        self.io_in: list[Optional[int]] = [None] * (4 * n)  # pin id -> input tag
+        self.io_out: list[Optional[int]] = [None] * (4 * n)  # pin id -> output tag
 
         self.input_ports: dict[int, int] = {}  # input value id -> bound pin id
         # value id -> pin ids where that value can be tapped (keys only)
         self.sites: dict[int, dict[int, None]] = {}
         self.origin_cell: dict[int, int] = {}  # op value id -> producing cell id
-        self._journal: list[tuple[dict, object, object]] = []
-        self._affinity_rows: dict[int, list[float]] = {}
+        self._journal: list[tuple[Union[list, dict], object, object]] = []
 
         ops = g.op_nodes()
         ins: dict[int, list[Edge]] = {nid: [] for nid in g.nodes}
@@ -181,29 +231,13 @@ class _State:
 
     # -- position sampling weights
 
-    @cached_property
-    def border_weights(self) -> list[float]:
-        """Per cell, the complement of a center-peaked Gaussian: border cells
-        (short paths to the scarce border interfaces) are favored."""
-        shape = self.shape
-        sigma = min(shape.rows, shape.cols) / SIGMA_DIVISOR
-        cr = (shape.rows - 1) / 2
-        cc = (shape.cols - 1) / 2
-        return [1.0 - math.exp(-((r - cr) ** 2 + (c - cc) ** 2) / (2 * sigma * sigma))
-                for (r, c) in self.coords]
-
     def position_weights(self, related: list[int]) -> list[float]:
         """Sampling weight per cell: the border term, sharpened by affinity
         to the cells of already-placed related nodes."""
         bonus = [0.0] * self.n_cells
         for k in related:
-            row = self._affinity_rows.get(k)
-            if row is None:
-                (rr, rc) = self.coords[k]
-                row = self._affinity_rows[k] = [1.0 / (1 + abs(r - rr) + abs(c - rc))
-                                                for (r, c) in self.coords]
-            bonus = [b + x for b, x in zip(bonus, row)]
-        return [w * (1.0 + AFFINITY_BONUS * b) for w, b in zip(self.border_weights, bonus)]
+            bonus = [b + x for b, x in zip(bonus, self.grid.affinity_row(k))]
+        return [w * (1.0 + AFFINITY_BONUS * b) for w, b in zip(self.grid.border_weights, bonus)]
 
     def related_cells(self, nid: int) -> list[int]:
         """Cells of placed nodes that share an edge, a producer, or a consumer."""
@@ -212,8 +246,12 @@ class _State:
 
     # -- journaled writes
 
-    def _set(self, owner: dict, key, value) -> None:
-        self._journal.append((owner, key, owner.get(key, _ABSENT)))
+    def _set(self, owner: list, index: int, value) -> None:
+        self._journal.append((owner, index, owner[index]))
+        owner[index] = value
+
+    def _add(self, owner: dict, key, value) -> None:
+        self._journal.append((owner, key, _ABSENT))
         owner[key] = value
 
     def mark(self) -> int:
@@ -228,34 +266,43 @@ class _State:
                 owner[key] = old
 
     def claim_fu(self, cell: int, nid: int, op: OpCode) -> None:
-        self._set(vars(self.cells[cell]), "fu_op", op)
-        self._set(self.origin_cell, nid, cell)
+        self._set(self.fu_op, cell, op)
+        self._add(self.origin_cell, nid, cell)
 
-    def claim_out(self, cell: int, out_d: Direction, source: Union[Direction, str]) -> None:
-        self._set(self.out_sels[cell], out_d, source)
+    def claim_out(self, cell: int, out_d: int, source: Union[Direction, str]) -> None:
+        self._set(self.out_sel, 4 * cell + out_d, source)
 
     def set_pin(self, cell: int, pin: Pin, direction: Direction) -> None:
-        self._set(vars(self.cells[cell]), _PIN_FIELD[pin], direction)
+        self._set(self.pin_sel, 3 * cell + pin, direction)
 
     def claim_mask(self, cell: int, pin: Pin, value: int) -> bool:
-        fields = vars(self.cells[cell])
-        if fields["mask"] is not None:
+        if self.mask[cell] is not None:
             return False
-        self._set(fields, "mask", (pin, value))
+        self._set(self.mask, cell, (pin, value))
         return True
 
     def bind_input(self, pin: int, nid: int) -> None:
-        self._set(self.cfg.io_in, self.pin_port[pin], nid)
-        self._set(self.input_ports, nid, pin)
+        self._set(self.io_in, pin, nid)
+        self._add(self.input_ports, nid, pin)
         self.add_site(nid, pin)
 
     def bind_output(self, pin: int, nid: int) -> None:
-        self._set(self.cfg.io_out, self.pin_port[pin], nid)
+        self._set(self.io_out, pin, nid)
 
     def add_site(self, vid: int, pin: int) -> None:
         box = self.sites.setdefault(vid, {})
         if pin not in box:
-            self._set(box, pin, None)
+            self._add(box, pin, None)
+
+    def config(self) -> OverlayConfig:
+        """The overlay configuration the state holds."""
+        cells = {}
+        for i, rc in enumerate(self.grid.coords):
+            cells[rc] = CellConfig(self.fu_op[i], *self.pin_sel[3 * i:3 * i + 3], self.mask[i],
+                                   dict(zip(_DIRS, self.out_sel[4 * i:4 * i + 4])))
+        io_in, io_out = ({self.grid.pin_port[p]: tag for p, tag in enumerate(tags)
+                          if tag is not None} for tags in (self.io_in, self.io_out))
+        return OverlayConfig(self.shape, cells, io_in, io_out)
 
 
 def _pin_for(code: OpCode, dport: int) -> Pin:
@@ -278,10 +325,12 @@ def route_edge(state: _State, value: int, *, sink_cell: Optional[int] = None,
     ``dist*8*R*C + state`` (each distance's states sorted, the producing
     FU's hops ahead of all of them), so distance ties break by side
     (N<E<S<W), then row, column and kind, and a state's parent is the first
-    state to reach it.  On success all traversed selectors are claimed,
-    every pin reached becomes a new replication site, and the sink reached
-    is returned as a pin id: the cell and its input side, or for the border
-    its outward side.  Raises NoPath otherwise.
+    state to reach it.  The goal is the first state in that order that is
+    one, so the search stops at the first distance that reaches a goal and
+    takes the smallest goal there.  On success all traversed selectors are
+    claimed, every pin reached becomes a new replication site, and the sink
+    reached is returned as a pin id: the cell and its input side, or for the
+    border its outward side.  Raises NoPath otherwise.
     """
     n = state.n_cells
     fu_pins = _FU_SIDE * n
@@ -291,9 +340,9 @@ def route_edge(state: _State, value: int, *, sink_cell: Optional[int] = None,
         parent[p << 1] = _SEED
         starts.append(p << 1)
     if bindable_input is not None and bindable_input not in state.input_ports:
-        io_in = state.cfg.io_in
-        for port, p in state.border_pins:
-            if parent[p << 1] is None and port not in io_in:
+        io_in = state.io_in
+        for p in state.grid.border_pins:
+            if parent[p << 1] is None and io_in[p] is None:
                 parent[p << 1] = _BIND
                 starts.append(p << 1)
     starts.sort()
@@ -301,24 +350,33 @@ def route_edge(state: _State, value: int, *, sink_cell: Optional[int] = None,
     if origin is not None:  # its FU goes first: its hops win distance-1 ties
         starts.insert(0, (fu_pins + origin) << 1)
 
-    io_out, out_sels, moves = state.cfg.io_out, state.out_sels, state.moves
-    sink = -1 if sink_cell is None else sink_cell
-    level, goal = starts, None
+    io_out, out_sel = state.io_out, state.out_sel
+    moves = state.grid.moves
+    # a goal is a border output state or an input pin of the sink cell; the
+    # first in expansion order is the smallest one a distance reaches
+    sinks = [] if sink_cell is None else [(side * n + sink_cell) << 1
+                                          for side in range(_FU_SIDE)]
+    level = starts
+    goal = next((t for t in starts if (t >> 1) % n == sink_cell), None)
+    if goal is None and sink_cell is not None and all(
+            out_sel[out] is not None for out in state.grid.feeds[sink_cell]):
+        level = []  # no free output faces the sink: no search would reach it
     while level and goal is None:
         ahead = []
         for t in level:
             p = t >> 1
-            cell = p % n
-            if t & 1 or cell == sink:
-                goal = t
-                break
-            out_sel = out_sels[cell]
-            for out_d, nt, port in moves[p]:
-                if (out_sel[out_d] is None and parent[nt] is None
-                        and (port is None or to_border and port not in io_out)):
+            for out, nt, border in moves[p]:
+                if (out_sel[out] is None and parent[nt] is None
+                        and (not border or to_border and io_out[nt >> 1] is None)):
                     parent[nt] = p
                     ahead.append(nt)
-        level = sorted(ahead)
+        goals = [t for t in sinks if parent[t] is not None]
+        if to_border:
+            goals += [t for t in ahead if t & 1]
+        if goals:
+            goal = min(goals)
+        else:
+            level = sorted(ahead)
     if goal is None:
         raise NoPath(f"value {value} cannot reach its sink")
 
@@ -335,8 +393,8 @@ def route_edge(state: _State, value: int, *, sink_cell: Optional[int] = None,
             state.bind_input(t >> 1, bindable_input)
         elif src != _SEED:
             side, cell = divmod(src, n)
-            to_side = _DIRS[(t >> 1) // n]  # a goal's outward side, or the pin's
-            state.claim_out(cell, to_side if t & 1 else opposite(to_side),
+            to_side = (t >> 1) // n  # a goal's outward side, or the pin's
+            state.claim_out(cell, to_side if t & 1 else _OPPOSITE[to_side],
                             FU if side == _FU_SIDE else _DIRS[side])
         if not t & 1:
             state.add_site(value, t >> 1)
@@ -492,8 +550,8 @@ def place_and_route(g: DataFlowGraph, shape: OverlayShape,
                 state.rollback(mark)
                 backtrack()
 
-    return Placement(state.cfg,
-                     {nid: state.coords[state.origin_cell[nid]] for nid in ops},
+    return Placement(state.config(),
+                     {nid: state.grid.coords[state.origin_cell[nid]] for nid in ops},
                      seed, counters)
 
 
@@ -505,8 +563,7 @@ def _try_place(g: DataFlowGraph, state: _State, nid: int, rng: random.Random,
     for _ in range(MAX_POSITION_ATTEMPTS):
         if counters.position_attempts >= budget:
             return None
-        free = [i for i, cell in enumerate(state.cells)
-                if cell.fu_op is None and i not in failed]
+        free = [i for i, op in enumerate(state.fu_op) if op is None and i not in failed]
         if not free:
             return None
         counters.position_attempts += 1

@@ -58,6 +58,7 @@ from .dfg import (OP_ARITY, DataFlowGraph, IoBinding, LengthMismatch, NodeKind,
 from .overlay import Origin, OverlayConfig, Pin, trace_config
 
 FRAME_SIZE = 16  # bytes: tag(4) + value(4) + reserved zeros(8)
+_PINS = tuple(Pin)
 
 
 class InvalidConfig(ValueError):
@@ -174,14 +175,14 @@ def compile_config(cfg: OverlayConfig) -> Program:
     rows = []
     for rc in trace.order:
         pin_depth = 0
-        for pin in Pin:
+        for pin in _PINS:
             if (rc, pin) in trace.pins:
                 origin, hops = trace.pins[(rc, pin)]
                 pin_depth = max(pin_depth, depth_fu.get(origin, 0) + hops)
         depth_fu[rc] = pin_depth + 1
         # operand 0 stands for a pin the op code does not use
         rows.append((int(cfg.cells[rc].fu_op), slot[rc],
-                     *(operand.get((rc, pin), 0) for pin in Pin)))
+                     *[operand.get((rc, pin), 0) for pin in _PINS]))
 
     output_slots: dict[int, int] = {}
     depth = 0
@@ -209,9 +210,10 @@ def lower_dfg(g: DataFlowGraph) -> Program:
     const_fill: list[tuple[int, int]] = []
     input_slots: dict[int, int] = {}
     output_slots: dict[int, int] = {}
+    in_edges = g.in_edge_map()
     for nid in g.topo_order():
         node = g.nodes[nid]
-        srcs = [slot[e.src] for e in g.in_edges(nid)]
+        srcs = [slot[e.src] for e in in_edges[nid]]
         if node.kind == NodeKind.OUTPUT:
             output_slots[nid] = srcs[0]
             continue

@@ -1,13 +1,18 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_dfg
 from dfeoffload import corpus
-from dfeoffload.dfg import (AffineExpr, DataFlowGraph, Edge, LengthMismatch,
-                            Node, NodeKind, OpCode, dfg_from_text, dfg_hash,
-                            dfg_stats, dfg_to_dot, dfg_to_text, interpret_dfg,
+from dfeoffload.dfg import (INT32_MAX, INT32_MIN, OP_ARITY, AffineExpr, DataFlowGraph,
+                            Edge, LengthMismatch, Node, NodeKind, OpCode, dfg_from_text,
+                            dfg_hash, dfg_stats, dfg_to_dot, dfg_to_text, interpret_dfg,
                             validate_dfg, wrap32)
-from dfeoffload.frontend import extract_dfg
+from dfeoffload.frontend import IneligibleKernel, extract_dfg
+from dfeoffload.overlay import OverlayShape
+from dfeoffload.placer import place_and_route
 
 
 def fig_like_graph() -> DataFlowGraph:
@@ -188,3 +193,165 @@ def test_dot_emitter_mentions_nodes():
     assert dot.startswith("digraph")
     assert "palegreen" in dot  # constants are marked
     assert dot.count("->") == len(fig_like_graph().edges)
+
+
+# -- dangling edges ------------------------------------------------------------------
+
+
+def _edge_into_a_missing_node() -> DataFlowGraph:
+    g = fig_like_graph()
+    g.add_edge(3, max(g.nodes) + 1, 0)  # the MUL feeds a node that is not there
+    return g
+
+
+def _edge_out_of_a_missing_node() -> DataFlowGraph:
+    g = fig_like_graph()
+    g.add_edge(max(g.nodes) + 1, 6, 1)  # a second feed of the last ADD's port 1
+    return g
+
+
+@pytest.mark.parametrize("graph", [_edge_into_a_missing_node, _edge_out_of_a_missing_node],
+                         ids=["into", "out-of"])
+def test_an_edge_that_names_a_missing_node_is_only_a_dangling_edge(graph):
+    g = graph()
+    assert [v.kind for v in validate_dfg(g)] == ["dangling-edge"]
+    with pytest.raises(ValueError, match="invalid graph"):
+        place_and_route(g, OverlayShape(4, 4))
+
+
+# -- the linear passes against the quadratic ones ------------------------------------
+
+
+def _reference_topo_order(g: DataFlowGraph) -> list[int]:
+    """Kahn's order by a scan of every edge per node placed: the smallest
+    ready id first."""
+    indeg = {nid: 0 for nid in g.nodes}
+    for e in g.edges:
+        indeg[e.dst] += 1
+    ready = sorted(nid for nid, d in indeg.items() if d == 0)
+    order = []
+    while ready:
+        nid = ready.pop(0)
+        order.append(nid)
+        for e in g.edges:
+            if e.src == nid:
+                indeg[e.dst] -= 1
+                if indeg[e.dst] == 0:
+                    ready.append(e.dst)
+        ready.sort()
+    if len(order) != len(g.nodes):
+        raise ValueError("graph has a cycle")
+    return order
+
+
+def _reference_verdicts(g: DataFlowGraph) -> list[tuple[str, str]]:
+    """``validate_dfg`` by a scan of every edge per node, with the cycle
+    check over the edges that join two nodes."""
+    out = [("dangling-edge", f"{e.src}->{e.dst} references a missing node")
+           for e in g.edges if e.src not in g.nodes or e.dst not in g.nodes]
+    for nid, node in sorted(g.nodes.items()):
+        if node.kind == NodeKind.OP and node.code not in OP_ARITY:
+            out.append(("unsupported-code", f"node {nid}"))
+            continue
+        if node.kind == NodeKind.CONST and not (INT32_MIN <= node.value <= INT32_MAX):
+            out.append(("const-range", f"node {nid} value {node.value!r}"))
+        ports = sorted(e.dport for e in g.edges if e.dst == nid and e.src in g.nodes)
+        if ports != list(range(node.arity())):
+            out.append(("arity", f"node {nid} ({node.label()}) expects ports "
+                                 f"{list(range(node.arity()))}, has {ports}"))
+        if node.kind == NodeKind.OUTPUT and any(e.src == nid for e in g.edges):
+            out.append(("output-fanout", f"output node {nid} has outgoing edges"))
+    for nid, binding in g.io_bindings.items():
+        if nid not in g.nodes:
+            out.append(("binding", f"binding for missing node {nid}"))
+            continue
+        if g.nodes[nid].kind not in (NodeKind.INPUT, NodeKind.OUTPUT):
+            out.append(("binding", f"node {nid} is not an IO node"))
+        if binding.lane_stride < 1 or binding.lane_offset < 0:
+            out.append(("binding", f"node {nid} lane {binding.lane_offset}/{binding.lane_stride}"))
+    joined = DataFlowGraph(dict(g.nodes), [e for e in g.edges
+                                           if e.src in g.nodes and e.dst in g.nodes])
+    try:
+        _reference_topo_order(joined)
+    except ValueError:
+        out.append(("cycle", "graph is not acyclic"))
+    return out
+
+
+def _outcome(order, g: DataFlowGraph):
+    """The order, or the type of what computing it raised."""
+    try:
+        return order(g)
+    except (KeyError, ValueError) as exc:
+        return type(exc)
+
+
+def _relabeled_at_random(g: DataFlowGraph, rng: random.Random) -> DataFlowGraph:
+    """``g`` with its node ids permuted, so that id order is not a
+    dependency order."""
+    ids = list(g.nodes)
+    new = dict(zip(ids, rng.sample(range(3 * len(ids) + 1), len(ids))))
+    out = relabeled(g, 0)
+    out.nodes = {new[nid]: Node(new[nid], n.kind, n.code, n.value) for nid, n in g.nodes.items()}
+    out.edges = [Edge(new[e.src], e.sport, new[e.dst], e.dport) for e in g.edges]
+    out.io_bindings = {new[nid]: b for nid, b in g.io_bindings.items()}
+    return out
+
+
+def _mutated(g: DataFlowGraph, rng: random.Random) -> DataFlowGraph:
+    """A copy of ``g`` with one to three random edits that may break it: a
+    dropped or rewired edge, a new edge (a cycle, a fan-out or a second
+    feed), a dropped node, or an edge out of or into a missing node."""
+    g = DataFlowGraph(dict(g.nodes), list(g.edges), dict(g.io_bindings), g.remainder)
+    for _ in range(rng.randint(1, 3)):
+        ids = list(g.nodes) or [0]
+        ghost = max(ids) + 1
+        what = rng.randrange(6)
+        if what == 0 and g.edges:
+            del g.edges[rng.randrange(len(g.edges))]
+        elif what == 1 and g.edges:
+            i = rng.randrange(len(g.edges))
+            e = g.edges[i]
+            g.edges[i] = Edge(e.src, e.sport, e.dst, rng.randrange(3))
+        elif what == 2:
+            g.add_edge(rng.choice(ids), rng.choice(ids), rng.randrange(3))
+        elif what == 3 and g.nodes:
+            del g.nodes[rng.choice(ids)]
+        elif what == 4:
+            g.add_edge(ghost, rng.choice(ids), rng.randrange(3))
+        else:
+            g.add_edge(rng.choice(ids), ghost, 0)
+    return g
+
+
+def _graphs_to_check() -> list[DataFlowGraph]:
+    rng = random.Random(7)
+    graphs = []
+    for name in corpus.kernel_names():
+        for unroll in (1, 2, 3):
+            try:
+                graphs.append(extract_dfg(corpus.load(name), unroll))
+            except IneligibleKernel:
+                pass
+    assert len(graphs) == 45
+    for _ in range(150):
+        graphs.append(random_dfg(rng, rng.randint(0, 30), rng.randint(1, 4), rng.randint(1, 3)))
+    graphs += [_relabeled_at_random(g, rng) for g in graphs]
+    return graphs + [_mutated(g, rng) for g in graphs for _ in range(3)]
+
+
+def test_the_linear_passes_agree_with_the_quadratic_ones():
+    """On corpus graphs at unroll 1 to 3, random graphs, both relabeled at
+    random, and broken copies of them all: ``topo_order`` gives the order
+    (or raises the exception) of the per-node Kahn scan, ``in_edge_map``
+    gives every node's ``in_edges``, and ``validate_dfg`` gives the
+    per-node verdicts."""
+    kinds = set()
+    for g in _graphs_to_check():
+        assert _outcome(DataFlowGraph.topo_order, g) == _outcome(_reference_topo_order, g)
+        verdicts = [(v.kind, v.detail) for v in validate_dfg(g)]
+        assert verdicts == _reference_verdicts(g)
+        kinds.update(kind for kind, _ in verdicts)
+        if not verdicts:
+            assert g.in_edge_map() == {nid: g.in_edges(nid) for nid in g.nodes}
+    assert kinds == {"dangling-edge", "arity", "output-fanout", "binding", "cycle"}

@@ -6,12 +6,13 @@ import struct
 
 import pytest
 
+from conftest import reference_trace, trace_fields
 from dfeoffload import corpus, overlay
 from dfeoffload.dfg import INT32_MAX, OpCode
 from dfeoffload.frontend import extract_dfg
 from dfeoffload.overlay import (FU, CellConfig, Direction, OverlayConfig, OverlayShape,
                                 Pin, deserialize_config, new_overlay, serialize_config,
-                                validate_config)
+                                trace_config, validate_config)
 from dfeoffload.placer import PlacerParams, place_and_route
 from dfeoffload.simulator import InvalidConfig, compile_config
 
@@ -152,15 +153,20 @@ def test_lowering_refuses_a_config_with_exactly_its_violations(mutate):
     assert str(info.value) == "; ".join(map(repr, violations))
 
 
-def test_a_loop_of_pass_through_outputs_is_unrouted():
-    """Four outputs of a 2x2 grid forward one another around the ring, so
-    tracing any of them comes back to where it started."""
+def _ring() -> OverlayConfig:
+    """A 2x2 grid whose four inner outputs forward one another in a ring."""
     cfg = new_overlay(2, 2)
     cfg.cells[(0, 0)].out_sel[E] = S
     cfg.cells[(1, 0)].out_sel[N] = E
     cfg.cells[(1, 1)].out_sel[W] = N
     cfg.cells[(0, 1)].out_sel[S] = W
-    violations = validate_config(cfg)
+    return cfg
+
+
+def test_a_loop_of_pass_through_outputs_is_unrouted():
+    """Four outputs of a 2x2 grid forward one another around the ring, so
+    tracing any of them comes back to where it started."""
+    violations = validate_config(_ring())
     assert len(violations) == 4
     assert all(v.kind == "unrouted" and "routing cycle at" in v.detail
                for v in violations)
@@ -186,6 +192,20 @@ def _corpus_configs() -> list[OverlayConfig]:
 
 _SOURCES = [None, FU, *Direction]
 _MASK_VALUES = [0, -3, 17, INT32_MAX + 1]
+
+
+def _mutated_configs(seed: int, count: int) -> list[OverlayConfig]:
+    """``count`` corpus placements with one to three random edits each, as
+    the verdict digest below makes them."""
+    rng = random.Random(seed)
+    blobs = [serialize_config(cfg) for cfg in _corpus_configs()]
+    configs = []
+    for i in range(count):
+        cfg = deserialize_config(blobs[i % len(blobs)])
+        for _ in range(rng.randint(1, 3)):
+            _mutate(cfg, rng)
+        configs.append(cfg)
+    return configs
 
 
 def _mutate(cfg: OverlayConfig, rng: random.Random) -> None:
@@ -228,6 +248,29 @@ def test_validate_config_verdicts_over_mutated_placements_match_the_golden_diges
     text = "".join(verdicts)
     assert 300 < text.count("a") < 2100  # both verdicts are well exercised
     assert hashlib.sha1(text.encode()).hexdigest() == "395e222395e8c733de6c8b11c49f6bc58b5e69c6"
+
+
+def _hand_built_configs() -> list[OverlayConfig]:
+    configs = [_ring(), _base()]
+    del configs[-1].cells[(0, 1)]
+    for mutate, _ in _VIOLATION_CASES:
+        configs.append(_base())
+        mutate(configs[-1])
+    return configs
+
+
+def test_trace_config_matches_a_trace_of_each_route_on_its_own():
+    """Over the hand-built configs and 2,400 mutated placements, the one
+    memoized pass finds what tracing every route with ``trace_port`` finds:
+    the same violations in the same order, the same pin and output routes,
+    and the same FU order."""
+    configs = _hand_built_configs() + _mutated_configs(11, 2400)
+    rejected = 0
+    for cfg in configs:
+        want = reference_trace(cfg)
+        assert trace_fields(trace_config(cfg)) == want
+        rejected += bool(want[0])
+    assert 300 < rejected < 2100
 
 
 # -- the file format ---------------------------------------------------------------

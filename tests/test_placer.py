@@ -2,13 +2,15 @@
 
 import hashlib
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_dfg, random_input_streams
-from dfeoffload import corpus
+from dfeoffload import corpus, placer
 from dfeoffload.dfg import DataFlowGraph, NodeKind, OpCode, interpret_dfg
 from dfeoffload.frontend import extract_dfg
 from dfeoffload.overlay import (OverlayShape, deserialize_config, serialize_config,
@@ -198,3 +200,31 @@ def test_a_graph_over_capacity_is_refused_before_any_search(graph, match):
     with pytest.raises(PreconditionViolated, match=match) as info:
         place_and_route(graph, OverlayShape(2, 2))
     assert info.value.counters.position_attempts == 0
+
+
+def test_the_tables_shared_per_shape_do_not_leak_between_searches():
+    """Searches on 6x6, 8x8 and 6x9, then on 6x6 again, and four threads
+    searching on one shape at once, all from freshly built grid tables,
+    give the placements of the serial runs pinned above."""
+    cases = [("3mm", 1, 6, 6), ("gemm", 2, 8, 8), ("trmm", 2, 6, 9), ("3mm", 1, 6, 6)]
+    golden = {(name, unroll, side, side): digests
+              for (name, unroll, side), digests in _GOLDEN.items()} | _GOLDEN_RECT
+
+    def search(case, seed):
+        name, unroll, rows, cols = case
+        g = extract_dfg(corpus.load(name), unroll)
+        return _digest(place_and_route(g, OverlayShape(rows, cols), seed=seed))
+
+    placer._grid.cache_clear()
+    for case in cases:
+        assert search(case, 0) == golden[case][0]
+    placer._grid.cache_clear()
+    jobs = [(case, seed) for case in [("gemm", 2, 8, 8), ("trmm", 2, 8, 8)] for seed in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the searches
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda job: search(*job), jobs, timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [golden[case][seed] for case, seed in jobs]

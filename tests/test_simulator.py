@@ -1,5 +1,6 @@
 """Simulator: gather, lowering and the run, against ``dfg.interpret_dfg``."""
 
+import collections
 import functools
 import hashlib
 import itertools
@@ -10,8 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-import dfeoffload
-from dfeoffload import corpus, engine, overlay, placer, runtime, simulator
+from conftest import reference_trace, trace_fields
+from dfeoffload import corpus, engine, overlay, simulator
 from dfeoffload.dfg import (OP_ARITY, AffineExpr, DataFlowGraph, IoBinding,
                             LengthMismatch, NodeKind, OpCode, Remainder, interpret_dfg,
                             validate_dfg)
@@ -102,12 +103,25 @@ def test_placed_configs_lower_to_the_pinned_programs(name, unroll):
 
 
 @functools.cache
-def _placed(name, unroll, seed):
-    """The graph and its pinned program of ``_PROGRAM_DIGESTS`` at one placer seed."""
+def _placement(name, unroll, seed):
+    """The graph and its placement of ``_PROGRAM_DIGESTS`` at one placer seed."""
     g = extract_dfg(corpus.load(name), unroll)
     shape = OverlayShape(6, 6) if unroll == 1 else OverlayShape(8, 8)
-    return g, compile_config(
-        place_and_route(g, shape, PlacerParams(global_budget=20_000), seed).apply())
+    return g, place_and_route(g, shape, PlacerParams(global_budget=20_000), seed)
+
+
+@functools.cache
+def _placed(name, unroll, seed):
+    """The graph and its pinned program of ``_PROGRAM_DIGESTS`` at one placer seed."""
+    g, placement = _placement(name, unroll, seed)
+    return g, compile_config(placement.apply())
+
+
+@pytest.mark.parametrize("name, unroll", list(_PROGRAM_DIGESTS))
+def test_trace_config_matches_a_trace_of_each_route_on_the_pinned_placements(name, unroll):
+    for seed in range(4):
+        cfg = _placement(name, unroll, seed)[1].apply()
+        assert trace_fields(overlay.trace_config(cfg)) == reference_trace(cfg)
 
 
 def _assert_no_instruction_writes_an_input_or_a_constant(program):
@@ -138,26 +152,41 @@ def test_a_host_program_writes_no_input_or_constant_slot(unroll):
     assert lowered == 15
 
 
-def test_lowering_traces_each_route_once(monkeypatch):
-    """One trace per wired FU pin and one per forwarding output, wherever
-    ``trace_port`` is bound."""
+class _ReadCounter(dict):
+    """A cell's ``out_sel`` that counts the reads of each of its outputs."""
+
+    def __init__(self, rc, sels, reads: collections.Counter):
+        super().__init__(sels)
+        self.rc, self.reads = rc, reads
+
+    def __getitem__(self, side):
+        self.reads[(*self.rc, side)] += 1
+        return super().__getitem__(side)
+
+
+def test_lowering_resolves_each_hop_at_most_once():
+    """A hop, a cell's input side, is resolved by reading the output of the
+    neighbour that faces it.  Lowering reads every output once for the
+    cell checks and once more for each io_out binding, and beyond that
+    exactly once if some route passes the hop it faces, however many
+    routes share that hop, and never otherwise."""
     cfg = place_and_route(extract_dfg(corpus.load("gemm"), 2), OverlayShape(8, 8),
                           seed=3).apply()
-    original = overlay.trace_port
-    traced = []
-
-    def counted(cfg, cell, port):
-        traced.append((cell, port))
-        return original(cfg, cell, port)
-
-    for module in (dfeoffload, overlay, placer, runtime, simulator):
-        if getattr(module, "trace_port", None) is original:
-            monkeypatch.setattr(module, "trace_port", counted)
+    facing = []  # the output each route's hops read, walked here on its own
+    for rc, cell in cfg.cells.items():
+        for d in [*map(cell.pin_select, Pin), *cell.out_sel.values()]:
+            at = rc
+            while isinstance(d, Direction) and cfg.shape.neighbor(*at, d) is not None:
+                at, d = cfg.shape.neighbor(*at, d), overlay.opposite(d)
+                facing.append((*at, d))
+                d = cfg.cells[at].out_sel[d]
+    assert len(facing) > len(set(facing))  # routes share hops
+    reads = collections.Counter()
+    for rc, cell in cfg.cells.items():
+        cell.out_sel = _ReadCounter(rc, cell.out_sel, reads)
     compile_config(cfg)
-    routes = [(rc, d) for rc, cell in cfg.cells.items()
-              for d in [*map(cell.pin_select, Pin), *cell.out_sel.values()]
-              if isinstance(d, Direction)]
-    assert sorted(traced) == sorted(routes)
+    assert reads == {(*rc, d): 1 + ((*rc, d) in cfg.io_out) + ((*rc, d) in facing)
+                     for rc in cfg.cells for d in Direction}
 
 
 def test_frames_are_tag_value_and_eight_zero_bytes():
