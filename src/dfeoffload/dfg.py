@@ -307,7 +307,7 @@ class DataFlowGraph:
         return ins
 
     def topo_order(self) -> list[int]:
-        """Node ids in dependency order; raises ValueError on a cycle.
+        """Node ids in dependency order; ValueError on a cycle or a dangling edge.
 
         Kahn's order: of the nodes whose producers are all placed, the
         smallest id comes next.  One pass over the edges and a heap, so it
@@ -317,14 +317,14 @@ class DataFlowGraph:
 
 
 def _kahn(nodes: Iterable[int], edges: Iterable[Edge]) -> list[int]:
-    """``topo_order`` over ``nodes``.  An edge into a missing node raises
-    KeyError, and one out of a missing node leaves its reader unready, so
-    ValueError."""
+    """``topo_order`` over ``nodes``."""
     indeg = dict.fromkeys(nodes, 0)
     succ: dict[int, list[int]] = {nid: [] for nid in indeg}
     for e in edges:
+        if e.src not in indeg or e.dst not in indeg:
+            raise ValueError(f"dangling edge {e.src}->{e.dst} references a missing node")
         indeg[e.dst] += 1
-        succ.setdefault(e.src, []).append(e.dst)
+        succ[e.src].append(e.dst)
     ready = [nid for nid, d in indeg.items() if d == 0]
     heapq.heapify(ready)
     order: list[int] = []

@@ -10,13 +10,14 @@ constructs, then the size thresholds.
 Each check lives in one place and runs once per extraction.  The structure
 scan (``_check_structure``) owns float data, division, the perfect nest,
 affine subscripts, the shape of every write and the variables of every
-read.  The graph builder (``_LaneBuilder``) owns the remaining unsupported
+read.  The graph builder (``_BodyBuilder``) owns the remaining unsupported
 constructs, which it meets while building: a scalar used as a value, a
 loop-carried read, an element assigned twice and asymmetric if/else
 branches.  Last, ``extract_dfg`` refuses a graph that reads nothing, since
 no stream would drive it.  ``check_eligibility`` is ``extract_dfg`` at
 unroll 1, with its IneligibleKernel turned into a verdict, followed by the
-size thresholds.
+size thresholds.  The body is walked once at any unroll factor: an unrolled
+graph is the unroll-1 graph copied into lanes by ``unroll_dfg``.
 """
 
 from __future__ import annotations
@@ -230,8 +231,8 @@ def _check_structure(k: kl.Kernel) -> dict[str, tuple[AffineExpr, ...]]:
 # -- extraction ---------------------------------------------------------------------
 
 
-class _LaneBuilder:
-    """Builds one unroll lane's worth of nodes into a shared graph.
+class _BodyBuilder:
+    """Builds the loop body's nodes, once, into a graph.
 
     It runs after _check_structure and raises the UNSUPPORTED_OP problems
     found while building: a scalar used as a value, a loop-carried read, an
@@ -239,21 +240,11 @@ class _LaneBuilder:
     elements.
     """
 
-    def __init__(self, g: DataFlowGraph, inner_var: str, lane: int, stride: int,
-                 written: dict[str, tuple]):
+    def __init__(self, g: DataFlowGraph, written: dict[str, tuple]):
         self.g = g
-        self.inner_var = inner_var
-        self.lane = lane
-        self.stride = stride
         self.written = written  # array -> write access tuple
         self.reads: dict[tuple, int] = {}
         self.defs: dict[tuple, int] = {}
-
-    def _lane_access(self, access: tuple[AffineExpr, ...]) -> tuple[AffineExpr, ...]:
-        if self.stride == 1:
-            return access
-        return tuple(a.shift_var(self.inner_var, self.stride, self.lane)
-                     for a in access)
 
     def read(self, ref: kl.ArrayRef) -> int:
         access = _access_tuple(ref)
@@ -266,8 +257,7 @@ class _LaneBuilder:
                                    f"it is written (loop-carried dependence)")
         if key not in self.reads:
             nid = self.g.add_node(NodeKind.INPUT)
-            self.g.io_bindings[nid] = IoBinding(
-                ref.name, self._lane_access(access), self.lane, self.stride)
+            self.g.io_bindings[nid] = IoBinding(ref.name, access)
             self.reads[key] = nid
         return self.reads[key]
 
@@ -400,42 +390,71 @@ def check_unroll(unroll: int) -> None:
         raise ValueError("unroll factor must be >= 1")
 
 
+def unroll_dfg(g: DataFlowGraph, inner_var: str, unroll: int) -> DataFlowGraph:
+    """The extracted unroll-1 graph ``g`` copied into ``unroll`` = u lanes.
+
+    Lane L handles iterations {L, L+u, L+2u, ...} of the innermost loop
+    ``inner_var``, recorded in each binding as (offset, stride) = (L, u).
+    Iterations past the last full block of u are flagged by ``remainder``;
+    they are the caller's job.  Ids and orders are those of a body built
+    lane by lane, since the placer reads them: with b the largest non-PASS
+    id plus one and p PASS nodes, lane L's node n becomes L*b + n and its
+    k-th PASS node u*b + L*p + k.  Body nodes come lane by lane, then PASS
+    nodes, then edges between body nodes, then edges of PASS nodes.
+    """
+    if unroll == 1:
+        return g
+    passes = [n for n in g.nodes.values() if n.code is OpCode.PASS]
+    body = [n for n in g.nodes.values() if n.code is not OpCode.PASS]
+    b = max(n.id for n in body) + 1
+    lanes = [{n.id: lane * b + n.id for n in body}
+             | {n.id: unroll * b + lane * len(passes) + k for k, n in enumerate(passes)}
+             for lane in range(unroll)]
+    pass_ids = {n.id for n in passes}
+    pass_edges = [e for e in g.edges if e.src in pass_ids or e.dst in pass_ids]
+    body_edges = [e for e in g.edges if e.src not in pass_ids and e.dst not in pass_ids]
+    out = DataFlowGraph(remainder=Remainder(inner_var, unroll))
+    for nodes in (body, passes):
+        for ids in lanes:
+            out.nodes.update((ids[n.id], Node(ids[n.id], n.kind, n.code, n.value))
+                             for n in nodes)
+    for edges in (body_edges, pass_edges):
+        for ids in lanes:
+            out.edges += [Edge(ids[e.src], e.sport, ids[e.dst], e.dport) for e in edges]
+    for lane, ids in enumerate(lanes):
+        for nid, io in g.io_bindings.items():
+            out.io_bindings[ids[nid]] = IoBinding(
+                io.array, tuple(a.shift_var(inner_var, unroll, lane) for a in io.access),
+                lane, unroll)
+    return out
+
+
 def extract_dfg(k: kl.Kernel, unroll: int = 1) -> DataFlowGraph:
     """Extract the innermost loop body as a data flow graph.
 
-    With ``unroll`` = u the datapath is replicated u times; lane L handles
-    iterations {L, L+u, L+2u, ...} of the innermost loop, recorded in each
-    io binding as (offset, stride).  Iterations beyond the last full block
-    of u are flagged via the graph's ``remainder`` annotation and are the
-    caller's job (the runtime runs them as the unroll-1 graph on the host).
+    The body is walked, folded and checked once, as the unroll-1 graph; with
+    ``unroll`` = u that graph is then copied into u lanes by ``unroll_dfg``.
     """
     check_unroll(unroll)
     written = _check_structure(k)
     loops, body = k.canonical_nest()
-    inner_var = loops[-1].var
 
     g = DataFlowGraph()
-    for lane in range(unroll):
-        builder = _LaneBuilder(g, inner_var, lane, unroll, written)
-        defs: dict[tuple, int] = {}
-        keys = builder.block(list(body), defs)
-        for key in keys:
-            name, access = key
-            out = g.add_node(NodeKind.OUTPUT)
-            g.add_edge(defs[key], out, 0)
-            g.io_bindings[out] = IoBinding(
-                name, builder._lane_access(access), lane, unroll)
+    builder = _BodyBuilder(g, written)
+    defs: dict[tuple, int] = {}
+    for key in builder.block(list(body), defs):
+        out = g.add_node(NodeKind.OUTPUT)
+        g.add_edge(defs[key], out, 0)
+        g.io_bindings[out] = IoBinding(*key)
 
     _fold_constants(g)
     if not g.inputs():  # the overlay fires on arriving tokens, and none would
         raise IneligibleKernel(Reason.UNSUPPORTED_OP, "no array element is read")
     _insert_pass_nodes(g)
-    if unroll > 1:
-        g.remainder = Remainder(inner_var, unroll)
     violations = validate_dfg(g)
     if violations:  # internal error, not an input condition
         raise AssertionError(f"extraction produced an invalid graph: {violations}")
-    return g
+    return unroll_dfg(g, loops[-1].var, unroll)
 
 
 def check_eligibility(k: kl.Kernel,

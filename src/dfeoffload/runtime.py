@@ -31,7 +31,7 @@ import numpy as np
 from . import kernels as kl
 from .dfg import DataFlowGraph, DfgStats, dfg_hash, dfg_stats
 from .frontend import (EligibilityReport, Thresholds, check_eligibility,
-                       check_unroll, extract_dfg)
+                       check_unroll, unroll_dfg)
 from .overlay import OverlayShape
 from .placer import Placement, PlacerParams, Unroutable, place_and_route
 from .simulator import (CACHE_CAPACITY, FRAME_SIZE, GraphIo, Lru, OutOfBounds,
@@ -201,14 +201,13 @@ class _Accepted:
     epilogue_io: Optional[GraphIo] = None
 
 
-def _accept(kernel: kl.Kernel, dfg: DataFlowGraph,
+def _accept(dfg: DataFlowGraph, loops: tuple[kl.For, ...],
             epilogue_dfg: Optional[DataFlowGraph] = None) -> _Accepted:
     """The accepted analysis of ``dfg``, with its epilogue lowered for the host."""
     program = io = None
     if epilogue_dfg is not None:
         program, io = lower_dfg(epilogue_dfg), graph_io(epilogue_dfg)
-    return _Accepted(dfg, dfg_hash(dfg), dfg_stats(dfg),
-                     tuple(kernel.canonical_nest()[0]), program, io)
+    return _Accepted(dfg, dfg_hash(dfg), dfg_stats(dfg), loops, program, io)
 
 
 class _CachedUnroutable(Unroutable):
@@ -223,17 +222,18 @@ _Analysis = Union[_Accepted, EligibilityReport]
 def analyze_kernel(kernel: kl.Kernel, unroll: int, thresholds: Thresholds) -> _Analysis:
     """Eligibility and extraction of ``kernel`` at one unroll factor.
 
-    The verdict, with its size thresholds, is taken on the unroll-1 graph.
-    At unroll 1 it is the graph mapped, so it is extracted once; when
-    unrolled, it is the epilogue's, and the unrolled graph is accepted
-    whatever its size: whether it fits the grid is the placer's to say.
+    The kernel is extracted once, at unroll 1, and the verdict, with its
+    size thresholds, is taken on that graph.  At unroll 1 it is the graph
+    mapped; when unrolled, it is the epilogue's, and its copy into lanes
+    (``unroll_dfg``) is accepted whatever its size: whether it fits the
+    grid is the placer's to say.
     """
     report = check_eligibility(kernel, thresholds)
     if not report.accepted():
         return report
-    if unroll == 1:
-        return _accept(kernel, report.dfg)
-    return _accept(kernel, extract_dfg(kernel, unroll), epilogue_dfg=report.dfg)
+    loops = tuple(kernel.canonical_nest()[0])
+    return _accept(unroll_dfg(report.dfg, loops[-1].var, unroll), loops,
+                   epilogue_dfg=report.dfg if unroll > 1 else None)
 
 
 def trip_counts(loops, params: dict[str, int]) -> list[tuple[str, int]]:

@@ -95,7 +95,7 @@ def test_an_offloaded_call_reaches_the_functions_the_tracer_times(monkeypatch):
     cold, warm = (Counter(span.name for span in tracer.spans if span.call == call)
                   for call in range(2))
     assert cold == {"runtime.execute": 1, "runtime.cache_get": 1,
-                    "frontend.check_eligibility": 1, "frontend.extract_dfg": 2,
+                    "frontend.check_eligibility": 1, "frontend.extract_dfg": 1,
                     "dfg.dfg_hash": 1, "placer.place_and_route": 1,
                     "placer.apply": 1, "simulator.compile_config": 1,
                     "simulator.run_compiled": 1, "simulator.write_back": 1,

@@ -217,6 +217,9 @@ def test_an_edge_that_names_a_missing_node_is_only_a_dangling_edge(graph):
     assert [v.kind for v in validate_dfg(g)] == ["dangling-edge"]
     with pytest.raises(ValueError, match="invalid graph"):
         place_and_route(g, OverlayShape(4, 4))
+    dangling = g.edges[-1]
+    with pytest.raises(ValueError, match=f"dangling edge {dangling.src}->{dangling.dst} "):
+        interpret_dfg(g, {nid: [1, 2] for nid in g.inputs()})
 
 
 # -- the linear passes against the quadratic ones ------------------------------------
@@ -227,6 +230,8 @@ def _reference_topo_order(g: DataFlowGraph) -> list[int]:
     ready id first."""
     indeg = {nid: 0 for nid in g.nodes}
     for e in g.edges:
+        if e.src not in g.nodes or e.dst not in g.nodes:
+            raise ValueError(f"dangling edge {e.src}->{e.dst} references a missing node")
         indeg[e.dst] += 1
     ready = sorted(nid for nid, d in indeg.items() if d == 0)
     order = []

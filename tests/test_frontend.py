@@ -418,6 +418,81 @@ def test_extraction_matches_the_golden_digests(corpus_kernels):
         assert got == digests, name
 
 
+# sha1 of the repr of (nodes, edges, bindings, remainder) of extract_dfg(k, u)
+# for u = 2, 3, 4, each in its order.  dfg_to_text sorts edges and bindings,
+# but the placer reads the edge list in order, so these pin that order too.
+_ORDERED_DIGESTS = {
+    "2mm": ("c41098fa831b1c96a5cd97a1e4df0fcdc244246f",
+            "65eb750065e6fbd06e44691b1428075522e31278",
+            "fd1f70c632a8b991f99d7635d31093be1ea58fe1"),
+    "3mm": ("f9e77921c235038676ae786cfd2571c8877b6c71",
+            "3073baeaa2ce279e9c7e2e6415ba0c5a6b89d1d1",
+            "9dceffcf9cef4708fbf955b039871d699ad7b2af"),
+    "atax": ("6499a06cb1bc832613dc9a19b15006dfbb1a68ef",
+             "801771a7e68dfc69399badd5374a7f10b665b532",
+             "822913dac6a87e217bf8678505025c8ca3421ef9"),
+    "bicg": ("929a16b173c93a465e7f88e90056db8af2bc3ccf",
+             "c125c9d458d0e7c1fc9cdb6965d2dd82339bc3e3",
+             "a3906db590715ad70f81ba6f7d1571933ef5d5c1"),
+    "branchmix": ("ef988c362cb94cf306a9e0185edc67b7f50bfa89",
+                  "d1b7495d0c4c4878b1fd767f6ad062e296f0d639",
+                  "7e98832dc3407ac6d95665d47e9a2ab74bb2c70b"),
+    "gemm": ("192a11a523337cd95806db521d4df2298a7406bf",
+             "c449495a6eaf31b4270279958c55bf8c7f152d4a",
+             "e874f838b7c741e76a369eb790a02428c12390d5"),
+    "gemver": ("4157f9b1369e353b964d1812e424035749537936",
+               "395f9d48fb188eb2877de72192392f268fffca8d",
+               "c4c5b90dd97f353d0394e10003a60e472d33cc88"),
+    "gesummv": ("42bccce208ea3eb3b30efc67398a58e42695b69a",
+                "59869ac8deab614a1a757ae47d4f14b7ca19efad",
+                "6259e1c41a998ebbf2f890f1411d5e2fa058be4f"),
+    "heat-3d": ("96286e2e5f4f2b615c2a52bc9fabe74a07814b1f",
+                "4972fdd4a4b2db384fbd868758ead878e70aeecb",
+                "a29d16d89666881f1e3516f1484d478d719c87a9"),
+    "mvt": ("87d37d4269367dc7d66d14ccc13a34b7ed853b5b",
+            "50c8b651eb85f7b6e1eab760130583d91cca6513",
+            "e22c6a270a7ed76b418dc4f1f23bbb709b1e1184"),
+    "scaleadd": ("e2b9b6ef70533b9e9cd27b0d4eb26294f859f707",
+                 "4f2f88a201a7e9ceefa3a7954272f526871255c2",
+                 "092485872c323c9b4b4002cbdc997d50815a6195"),
+    "symm": ("c1bd31eab95499c310c4b1e75629b687ed20783e",
+             "9d77a4fa8a74b61547701e99b0d8f09d007f160d",
+             "e5698f4201de6cdba1514a37083e035891278816"),
+    "syr2k": ("1f4996359bee53d8c8213f2a5ebf0e124148cd84",
+              "ee612511ef2ea930c107710143f763b37efa6b27",
+              "11ba18f3f1f6908a8c0cfcc3f97c80581e90aecf"),
+    "syrk": ("78a59678f9a7d13c1e427e6df5aab6e2951c46f2",
+             "c03affadb77d20b2b4a96cf4a92517537843ceb0",
+             "fb35cd73037c0c4321bd2b70062f04f4f5e6f7f6"),
+    "trmm": ("36ef6894d89322fe775ebd973e1202f56a4dd785",
+             "c13196026704257882bc4b4fdebad66179aa0b1a",
+             "08544c88045a7551ed98e516b429f03831582b3c"),
+}
+
+
+def _ordered_digests(k):
+    got = []
+    for u in (2, 3, 4):
+        g = extract_dfg(k, u)
+        state = (list(g.nodes.values()), g.edges, list(g.io_bindings.items()), g.remainder)
+        got.append(hashlib.sha1(repr(state).encode()).hexdigest())
+    return tuple(got)
+
+
+def test_unrolled_extraction_keeps_its_ids_and_orders(corpus_kernels):
+    assert set(_ORDERED_DIGESTS) == set(_GOLDEN_DIGESTS)
+    for name, digests in _ORDERED_DIGESTS.items():
+        assert _ordered_digests(corpus_kernels[name]) == digests, name
+
+
+def test_unrolled_pass_nodes_keep_their_ids_and_orders():
+    # No corpus graph has a PASS node; this one has two per lane.
+    k = kparse("C[i][j] = A[i][j] > 0 ? 3 : 1; B[i][j] = 2 * 3;")
+    assert _ordered_digests(k) == ("b46f77b7f8bd46f93a362c1f0120c13216d764cf",
+                                   "ba3f41e836db8b1969a7dc925d3f19aaaded6c08",
+                                   "eaea327f94812cc7dc482f043dd338f340b6bffa")
+
+
 # -- differential: generated kernels against the software oracle -------------------
 
 # A and B are only read, at j+c with c <= 2; C and D are written at [i][j] and
@@ -483,9 +558,10 @@ def test_generated_rejections_agree_on_both_entry_points(construct, data):
     verdict = _REJECTED[construct][1]
     report = check_eligibility(k, Thresholds(min_nodes=0))
     assert (report.reason, report.detail) == verdict
-    with pytest.raises(IneligibleKernel) as exc:
-        extract_dfg(k)
-    assert (exc.value.reason, exc.value.detail) == verdict
+    for unroll in (1, 2):
+        with pytest.raises(IneligibleKernel) as exc:
+            extract_dfg(k, unroll)
+        assert (exc.value.reason, exc.value.detail) == verdict
 
 
 @settings(max_examples=60, deadline=None, database=None)

@@ -75,7 +75,7 @@ class _Counts:
 def counts(monkeypatch):
     c = _Counts(monkeypatch)
     c.watch(frontend, "extract_dfg")
-    c.watch(runtime, "extract_dfg")
+    c.watch(runtime, "unroll_dfg")
     c.watch(runtime, "check_eligibility")
     c.watch(simulator, "trace_config")
     c.watch(runtime, "compile_config")
@@ -356,6 +356,16 @@ def test_a_cold_mapping_is_validated_once_where_it_is_lowered(monkeypatch):
     entry = rt.cache.get(rt.analyze(kernel).key)
     assert len(checked) == 1 and checked[0] is entry.placement.apply()
     assert "compute" in _phases(trace)
+
+
+def test_an_unrolled_miss_extracts_once_and_copies_the_graph_into_lanes(counts):
+    kernel = corpus.load("gemm")
+    rt = OffloadRuntime(OverlayShape(8, 8), cost_model=OFFLOAD, unroll=2, seed=SEED)
+    arrays, params = _inputs(kernel, 7)
+    out, trace = rt.execute(kernel, arrays, params)
+    _assert_matches_software(kernel, arrays, params, out)
+    assert "place_route" in _phases(trace) and "epilogue" in _phases(trace)
+    assert (counts.calls["extract_dfg"], counts.calls["unroll_dfg"]) == (1, 1)
 
 
 def test_an_unroll_factor_below_1_is_refused():
