@@ -13,11 +13,13 @@ affine subscripts, the shape of every write and the variables of every
 read.  The graph builder (``_BodyBuilder``) owns the remaining unsupported
 constructs, which it meets while building: a scalar used as a value, a
 loop-carried read, an element assigned twice and asymmetric if/else
-branches.  Last, ``extract_dfg`` refuses a graph that reads nothing, since
-no stream would drive it.  ``check_eligibility`` is ``extract_dfg`` at
-unroll 1, with its IneligibleKernel turned into a verdict, followed by the
-size thresholds.  The body is walked once at any unroll factor: an unrolled
-graph is the unroll-1 graph copied into lanes by ``unroll_dfg``.
+branches.  It also folds constants and places PASS nodes as it walks, so
+its graph is final.  Last, ``extract_dfg`` refuses a graph that reads
+nothing, since no stream would drive it.  ``check_eligibility`` is
+``extract_dfg`` at unroll 1, with its IneligibleKernel turned into a
+verdict, followed by the size thresholds.  The body is walked once at any
+unroll factor: an unrolled graph is the unroll-1 graph copied into lanes by
+``unroll_dfg``.
 """
 
 from __future__ import annotations
@@ -231,22 +233,68 @@ def _check_structure(k: kl.Kernel) -> dict[str, tuple[AffineExpr, ...]]:
 # -- extraction ---------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _Const:
+    """A constant met in the walk, with the id reserved for its node."""
+
+    value: int
+    id: int
+
+
 class _BodyBuilder:
-    """Builds the loop body's nodes, once, into a graph.
+    """Builds the loop body, in one walk, into the final unroll-1 graph.
 
     It runs after _check_structure and raises the UNSUPPORTED_OP problems
     found while building: a scalar used as a value, a loop-carried read, an
     element assigned twice, and if/else branches that assign different
     elements.
+
+    Ids come from one counter in walk order.  Constants fold as they are
+    met: a literal, and an op whose operands are all constants, is a _Const
+    whose node is made only when a non-constant op or an Output reads it.
+    A cell masks one signal, so an op wires its first constant operand
+    directly and each later one through a PASS node made right there, as
+    does an Output written a constant.  Every edge runs from a smaller id
+    to a larger one and the edge list is in order of its targets, so
+    ``graph`` drops what feeds no Output in one backward sweep.
     """
 
-    def __init__(self, g: DataFlowGraph, written: dict[str, tuple]):
-        self.g = g
+    def __init__(self, written: dict[str, tuple]):
+        self.g = DataFlowGraph()
         self.written = written  # array -> write access tuple
         self.reads: dict[tuple, int] = {}
-        self.defs: dict[tuple, int] = {}
+        self.defs: dict[tuple, int | _Const] = {}
+        self.next_id = 0
 
-    def read(self, ref: kl.ArrayRef) -> int:
+    def reserve(self) -> int:
+        self.next_id += 1
+        return self.next_id - 1
+
+    def node(self, kind: NodeKind, code: Optional[OpCode] = None, srcs=(),
+             direct: int = 0) -> int:
+        """A new node fed by ``srcs`` in port order; past the first ``direct``
+        constants, each constant feeds it through a new PASS node."""
+        ports = []
+        for src in srcs:
+            if isinstance(src, _Const):
+                self.g.nodes.setdefault(src.id, Node(src.id, NodeKind.CONST, value=src.value))
+                if direct:
+                    direct -= 1
+                    src = src.id
+                else:
+                    src = self.node(NodeKind.OP, OpCode.PASS, [src.id])
+            ports.append(src)
+        nid = self.reserve()
+        self.g.nodes[nid] = Node(nid, kind, code)
+        self.g.edges += [Edge(src, 0, nid, port) for port, src in enumerate(ports)]
+        return nid
+
+    def op(self, code: OpCode, *srcs) -> int | _Const:
+        if all(isinstance(s, _Const) for s in srcs):
+            return _Const(apply_op(code, [s.value for s in srcs]), self.reserve())
+        return self.node(NodeKind.OP, code, srcs, direct=1)
+
+    def read(self, ref: kl.ArrayRef) -> int | _Const:
         access = _access_tuple(ref)
         key = (ref.name, access)
         if key in self.defs:
@@ -256,34 +304,23 @@ class _BodyBuilder:
                                    f"array {ref.name} is read at a different element than "
                                    f"it is written (loop-carried dependence)")
         if key not in self.reads:
-            nid = self.g.add_node(NodeKind.INPUT)
+            nid = self.node(NodeKind.INPUT)
             self.g.io_bindings[nid] = IoBinding(ref.name, access)
             self.reads[key] = nid
         return self.reads[key]
 
-    def expr(self, e: kl.Expr) -> int:
+    def expr(self, e: kl.Expr) -> int | _Const:
         if isinstance(e, kl.IntLit):
-            return self.g.add_node(NodeKind.CONST, value=e.value)
+            return _Const(e.value, self.reserve())
         if isinstance(e, kl.Var):
             raise IneligibleKernel(Reason.UNSUPPORTED_OP,
                                    f"scalar {e.name!r} used as a value")
         if isinstance(e, kl.ArrayRef):
             return self.read(e)
         if isinstance(e, kl.Ternary):
-            sel = self.expr(e.cond)
-            a = self.expr(e.then)
-            b = self.expr(e.orelse)
-            nid = self.g.add_node(NodeKind.OP, code=OpCode.MUX)
-            self.g.add_edge(sel, nid, 0)
-            self.g.add_edge(a, nid, 1)
-            self.g.add_edge(b, nid, 2)
-            return nid
-        lhs = self.expr(e.lhs)
-        rhs = self.expr(e.rhs)
-        nid = self.g.add_node(NodeKind.OP, code=_BINOP_CODE[e.op])
-        self.g.add_edge(lhs, nid, 0)
-        self.g.add_edge(rhs, nid, 1)
-        return nid
+            return self.op(OpCode.MUX, self.expr(e.cond), self.expr(e.then),
+                           self.expr(e.orelse))
+        return self.op(_BINOP_CODE[e.op], self.expr(e.lhs), self.expr(e.rhs))
 
     def block(self, stmts, defs: dict) -> list[tuple]:
         """Evaluate statements into defs; returns keys assigned by this block."""
@@ -310,78 +347,27 @@ class _BodyBuilder:
                 # each branch started from a copy of defs, so a key assigned
                 # before this if was already refused inside the branch
                 for key in keys_t:
-                    mux = self.g.add_node(NodeKind.OP, code=OpCode.MUX)
-                    self.g.add_edge(sel, mux, 0)
-                    self.g.add_edge(d_then[key], mux, 1)
-                    self.g.add_edge(d_else[key], mux, 2)
-                    defs[key] = mux
+                    defs[key] = self.op(OpCode.MUX, sel, d_then[key], d_else[key])
                     assigned.append(key)
         self.defs = defs
         return assigned
 
-
-def _fold_constants(g: DataFlowGraph) -> None:
-    """Collapse op nodes whose inputs are all constants, then drop dead nodes.
-
-    Folding a node drops only the edges into it, and a node's in-edges are
-    read only when the topological order reaches it, before it can fold, so
-    one in-edge map taken up front serves the whole pass.
-    """
-    const_val: dict[int, int] = {
-        nid: n.value for nid, n in g.nodes.items() if n.kind == NodeKind.CONST}
-    in_edges = g.in_edge_map()
-    folded: set[int] = set()
-    for nid in g.topo_order():
-        node = g.nodes[nid]
-        if node.kind != NodeKind.OP:
-            continue
-        if all(e.src in const_val for e in in_edges[nid]):
-            value = apply_op(node.code, [const_val[e.src] for e in in_edges[nid]])
-            g.nodes[nid] = Node(nid, NodeKind.CONST, value=value)
-            folded.add(nid)
-            const_val[nid] = value
-    g.edges = [e for e in g.edges if e.dst not in folded]
-    # prune anything no longer feeding an output
-    producers: dict[int, list[int]] = {}
-    for e in g.edges:
-        producers.setdefault(e.dst, []).append(e.src)
-    live = set(g.outputs())
-    frontier = list(live)
-    while frontier:
-        for src in producers.get(frontier.pop(), ()):
-            if src not in live:
-                live.add(src)
-                frontier.append(src)
-    g.nodes = {nid: n for nid, n in g.nodes.items() if nid in live}
-    g.edges = [e for e in g.edges if e.src in live and e.dst in live]
-    g.io_bindings = {nid: b for nid, b in g.io_bindings.items() if nid in live}
-
-
-def _insert_pass_nodes(g: DataFlowGraph) -> None:
-    """Keep at most one constant-fed pin per op (a cell masks one signal),
-    and never feed an output interface straight from a constant.
-
-    A rewrite moves only edges into the node it rewrites, so one in-edge
-    map, taken before the first, serves every node.
-    """
-    const_ids = {nid for nid, n in g.nodes.items() if n.kind == NodeKind.CONST}
-    in_edges = g.in_edge_map()
-    moved: set[Edge] = set()
-    added: list[Edge] = []
-    for nid in list(g.nodes):
-        node = g.nodes[nid]
-        if node.kind == NodeKind.OP:
-            extra = [e for e in in_edges[nid] if e.src in const_ids][1:]
-        elif node.kind == NodeKind.OUTPUT:
-            extra = [e for e in in_edges[nid] if e.src in const_ids]
-        else:
-            continue
-        for e in extra:
-            pid = g.add_node(NodeKind.OP, code=OpCode.PASS)
-            moved.add(e)
-            added += (Edge(e.src, 0, pid, 0), Edge(pid, 0, e.dst, e.dport))
-    if moved:
-        g.edges = [e for e in g.edges if e not in moved] + added
+    def graph(self, body) -> DataFlowGraph:
+        """The graph of ``body``: an Output per element it assigns, and only
+        the nodes that feed one, in id order."""
+        defs: dict[tuple, int | _Const] = {}
+        for key in self.block(body, defs):
+            out = self.node(NodeKind.OUTPUT, srcs=[defs[key]])
+            self.g.io_bindings[out] = IoBinding(*key)
+        g = self.g
+        live = set(g.outputs())
+        for e in reversed(g.edges):
+            if e.dst in live:
+                live.add(e.src)
+        g.nodes = {nid: g.nodes[nid] for nid in sorted(live)}
+        g.edges = [e for e in g.edges if e.dst in live]
+        g.io_bindings = {nid: b for nid, b in g.io_bindings.items() if nid in live}
+        return g
 
 
 def check_unroll(unroll: int) -> None:
@@ -396,34 +382,24 @@ def unroll_dfg(g: DataFlowGraph, inner_var: str, unroll: int) -> DataFlowGraph:
     Lane L handles iterations {L, L+u, L+2u, ...} of the innermost loop
     ``inner_var``, recorded in each binding as (offset, stride) = (L, u).
     Iterations past the last full block of u are flagged by ``remainder``;
-    they are the caller's job.  Ids and orders are those of a body built
-    lane by lane, since the placer reads them: with b the largest non-PASS
-    id plus one and p PASS nodes, lane L's node n becomes L*b + n and its
-    k-th PASS node u*b + L*p + k.  Body nodes come lane by lane, then PASS
-    nodes, then edges between body nodes, then edges of PASS nodes.
+    they are the caller's job.  Ids and orders are those of the body built
+    lane by lane, since the placer reads them: with b the largest id plus
+    one, lane L's node n becomes L*b + n.  Nodes come lane by lane, then
+    edges, then bindings.
     """
     if unroll == 1:
         return g
-    passes = [n for n in g.nodes.values() if n.code is OpCode.PASS]
-    body = [n for n in g.nodes.values() if n.code is not OpCode.PASS]
-    b = max(n.id for n in body) + 1
-    lanes = [{n.id: lane * b + n.id for n in body}
-             | {n.id: unroll * b + lane * len(passes) + k for k, n in enumerate(passes)}
-             for lane in range(unroll)]
-    pass_ids = {n.id for n in passes}
-    pass_edges = [e for e in g.edges if e.src in pass_ids or e.dst in pass_ids]
-    body_edges = [e for e in g.edges if e.src not in pass_ids and e.dst not in pass_ids]
+    b = max(g.nodes) + 1
+    shifts = range(0, unroll * b, b)  # lane L's is L*b
     out = DataFlowGraph(remainder=Remainder(inner_var, unroll))
-    for nodes in (body, passes):
-        for ids in lanes:
-            out.nodes.update((ids[n.id], Node(ids[n.id], n.kind, n.code, n.value))
-                             for n in nodes)
-    for edges in (body_edges, pass_edges):
-        for ids in lanes:
-            out.edges += [Edge(ids[e.src], e.sport, ids[e.dst], e.dport) for e in edges]
-    for lane, ids in enumerate(lanes):
+    for off in shifts:
+        out.nodes.update((off + n.id, Node(off + n.id, n.kind, n.code, n.value))
+                         for n in g.nodes.values())
+    for off in shifts:
+        out.edges += [Edge(off + e.src, e.sport, off + e.dst, e.dport) for e in g.edges]
+    for lane, off in enumerate(shifts):
         for nid, io in g.io_bindings.items():
-            out.io_bindings[ids[nid]] = IoBinding(
+            out.io_bindings[off + nid] = IoBinding(
                 io.array, tuple(a.shift_var(inner_var, unroll, lane) for a in io.access),
                 lane, unroll)
     return out
@@ -432,25 +408,16 @@ def unroll_dfg(g: DataFlowGraph, inner_var: str, unroll: int) -> DataFlowGraph:
 def extract_dfg(k: kl.Kernel, unroll: int = 1) -> DataFlowGraph:
     """Extract the innermost loop body as a data flow graph.
 
-    The body is walked, folded and checked once, as the unroll-1 graph; with
+    The body is walked once into the final unroll-1 graph, its constants
+    folded and its PASS nodes placed on the way, and checked once; with
     ``unroll`` = u that graph is then copied into u lanes by ``unroll_dfg``.
     """
     check_unroll(unroll)
     written = _check_structure(k)
     loops, body = k.canonical_nest()
-
-    g = DataFlowGraph()
-    builder = _BodyBuilder(g, written)
-    defs: dict[tuple, int] = {}
-    for key in builder.block(list(body), defs):
-        out = g.add_node(NodeKind.OUTPUT)
-        g.add_edge(defs[key], out, 0)
-        g.io_bindings[out] = IoBinding(*key)
-
-    _fold_constants(g)
+    g = _BodyBuilder(written).graph(body)
     if not g.inputs():  # the overlay fires on arriving tokens, and none would
         raise IneligibleKernel(Reason.UNSUPPORTED_OP, "no array element is read")
-    _insert_pass_nodes(g)
     violations = validate_dfg(g)
     if violations:  # internal error, not an input condition
         raise AssertionError(f"extraction produced an invalid graph: {violations}")

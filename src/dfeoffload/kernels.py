@@ -632,6 +632,9 @@ def evaluate_kernel(k: Kernel, arrays: dict[str, np.ndarray],
     for decl in k.arrays:
         if decl.name not in state:
             raise EvalError(f"missing array {decl.name!r}")
+        if state[decl.name].ndim != len(decl.extents):
+            raise EvalError(f"array {decl.name!r} has rank {state[decl.name].ndim}, "
+                            f"declared {len(decl.extents)}")
     _Interpreter(k, state, params).block([k.nest], dict(params))
     return state
 

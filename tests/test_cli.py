@@ -6,7 +6,7 @@ import pytest
 
 from dfeoffload import cli, corpus, frontend, kernels, placer, runtime
 from dfeoffload.frontend import extract_dfg
-from dfeoffload.dfg import dfg_stats
+from dfeoffload.dfg import dfg_stats, dfg_to_dot, dfg_to_text
 from dfeoffload.kernels import allocate_arrays
 from dfeoffload.overlay import OverlayShape, serialize_config
 from dfeoffload.runtime import CostModel, estimate_offload_time
@@ -484,6 +484,24 @@ def _render(monkeypatch, tmp_path, capsys, *argv):
     monkeypatch.chdir(tmp_path)
     rc = cli.main(["render", *argv])
     return rc, capsys.readouterr()
+
+
+def test_render_prints_the_graph_as_text(monkeypatch, tmp_path, capsys):
+    rc, out = _render(monkeypatch, tmp_path, capsys, str(corpus.kernel_path("gemm")),
+                      "--format", "text")
+    assert rc == cli.EXIT_OK
+    assert out.out == dfg_to_text(extract_dfg(corpus.load("gemm")))
+    assert out.err == ""
+
+
+def test_render_writes_the_unrolled_graph_as_dot(monkeypatch, tmp_path, capsys):
+    rc, out = _render(monkeypatch, tmp_path, capsys, str(corpus.kernel_path("gemm")),
+                      "--unroll", "2", "-o", "g.dot")
+    assert rc == cli.EXIT_OK
+    assert (out.out, out.err) == ("", "")
+    dot = (tmp_path / "g.dot").read_text()
+    assert dot == dfg_to_dot(extract_dfg(corpus.load("gemm"), 2), "gemm")
+    assert 'label="A[i][0] {1,3,...}"' in dot
 
 
 def test_render_reports_a_rejection_with_exit_0(monkeypatch, tmp_path, capsys):

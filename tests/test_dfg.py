@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from conftest import random_dfg
 from dfeoffload import corpus
 from dfeoffload.dfg import (INT32_MAX, INT32_MIN, OP_ARITY, AffineExpr, DataFlowGraph,
-                            Edge, LengthMismatch, Node, NodeKind, OpCode, dfg_from_text,
-                            dfg_hash, dfg_stats, dfg_to_dot, dfg_to_text, interpret_dfg,
-                            validate_dfg, wrap32)
+                            Edge, IoBinding, LengthMismatch, Node, NodeKind, OpCode,
+                            UnknownInput, dfg_from_text, dfg_hash, dfg_stats, dfg_to_dot,
+                            dfg_to_text, interpret_dfg, validate_dfg, wrap32)
 from dfeoffload.frontend import IneligibleKernel, extract_dfg
 from dfeoffload.overlay import OverlayShape
 from dfeoffload.placer import place_and_route
@@ -60,6 +60,25 @@ def test_validate_mux_arity():
     assert any(v.kind == "arity" for v in validate_dfg(g))
 
 
+@pytest.mark.parametrize("node,binding,want", [
+    (Node(0, NodeKind.OP), None, ("unsupported-code", "node 0")),
+    (Node(0, NodeKind.CONST, value=INT32_MAX + 1), None,
+     ("const-range", "node 0 value 2147483648")),
+    (Node(0, NodeKind.CONST), None, ("const-range", "node 0 value None")),
+    (Node(0, NodeKind.INPUT), (1, IoBinding("A", ())),
+     ("binding", "binding for missing node 1")),
+    (Node(0, NodeKind.CONST, value=1), (0, IoBinding("A", ())),
+     ("binding", "node 0 is not an IO node")),
+    (Node(0, NodeKind.INPUT), (0, IoBinding("A", (), 0, 0)), ("binding", "node 0 lane 0/0")),
+], ids=["no-code", "const-too-large", "const-without-value", "binding-missing-node",
+        "binding-on-a-const", "binding-lane-stride-0"])
+def test_validate_names_the_one_broken_node(node, binding, want):
+    g = DataFlowGraph({node.id: node})
+    if binding is not None:
+        g.io_bindings[binding[0]] = binding[1]
+    assert [(v.kind, v.detail) for v in validate_dfg(g)] == [want]
+
+
 def test_no_division_code_exists():
     assert not any(code.name in ("DIV", "REM", "MOD") for code in OpCode)
 
@@ -102,6 +121,11 @@ def test_interpret_length_mismatch():
     g = fig_like_graph()
     with pytest.raises(LengthMismatch):
         interpret_dfg(g, {0: [1, 2], 1: [3]})
+
+
+def test_interpret_refuses_an_input_without_a_stream():
+    with pytest.raises(UnknownInput, match=r"no stream for input nodes \[1\]"):
+        interpret_dfg(fig_like_graph(), {0: [1, 2]})
 
 
 def test_listing_style_branch_values(corpus_kernels):

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import DIV_KERNELS, FP_KERNELS, YES_KERNELS
 from dfeoffload import corpus
-from dfeoffload.dfg import (NodeKind, OpCode, dfg_stats, dfg_to_text, interpret_dfg,
-                           validate_dfg)
+from dfeoffload.dfg import (Edge, NodeKind, OpCode, dfg_stats, dfg_to_text,
+                           interpret_dfg, validate_dfg)
 from dfeoffload.frontend import (IneligibleKernel, Reason, Thresholds,
                                  Verdict, check_eligibility, extract_dfg,
                                  to_affine)
@@ -485,12 +486,54 @@ def test_unrolled_extraction_keeps_its_ids_and_orders(corpus_kernels):
         assert _ordered_digests(corpus_kernels[name]) == digests, name
 
 
+def _assert_final(g):
+    """``g`` is an unroll-1 graph as extraction builds it: nodes in id order,
+    every node feeding an Output, at most one constant in-edge per op and
+    none into an Output."""
+    assert list(g.nodes) == sorted(g.nodes)
+    ins = g.in_edge_map()
+    feeds, todo = set(), g.outputs()
+    while todo:
+        nid = todo.pop()
+        if nid not in feeds:
+            feeds.add(nid)
+            todo += [e.src for e in ins[nid]]
+    assert feeds == set(g.nodes)
+    consts = {nid for nid, n in g.nodes.items() if n.kind == NodeKind.CONST}
+    for nid, edges in ins.items():
+        allowed = 1 if g.nodes[nid].kind == NodeKind.OP else 0
+        assert sum(e.src in consts for e in edges) <= allowed, nid
+
+
+def _assert_lanes(base, g, unroll):
+    """``g`` is ``base`` copied into ``unroll`` lanes: with b the largest id
+    plus one, lane L's node n is L*b + n; nodes, then edges, then bindings
+    come lane by lane."""
+    b = max(base.nodes) + 1
+    shifts = [lane * b for lane in range(unroll)]
+    assert list(g.nodes.items()) == [(s + nid, replace(n, id=s + nid))
+                                     for s in shifts for nid, n in base.nodes.items()]
+    assert g.edges == [Edge(s + e.src, e.sport, s + e.dst, e.dport)
+                       for s in shifts for e in base.edges]
+    assert list(g.io_bindings) == [s + nid for s in shifts for nid in base.io_bindings]
+
+
 def test_unrolled_pass_nodes_keep_their_ids_and_orders():
-    # No corpus graph has a PASS node; this one has two per lane.
+    # No corpus graph has a PASS node; this one has two per lane.  Pinned
+    # with the PASS nodes placed where the walk meets their constants.
     k = kparse("C[i][j] = A[i][j] > 0 ? 3 : 1; B[i][j] = 2 * 3;")
-    assert _ordered_digests(k) == ("b46f77b7f8bd46f93a362c1f0120c13216d764cf",
-                                   "ba3f41e836db8b1969a7dc925d3f19aaaded6c08",
-                                   "eaea327f94812cc7dc482f043dd338f340b6bffa")
+    assert _ordered_digests(k) == ("c84f25c82a8293094bfabb96d02473fbc92f3029",
+                                   "163cc7b84a495de463c061fd953ec6c12d308230",
+                                   "3b3292f3d826418c56df86cdfbab0dc670efed29")
+    base = extract_dfg(k)
+    passes = [nid for nid, n in base.nodes.items() if n.code is OpCode.PASS]
+    assert len(passes) == 2
+    b = max(base.nodes) + 1
+    for u in (2, 3, 4):
+        g = extract_dfg(k, u)
+        _assert_lanes(base, g, u)
+        assert ([nid for nid, n in g.nodes.items() if n.code is OpCode.PASS]
+                == [lane * b + p for lane in range(u) for p in passes])
 
 
 # -- differential: generated kernels against the software oracle -------------------
@@ -546,6 +589,7 @@ def _kernels(draw, construct):
         f" else {{ D[i][j] = {e[3]}; C[i][j] = {e[4]}; }}",
         f"if ({e[2]}) {{ if ({e[3]}) {{ C[i][j] = {e[0]}; }} else {{ C[i][j] = {e[1]}; }} }}"
         f" else {{ C[i][j] = {e[4]}; }}",
+        f"if ({e[2]}) {{ }} else {{ }} C[i][j] = {e[0]};",
     ]))
     return body + f" C[i][j] = {e[1]};" if construct == "twice" else body
 
@@ -570,8 +614,10 @@ def test_generated_kernels_extract_as_the_oracle_evaluates(body, m, n, seed):
     k = kparse(body, arrays=_GEN_ARRAYS)
     report = check_eligibility(k, Thresholds(min_nodes=0))
     if report.detail == "no array element is read":
-        # Then C and D get the same values whatever the arrays held.
-        assert "A[" not in body and "B[" not in body
+        # Then C and D get the same values whatever the arrays held.  An
+        # if/else that assigns nothing reads nothing that is kept.
+        kept = body.rpartition("else { }")[2]
+        assert "A[" not in kept and "B[" not in kept
         written = [name for name in "CD" if f"{name}[i][j] =" in body]
         small = {"M": 2, "N": 3}
         results = [evaluate_kernel(k, allocate_arrays(k, small, np.random.default_rng(s)),
@@ -585,8 +631,10 @@ def test_generated_kernels_extract_as_the_oracle_evaluates(body, m, n, seed):
     want = evaluate_kernel(k, arrays, params)
     trips = [("i", m), ("j", n)]
     base = extract_dfg(k, 1)
+    _assert_final(base)
     for unroll in (1, 2, 3):
         g = extract_dfg(k, unroll)
+        _assert_lanes(base, g, unroll)
         streams = build_streams(graph_io(g), arrays, trips)
         outs = interpret_dfg(g, {nid: s.tolist() for nid, s in streams.items()})
         outputs = {nid: np.array(v, np.int32) for nid, v in outs.items()}

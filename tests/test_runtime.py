@@ -443,6 +443,20 @@ def test_out_of_range_access_raises_what_software_raises(model):
     assert ("compute" in _phases(trace)) == (model is OFFLOAD)
 
 
+@pytest.mark.parametrize("name", ["A", "C"])
+@pytest.mark.parametrize("model", [OFFLOAD, SOFTWARE, CostModel()],
+                         ids=["offload", "software", "baseline"])
+def test_an_array_of_the_wrong_rank_raises_one_eval_error_on_every_path(model, name):
+    # gemm declares A and C 2-D; A is only read, C is read and written.  The
+    # gather refuses the rank and falls back to software, which names it.
+    kernel = corpus.load("gemm")
+    arrays, params = _inputs(kernel, 8)
+    arrays[name] = arrays[name].ravel()
+    rt = OffloadRuntime(OverlayShape(6, 6), cost_model=model, seed=SEED)
+    with pytest.raises(EvalError, match=f"^array '{name}' has rank 1, declared 2$"):
+        rt.execute(kernel, arrays, params)
+
+
 @pytest.mark.parametrize("unroll,index_range", [(1, "[1,5]"), (2, "[5,5]")])
 def test_an_out_of_range_gather_falls_back_to_software_and_names_the_access(
         unroll, index_range):

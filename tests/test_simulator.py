@@ -5,6 +5,7 @@ import functools
 import hashlib
 import itertools
 import math
+import re
 import struct
 
 import numpy as np
@@ -465,6 +466,34 @@ def test_run_compiled_equals_interpret_dfg_across_block_edges(
         assert report.frames_in == len(streams) * length
         assert report.frames_out == len(g.outputs()) * length
         assert report.cycles == program.depth + length
+
+
+def test_run_compiled_refuses_streams_that_do_not_match_its_tags(branchmix_run):
+    g, streams, _ = branchmix_run
+    program = lower_dfg(g)
+    first, second = g.inputs()
+    with pytest.raises(simulator.UnconfiguredTag,
+                       match=re.escape(f"missing input tags [{first}], unexpected []")):
+        run_compiled(program, {second: streams[second]})
+    with pytest.raises(simulator.UnconfiguredTag,
+                       match=re.escape("missing input tags [], unexpected [999]")):
+        run_compiled(program, {**streams, 999: streams[first]})
+    with pytest.raises(LengthMismatch, match=re.escape("shapes differ: [(2,), (3,)]")):
+        run_compiled(program, {first: streams[first][:2], second: streams[second][:3]})
+
+
+def test_write_back_refuses_a_missing_or_short_output_stream():
+    kernel = corpus.load("branchmix")
+    g = extract_dfg(kernel, 1)
+    params = {"M": 3, "N": 4}
+    arrays = allocate_arrays(kernel, params, np.random.default_rng(0))
+    trips = trip_counts(kernel.canonical_nest()[0], params)
+    (out,) = g.outputs()
+    with pytest.raises(simulator.UnconfiguredTag,
+                       match=f"report carries no stream for output {out}"):
+        write_back(graph_io(g), {}, arrays, trips)
+    with pytest.raises(LengthMismatch, match=f"output {out}: stream length 11 != domain 12"):
+        write_back(graph_io(g), {out: np.zeros(11, np.int32)}, arrays, trips)
 
 
 @pytest.mark.parametrize("block", [1, 4, 5, 12, 64])
