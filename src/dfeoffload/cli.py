@@ -139,7 +139,7 @@ def cmd_place(args) -> int:
     except Unroutable as exc:
         c = exc.counters
         print(f"unroutable: {exc} (attempts={c.position_attempts} "
-              f"restarts={c.node_restarts} backtracks={c.backtracks})",
+              f"restarts={c.node_restarts} backtracks={c.backtracks} runs={c.runs})",
               file=sys.stderr)
         return EXIT_UNROUTABLE
     placement = entry.placement
@@ -150,7 +150,7 @@ def cmd_place(args) -> int:
     lines = [f"seed {placement.rng_seed} rng {placement.rng_algorithm}"]
     c = placement.counters
     lines.append(f"attempts {c.position_attempts} restarts {c.node_restarts} "
-                 f"backtracks {c.backtracks}")
+                 f"backtracks {c.backtracks} runs {c.runs}")
     for nid, cell in sorted(placement.node_cells.items()):
         lines.append(f"node {nid} -> cell {cell[0]},{cell[1]}")
     sidecar.write_text("\n".join(lines) + "\n")
@@ -158,7 +158,7 @@ def cmd_place(args) -> int:
         Path(args.dot).write_text(config_to_dot(config))
     print(f"wrote {out} ({out.stat().st_size} bytes); "
           f"attempts={c.position_attempts} restarts={c.node_restarts} "
-          f"backtracks={c.backtracks}")
+          f"backtracks={c.backtracks} runs={c.runs}")
     if args.format == "text":
         print(config_to_text(config), end="")
     return EXIT_OK

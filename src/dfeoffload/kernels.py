@@ -628,13 +628,16 @@ def evaluate_kernel(k: Kernel, arrays: dict[str, np.ndarray],
     Returns fresh arrays (inputs are not modified).  Integer arithmetic wraps
     to 32 bits, comparisons yield 1/0, division truncates toward zero.
     """
-    state = {name: np.array(a, copy=True) for name, a in arrays.items()}
     for decl in k.arrays:
-        if decl.name not in state:
+        if decl.name not in arrays:
             raise EvalError(f"missing array {decl.name!r}")
-        if state[decl.name].ndim != len(decl.extents):
-            raise EvalError(f"array {decl.name!r} has rank {state[decl.name].ndim}, "
+        a = arrays[decl.name]
+        if not isinstance(a, np.ndarray):
+            raise EvalError(f"array {decl.name!r} is a {type(a).__name__}, not a numpy array")
+        if a.ndim != len(decl.extents):
+            raise EvalError(f"array {decl.name!r} has rank {a.ndim}, "
                             f"declared {len(decl.extents)}")
+    state = {name: np.array(a, copy=True) for name, a in arrays.items()}
     _Interpreter(k, state, params).block([k.nest], dict(params))
     return state
 

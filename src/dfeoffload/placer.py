@@ -11,6 +11,15 @@ value is already replicated), and exhaustion triggers node switches and
 random-depth backtracking.  The algorithm only ever returns correct
 answers; only its running time is random.
 
+That running time is heavy-tailed, so the search is a series of runs.  Each
+run starts from an empty grid, and run k may spend ``RESTART_UNIT *
+_luby(k)`` position attempts: 1, 1, 2, 1, 1, 2, 4, ... units, the universal
+restart schedule of Luby, Sinclair & Zuckerman ("Optimal speedup of Las
+Vegas algorithms", 1993), whose expected time is within a log factor of the
+best fixed cutoff's, whatever the distribution.  The budget spans all runs.
+One random stream is drawn through every run, so a placement depends only
+on (graph, shape, params, seed).
+
 The search state is a set of flat lists indexed by cell id and pin id: each
 claim sets one slot and journals the old value, so a backtrack restores the
 slots it journaled.  The ``OverlayConfig`` is built from the lists once, when
@@ -42,13 +51,15 @@ SIGMA_DIVISOR = 4  # border Gaussian width: the grid's shorter side over this
 IO_WEIGHT = 4.0  # selection bias for io-adjacent nodes
 AFFINITY_BONUS = 3.0  # position weight gained per unit of affinity
 MAX_POSITION_ATTEMPTS = 10  # cells sampled per node before it is set aside
+RESTART_UNIT = 24  # position attempts per unit of the restart schedule
 MAX_NODE_RESTARTS = 5  # nodes set aside in a row before a backtrack
 BACKTRACK_DIVISOR = 4  # backtrack depth cap: placed nodes over this, at least 1
 
 
 @dataclass(frozen=True)
 class PlacerParams:
-    """How long the search may run; the tuning is the constants above."""
+    """How long the search may run, over all its runs; the tuning is the
+    constants above."""
 
     global_budget: int = 100_000  # total position attempts before giving up
 
@@ -58,6 +69,7 @@ class PlacerCounters:
     position_attempts: int = 0
     node_restarts: int = 0
     backtracks: int = 0
+    runs: int = 0  # searches started from an empty grid
 
 
 class Unroutable(RuntimeError):
@@ -451,7 +463,8 @@ def _route_to_output(state: _State, value: int, output: int,
 def place_and_route(g: DataFlowGraph, shape: OverlayShape,
                     params: PlacerParams = PlacerParams(),
                     seed: int = 0) -> Placement:
-    """Map a graph onto the overlay; raises Unroutable when the budget ends.
+    """Map a graph onto the overlay in runs that restart from an empty grid;
+    raises Unroutable when the budget, shared by all runs, ends.
 
     Deterministic for fixed (graph, shape, params, seed).  Capacity
     violations (more op nodes than cells, more inputs or outputs than border
@@ -485,25 +498,44 @@ def place_and_route(g: DataFlowGraph, shape: OverlayShape,
                 f"constant {e.src} feeds an output interface directly", counters)
 
     rng = random.Random(seed)
-    unplaced = set(ops)
     copies = {e for e in g.edges
               if g.nodes[e.src].kind == NodeKind.INPUT
               and g.nodes[e.dst].kind == NodeKind.OUTPUT}
+    while True:
+        counters.runs += 1
+        cutoff = min(params.global_budget,
+                     counters.position_attempts + RESTART_UNIT * _luby(counters.runs))
+        if _run(g, state, set(ops), set(copies), rng, counters, cutoff):
+            break
+        if counters.position_attempts >= params.global_budget:
+            raise Unroutable("global budget exhausted", counters)
+        state.rollback(0)
+
+    return Placement(state.config(),
+                     {nid: state.grid.coords[state.origin_cell[nid]] for nid in ops},
+                     seed, counters)
+
+
+def _luby(k: int) -> int:
+    """The k-th term, from 1, of Luby's sequence: 1, 1, 2, 1, 1, 2, 4, 1, ..."""
+    while k & (k + 1):  # k is not 2**i - 1: it repeats the term of a shorter prefix
+        k -= (1 << (k.bit_length() - 1)) - 1
+    return (k + 1) >> 1
+
+
+def _run(g: DataFlowGraph, state: _State, unplaced: set[int], copies: set[Edge],
+         rng: random.Random, counters: PlacerCounters, cutoff: int) -> bool:
+    """One run from an empty state: place every node in ``unplaced`` and
+    route every input-to-output edge in ``copies``.  True once done, False
+    once ``counters`` reaches ``cutoff`` position attempts."""
     stack: list[tuple[str, object, int]] = []  # (kind, item, journal mark)
     failed_round: set[int] = set()
     restarts_this_round = 0
-    best_progress = 0
-    stall_streak = 0  # backtracks since the search last reached a new depth
 
     def backtrack():
-        nonlocal stall_streak
         counters.backtracks += 1
-        stall_streak += 1
         if stack:
-            cap = max(1, len(stack) // BACKTRACK_DIVISOR)
-            # a stalled search unwinds ever deeper, up to a full restart
-            cap = min(len(stack), cap * (1 + stall_streak // 3))
-            k = rng.randint(1, max(1, cap))
+            k = rng.randint(1, max(1, len(stack) // BACKTRACK_DIVISOR))
             for _ in range(k):
                 kind, item, mark = stack.pop()
                 state.rollback(mark)
@@ -513,8 +545,8 @@ def place_and_route(g: DataFlowGraph, shape: OverlayShape,
                     copies.add(item)
 
     while unplaced or copies:
-        if counters.position_attempts >= params.global_budget:
-            raise Unroutable("global budget exhausted", counters)
+        if counters.position_attempts >= cutoff:
+            return False
         if unplaced:
             candidates = sorted(unplaced - failed_round)
             if not candidates or restarts_this_round >= MAX_NODE_RESTARTS:
@@ -526,15 +558,12 @@ def place_and_route(g: DataFlowGraph, shape: OverlayShape,
             weights = [IO_WEIGHT if nid in state.io_adjacent else 1.0
                        for nid in candidates]
             nid = rng.choices(candidates, weights=weights)[0]
-            mark = _try_place(g, state, nid, rng, counters, params.global_budget)
+            mark = _try_place(g, state, nid, rng, counters, cutoff)
             if mark is not None:
                 stack.append(("node", nid, mark))
                 unplaced.discard(nid)
                 failed_round.clear()
                 restarts_this_round = 0
-                if len(stack) > best_progress:
-                    best_progress = len(stack)
-                    stall_streak = 0
             else:
                 failed_round.add(nid)
                 restarts_this_round += 1
@@ -549,10 +578,7 @@ def place_and_route(g: DataFlowGraph, shape: OverlayShape,
             else:
                 state.rollback(mark)
                 backtrack()
-
-    return Placement(state.config(),
-                     {nid: state.grid.coords[state.origin_cell[nid]] for nid in ops},
-                     seed, counters)
+    return True
 
 
 def _try_place(g: DataFlowGraph, state: _State, nid: int, rng: random.Random,

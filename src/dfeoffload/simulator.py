@@ -532,6 +532,8 @@ def leftover(io: GraphIo, trips: list[tuple[str, int]]) -> int:
 def _supplied(arrays: dict[str, np.ndarray], name: str) -> np.ndarray:
     if name not in arrays:
         raise OutOfBounds(f"array {name!r} not supplied")
+    if not isinstance(arrays[name], np.ndarray):
+        raise OutOfBounds(f"array {name!r} is not a numpy array")
     return arrays[name]
 
 
@@ -616,7 +618,7 @@ def _views(io: GraphIo, writes: bool, arrays: dict[str, np.ndarray],
     try:
         key = (writes, leftover, tuple(trips),
                tuple([(a.shape, a.strides, a.dtype) for a in map(arrays.__getitem__, names)]))
-    except KeyError:  # _supplied names the array
+    except (KeyError, AttributeError):  # _supplied names the array
         key = None
     plan = io.plans.get(key)
     if plan is None:

@@ -167,8 +167,8 @@ def test_run_dumps_the_streams_it_sends(monkeypatch, tmp_path, capsys):
 # seed 0, size 8): the kernel, the exit code and the stdout lines.  No
 # kernel writes to stderr or leaves a file.
 RUN_CORPUS = """\
-2mm 0 frames_in=512 frames_out=64 bytes_on_wire=9216 cycles=88 est_offload=2.195e-03s | PASS
-3mm 0 frames_in=768 frames_out=64 bytes_on_wire=13312 cycles=93 est_offload=2.213e-03s | PASS
+2mm 0 frames_in=512 frames_out=64 bytes_on_wire=9216 cycles=89 est_offload=2.195e-03s | PASS
+3mm 0 frames_in=768 frames_out=64 bytes_on_wire=13312 cycles=92 est_offload=2.213e-03s | PASS
 adi 0 adi: No, divisions; software path | PASS (software)
 atax 0 frames_in=64 frames_out=8 bytes_on_wire=1152 cycles=39 est_offload=2.160e-03s | PASS
 bicg 0 frames_in=64 frames_out=16 bytes_on_wire=1280 cycles=29 est_offload=2.161e-03s | PASS
@@ -176,7 +176,7 @@ branchmix 0 frames_in=128 frames_out=64 bytes_on_wire=3072 cycles=83 est_offload
 fdtd-2d 0 fdtd-2d: No, fp data; software path | PASS (software)
 gemm 0 frames_in=576 frames_out=64 bytes_on_wire=10240 cycles=104 est_offload=2.200e-03s | PASS
 gemver 0 frames_in=320 frames_out=64 bytes_on_wire=6144 cycles=85 est_offload=2.182e-03s | PASS
-gesummv 0 frames_in=48 frames_out=8 bytes_on_wire=896 cycles=43 est_offload=2.159e-03s | PASS
+gesummv 0 frames_in=48 frames_out=8 bytes_on_wire=896 cycles=41 est_offload=2.159e-03s | PASS
 heat-3d 0 heat-3d: No, too large; software path | PASS (software)
 jacobi-1d 0 jacobi-1d: No, fp data; software path | PASS (software)
 jacobi-2d 0 jacobi-2d: No, fp data; software path | PASS (software)
@@ -273,29 +273,29 @@ def test_place_maps_gemm_through_the_runtime(monkeypatch, tmp_path, capsys):
 # name, a NUL and its bytes, in name order; first 16 hex digits), and the
 # first line of stdout, or of stderr when stdout is empty.
 PLACE_CORPUS = """\
-2mm 0 9811ddc1f5d8974b wrote 2mm.dfecfg (565 bytes); attempts=56 restarts=4 backtracks=4
-3mm 0 d9811443032c32c4 wrote 3mm.dfecfg (601 bytes); attempts=6086 restarts=456 backtracks=160
+2mm 0 a3b00bc36aea200e wrote 2mm.dfecfg (565 bytes); attempts=58 restarts=4 backtracks=1 runs=3
+3mm 0 720f87440d4fad39 wrote 3mm.dfecfg (601 bytes); attempts=330 restarts=21 backtracks=2 runs=9
 adi 0 e3b0c44298fc1c14 kernel rejected: No, divisions (operator '/')
-atax 0 f47c48d8013551d6 wrote atax.dfecfg (565 bytes); attempts=9 restarts=0 backtracks=0
-bicg 0 b2e14fa471e7e9d1 wrote bicg.dfecfg (574 bytes); attempts=10 restarts=0 backtracks=0
-branchmix 0 0034c35e0399d032 wrote branchmix.dfecfg (511 bytes); attempts=8 restarts=0 backtracks=0
+atax 0 4c42154e585d7da3 wrote atax.dfecfg (565 bytes); attempts=9 restarts=0 backtracks=0 runs=1
+bicg 0 7f82de46a1d048ee wrote bicg.dfecfg (574 bytes); attempts=10 restarts=0 backtracks=0 runs=1
+branchmix 0 436fc1df644ff33a wrote branchmix.dfecfg (511 bytes); attempts=8 restarts=0 backtracks=0 runs=1
 fdtd-2d 0 e3b0c44298fc1c14 kernel rejected: No, fp data (array ex is float32)
-gemm 0 64d22f992c87362f wrote gemm.dfecfg (574 bytes); attempts=10 restarts=0 backtracks=0
-gemver 0 a69f0a22e2ac5e25 wrote gemver.dfecfg (538 bytes); attempts=10 restarts=0 backtracks=0
-gesummv 0 79fe027ed8b430d9 wrote gesummv.dfecfg (547 bytes); attempts=66 restarts=5 backtracks=3
+gemm 0 7f6362851ed50ebe wrote gemm.dfecfg (574 bytes); attempts=10 restarts=0 backtracks=0 runs=1
+gemver 0 127e35e110474f01 wrote gemver.dfecfg (538 bytes); attempts=10 restarts=0 backtracks=0 runs=1
+gesummv 0 2f8040c900ac137b wrote gesummv.dfecfg (547 bytes); attempts=57 restarts=4 backtracks=0 runs=3
 heat-3d 0 e3b0c44298fc1c14 kernel rejected: No, too large (97 calc nodes > 36)
 jacobi-1d 0 e3b0c44298fc1c14 kernel rejected: No, fp data (array A is float32)
 jacobi-2d 0 e3b0c44298fc1c14 kernel rejected: No, fp data (array A is float32)
 lu 0 e3b0c44298fc1c14 kernel rejected: No, divisions (operator '/')
 ludcmp 0 e3b0c44298fc1c14 kernel rejected: No, divisions (operator '%')
-mvt 0 2ea5be388d8a8d35 wrote mvt.dfecfg (592 bytes); attempts=10 restarts=0 backtracks=0
+mvt 0 68f416ffd2121f35 wrote mvt.dfecfg (592 bytes); attempts=10 restarts=0 backtracks=0 runs=1
 scaleadd 0 e3b0c44298fc1c14 kernel rejected: No, too small (3 calc nodes < 8)
 seidel 0 e3b0c44298fc1c14 kernel rejected: No, divisions (operator '/')
-symm 0 51dba8bb422db21a wrote symm.dfecfg (565 bytes); attempts=10 restarts=0 backtracks=0
-syr2k 0 b9afcc0313a5147d wrote syr2k.dfecfg (574 bytes); attempts=9 restarts=0 backtracks=0
-syrk 0 e7d0b031c1dca217 wrote syrk.dfecfg (538 bytes); attempts=20 restarts=1 backtracks=1
+symm 0 ca1fbe948cc6b563 wrote symm.dfecfg (565 bytes); attempts=10 restarts=0 backtracks=0 runs=1
+syr2k 0 99d88f77633eb8b6 wrote syr2k.dfecfg (574 bytes); attempts=9 restarts=0 backtracks=0 runs=1
+syrk 0 05ae9bf78f31dc69 wrote syrk.dfecfg (538 bytes); attempts=20 restarts=1 backtracks=1 runs=1
 trisolv 0 e3b0c44298fc1c14 kernel rejected: No, divisions (operator '/')
-trmm 0 81997b21c0cbf4c4 wrote trmm.dfecfg (556 bytes); attempts=8 restarts=0 backtracks=0
+trmm 0 9fef587b9dbd8080 wrote trmm.dfecfg (556 bytes); attempts=8 restarts=0 backtracks=0 runs=1
 """
 
 
@@ -350,7 +350,7 @@ def test_place_applies_the_node_limit_when_unrolled(monkeypatch, tmp_path, capsy
                      "--unroll", "2", "--overlay", "4x4")
     assert rc == cli.EXIT_UNROUTABLE
     assert out.err == ("unroutable: 20 op nodes exceed 16 cells "
-                       "(attempts=0 restarts=0 backtracks=0)\n")
+                       "(attempts=0 restarts=0 backtracks=0 runs=0)\n")
 
 
 def test_run_applies_the_node_limit_when_unrolled(monkeypatch, tmp_path, capsys):
@@ -534,7 +534,7 @@ def test_render_exits_1_on_an_unroll_factor_below_1(monkeypatch, tmp_path, capsy
 # extracted twice.
 BENCH_CSV = """\
 kernel,rows,cols,seeds,successes,success_rate,mean_attempts,mean_backtracks,est_transfer_s,median_attempts,p90_attempts,max_attempts
-gemm,4,4,2,2,1.000,52.0,3.0,9.952174e-05,52.0,90,90
+gemm,4,4,2,2,1.000,36.0,0.5,9.952174e-05,36.0,58,58
 gemm,6,6,2,2,1.000,10.0,0.0,9.952174e-05,10.0,10,10
 scaleadd,4,4,2,2,1.000,3.0,0.0,6.835652e-05,3.0,3,3
 scaleadd,6,6,2,2,1.000,3.0,0.0,6.835652e-05,3.0,3,3
@@ -563,7 +563,7 @@ def test_bench_extracts_each_kernel_once_at_unroll_1(monkeypatch, capsys):
 def test_bench_reports_attempts_as_a_distribution_over_seeds(tmp_path):
     out = tmp_path / "bench.csv"
     rc = cli.main(["bench", str(corpus.kernel_path("gemm")), "--sizes", "4x4",
-                   "--seeds", "10", "--budget", "60", "-o", str(out)])
+                   "--seeds", "10", "--budget", "40", "-o", str(out)])
     assert rc == cli.EXIT_OK
     (row,) = csv.DictReader(out.read_text().splitlines())
     g = extract_dfg(corpus.load("gemm"), 1)
@@ -571,7 +571,7 @@ def test_bench_reports_attempts_as_a_distribution_over_seeds(tmp_path):
     for seed in range(10):
         try:
             p = placer.place_and_route(g, OverlayShape(4, 4),
-                                       placer.PlacerParams(global_budget=60), seed)
+                                       placer.PlacerParams(global_budget=40), seed)
         except placer.Unroutable as exc:
             p = exc
         attempts.append(p.counters.position_attempts)
@@ -587,33 +587,33 @@ def test_bench_reports_attempts_as_a_distribution_over_seeds(tmp_path):
 # the grid reads 0 attempts, and `est_transfer_s` is the cached estimate.
 BENCH_CORPUS = """\
 kernel,rows,cols,seeds,successes,success_rate,mean_attempts,mean_backtracks,est_transfer_s,median_attempts,p90_attempts,max_attempts
-2mm,4,4,3,3,1.000,96.3,4.7,9.506957e-05,11.0,268,268
-2mm,6,6,3,3,1.000,25.0,1.3,9.506957e-05,10.0,56,56
-3mm,4,4,3,0,0.000,500.0,18.3,1.128783e-04,500.0,500,500
-3mm,6,6,3,0,0.000,500.0,15.0,1.128783e-04,500.0,500,500
-atax,4,4,3,3,1.000,141.7,7.7,6.000870e-05,46.0,368,368
+2mm,4,4,3,3,1.000,18.3,0.0,9.506957e-05,11.0,34,34
+2mm,6,6,3,3,1.000,25.7,0.3,9.506957e-05,10.0,58,58
+3mm,4,4,3,0,0.000,500.0,8.0,1.128783e-04,500.0,500,500
+3mm,6,6,3,3,1.000,301.3,3.0,1.128783e-04,307.0,330,330
+atax,4,4,3,3,1.000,43.7,1.7,6.000870e-05,34.0,86,86
 atax,6,6,3,3,1.000,9.3,0.0,6.000870e-05,9.0,10,10
-bicg,4,4,3,3,1.000,52.0,3.3,6.056522e-05,39.0,106,106
+bicg,4,4,3,3,1.000,59.0,1.0,6.056522e-05,35.0,131,131
 bicg,6,6,3,3,1.000,14.3,0.3,6.056522e-05,10.0,23,23
-branchmix,4,4,3,1,0.333,429.3,21.3,6.835652e-05,500.0,500,500
+branchmix,4,4,3,3,1.000,314.3,12.0,6.835652e-05,299.0,492,492
 branchmix,6,6,3,3,1.000,8.0,0.0,6.835652e-05,8.0,8,8
-gemm,4,4,3,3,1.000,38.0,2.0,9.952174e-05,14.0,90,90
-gemm,6,6,3,3,1.000,25.3,1.0,9.952174e-05,10.0,56,56
-gemver,4,4,3,1,0.333,407.0,18.3,8.171304e-05,500.0,500,500
-gemver,6,6,3,3,1.000,17.0,0.7,8.171304e-05,10.0,32,32
-gesummv,4,4,3,3,1.000,101.7,6.0,5.889565e-05,85.0,209,209
-gesummv,6,6,3,3,1.000,28.3,1.0,5.889565e-05,10.0,66,66
+gemm,4,4,3,3,1.000,27.3,0.3,9.952174e-05,14.0,58,58
+gemm,6,6,3,3,1.000,18.0,0.3,9.952174e-05,10.0,34,34
+gemver,4,4,3,3,1.000,184.0,4.7,8.171304e-05,166.0,324,324
+gemver,6,6,3,3,1.000,25.3,0.7,8.171304e-05,10.0,57,57
+gesummv,4,4,3,3,1.000,58.7,2.0,5.889565e-05,35.0,130,130
+gesummv,6,6,3,3,1.000,25.3,0.0,5.889565e-05,10.0,57,57
 heat-3d,4,4,3,0,0.000,0.0,0.0,2.776087e-04,0.0,0,0
 heat-3d,6,6,3,0,0.000,0.0,0.0,2.776087e-04,0.0,0,0
 mvt,4,4,3,3,1.000,10.3,0.0,6.167826e-05,10.0,11,11
 mvt,6,6,3,3,1.000,10.3,0.0,6.167826e-05,10.0,11,11
 scaleadd,4,4,3,3,1.000,3.0,0.0,6.835652e-05,3.0,3,3
 scaleadd,6,6,3,3,1.000,3.0,0.0,6.835652e-05,3.0,3,3
-symm,4,4,3,3,1.000,19.0,1.0,9.506957e-05,9.0,39,39
+symm,4,4,3,3,1.000,17.7,0.3,9.506957e-05,9.0,35,35
 symm,6,6,3,3,1.000,9.3,0.0,9.506957e-05,9.0,10,10
-syr2k,4,4,3,3,1.000,22.3,1.0,9.952174e-05,25.0,32,32
+syr2k,4,4,3,3,1.000,26.0,0.7,9.952174e-05,33.0,35,35
 syr2k,6,6,3,3,1.000,9.3,0.0,9.952174e-05,9.0,10,10
-syrk,4,4,3,3,1.000,267.0,13.0,8.171304e-05,252.0,333,333
+syrk,4,4,3,3,1.000,44.7,0.3,8.171304e-05,33.0,68,68
 syrk,6,6,3,3,1.000,12.7,0.3,8.171304e-05,9.0,20,20
 trmm,4,4,3,3,1.000,8.3,0.0,9.061739e-05,8.0,9,9
 trmm,6,6,3,3,1.000,8.0,0.0,9.061739e-05,8.0,8,8

@@ -1,9 +1,11 @@
 """Placer: golden placements, determinism, and the round trip through the overlay."""
 
 import hashlib
+import importlib
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,21 +35,21 @@ def _digest(p) -> str:
 # format moves these; re-pin them only on purpose.
 _GOLDEN = {
     ("3mm", 1, 6): (
-        "6c28b74320989755d7f530a47727a9c3ade92dae",
-        "11a196c0a2ad9114d686d3d178ea0c718d3158cd",
-        "bb04dc4b6de139e6da31ec31737b72e397460185",
+        "37eb9a7d472acdcbb808715efd363fcbe31bc771",
+        "9d2ae9057d385d8fa540748c8e08b591bf0b4a9f",
+        "bc5a17d83122f673f60eec2240a4f13ef5f2cca5",
         "7cd6473d430c818ff9d76af80b2ec74d669c0a36",
     ),
     ("branchmix", 2, 8): (
-        "8a28e6b3a0ef0d6fa09745473e0874f49d0d45f5",
-        "ac1cdd4f3a0c5913e46ca63178c51f7f51c98db2",
-        "1674970c5e41c72ea61702add3d098b31846cf8b",
-        "2bee924945abe5bf4fe8e06456331e4906f01518",
+        "a7d06d1077661de2f344187624ab75739e948d55",
+        "bbd6578e419cae0df40c5399a1dedecb4d8eddb5",
+        "0f9dce284505b345263b5b49795011dc8e3220d0",
+        "c0f124d601d7a1696e8eafcca8be5011eb45f2a7",
     ),
     ("gemm", 2, 8): (
         "a2c5f29fd8fd654d86ae0f02da329dc7cf6ca9ef",
-        "fef21d1535d29a3490ceba2380c396d41e9f0f36",
-        "53c562f8f540a04b646d9a5dbc1664532f964a69",
+        "6db9306d15406bcaf194e27ce4e2ed4aac4a358d",
+        "4b75d1d8740e7e0ac6f5917c156a5c12db3b84e8",
         "8741512ea85d7825f510a50d717d0f8c9c858f17",
     ),
     ("trmm", 2, 8): (
@@ -74,13 +76,13 @@ _GOLDEN_RECT = {
     ("branchmix", 1, 4, 9): (
         "6ed8b42e7d91432031c6d716fa69161f319d6390",
         "1af626684a65c34dcaca1a940573d26e1a978e3f",
-        "9a5175402e3f59863598f0ecbb2965c30260109f",
+        "89e9f485d2254310cc23f9503d0a2d5ab0b2ab86",
         "6b1b7a5761c90340d5ef2084048621b2a8fd8773",
     ),
     ("branchmix", 1, 9, 4): (
-        "3ccf2d3710b2255a0cf6c89d77c8f62b4cc57ace",
+        "6739425e822bf97149351a6a7101d1361892dfe7",
         "8be904130a1787e593c3415a9293b1b11f2172d4",
-        "5feffb9d0ea6e0c30ecfc09eaffe183fa29aadba",
+        "083c0710990ecdfc3b6b87f691f90d7f04af9f4d",
         "7ce18a36c11808e31d89b6446dfb5ef4270be4d6",
     ),
     ("scaleadd", 1, 1, 8): (
@@ -97,15 +99,15 @@ _GOLDEN_RECT = {
     ),
     ("trmm", 2, 6, 9): (
         "4a59bb6ef63e762b859ab7e0c50f7b77eb1d9809",
-        "0a2a4ec67399ea777cb2031f52c63d2a0145e347",
+        "ae77355ed4bcce8aa63685963159bfedbcdace36",
         "ecab23e1e108ddd892c360e759954a17e2d2a581",
         "b1f49b97ee77e1a5f45a98e8b04d405cd3c1fb39",
     ),
     ("trmm", 2, 9, 6): (
         "033273048c3e11c11c381651873d565086098493",
-        "26f3056ba0c11d8c8f0bb4b2844f28ee6f3a4df1",
-        "2dcb43aaa69599a58987605cc2808a5991523a3f",
-        "9f9bd7a8efe666871143834a63fc12704c4c3292",
+        "677494a2bf858609df8a4032682d77e04e66fb3a",
+        "63142b4e76a3935b8c039f750bad68ed7c8362e2",
+        "238b9c6eacc284ad74483dc427c50abb23ed6a3d",
     ),
 }
 
@@ -122,7 +124,41 @@ def test_a_failing_search_spends_its_budget_the_same_way():
     g = extract_dfg(corpus.load("3mm"), 1)
     with pytest.raises(Unroutable, match="global budget exhausted") as info:
         place_and_route(g, OverlayShape(4, 4), PlacerParams(global_budget=1000), seed=0)
-    assert info.value.counters == PlacerCounters(1000, 151, 29)
+    assert info.value.counters == PlacerCounters(1000, 151, 25, 22)
+
+
+def test_the_restart_schedule_is_lubys_sequence():
+    assert [placer._luby(k) for k in range(1, 16)] == [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
+
+
+def test_a_failing_search_restarts_and_stops_at_the_global_budget():
+    # 1,001 attempts end inside a run: the global budget cuts it short
+    g = extract_dfg(corpus.load("3mm"), 1)
+    with pytest.raises(Unroutable, match="global budget exhausted") as info:
+        place_and_route(g, OverlayShape(4, 4), PlacerParams(global_budget=1001), seed=0)
+    assert info.value.counters.position_attempts == 1001
+    assert info.value.counters.runs > 1
+
+
+def test_a_search_that_outlives_its_first_run_still_routes():
+    g = extract_dfg(corpus.load("3mm"), 1)
+    first, second = (place_and_route(g, OverlayShape(6, 6), seed=0) for _ in range(2))
+    assert first.counters.runs > 1
+    assert first.counters.position_attempts > placer.RESTART_UNIT
+    assert validate_config(first.apply()) == []
+    assert _digest(first) == _digest(second)
+
+
+def test_every_cold_map_pair_routes_at_the_benchmarks_budget(monkeypatch):
+    """A pair that did not route would run in software and silently slow the
+    benchmark's cold-map workload."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "offloadbench"))
+    workloads = importlib.import_module("workloads")
+    params = PlacerParams(global_budget=workloads.COLD_BUDGET)
+    for name, unroll, side in workloads.COLD_CONFIGS:
+        g = extract_dfg(corpus.load(name), unroll)
+        for seed in range(workloads.COLD_SEEDS):
+            place_and_route(g, OverlayShape(side, side), params, seed)
 
 
 def test_the_same_graph_shape_params_and_seed_give_the_same_placement():

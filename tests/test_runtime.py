@@ -457,6 +457,20 @@ def test_an_array_of_the_wrong_rank_raises_one_eval_error_on_every_path(model, n
         rt.execute(kernel, arrays, params)
 
 
+@pytest.mark.parametrize("name", ["B", "C"])
+@pytest.mark.parametrize("model", [OFFLOAD, SOFTWARE, CostModel()],
+                         ids=["offload", "software", "baseline"])
+def test_a_list_for_an_array_raises_one_eval_error_on_every_path(model, name):
+    # B is only read, C is read and written.  The gather refuses a list and
+    # falls back to software, which names it.
+    kernel = corpus.load("gemm")
+    arrays, params = _inputs(kernel, 8)
+    arrays[name] = arrays[name].tolist()
+    rt = OffloadRuntime(OverlayShape(6, 6), cost_model=model, seed=SEED)
+    with pytest.raises(EvalError, match=f"^array '{name}' is a list, not a numpy array$"):
+        rt.execute(kernel, arrays, params)
+
+
 @pytest.mark.parametrize("unroll,index_range", [(1, "[1,5]"), (2, "[5,5]")])
 def test_an_out_of_range_gather_falls_back_to_software_and_names_the_access(
         unroll, index_range):
@@ -535,7 +549,7 @@ GEMM = str(corpus.kernel_path("gemm"))
     (["place", GEMM, "--overlay", "3x3"], cli.EXIT_OK, "",
      "kernel rejected: No, too large (10 calc nodes > 9)\n"),
     (["place", GEMM, "--overlay", "3x3", "--max-nodes", "20"], cli.EXIT_UNROUTABLE, "",
-     "unroutable: 10 op nodes exceed 9 cells (attempts=0 restarts=0 backtracks=0)\n"),
+     "unroutable: 10 op nodes exceed 9 cells (attempts=0 restarts=0 backtracks=0 runs=0)\n"),
     (["run", GEMM, "--overlay", "3x3"], cli.EXIT_OK,
      "gemm: No, too large; software path\nPASS (software)\n", ""),
     (["run", GEMM, "--overlay", "3x3", "--max-nodes", "20"], cli.EXIT_UNROUTABLE, "",
