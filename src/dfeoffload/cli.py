@@ -25,7 +25,7 @@ from .dfg import dfg_to_dot, dfg_to_text
 from .frontend import (EligibilityReport, IneligibleKernel, Thresholds,
                        check_eligibility, check_unroll, extract_dfg)
 from .overlay import OverlayShape, config_to_dot, config_to_text, serialize_config
-from .placer import PlacerParams, Unroutable, place_and_route
+from .placer import PlacerCounters, PlacerParams, Unroutable, place_and_route
 from .runtime import (CostModel, OffloadRuntime, analyze_kernel,
                       estimate_offload_time, trip_counts)
 from .simulator import (FRAME_SIZE, build_streams, dump_frames, graph_io,
@@ -128,6 +128,14 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _unroutable(message: str, c: PlacerCounters) -> int:
+    """Report a failed search on stderr, with its counters; the exit code."""
+    print(f"unroutable: {message} (attempts={c.position_attempts} "
+          f"restarts={c.node_restarts} backtracks={c.backtracks} runs={c.runs})",
+          file=sys.stderr)
+    return EXIT_UNROUTABLE
+
+
 def cmd_place(args) -> int:
     kernel = _load_kernel(args.file)
     rt = _runtime(args)
@@ -137,11 +145,7 @@ def cmd_place(args) -> int:
     try:
         entry = rt.map(analysis)
     except Unroutable as exc:
-        c = exc.counters
-        print(f"unroutable: {exc} (attempts={c.position_attempts} "
-              f"restarts={c.node_restarts} backtracks={c.backtracks} runs={c.runs})",
-              file=sys.stderr)
-        return EXIT_UNROUTABLE
+        return _unroutable(str(exc), exc.counters)
     placement = entry.placement
     config = placement.apply()
     out = Path(args.output or (Path(args.file).stem + ".dfecfg"))
@@ -183,8 +187,7 @@ def cmd_run(args) -> int:
     base = Path(args.file).stem
     if last.phase == "software":
         if cause.phase == "place_route":
-            print(f"unroutable: {cause.args[-1]}", file=sys.stderr)
-            return EXIT_UNROUTABLE
+            return _unroutable(*cause.args[1:])
         if cause.phase == "analysis":
             reason = cause.args[0]
         elif last.args:  # offload was decided, and the gather refused an access

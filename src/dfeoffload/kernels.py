@@ -38,6 +38,9 @@ Grammar (EBNF)::
 array extents must not contain the letter ``x`` (it separates extents).
 Loops always start at 0 with step 1.  Division and remainder parse but are
 rejected later by the eligibility check, as are float arrays and literals.
+A call's arrays follow one rule on every path (``check_arrays``), and an
+int32-declared array may have any dtype: it is read as numpy casts it to
+int32, and each element written is stored as numpy casts an int32 into it.
 """
 
 from __future__ import annotations
@@ -621,13 +624,9 @@ def allocate_arrays(k: Kernel, params: dict[str, int],
     return out
 
 
-def evaluate_kernel(k: Kernel, arrays: dict[str, np.ndarray],
-                    params: dict[str, int]) -> dict[str, np.ndarray]:
-    """Run the kernel in software; the ground truth for every other path.
-
-    Returns fresh arrays (inputs are not modified).  Integer arithmetic wraps
-    to 32 bits, comparisons yield 1/0, division truncates toward zero.
-    """
+def check_arrays(k: Kernel, arrays: dict[str, np.ndarray]) -> None:
+    """The rule for a call's arrays, checked where a call enters: each array
+    ``k`` declares is supplied, is an ``np.ndarray`` of its declared rank."""
     for decl in k.arrays:
         if decl.name not in arrays:
             raise EvalError(f"missing array {decl.name!r}")
@@ -637,13 +636,25 @@ def evaluate_kernel(k: Kernel, arrays: dict[str, np.ndarray],
         if a.ndim != len(decl.extents):
             raise EvalError(f"array {decl.name!r} has rank {a.ndim}, "
                             f"declared {len(decl.extents)}")
-    state = {name: np.array(a, copy=True) for name, a in arrays.items()}
-    _Interpreter(k, state, params).block([k.nest], dict(params))
-    return state
+
+
+def evaluate_kernel(k: Kernel, arrays: dict[str, np.ndarray],
+                    params: dict[str, int]) -> dict[str, np.ndarray]:
+    """Run the kernel in software; the ground truth for every other path.
+
+    Returns fresh arrays in their dtypes by the module's array rule (inputs
+    are not modified).  Integer arithmetic wraps to 32 bits, comparisons yield
+    1/0, division truncates toward zero, and a written element reads back in int32.
+    """
+    check_arrays(k, arrays)
+    out = {name: np.array(a, copy=True) for name, a in arrays.items()}
+    _Interpreter(k, out, params).block([k.nest], dict(params))
+    return out
 
 
 class _Interpreter:
-    """Tree-walking evaluation of one kernel call over ``state``.
+    """Tree-walking evaluation of one kernel call over ``out``, through an
+    int32 copy in ``state`` of each int32-declared array of another dtype.
 
     Plain methods rather than nested recursive closures: a closure that
     calls itself refers to itself through its own cell, and the resulting
@@ -651,11 +662,13 @@ class _Interpreter:
     cyclic collector runs.
     """
 
-    def __init__(self, k: Kernel, state: dict[str, np.ndarray],
+    def __init__(self, k: Kernel, out: dict[str, np.ndarray],
                  params: dict[str, int]):
-        self.state = state
         self.params = params
         self.floats = {a.name for a in k.arrays if a.dtype == "float32"}
+        self.casts = {a.name: out[a.name] for a in k.arrays
+                      if a.dtype == "int32" and out[a.name].dtype != np.int32}
+        self.state = {**out, **{name: a.astype(np.int32) for name, a in self.casts.items()}}
 
     def expr(self, e: Expr, env: dict[str, int]):
         if isinstance(e, IntLit):
@@ -710,10 +723,12 @@ class _Interpreter:
                 self.block(branch, env)
             else:
                 idx = tuple(self.expr(i, env) for i in s.target.indices)
-                arr = self.state[s.target.name]
+                name = s.target.name
+                arr = self.state[name]
                 for d, i in enumerate(idx):
                     if not (0 <= i < arr.shape[d]):
-                        raise EvalError(
-                            f"{s.target.name}{list(idx)} out of bounds {arr.shape}")
+                        raise EvalError(f"{name}{list(idx)} out of bounds {arr.shape}")
                 value = self.expr(s.value, env)
-                arr[idx] = value if s.target.name in self.floats else wrap32(value)
+                arr[idx] = value if name in self.floats else wrap32(value)
+                if name in self.casts:  # as a 0-d array: a scalar can overflow
+                    self.casts[name][idx] = np.asarray(arr[idx])

@@ -7,7 +7,8 @@ mappings are cached by graph hash, lowered and ready to run, so repeat
 invocations skip place & route and lowering; failed mappings are cached too,
 so a graph that does not route is searched once.  The analysis of each
 kernel is memoized, so a call on a cached mapping does only per-call work:
-trip counts, the decision, gather, run, scatter and the epilogue.
+first the array check (``kernels.check_arrays``, so a refused call caches
+nothing), then trip counts, the decision, gather, run, scatter and epilogue.
 
 An unrolled graph leaves the last (inner extent mod unroll) iterations of
 each innermost loop to an epilogue.  The epilogue runs the kernel's unroll-1
@@ -300,7 +301,7 @@ class OffloadRuntime:
         self.cache = ConfigCache()
         # (kernel content key, unroll, thresholds) -> _Analysis
         self._analyses = Lru(CACHE_CAPACITY)
-        # (graph hash, shape, placer params, seed) -> the Unroutable message
+        # (graph hash, shape, placer params, seed) -> (Unroutable message, counters)
         self._unroutable = Lru(CACHE_CAPACITY)
         self.unroll = unroll
         self.seed = seed
@@ -341,12 +342,12 @@ class OffloadRuntime:
         failure_key = (accepted.key, self.shape, self.placer_params, self.seed)
         failure = self._unroutable.get(failure_key)
         if failure is not None:
-            raise _CachedUnroutable(failure)
+            raise _CachedUnroutable(*failure)
         try:
             placement = place_and_route(accepted.dfg, self.shape,
                                         self.placer_params, self.seed)
         except Unroutable as exc:
-            self._unroutable.put(failure_key, str(exc))
+            self._unroutable.put(failure_key, (str(exc), exc.counters))
             raise
         entry = CacheEntry(accepted.key, placement, compile_config(placement.apply()),
                            graph_io(accepted.dfg))
@@ -373,6 +374,7 @@ class OffloadRuntime:
             emit("software", template, *args)
             return result, trace
 
+        kl.check_arrays(kernel, arrays)
         analysis = self.analyze(kernel)
         if isinstance(analysis, EligibilityReport):
             emit("analysis", "rejected: {}", analysis.table_label())
@@ -390,7 +392,8 @@ class OffloadRuntime:
                 entry = self.map(analysis)
             except Unroutable as exc:
                 note = " (cached failure)" if isinstance(exc, _CachedUnroutable) else ""
-                emit("place_route", "unroutable{}: {}", note, str(exc))
+                # the args carry the search's counters past what the detail shows
+                emit("place_route", "unroutable{}: {}", note, str(exc), exc.counters)
                 return software("unroutable, software fallback", state)
             emit("place_route", "placed in {:.2f} ms, attempts={}",
                  (self.clock() - pr_start) * 1e3,
@@ -423,9 +426,9 @@ class OffloadRuntime:
                 run_epilogue(analysis.epilogue_io, analysis.epilogue_program,
                              result, trips, left)
         except OutOfBounds as exc:
-            # The overlay streams every access in the graph over the whole
-            # domain; software touches only what it evaluates, and raises
-            # its own error for what it cannot.
+            # Only an access out of range: the overlay streams every access
+            # over the whole domain, while software touches only what it
+            # evaluates, and raises its own error for what it cannot.
             return software("access out of range ({}), software fallback", state, str(exc))
 
         charge = device_time(self.device_model, run_report.frames_in,

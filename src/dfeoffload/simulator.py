@@ -38,7 +38,8 @@ shape, strides and dtype of each array accessed.  It keeps the
 builds each view with one ``np.ndarray`` call and redoes no per-dimension
 sums.  Arrays that are not one C- or Fortran-ordered block, and accesses that
 fail their bounds check, bypass the memo: they are computed on every call,
-and an out-of-range access raises the same OutOfBounds each time.
+and an out-of-range access raises the same OutOfBounds each time.  Arrays
+arrive checked (``kernels.check_arrays``), but each binding is checked here.
 """
 
 from __future__ import annotations
@@ -529,14 +530,6 @@ def leftover(io: GraphIo, trips: list[tuple[str, int]]) -> int:
     return trips[-1][1] % io.factor
 
 
-def _supplied(arrays: dict[str, np.ndarray], name: str) -> np.ndarray:
-    if name not in arrays:
-        raise OutOfBounds(f"array {name!r} not supplied")
-    if not isinstance(arrays[name], np.ndarray):
-        raise OutOfBounds(f"array {name!r} is not a numpy array")
-    return arrays[name]
-
-
 def _layout(arr: np.ndarray, binding: IoBinding, loop: dict[str, int],
             counts: list[int], starts: list[int]
             ) -> tuple[int, tuple[int, ...], list[int]]:
@@ -615,17 +608,14 @@ def _views(io: GraphIo, writes: bool, arrays: dict[str, np.ndarray],
     raises the same OutOfBounds on every call.
     """
     bindings, names = (io.writes, io.written) if writes else (io.reads, io.read)
-    try:
-        key = (writes, leftover, tuple(trips),
-               tuple([(a.shape, a.strides, a.dtype) for a in map(arrays.__getitem__, names)]))
-    except (KeyError, AttributeError):  # _supplied names the array
-        key = None
+    key = (writes, leftover, tuple(trips),
+           tuple([(a.shape, a.strides, a.dtype) for a in map(arrays.__getitem__, names)]))
     plan = io.plans.get(key)
     if plan is None:
         counts, starts = _box(io, trips, leftover)
         loop = _loop_positions(trips)
         layouts = [(nid, binding.array,
-                    *_layout(_supplied(arrays, binding.array), binding, loop, counts, starts))
+                    *_layout(arrays[binding.array], binding, loop, counts, starts))
                    for nid, binding in bindings]
         shape = tuple(counts)
         if not all(arrays[name].flags.forc for name in names):
@@ -698,7 +688,7 @@ def write_back(io: GraphIo, outputs: dict[int, np.ndarray],
     """
     out = dict(arrays)
     for name in io.written:
-        out[name] = np.array(_supplied(out, name), copy=True)
+        out[name] = np.array(out[name], copy=True)
     _scatter(io, outputs, out, trips)
     return out
 

@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from dfeoffload import corpus
 from dfeoffload.dfg import (INT32_MAX, INT32_MIN, OP_ARITY, DataFlowGraph, NodeKind,
@@ -19,6 +20,12 @@ YES_KERNELS = ["2mm", "3mm", "atax", "bicg", "gemm", "gemver", "gesummv",
                "heat-3d", "mvt", "symm", "syr2k", "syrk", "trmm"]
 DIV_KERNELS = ["adi", "lu", "ludcmp", "seidel", "trisolv"]
 FP_KERNELS = ["fdtd-2d", "jacobi-1d", "jacobi-2d"]
+
+# Every property test runs under one profile: no deadline per example, as a
+# shared host's speed drifts, and no example database, so no run saves or
+# replays failing examples.  A test's @settings sets max_examples.
+settings.register_profile("tier1", deadline=None, database=None)
+settings.load_profile("tier1")
 
 
 def random_dfg(rng: random.Random, n_ops: int, n_inputs: int = 2,

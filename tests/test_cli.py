@@ -357,7 +357,18 @@ def test_run_applies_the_node_limit_when_unrolled(monkeypatch, tmp_path, capsys)
     rc, out = _run(monkeypatch, tmp_path, capsys, str(corpus.kernel_path("gemm")),
                    "--unroll", "2", "--overlay", "4x4")
     assert rc == cli.EXIT_UNROUTABLE
-    assert (out.out, out.err) == ("", "unroutable: 20 op nodes exceed 16 cells\n")
+    assert (out.out, out.err) == ("", "unroutable: 20 op nodes exceed 16 cells "
+                                  "(attempts=0 restarts=0 backtracks=0 runs=0)\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_reports_a_failed_search_as_place_does(monkeypatch, tmp_path, capsys):
+    argv = (str(corpus.kernel_path("3mm")), "--overlay", "4x4", "--budget", "500")
+    rc_run, run = _run(monkeypatch, tmp_path, capsys, *argv)
+    rc_place, place = _place(monkeypatch, tmp_path, capsys, *argv)
+    assert rc_run == rc_place == cli.EXIT_UNROUTABLE
+    assert run == place == ("", "unroutable: global budget exhausted "
+                                "(attempts=500 restarts=70 backtracks=9 runs=14)\n")
     assert list(tmp_path.iterdir()) == []
 
 

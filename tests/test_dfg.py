@@ -186,7 +186,7 @@ def test_hash_corpus_collision_free(corpus_kernels):
         hashes[h] = name
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(st.integers(min_value=-(2**40), max_value=2**40))
 def test_wrap32_range(x):
     w = wrap32(x)

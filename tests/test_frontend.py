@@ -595,7 +595,7 @@ def _kernels(draw, construct):
 
 
 @pytest.mark.parametrize("construct", list(_REJECTED))
-@settings(max_examples=10, deadline=None, database=None)
+@settings(max_examples=10)
 @given(data=st.data())
 def test_generated_rejections_agree_on_both_entry_points(construct, data):
     k = kparse(data.draw(_kernels(construct), label="body"), arrays=_GEN_ARRAYS)
@@ -608,7 +608,7 @@ def test_generated_rejections_agree_on_both_entry_points(construct, data):
         assert (exc.value.reason, exc.value.detail) == verdict
 
 
-@settings(max_examples=60, deadline=None, database=None)
+@settings(max_examples=60)
 @given(_kernels("accepted"), st.integers(1, 3), st.integers(1, 7), st.integers(0, 2**31 - 1))
 def test_generated_kernels_extract_as_the_oracle_evaluates(body, m, n, seed):
     k = kparse(body, arrays=_GEN_ARRAYS)

@@ -170,7 +170,7 @@ def test_the_same_graph_shape_params_and_seed_give_the_same_placement():
     assert serialize_config(first.apply()) == serialize_config(second.apply())
 
 
-@settings(max_examples=60, deadline=None, database=None)
+@settings(max_examples=60)
 @given(seed=st.integers(0, 2**32 - 1), side=st.integers(3, 6),
        n_ops=st.integers(0, 9), n_inputs=st.integers(1, 4),
        n_outputs=st.integers(1, 3), placer_seed=st.integers(0, 3))

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dfeoffload
 from dfeoffload import cli, corpus, frontend, overlay, placer, runtime, simulator
@@ -25,6 +26,7 @@ from dfeoffload.kernels import (EvalError, Kernel, allocate_arrays,
 from dfeoffload.overlay import OverlayShape
 from dfeoffload.placer import PlacerParams
 from dfeoffload.runtime import CostModel, OffloadRuntime
+from test_frontend import _GEN_ARRAYS, _kernels, kparse
 
 # The kernels that route at unroll 1 on a 6x6 overlay.
 WARM_KERNELS = ["2mm", "3mm", "atax", "bicg", "branchmix", "gemm", "gemver",
@@ -409,6 +411,19 @@ def test_an_unroutable_graph_is_searched_once(counts):
     assert all(_phases(trace)[-1] == "software" for trace in traces)
 
 
+def test_a_cached_failure_reports_the_counters_of_the_search_that_failed():
+    kernel = corpus.load("3mm")
+    rt = OffloadRuntime(OverlayShape(4, 4), cost_model=OFFLOAD,
+                        placer_params=PlacerParams(global_budget=500))
+    arrays, params = _inputs(kernel, 4)
+    events = [next(e for e in rt.execute(kernel, arrays, params)[1] if e.phase == "place_route")
+              for _ in range(2)]
+    assert [e.detail for e in events] == ["unroutable: global budget exhausted",
+                                          "unroutable (cached failure): global budget exhausted"]
+    first, cached = (e.args[-1] for e in events)
+    assert first == cached == placer.PlacerCounters(500, 70, 9, 14)
+
+
 def test_an_unrolled_graph_larger_than_the_grid_is_unroutable(counts):
     # gemm has 10 op nodes per lane: 20 at unroll 2 exceed the 16 cells of a
     # 4x4 grid, which the placer refuses before any search
@@ -448,7 +463,7 @@ def test_out_of_range_access_raises_what_software_raises(model):
                          ids=["offload", "software", "baseline"])
 def test_an_array_of_the_wrong_rank_raises_one_eval_error_on_every_path(model, name):
     # gemm declares A and C 2-D; A is only read, C is read and written.  The
-    # gather refuses the rank and falls back to software, which names it.
+    # call is refused where it enters, before any analysis.
     kernel = corpus.load("gemm")
     arrays, params = _inputs(kernel, 8)
     arrays[name] = arrays[name].ravel()
@@ -461,14 +476,100 @@ def test_an_array_of_the_wrong_rank_raises_one_eval_error_on_every_path(model, n
 @pytest.mark.parametrize("model", [OFFLOAD, SOFTWARE, CostModel()],
                          ids=["offload", "software", "baseline"])
 def test_a_list_for_an_array_raises_one_eval_error_on_every_path(model, name):
-    # B is only read, C is read and written.  The gather refuses a list and
-    # falls back to software, which names it.
+    # B is only read, C is read and written.  The call is refused where it
+    # enters, before any analysis.
     kernel = corpus.load("gemm")
     arrays, params = _inputs(kernel, 8)
     arrays[name] = arrays[name].tolist()
     rt = OffloadRuntime(OverlayShape(6, 6), cost_model=model, seed=SEED)
     with pytest.raises(EvalError, match=f"^array '{name}' is a list, not a numpy array$"):
         rt.execute(kernel, arrays, params)
+
+
+# gemm with a declared array D that no statement touches
+GEMM_D = parse_kernel(corpus.kernel_path("gemm").read_text().replace(
+    "C[MxN]:int32", "C[MxN]:int32, D[MxN]:int32"))
+_REFUSALS = [("missing", "missing array '{}'"),
+             ("list", "array '{}' is a list, not a numpy array"),
+             ("rank", "array '{}' has rank 1, declared 2")]
+_PATHS = {  # path -> (cost model, unroll, whether a good call maps first)
+    "software": (SOFTWARE, 1, False),
+    "baseline": (CostModel(), 1, False),
+    "cold": (OFFLOAD, 1, False),
+    "warm": (OFFLOAD, 1, True),
+    "epilogue": (OFFLOAD, 2, True),
+}
+
+
+@pytest.mark.parametrize("path", list(_PATHS))
+@pytest.mark.parametrize("name", ["B", "C", "D"])
+@pytest.mark.parametrize("refusal,message", _REFUSALS, ids=[r for r, _ in _REFUSALS])
+def test_arrays_that_break_the_rule_raise_one_eval_error_on_every_path(
+        path, name, refusal, message):
+    # B is only read, C is read and written, and the graph never touches D.
+    # The call is refused where it enters, before any analysis or mapping.
+    model, unroll, warm = _PATHS[path]
+    rt = OffloadRuntime(OverlayShape(8, 8), cost_model=model, unroll=unroll, seed=SEED)
+    arrays, params = _inputs(GEMM_D, 5)  # N=5 leaves one column at unroll 2
+    if warm:
+        out, trace = rt.execute(GEMM_D, arrays, params)
+        _assert_matches_software(GEMM_D, arrays, params, out)
+        assert "compute" in _phases(trace)
+        assert ("epilogue" in _phases(trace)) == (unroll == 2)
+    mapped = (len(rt._analyses), len(rt.cache))
+    if refusal == "missing":
+        del arrays[name]
+    else:
+        arrays[name] = arrays[name].tolist() if refusal == "list" else arrays[name].ravel()
+    with pytest.raises(EvalError, match=f"^{message.format(name)}$"):
+        rt.execute(GEMM_D, arrays, params)
+    assert (len(rt._analyses), len(rt.cache)) == mapped == ((1, 1) if warm else (0, 0))
+
+
+def _assert_every_path_agrees(kernel, arrays, params, unroll):
+    """Software, a forced offload and its warm hit return evaluate_kernel's
+    arrays, in the caller's dtypes."""
+    want = evaluate_kernel(kernel, arrays, params)
+    software = OffloadRuntime(OverlayShape(8, 8), cost_model=SOFTWARE, unroll=unroll, seed=SEED)
+    offload = OffloadRuntime(OverlayShape(8, 8), cost_model=OFFLOAD, unroll=unroll, seed=SEED)
+    for rt, phase in [(software, "software"), (offload, "place_route"), (offload, "cache")]:
+        out, trace = rt.execute(kernel, arrays, params)
+        phases = _phases(trace)
+        assert phase in phases and ("compute" in phases) == (rt is offload)
+        assert ("epilogue" in phases) == (rt is offload and unroll == 2)
+        assert set(out) == set(want)
+        for name, a in want.items():
+            assert out[name].dtype == a.dtype == arrays[name].dtype
+            assert np.array_equal(out[name], a), name
+    return want
+
+
+@pytest.mark.parametrize("unroll", [1, 2])
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint32, np.int64, np.float64, np.bool_])
+def test_gemm_returns_what_software_returns_whatever_the_dtype_of_c(dtype, unroll):
+    # C holds values over the whole int32 range, and the int64 C beyond it,
+    # so results overflow the narrow dtypes.  C is read as numpy casts it to
+    # int32, and each result is stored as numpy casts an int32 into C.
+    kernel = corpus.load("gemm")
+    arrays, params = _inputs(kernel, 5)
+    as_int32 = dict(arrays)
+    arrays["C"] = arrays["C"].astype(dtype)
+    if dtype is np.int64:
+        arrays["C"] += 2**32 * np.arange(-12, 13).reshape(5, 5)
+    want = _assert_every_path_agrees(kernel, arrays, params, unroll)
+    assert np.array_equal(want["C"],
+                          evaluate_kernel(kernel, as_int32, params)["C"].astype(dtype))
+
+
+@pytest.mark.parametrize("unroll", [1, 2])
+def test_branchmix_in_int64_beyond_int32_compares_what_the_overlay_compares(unroll):
+    # A[0] + 2**32 is read as A[0], as the overlay's int32 streams read it
+    kernel = corpus.load("branchmix")
+    arrays, params = _inputs(kernel, 5)
+    as_int64 = {name: a.astype(np.int64) for name, a in arrays.items()}
+    as_int64["A"][0] += 2**32
+    want = _assert_every_path_agrees(kernel, as_int64, params, unroll)
+    assert np.array_equal(want["C"], evaluate_kernel(kernel, arrays, params)["C"])
 
 
 @pytest.mark.parametrize("unroll,index_range", [(1, "[1,5]"), (2, "[5,5]")])
@@ -553,7 +654,7 @@ GEMM = str(corpus.kernel_path("gemm"))
     (["run", GEMM, "--overlay", "3x3"], cli.EXIT_OK,
      "gemm: No, too large; software path\nPASS (software)\n", ""),
     (["run", GEMM, "--overlay", "3x3", "--max-nodes", "20"], cli.EXIT_UNROUTABLE, "",
-     "unroutable: 10 op nodes exceed 9 cells\n"),
+     "unroutable: 10 op nodes exceed 9 cells (attempts=0 restarts=0 backtracks=0 runs=0)\n"),
 ], ids=["analyze", "place", "place-max-nodes", "run", "run-max-nodes"])
 def test_the_node_limit_defaults_to_the_grids_cell_count(monkeypatch, tmp_path, capsys,
                                                          argv, rc, out, err):
@@ -724,6 +825,91 @@ def test_offloading_measured_faster_than_software_never_rolls_back():
     assert traces[0][-1].detail == "measuring software baseline"
     for trace in traces[1:]:
         assert "compute" in _phases(trace) and "rollback" not in _phases(trace)
+
+
+_DTYPES = [np.int32, np.int64, np.int16, np.uint8]
+_LAYOUTS = ["C", "F", "reversed", "strided", "broadcast"]
+
+
+def _laid_out(values, layout):
+    """``values`` in ``layout``: the same elements, but a stride-0 broadcast
+    repeats the first row."""
+    if layout == "F":
+        return np.asfortranarray(values)
+    if layout == "reversed":
+        back = (slice(None, None, -1),) * values.ndim
+        return np.ascontiguousarray(values[back])[back]
+    if layout == "strided":
+        view = np.zeros([2 * n for n in values.shape], values.dtype)
+        view = view[(slice(None, None, 2),) * values.ndim]
+        view[...] = values
+        return view
+    if layout == "broadcast":
+        return np.broadcast_to(values[:1], values.shape)
+    return values
+
+
+@st.composite
+def _call_arrays(draw, kernel, params):
+    """A kernel's arrays, each in a drawn layout and dtype.  Shapes are the
+    declared extents clipped at 0, but one array may be one short along an
+    axis.  int32 and int64 values span int32's range, int64 ones beyond it
+    too, and the narrow dtypes span their own."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    short = draw(st.none() | st.sampled_from([decl.name for decl in kernel.arrays]))
+    arrays = {}
+    for decl in kernel.arrays:
+        shape = [max(e.evaluate(params), 0) for e in decl.extents]
+        if decl.name == short:
+            axis = draw(st.integers(0, len(shape) - 1))
+            shape[axis] = max(shape[axis] - 1, 0)
+        dtype = draw(st.sampled_from(_DTYPES))
+        info = np.iinfo(dtype)
+        values = rng.integers(max(info.min, -2**31), min(info.max, 2**31 - 1), shape,
+                              dtype=np.int64, endpoint=True)
+        if dtype is np.int64:
+            values += 2**32 * rng.integers(-3, 4, shape)
+        arrays[decl.name] = _laid_out(values.astype(dtype), draw(st.sampled_from(_LAYOUTS)))
+    return arrays
+
+
+def _assert_returns(want, rt, kernel, arrays, params):
+    """``rt.execute`` returns the arrays ``want``, or raises as it does."""
+    if isinstance(want, Exception):
+        with pytest.raises(type(want)) as got:
+            rt.execute(kernel, arrays, params)
+        assert str(got.value) == str(want)
+        return
+    out, _ = rt.execute(kernel, arrays, params)
+    assert set(out) == set(want)
+    for name, a in want.items():
+        assert out[name].dtype == a.dtype and np.array_equal(out[name], a), name
+
+
+@settings(max_examples=40)
+@given(body=_kernels("accepted"), m=st.integers(-1, 5), n=st.integers(-1, 7),
+       unroll=st.integers(1, 3), rows=st.integers(3, 8), cols=st.integers(3, 8),
+       seed=st.integers(0, 2**32 - 1), budget=st.integers(100, 1000), data=st.data())
+def test_generated_kernels_return_through_execute_what_the_oracle_returns(
+        body, m, n, unroll, rows, cols, seed, budget, data):
+    # A fresh runtime with offload forced, called cold and then warm, and
+    # one driven past its warm-up into the rollback, as _policy_run is.
+    kernel = kparse(body, arrays=_GEN_ARRAYS)
+    params = {"M": m, "N": n}
+    arrays = data.draw(_call_arrays(kernel, params), label="arrays")
+    try:
+        want = evaluate_kernel(kernel, arrays, params)
+    except EvalError as exc:
+        want = exc
+    shape = OverlayShape(rows, cols)
+    common = dict(thresholds=frontend.Thresholds(min_nodes=0),
+                  placer_params=PlacerParams(budget), unroll=unroll, seed=seed)
+    forced = OffloadRuntime(shape, cost_model=OFFLOAD, **common)
+    rollback = OffloadRuntime(shape, device_model=CostModel(wire_rate=1.0),
+                              clock=_FakeClock(0.5), **common)
+    for rt, calls in [(forced, 2), (rollback, runtime.WARMUP_CALLS + 2)]:
+        for _ in range(calls):
+            _assert_returns(want, rt, kernel, arrays, params)
 
 
 @pytest.mark.parametrize("capacity,maps", [(2, 4), (runtime.CACHE_CAPACITY, 3)],

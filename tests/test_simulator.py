@@ -316,7 +316,7 @@ def _reads(draw, trips, factor, name):
     return tuple(e for e, _ in dims), IoBinding(name, tuple(a for _, a in dims))
 
 
-@settings(max_examples=200, deadline=None, database=None)
+@settings(max_examples=200)
 @given(domain=_domains(), data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_build_streams_gathers_what_index_arrays_gather(domain, data, seed):
     trips, factor = domain
@@ -355,7 +355,7 @@ def _writes(draw, trips, factor, name):
     return tuple(e for e, _ in dims), IoBinding(name, tuple(a for _, a in dims))
 
 
-@settings(max_examples=200, deadline=None, database=None)
+@settings(max_examples=200)
 @given(domain=_domains(), data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_write_back_scatters_what_index_arrays_scatter(domain, data, seed):
     trips, factor = domain
@@ -407,7 +407,6 @@ def test_a_bad_binding_is_refused_with_its_reason():
     trips = [("i", 2)]
     arrays = {"A": np.zeros((2, 2), np.int32)}
     cases = [
-        (IoBinding("Z", (AffineExpr.of(0, i=1),)), "array 'Z' not supplied"),
         (IoBinding("A", (AffineExpr.of(0, i=1),)), "array A has rank 2, access has 1 dims"),
         (IoBinding("A", (AffineExpr.of(0, i=1), AffineExpr.of(0, q=1))),
          "access uses unknown loop variable 'q'"),
@@ -551,8 +550,7 @@ def _source_array(rng, shape, layout, dtype):
 
 
 @pytest.mark.parametrize("block", [1, 5, 64])
-@settings(max_examples=100, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(domain=_domains(), data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_run_compiled_runs_views_as_it_runs_built_streams(monkeypatch, block, domain,
                                                           data, seed):
@@ -790,7 +788,7 @@ def _outcome(call):
         return str(exc)
 
 
-@settings(max_examples=40, deadline=None, database=None)
+@settings(max_examples=40)
 @given(domain=_domains(), data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_a_memoized_view_equals_a_fresh_one(domain, data, seed):
     """Calls on one GraphIo that alternate three signatures gather and
