@@ -3,12 +3,15 @@
 The DFG is the unit of offload: an acyclic graph of 32-bit integer
 operations extracted from a loop body.  ``interpret_dfg`` is the reference
 evaluator that every other execution path is checked against.
+
+Node ids are the dependency order: every edge runs from a smaller node id to
+a larger one.  ``validate_dfg`` checks this rule, and ``topo_order`` is id
+order once the rule holds, so no pass sorts a graph's dependencies.
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
 import re
 import struct
 from dataclasses import dataclass, field
@@ -267,6 +270,13 @@ class UnknownInput(KeyError):
 
 @dataclass
 class DataFlowGraph:
+    """Nodes by id, edges, and the array access of each Input and Output.
+
+    The rule: every edge runs from a smaller node id to a larger one, so id
+    order is a dependency order.  ``add_node`` gives the next id, so a graph
+    built node by node, each wired from nodes made before it, keeps it.
+    """
+
     nodes: dict[int, Node] = field(default_factory=dict)
     edges: list[Edge] = field(default_factory=list)
     io_bindings: dict[int, IoBinding] = field(default_factory=dict)
@@ -294,11 +304,8 @@ class DataFlowGraph:
     def op_nodes(self) -> list[int]:
         return sorted(n.id for n in self.nodes.values() if n.kind == NodeKind.OP)
 
-    def in_edges(self, nid: int) -> list[Edge]:
-        return sorted((e for e in self.edges if e.dst == nid), key=_DPORT)
-
     def in_edge_map(self) -> dict[int, list[Edge]]:
-        """``in_edges`` of every node, from one pass over the edges."""
+        """Every node's in-edges in port order, from one pass over the edges."""
         ins: dict[int, list[Edge]] = {nid: [] for nid in self.nodes}
         for e in self.edges:
             ins.setdefault(e.dst, []).append(e)
@@ -307,57 +314,35 @@ class DataFlowGraph:
         return ins
 
     def topo_order(self) -> list[int]:
-        """Node ids in dependency order; ValueError on a cycle or a dangling edge.
-
-        Kahn's order: of the nodes whose producers are all placed, the
-        smallest id comes next.  One pass over the edges and a heap, so it
-        costs O(E + N log N).
-        """
-        return _kahn(self.nodes, self.edges)
-
-
-def _kahn(nodes: Iterable[int], edges: Iterable[Edge]) -> list[int]:
-    """``topo_order`` over ``nodes``."""
-    indeg = dict.fromkeys(nodes, 0)
-    succ: dict[int, list[int]] = {nid: [] for nid in indeg}
-    for e in edges:
-        if e.src not in indeg or e.dst not in indeg:
-            raise ValueError(f"dangling edge {e.src}->{e.dst} references a missing node")
-        indeg[e.dst] += 1
-        succ[e.src].append(e.dst)
-    ready = [nid for nid, d in indeg.items() if d == 0]
-    heapq.heapify(ready)
-    order: list[int] = []
-    while ready:
-        nid = heapq.heappop(ready)
-        order.append(nid)
-        for dst in succ[nid]:
-            indeg[dst] -= 1
-            if indeg[dst] == 0:
-                heapq.heappush(ready, dst)
-    if len(order) != len(indeg):
-        raise ValueError("graph has a cycle")
-    return order
+        """Node ids in dependency order, which is id order; ValueError on a
+        dangling edge or one that breaks the id rule."""
+        for e in self.edges:
+            if e.src not in self.nodes or e.dst not in self.nodes:
+                raise ValueError(f"dangling edge {e.src}->{e.dst} references a missing node")
+            if e.src >= e.dst:
+                raise ValueError(f"edge {e.src}->{e.dst} does not run to a larger id")
+        return sorted(self.nodes)
 
 
 def validate_dfg(g: DataFlowGraph) -> list[Violation]:
     """Check all structural invariants; an empty list means the graph is valid.
 
-    An edge that names a missing node is a ``dangling-edge``; the arity and
-    cycle checks read only the edges between nodes, so it is none of those.
-    Each check makes one pass over the edges.
+    An edge that names a missing node is a ``dangling-edge``; the id-rule
+    and arity checks read only the edges between nodes, so it is none of
+    those.  An edge that does not run to a larger id is an ``edge-order``;
+    every cycle has one.  Each check makes one pass over the edges.
     """
     out: list[Violation] = []
     ports: dict[int, list[int]] = {nid: [] for nid in g.nodes}
     sources: set[int] = set()
-    joined: list[Edge] = []
     for e in g.edges:
         sources.add(e.src)
         if e.src not in g.nodes or e.dst not in g.nodes:
             out.append(Violation("dangling-edge", f"{e.src}->{e.dst} references a missing node"))
             continue
+        if e.src >= e.dst:
+            out.append(Violation("edge-order", f"{e.src}->{e.dst} does not run to a larger id"))
         ports[e.dst].append(e.dport)
-        joined.append(e)
     for nid, node in sorted(g.nodes.items()):
         if node.kind == NodeKind.OP:
             if node.code is None or node.code not in OP_ARITY:
@@ -382,10 +367,6 @@ def validate_dfg(g: DataFlowGraph) -> list[Violation]:
             out.append(Violation("binding", f"node {nid} is not an IO node"))
         if binding.lane_stride < 1 or binding.lane_offset < 0:
             out.append(Violation("binding", f"node {nid} lane {binding.lane_offset}/{binding.lane_stride}"))
-    try:
-        _kahn(g.nodes, joined)
-    except ValueError:
-        out.append(Violation("cycle", "graph is not acyclic"))
     return out
 
 

@@ -254,9 +254,11 @@ class _BodyBuilder:
     whose node is made only when a non-constant op or an Output reads it.
     A cell masks one signal, so an op wires its first constant operand
     directly and each later one through a PASS node made right there, as
-    does an Output written a constant.  Every edge runs from a smaller id
-    to a larger one and the edge list is in order of its targets, so
-    ``graph`` drops what feeds no Output in one backward sweep.
+    does an Output written a constant.  A node is made after the nodes it
+    reads, so the graph keeps the id rule of ``DataFlowGraph``: every edge
+    runs from a smaller id to a larger one.  The edge list is in order of
+    its targets, so ``graph`` drops what feeds no Output in one backward
+    sweep.
     """
 
     def __init__(self, written: dict[str, tuple]):
@@ -385,7 +387,8 @@ def unroll_dfg(g: DataFlowGraph, inner_var: str, unroll: int) -> DataFlowGraph:
     they are the caller's job.  Ids and orders are those of the body built
     lane by lane, since the placer reads them: with b the largest id plus
     one, lane L's node n becomes L*b + n.  Nodes come lane by lane, then
-    edges, then bindings.
+    edges, then bindings.  Every edge stays in its lane and moves by the
+    lane's shift, so the copy keeps ``g``'s id rule.
     """
     if unroll == 1:
         return g

@@ -216,12 +216,10 @@ class _State:
         self._journal: list[tuple[Union[list, dict], object, object]] = []
 
         ops = g.op_nodes()
-        ins: dict[int, list[Edge]] = {nid: [] for nid in g.nodes}
+        self.in_edges = ins = g.in_edge_map()  # node id -> in-edges in port order
         outs: dict[int, list[Edge]] = {nid: [] for nid in g.nodes}
         for e in g.edges:
-            ins[e.dst].append(e)
             outs[e.src].append(e)
-        self.in_edges = {nid: sorted(ins[nid], key=attrgetter("dport")) for nid in ops}
         self.out_edges = {nid: sorted(outs[nid], key=attrgetter("dst", "dport"))
                           for nid in ops}
         io = {nid for nid, node in g.nodes.items()

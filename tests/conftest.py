@@ -31,22 +31,28 @@ settings.load_profile("tier1")
 def random_dfg(rng: random.Random, n_ops: int, n_inputs: int = 2,
                n_outputs: int = 1, p_const: float = 0.25,
                p_mux: float = 0.15) -> DataFlowGraph:
-    """A random valid graph fit for the placer: acyclic, correct arities,
-    at most one constant pin per op, no constant feeding an output."""
+    """A random valid graph fit for the placer: every edge from a smaller
+    id to a larger one, correct arities, at most one constant pin per op,
+    no constant feeding an output."""
     g = DataFlowGraph()
     inputs = [g.add_node(NodeKind.INPUT) for _ in range(max(1, n_inputs))]
     pool = list(inputs)
     ops = []
     for _ in range(n_ops):
         code = OpCode.MUX if rng.random() < p_mux else rng.choice(BINARY_CODES)
-        nid = g.add_node(NodeKind.OP, code=code)
-        used_const = False
-        for port in range(OP_ARITY[code]):
-            if not used_const and rng.random() < p_const:
-                src = g.add_node(NodeKind.CONST, value=rng.randint(-100, 100))
-                used_const = True
+        const = None  # the constant's node is made before its op's
+        srcs = []
+        for _ in range(OP_ARITY[code]):
+            if const is None and rng.random() < p_const:
+                const = rng.randint(-100, 100)
+                srcs.append(None)
             else:
-                src = rng.choice(pool)
+                srcs.append(rng.choice(pool))
+        if const is not None:
+            c = g.add_node(NodeKind.CONST, value=const)
+            srcs = [c if src is None else src for src in srcs]
+        nid = g.add_node(NodeKind.OP, code=code)
+        for port, src in enumerate(srcs):
             g.add_edge(src, nid, port)
         pool.append(nid)
         ops.append(nid)
@@ -55,6 +61,13 @@ def random_dfg(rng: random.Random, n_ops: int, n_inputs: int = 2,
         out = g.add_node(NodeKind.OUTPUT)
         g.add_edge(rng.choice(sinks), out, 0)
     return g
+
+
+def assert_id_rule(g: DataFlowGraph) -> None:
+    """``g`` keeps the id rule: nodes in ascending id order, and every edge
+    from a smaller id to a larger one."""
+    assert list(g.nodes) == sorted(g.nodes)
+    assert [e for e in g.edges if e.src >= e.dst] == []
 
 
 def random_input_streams(g: DataFlowGraph, rng: np.random.Generator,

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_dfg
+from conftest import assert_id_rule, random_dfg
 from dfeoffload import corpus
 from dfeoffload.dfg import (INT32_MAX, INT32_MIN, OP_ARITY, AffineExpr, DataFlowGraph,
                             Edge, IoBinding, LengthMismatch, Node, NodeKind, OpCode,
@@ -13,6 +13,7 @@ from dfeoffload.dfg import (INT32_MAX, INT32_MIN, OP_ARITY, AffineExpr, DataFlow
 from dfeoffload.frontend import IneligibleKernel, extract_dfg
 from dfeoffload.overlay import OverlayShape
 from dfeoffload.placer import place_and_route
+from dfeoffload.simulator import lower_dfg
 
 
 def fig_like_graph() -> DataFlowGraph:
@@ -46,8 +47,8 @@ def test_validate_smallest_cycle():
     b = g.add_node(NodeKind.OP, code=OpCode.PASS)
     g.add_edge(a, b, 0)
     g.add_edge(b, a, 0)
-    kinds = {v.kind for v in validate_dfg(g)}
-    assert "cycle" in kinds
+    assert [(v.kind, v.detail) for v in validate_dfg(g)] == [
+        ("edge-order", f"{b}->{a} does not run to a larger id")]
 
 
 def test_validate_mux_arity():
@@ -219,7 +220,7 @@ def test_dot_emitter_mentions_nodes():
     assert dot.count("->") == len(fig_like_graph().edges)
 
 
-# -- dangling edges ------------------------------------------------------------------
+# -- edges that break the graph's rules -------------------------------------------------
 
 
 def _edge_into_a_missing_node() -> DataFlowGraph:
@@ -246,38 +247,51 @@ def test_an_edge_that_names_a_missing_node_is_only_a_dangling_edge(graph):
         interpret_dfg(g, {nid: [1, 2] for nid in g.inputs()})
 
 
+def _edge_out_of_a_later_node() -> DataFlowGraph:
+    """The fig graph with its constant 1 made after the ADD it feeds."""
+    g = fig_like_graph()
+    late = max(g.nodes) + 1
+    g.nodes[late] = Node(late, NodeKind.CONST, value=1)
+    del g.nodes[5]
+    g.edges = [Edge(late, e.sport, e.dst, e.dport) if e.src == 5 else e for e in g.edges]
+    return g
+
+
+def test_node_ids_are_the_dependency_order(corpus_kernels):
+    """Every graph extraction makes keeps the id rule, and every pass
+    refuses a graph with an edge that breaks it or names a missing node."""
+    extracted = 0
+    for k in corpus_kernels.values():
+        for unroll in (1, 2, 3, 4):
+            try:
+                g = extract_dfg(k, unroll)
+            except IneligibleKernel:
+                continue
+            assert_id_rule(g)
+            extracted += 1
+    assert extracted == 60
+    for g, fault in [(_edge_out_of_a_later_node(), ("edge-order", "8->6 does not run to a larger id")),
+                     (_edge_into_a_missing_node(), ("dangling-edge", "3->8 references a missing node"))]:
+        assert [(v.kind, v.detail) for v in validate_dfg(g)] == [fault]
+        streams = {nid: [1, 2] for nid in g.inputs()}
+        for run in (DataFlowGraph.topo_order, dfg_hash, lower_dfg,
+                    lambda g: interpret_dfg(g, streams),
+                    lambda g: place_and_route(g, OverlayShape(4, 4))):
+            with pytest.raises(ValueError):
+                run(g)
+
+
 # -- the linear passes against the quadratic ones ------------------------------------
 
 
-def _reference_topo_order(g: DataFlowGraph) -> list[int]:
-    """Kahn's order by a scan of every edge per node placed: the smallest
-    ready id first."""
-    indeg = {nid: 0 for nid in g.nodes}
+def _reference_verdicts(g: DataFlowGraph) -> list[tuple[str, str]]:
+    """``validate_dfg`` by a scan of every edge per node."""
+    out = []
     for e in g.edges:
         if e.src not in g.nodes or e.dst not in g.nodes:
-            raise ValueError(f"dangling edge {e.src}->{e.dst} references a missing node")
-        indeg[e.dst] += 1
-    ready = sorted(nid for nid, d in indeg.items() if d == 0)
-    order = []
-    while ready:
-        nid = ready.pop(0)
-        order.append(nid)
-        for e in g.edges:
-            if e.src == nid:
-                indeg[e.dst] -= 1
-                if indeg[e.dst] == 0:
-                    ready.append(e.dst)
-        ready.sort()
-    if len(order) != len(g.nodes):
-        raise ValueError("graph has a cycle")
-    return order
-
-
-def _reference_verdicts(g: DataFlowGraph) -> list[tuple[str, str]]:
-    """``validate_dfg`` by a scan of every edge per node, with the cycle
-    check over the edges that join two nodes."""
-    out = [("dangling-edge", f"{e.src}->{e.dst} references a missing node")
-           for e in g.edges if e.src not in g.nodes or e.dst not in g.nodes]
+            out.append(("dangling-edge", f"{e.src}->{e.dst} references a missing node"))
+        elif e.src >= e.dst:
+            out.append(("edge-order", f"{e.src}->{e.dst} does not run to a larger id"))
     for nid, node in sorted(g.nodes.items()):
         if node.kind == NodeKind.OP and node.code not in OP_ARITY:
             out.append(("unsupported-code", f"node {nid}"))
@@ -298,12 +312,6 @@ def _reference_verdicts(g: DataFlowGraph) -> list[tuple[str, str]]:
             out.append(("binding", f"node {nid} is not an IO node"))
         if binding.lane_stride < 1 or binding.lane_offset < 0:
             out.append(("binding", f"node {nid} lane {binding.lane_offset}/{binding.lane_stride}"))
-    joined = DataFlowGraph(dict(g.nodes), [e for e in g.edges
-                                           if e.src in g.nodes and e.dst in g.nodes])
-    try:
-        _reference_topo_order(joined)
-    except ValueError:
-        out.append(("cycle", "graph is not acyclic"))
     return out
 
 
@@ -329,8 +337,8 @@ def _relabeled_at_random(g: DataFlowGraph, rng: random.Random) -> DataFlowGraph:
 
 def _mutated(g: DataFlowGraph, rng: random.Random) -> DataFlowGraph:
     """A copy of ``g`` with one to three random edits that may break it: a
-    dropped or rewired edge, a new edge (a cycle, a fan-out or a second
-    feed), a dropped node, or an edge out of or into a missing node."""
+    dropped or rewired edge, a new edge (a backward one, a fan-out or a
+    second feed), a dropped node, or an edge out of or into a missing node."""
     g = DataFlowGraph(dict(g.nodes), list(g.edges), dict(g.io_bindings), g.remainder)
     for _ in range(rng.randint(1, 3)):
         ids = list(g.nodes) or [0]
@@ -353,7 +361,9 @@ def _mutated(g: DataFlowGraph, rng: random.Random) -> DataFlowGraph:
     return g
 
 
-def _graphs_to_check() -> list[DataFlowGraph]:
+def _graphs_to_check() -> tuple[list[DataFlowGraph], ...]:
+    """Valid graphs, from the corpus at unroll 1 to 3 and at random; a copy
+    of each relabeled at random; and broken copies of them all."""
     rng = random.Random(7)
     graphs = []
     for name in corpus.kernel_names():
@@ -365,22 +375,36 @@ def _graphs_to_check() -> list[DataFlowGraph]:
     assert len(graphs) == 45
     for _ in range(150):
         graphs.append(random_dfg(rng, rng.randint(0, 30), rng.randint(1, 4), rng.randint(1, 3)))
-    graphs += [_relabeled_at_random(g, rng) for g in graphs]
-    return graphs + [_mutated(g, rng) for g in graphs for _ in range(3)]
+    relabeled = [_relabeled_at_random(g, rng) for g in graphs]
+    broken = [_mutated(g, rng) for g in graphs + relabeled for _ in range(3)]
+    return graphs, relabeled, broken
 
 
 def test_the_linear_passes_agree_with_the_quadratic_ones():
     """On corpus graphs at unroll 1 to 3, random graphs, both relabeled at
-    random, and broken copies of them all: ``topo_order`` gives the order
-    (or raises the exception) of the per-node Kahn scan, ``in_edge_map``
-    gives every node's ``in_edges``, and ``validate_dfg`` gives the
-    per-node verdicts."""
+    random, and broken copies of them all: ``validate_dfg`` gives the
+    per-node verdicts, ``topo_order`` gives id order or raises on a bad
+    edge, and ``in_edge_map`` gives every node's in-edges.  A relabeling
+    is refused with ``edge-order`` exactly at the edges it reverses."""
+    valid, relabeled, broken = _graphs_to_check()
+    reversed_edges = 0
+    for g, r in zip(valid, relabeled):
+        assert validate_dfg(g) == []
+        want = [("edge-order", f"{e.src}->{e.dst} does not run to a larger id")
+                for e in r.edges if e.src > e.dst]
+        assert [(v.kind, v.detail) for v in validate_dfg(r)] == want
+        reversed_edges += len(want)
+    assert reversed_edges
     kinds = set()
-    for g in _graphs_to_check():
-        assert _outcome(DataFlowGraph.topo_order, g) == _outcome(_reference_topo_order, g)
+    for g in valid + relabeled + broken:
         verdicts = [(v.kind, v.detail) for v in validate_dfg(g)]
         assert verdicts == _reference_verdicts(g)
         kinds.update(kind for kind, _ in verdicts)
+        bad_edge = any(kind in ("dangling-edge", "edge-order") for kind, _ in verdicts)
+        assert _outcome(DataFlowGraph.topo_order, g) == (ValueError if bad_edge
+                                                         else sorted(g.nodes))
         if not verdicts:
-            assert g.in_edge_map() == {nid: g.in_edges(nid) for nid in g.nodes}
-    assert kinds == {"dangling-edge", "arity", "output-fanout", "binding", "cycle"}
+            assert g.in_edge_map() == {
+                nid: sorted((e for e in g.edges if e.dst == nid), key=lambda e: e.dport)
+                for nid in g.nodes}
+    assert kinds == {"dangling-edge", "arity", "output-fanout", "binding", "edge-order"}

@@ -26,6 +26,7 @@ from dfeoffload.kernels import (EvalError, Kernel, allocate_arrays,
 from dfeoffload.overlay import OverlayShape
 from dfeoffload.placer import PlacerParams
 from dfeoffload.runtime import CostModel, OffloadRuntime
+from conftest import assert_id_rule
 from test_frontend import _GEN_ARRAYS, _kernels, kparse
 
 # The kernels that route at unroll 1 on a 6x6 overlay.
@@ -910,6 +911,9 @@ def test_generated_kernels_return_through_execute_what_the_oracle_returns(
     for rt, calls in [(forced, 2), (rollback, runtime.WARMUP_CALLS + 2)]:
         for _ in range(calls):
             _assert_returns(want, rt, kernel, arrays, params)
+    mapped = forced.analyze(kernel).dfg  # None when the kernel runs in software
+    if mapped is not None:
+        assert_id_rule(mapped)
 
 
 @pytest.mark.parametrize("capacity,maps", [(2, 4), (runtime.CACHE_CAPACITY, 3)],
