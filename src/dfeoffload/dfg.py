@@ -4,9 +4,11 @@ The DFG is the unit of offload: an acyclic graph of 32-bit integer
 operations extracted from a loop body.  ``interpret_dfg`` is the reference
 evaluator that every other execution path is checked against.
 
-Node ids are the dependency order: every edge runs from a smaller node id to
-a larger one.  ``validate_dfg`` checks this rule, and ``topo_order`` is id
-order once the rule holds, so no pass sorts a graph's dependencies.
+A node holds its operands: ``Node.srcs`` are the ids that feed its input
+ports, in port order, and an edge is one of those operands.  Node ids are the
+dependency order: every operand is a smaller node id than the node it feeds.
+``validate_dfg`` checks this rule, and ``topo_order`` is id order once the
+rule holds, so no pass sorts a graph's dependencies or regroups its edges.
 """
 
 from __future__ import annotations
@@ -14,9 +16,8 @@ from __future__ import annotations
 import hashlib
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
-from operator import attrgetter
 from typing import Container, Iterable, Optional
 
 INT32_MIN = -(1 << 31)
@@ -102,6 +103,7 @@ class Node:
     kind: NodeKind
     code: Optional[OpCode] = None  # set iff kind is OP
     value: Optional[int] = None  # set iff kind is CONST
+    srcs: tuple[int, ...] = ()  # the ids that feed its ports, in port order
 
     def arity(self) -> int:
         if self.kind == NodeKind.OP:
@@ -238,17 +240,6 @@ class DfgStats:
     consts: int
 
 
-@dataclass(frozen=True)
-class Edge:
-    src: int
-    sport: int
-    dst: int
-    dport: int
-
-
-_DPORT = attrgetter("dport")
-
-
 class Violation:
     """One broken graph invariant; kept as data rather than raised."""
 
@@ -270,30 +261,17 @@ class UnknownInput(KeyError):
 
 @dataclass
 class DataFlowGraph:
-    """Nodes by id, edges, and the array access of each Input and Output.
+    """Nodes by id, each with its operands, and the array access of each
+    Input and Output.
 
-    The rule: every edge runs from a smaller node id to a larger one, so id
-    order is a dependency order.  ``add_node`` gives the next id, so a graph
-    built node by node, each wired from nodes made before it, keeps it.
+    The rule: every operand is a smaller node id than the node it feeds, so
+    id order is a dependency order.  A graph built node by node, each made
+    from nodes made before it with the next id, keeps it.
     """
 
     nodes: dict[int, Node] = field(default_factory=dict)
-    edges: list[Edge] = field(default_factory=list)
     io_bindings: dict[int, IoBinding] = field(default_factory=dict)
     remainder: Optional[Remainder] = None
-
-    # -- construction helpers -------------------------------------------------
-
-    def add_node(self, kind: NodeKind, code: Optional[OpCode] = None,
-                 value: Optional[int] = None) -> int:
-        nid = max(self.nodes, default=-1) + 1
-        self.nodes[nid] = Node(nid, kind, code, value)
-        return nid
-
-    def add_edge(self, src: int, dst: int, dport: int, sport: int = 0) -> None:
-        self.edges.append(Edge(src, sport, dst, dport))
-
-    # -- views -----------------------------------------------------------------
 
     def inputs(self) -> list[int]:
         return sorted(n.id for n in self.nodes.values() if n.kind == NodeKind.INPUT)
@@ -304,46 +282,34 @@ class DataFlowGraph:
     def op_nodes(self) -> list[int]:
         return sorted(n.id for n in self.nodes.values() if n.kind == NodeKind.OP)
 
-    def in_edge_map(self) -> dict[int, list[Edge]]:
-        """Every node's in-edges in port order, from one pass over the edges."""
-        ins: dict[int, list[Edge]] = {nid: [] for nid in self.nodes}
-        for e in self.edges:
-            ins.setdefault(e.dst, []).append(e)
-        for edges in ins.values():
-            edges.sort(key=_DPORT)
-        return ins
-
     def topo_order(self) -> list[int]:
-        """Node ids in dependency order, which is id order; ValueError on a
-        dangling edge or one that breaks the id rule."""
-        for e in self.edges:
-            if e.src not in self.nodes or e.dst not in self.nodes:
-                raise ValueError(f"dangling edge {e.src}->{e.dst} references a missing node")
-            if e.src >= e.dst:
-                raise ValueError(f"edge {e.src}->{e.dst} does not run to a larger id")
+        """Node ids in dependency order, which is id order; ValueError on an
+        operand that names a missing node or breaks the id rule."""
+        for nid, node in self.nodes.items():
+            for src in node.srcs:
+                if src not in self.nodes:
+                    raise ValueError(f"dangling edge {src}->{nid} references a missing node")
+                if src >= nid:
+                    raise ValueError(f"edge {src}->{nid} does not run to a larger id")
         return sorted(self.nodes)
 
 
 def validate_dfg(g: DataFlowGraph) -> list[Violation]:
     """Check all structural invariants; an empty list means the graph is valid.
 
-    An edge that names a missing node is a ``dangling-edge``; the id-rule
-    and arity checks read only the edges between nodes, so it is none of
-    those.  An edge that does not run to a larger id is an ``edge-order``;
-    every cycle has one.  Each check makes one pass over the edges.
+    Per node in id order: an operand that names a missing node is a
+    ``dangling-edge``, and one that is not a smaller id an ``edge-order``
+    (every cycle has one); an operand count other than the op's arity is an
+    ``arity``.  Each operand is read once.
     """
     out: list[Violation] = []
-    ports: dict[int, list[int]] = {nid: [] for nid in g.nodes}
-    sources: set[int] = set()
-    for e in g.edges:
-        sources.add(e.src)
-        if e.src not in g.nodes or e.dst not in g.nodes:
-            out.append(Violation("dangling-edge", f"{e.src}->{e.dst} references a missing node"))
-            continue
-        if e.src >= e.dst:
-            out.append(Violation("edge-order", f"{e.src}->{e.dst} does not run to a larger id"))
-        ports[e.dst].append(e.dport)
+    sources = {src for node in g.nodes.values() for src in node.srcs}
     for nid, node in sorted(g.nodes.items()):
+        for src in node.srcs:
+            if src not in g.nodes:
+                out.append(Violation("dangling-edge", f"{src}->{nid} references a missing node"))
+            elif src >= nid:
+                out.append(Violation("edge-order", f"{src}->{nid} does not run to a larger id"))
         if node.kind == NodeKind.OP:
             if node.code is None or node.code not in OP_ARITY:
                 out.append(Violation("unsupported-code", f"node {nid}"))
@@ -351,12 +317,9 @@ def validate_dfg(g: DataFlowGraph) -> list[Violation]:
         if node.kind == NodeKind.CONST:
             if node.value is None or not (INT32_MIN <= node.value <= INT32_MAX):
                 out.append(Violation("const-range", f"node {nid} value {node.value!r}"))
-        arity = node.arity()
-        got = sorted(ports[nid])
-        if got != list(range(arity)):
-            out.append(Violation(
-                "arity", f"node {nid} ({node.label()}) expects ports {list(range(arity))},"
-                         f" has {got}"))
+        if len(node.srcs) != node.arity():
+            out.append(Violation("arity", f"node {nid} ({node.label()}) expects"
+                                          f" {node.arity()} operands, has {len(node.srcs)}"))
         if node.kind == NodeKind.OUTPUT and nid in sources:
             out.append(Violation("output-fanout", f"output node {nid} has outgoing edges"))
     for nid, binding in g.io_bindings.items():
@@ -389,7 +352,6 @@ def interpret_dfg(g: DataFlowGraph,
     length = lengths.pop() if lengths else 0
 
     order = g.topo_order()
-    in_edges = g.in_edge_map()
     results: dict[int, list[int]] = {oid: [] for oid in g.outputs()}
     values: dict[int, int] = {}
     for pos in range(length):
@@ -400,10 +362,9 @@ def interpret_dfg(g: DataFlowGraph,
             elif node.kind == NodeKind.CONST:
                 values[nid] = wrap32(node.value)
             elif node.kind == NodeKind.OP:
-                args = [values[e.src] for e in in_edges[nid]]
-                values[nid] = apply_op(node.code, args)
+                values[nid] = apply_op(node.code, [values[src] for src in node.srcs])
             else:  # OUTPUT
-                results[nid].append(values[in_edges[nid][0].src])
+                results[nid].append(values[node.srcs[0]])
     return results
 
 
@@ -424,7 +385,6 @@ def dfg_stats(g: DataFlowGraph) -> DfgStats:
 def _node_digests(g: DataFlowGraph) -> dict[int, bytes]:
     """Per-node digest independent of node ids (children hashed in port order)."""
     digests: dict[int, bytes] = {}
-    in_edges = g.in_edge_map()
     for nid in g.topo_order():
         node = g.nodes[nid]
         h = hashlib.blake2b(digest_size=8)
@@ -437,9 +397,9 @@ def _node_digests(g: DataFlowGraph) -> dict[int, bytes]:
         if binding is not None:
             access = ",".join(str(a) for a in binding.access)
             h.update(f"{binding.array}[{access}]{binding.lane_offset}/{binding.lane_stride}".encode())
-        for e in in_edges[nid]:
-            h.update(struct.pack("<H", e.dport))
-            h.update(digests[e.src])
+        for port, src in enumerate(node.srcs):
+            h.update(struct.pack("<H", port))
+            h.update(digests[src])
         digests[nid] = h.digest()
     return digests
 
@@ -448,16 +408,17 @@ def dfg_hash(g: DataFlowGraph) -> int:
     """64-bit digest, invariant under node-id relabeling.
 
     Combines the multiset of per-node digests with the multiset of edge
-    digests, so any change to an op code, constant, edge, or io binding
-    changes the result while a pure relabeling does not.
+    digests, so any change to an op code, constant, operand, or io binding
+    changes the result while a pure relabeling does not.  An edge packs its
+    ports as (0, operand port): a node has one output port.
     """
     digests = _node_digests(g)
     h = hashlib.blake2b(digest_size=8)
     for d in sorted(digests.values()):
         h.update(d)
     edge_sigs = sorted(
-        digests[e.src] + struct.pack("<HH", e.sport, e.dport) + digests[e.dst]
-        for e in g.edges
+        digests[src] + struct.pack("<HH", 0, port) + digests[nid]
+        for nid, node in g.nodes.items() for port, src in enumerate(node.srcs)
     )
     for sig in edge_sigs:
         h.update(sig)
@@ -470,7 +431,11 @@ def dfg_hash(g: DataFlowGraph) -> int:
 
 
 def dfg_to_text(g: DataFlowGraph) -> str:
-    """Line-oriented dump: one node, edge, or binding per line."""
+    """Line-oriented dump: one node, edge, or binding per line.
+
+    An edge line ``edge src:0 -> dst:port`` is one operand; they come in
+    (dst, port) order, after every node line.
+    """
     lines = []
     if g.remainder is not None:
         lines.append(f"meta remainder {g.remainder.var} {g.remainder.factor}")
@@ -482,8 +447,8 @@ def dfg_to_text(g: DataFlowGraph) -> str:
             lines.append(f"node {nid} const {node.value}")
         else:
             lines.append(f"node {nid} {node.kind.value}")
-    for e in sorted(g.edges, key=lambda e: (e.dst, e.dport)):
-        lines.append(f"edge {e.src}:{e.sport} -> {e.dst}:{e.dport}")
+    for nid in sorted(g.nodes):
+        lines += [f"edge {src}:0 -> {nid}:{port}" for port, src in enumerate(g.nodes[nid].srcs)]
     for nid in sorted(g.io_bindings):
         b = g.io_bindings[nid]
         access = ",".join(str(a) for a in b.access)
@@ -492,7 +457,14 @@ def dfg_to_text(g: DataFlowGraph) -> str:
 
 
 def dfg_from_text(text: str) -> DataFlowGraph:
+    """Read what ``dfg_to_text`` writes, with lines in any order.
+
+    Raises ValueError on text no graph holds: a source port other than 0, a
+    port fed twice, a node whose ports skip one, or an edge into a node no
+    line declares.
+    """
     g = DataFlowGraph()
+    ins: dict[int, dict[int, int]] = {}  # node id -> port -> operand
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -510,9 +482,14 @@ def dfg_from_text(text: str) -> DataFlowGraph:
             else:
                 g.nodes[nid] = Node(nid, NodeKind(kind))
         elif parts[0] == "edge":
-            src, sport = parts[1].split(":")
-            dst, dport = parts[3].split(":")
-            g.edges.append(Edge(int(src), int(sport), int(dst), int(dport)))
+            src, sport = map(int, parts[1].split(":"))
+            dst, dport = map(int, parts[3].split(":"))
+            if sport != 0:
+                raise ValueError(f"source port {sport} is not 0: {raw!r}")
+            ports = ins.setdefault(dst, {})
+            if dport in ports:
+                raise ValueError(f"port {dport} of node {dst} is fed twice: {raw!r}")
+            ports[dport] = src
         elif parts[0] == "bind":
             nid = int(parts[1])
             access = tuple(AffineExpr.parse(a) for a in parts[3].split(","))
@@ -520,6 +497,12 @@ def dfg_from_text(text: str) -> DataFlowGraph:
             g.io_bindings[nid] = IoBinding(parts[2], access, int(offset), int(stride))
         else:
             raise ValueError(f"unrecognized line: {raw!r}")
+    for nid, ports in ins.items():
+        if nid not in g.nodes:
+            raise ValueError(f"edge into undeclared node {nid}")
+        if sorted(ports) != list(range(len(ports))):
+            raise ValueError(f"node {nid} has ports {sorted(ports)}, which skip one")
+        g.nodes[nid] = replace(g.nodes[nid], srcs=tuple(src for _, src in sorted(ports.items())))
     return g
 
 
@@ -543,7 +526,8 @@ def dfg_to_dot(g: DataFlowGraph, name: str = "dfg") -> str:
             shape = "box"
             style = ', style=filled, fillcolor="palegreen"'
         lines.append(f'  n{nid} [label="{label}", shape={shape}{style}];')
-    for e in g.edges:
-        lines.append(f"  n{e.src} -> n{e.dst} [headlabel=\"{e.dport}\"];")
+    for nid in sorted(g.nodes):
+        lines += [f"  n{src} -> n{nid} [headlabel=\"{port}\"];"
+                  for port, src in enumerate(g.nodes[nid].srcs)]
     lines.append("}")
     return "\n".join(lines) + "\n"

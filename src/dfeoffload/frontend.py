@@ -29,9 +29,8 @@ from enum import Enum
 from typing import Optional
 
 from . import kernels as kl
-from .dfg import (AffineExpr, DataFlowGraph, DfgStats, Edge, IoBinding, Node,
-                  NodeKind, OpCode, Remainder, apply_op, dfg_stats,
-                  validate_dfg)
+from .dfg import (AffineExpr, DataFlowGraph, DfgStats, IoBinding, Node, NodeKind,
+                  OpCode, Remainder, apply_op, dfg_stats, validate_dfg)
 
 _BINOP_CODE = {
     "+": OpCode.ADD, "-": OpCode.SUB, "*": OpCode.MUL,
@@ -255,10 +254,9 @@ class _BodyBuilder:
     A cell masks one signal, so an op wires its first constant operand
     directly and each later one through a PASS node made right there, as
     does an Output written a constant.  A node is made after the nodes it
-    reads, so the graph keeps the id rule of ``DataFlowGraph``: every edge
-    runs from a smaller id to a larger one.  The edge list is in order of
-    its targets, so ``graph`` drops what feeds no Output in one backward
-    sweep.
+    reads, so the graph keeps the id rule of ``DataFlowGraph``: every
+    operand is a smaller id than the node it feeds.  So ``graph`` drops
+    what feeds no Output in one sweep down the ids.
     """
 
     def __init__(self, written: dict[str, tuple]):
@@ -287,8 +285,7 @@ class _BodyBuilder:
                     src = self.node(NodeKind.OP, OpCode.PASS, [src.id])
             ports.append(src)
         nid = self.reserve()
-        self.g.nodes[nid] = Node(nid, kind, code)
-        self.g.edges += [Edge(src, 0, nid, port) for port, src in enumerate(ports)]
+        self.g.nodes[nid] = Node(nid, kind, code, srcs=tuple(ports))
         return nid
 
     def op(self, code: OpCode, *srcs) -> int | _Const:
@@ -363,11 +360,10 @@ class _BodyBuilder:
             self.g.io_bindings[out] = IoBinding(*key)
         g = self.g
         live = set(g.outputs())
-        for e in reversed(g.edges):
-            if e.dst in live:
-                live.add(e.src)
+        for nid in sorted(g.nodes, reverse=True):
+            if nid in live:
+                live.update(g.nodes[nid].srcs)
         g.nodes = {nid: g.nodes[nid] for nid in sorted(live)}
-        g.edges = [e for e in g.edges if e.dst in live]
         g.io_bindings = {nid: b for nid, b in g.io_bindings.items() if nid in live}
         return g
 
@@ -387,8 +383,8 @@ def unroll_dfg(g: DataFlowGraph, inner_var: str, unroll: int) -> DataFlowGraph:
     they are the caller's job.  Ids and orders are those of the body built
     lane by lane, since the placer reads them: with b the largest id plus
     one, lane L's node n becomes L*b + n.  Nodes come lane by lane, then
-    edges, then bindings.  Every edge stays in its lane and moves by the
-    lane's shift, so the copy keeps ``g``'s id rule.
+    bindings.  Every operand stays in its lane and moves by the lane's
+    shift, so the copy keeps ``g``'s id rule.
     """
     if unroll == 1:
         return g
@@ -396,10 +392,9 @@ def unroll_dfg(g: DataFlowGraph, inner_var: str, unroll: int) -> DataFlowGraph:
     shifts = range(0, unroll * b, b)  # lane L's is L*b
     out = DataFlowGraph(remainder=Remainder(inner_var, unroll))
     for off in shifts:
-        out.nodes.update((off + n.id, Node(off + n.id, n.kind, n.code, n.value))
+        out.nodes.update((off + n.id, Node(off + n.id, n.kind, n.code, n.value,
+                                           tuple(off + src for src in n.srcs)))
                          for n in g.nodes.values())
-    for off in shifts:
-        out.edges += [Edge(off + e.src, e.sport, off + e.dst, e.dport) for e in g.edges]
     for lane, off in enumerate(shifts):
         for nid, io in g.io_bindings.items():
             out.io_bindings[off + nid] = IoBinding(

@@ -1,4 +1,4 @@
-"""Las Vegas place & route: stochastic placement with Dijkstra grid routing.
+"""Las Vegas place & route: stochastic placement with breadth-first grid routing.
 
 The overlay has no dedicated routing fabric (cell outputs forward cell
 inputs on a Manhattan grid), so mapping a graph onto it is NP-complete and
@@ -6,10 +6,11 @@ is attacked with a randomized search: nodes are drawn with a bias toward
 io-adjacent ones (border interfaces are the scarce resource), positions are
 sampled from a border-favoring distribution sharpened by affinity to
 related nodes, every tentative placement immediately routes its satisfiable
-edges over free resources with Dijkstra (shortest path from wherever the
-value is already replicated), and exhaustion triggers node switches and
-random-depth backtracking.  The algorithm only ever returns correct
-answers; only its running time is random.
+edges over free resources by breadth-first search, every hop costing 1
+(shortest path from wherever the value is already replicated), and
+exhaustion triggers node switches and random-depth backtracking.  The
+algorithm only ever returns correct answers; only its running time is
+random.
 
 That running time is heavy-tailed, so the search is a series of runs.  Each
 run starts from an empty grid, and run k may spend ``RESTART_UNIT *
@@ -38,10 +39,9 @@ import functools
 import math
 import random
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Optional, Union
 
-from .dfg import DataFlowGraph, Edge, NodeKind, OpCode, validate_dfg
+from .dfg import DataFlowGraph, NodeKind, OpCode, validate_dfg
 from .overlay import FU, CellConfig, Direction, OverlayConfig, OverlayShape, Pin, opposite
 
 Cell = tuple[int, int]
@@ -215,27 +215,28 @@ class _State:
         self.origin_cell: dict[int, int] = {}  # op value id -> producing cell id
         self._journal: list[tuple[Union[list, dict], object, object]] = []
 
+        nodes = g.nodes
         ops = g.op_nodes()
-        self.in_edges = ins = g.in_edge_map()  # node id -> in-edges in port order
-        outs: dict[int, list[Edge]] = {nid: [] for nid in g.nodes}
-        for e in g.edges:
-            outs[e.src].append(e)
-        self.out_edges = {nid: sorted(outs[nid], key=attrgetter("dst", "dport"))
-                          for nid in ops}
-        io = {nid for nid, node in g.nodes.items()
+        # node id -> (consumer id, port) of each operand it is, in id order
+        self.uses: dict[int, list[tuple[int, int]]] = {nid: [] for nid in nodes}
+        for nid in sorted(nodes):
+            for port, src in enumerate(nodes[nid].srcs):
+                self.uses[src].append((nid, port))
+        io = {nid for nid, node in nodes.items()
               if node.kind in (NodeKind.INPUT, NodeKind.OUTPUT)}
-        self.io_adjacent = ({e.dst for e in g.edges if e.src in io}
-                            | {e.src for e in g.edges if e.dst in io}).intersection(ops)
+        self.io_adjacent: set[int] = set()  # op ids sharing an edge with an Input or Output
         # op id -> ids of the op nodes sharing an edge, a producer or a consumer
         self.related: dict[int, list[int]] = {}
         for nid in ops:
-            producers = {e.src for e in ins[nid]}
-            consumers = {e.dst for e in outs[nid]}
+            producers = set(nodes[nid].srcs)
+            consumers = {dst for dst, _ in self.uses[nid]}
             related = producers | consumers
+            if not related.isdisjoint(io):
+                self.io_adjacent.add(nid)
             for v in producers:
-                related.update(e.dst for e in outs[v])
+                related.update(dst for dst, _ in self.uses[v])
             for v in consumers:
-                related.update(e.src for e in ins[v])
+                related.update(nodes[v].srcs)
             related.discard(nid)
             self.related[nid] = sorted(related.intersection(ops))
 
@@ -315,10 +316,10 @@ class _State:
         return OverlayConfig(self.shape, cells, io_in, io_out)
 
 
-def _pin_for(code: OpCode, dport: int) -> Pin:
+def _pin_for(code: OpCode, port: int) -> Pin:
     if code == OpCode.MUX:
-        return (Pin.SEL, Pin.IN1, Pin.IN2)[dport]
-    return (Pin.IN1, Pin.IN2)[dport]
+        return (Pin.SEL, Pin.IN1, Pin.IN2)[port]
+    return (Pin.IN1, Pin.IN2)[port]
 
 
 def route_edge(state: _State, value: int, *, sink_cell: Optional[int] = None,
@@ -418,29 +419,29 @@ def route_edge(state: _State, value: int, *, sink_cell: Optional[int] = None,
 
 def _route_node_edges(g: DataFlowGraph, state: _State, nid: int, cell: int) -> bool:
     """Mask constants and route every already-satisfiable edge of nid."""
-    code = g.nodes[nid].code
-    for e in state.in_edges[nid]:
-        producer = g.nodes[e.src]
-        pin = _pin_for(code, e.dport)
+    node = g.nodes[nid]
+    for port, src in enumerate(node.srcs):
+        producer = g.nodes[src]
+        pin = _pin_for(node.code, port)
         if producer.kind == NodeKind.CONST:
             if not state.claim_mask(cell, pin, producer.value):
                 return False
-        elif producer.kind == NodeKind.INPUT or e.src in state.origin_cell:
-            bindable = e.src if producer.kind == NodeKind.INPUT else None
+        elif producer.kind == NodeKind.INPUT or src in state.origin_cell:
+            bindable = src if producer.kind == NodeKind.INPUT else None
             try:
-                route_edge(state, e.src, sink_cell=cell, sink_pin=pin,
+                route_edge(state, src, sink_cell=cell, sink_pin=pin,
                            bindable_input=bindable)
             except NoPath:
                 return False
         # else: producer not placed yet; its placement will connect us
-    for e in state.out_edges[nid]:
-        if g.nodes[e.dst].kind == NodeKind.OUTPUT:
-            if not _route_to_output(state, nid, e.dst):
+    for dst, port in state.uses[nid]:
+        if g.nodes[dst].kind == NodeKind.OUTPUT:
+            if not _route_to_output(state, nid, dst):
                 return False
-        elif e.dst in state.origin_cell:
-            pin = _pin_for(g.nodes[e.dst].code, e.dport)
+        elif dst in state.origin_cell:
+            pin = _pin_for(g.nodes[dst].code, port)
             try:
-                route_edge(state, nid, sink_cell=state.origin_cell[e.dst],
+                route_edge(state, nid, sink_cell=state.origin_cell[dst],
                            sink_pin=pin)
             except NoPath:
                 return False
@@ -485,20 +486,22 @@ def place_and_route(g: DataFlowGraph, shape: OverlayShape,
     state = _State(g, shape)
     const_ids = {nid for nid, n in g.nodes.items() if n.kind == NodeKind.CONST}
     for nid in ops:
-        const_pins = sum(1 for e in state.in_edges[nid] if e.src in const_ids)
+        const_pins = sum(1 for src in g.nodes[nid].srcs if src in const_ids)
         if const_pins > 1:
             raise PreconditionViolated(
                 f"node {nid} has {const_pins} constant pins; a cell masks one signal",
                 counters)
-    for e in g.edges:
-        if e.src in const_ids and g.nodes[e.dst].kind == NodeKind.OUTPUT:
+    # (Input, Output) of every edge from one to the other
+    copies = set()
+    for nid in g.outputs():
+        (src,) = g.nodes[nid].srcs
+        if src in const_ids:
             raise PreconditionViolated(
-                f"constant {e.src} feeds an output interface directly", counters)
+                f"constant {src} feeds an output interface directly", counters)
+        if g.nodes[src].kind == NodeKind.INPUT:
+            copies.add((src, nid))
 
     rng = random.Random(seed)
-    copies = {e for e in g.edges
-              if g.nodes[e.src].kind == NodeKind.INPUT
-              and g.nodes[e.dst].kind == NodeKind.OUTPUT}
     while True:
         counters.runs += 1
         cutoff = min(params.global_budget,
@@ -521,10 +524,10 @@ def _luby(k: int) -> int:
     return (k + 1) >> 1
 
 
-def _run(g: DataFlowGraph, state: _State, unplaced: set[int], copies: set[Edge],
+def _run(g: DataFlowGraph, state: _State, unplaced: set[int], copies: set[tuple[int, int]],
          rng: random.Random, counters: PlacerCounters, cutoff: int) -> bool:
     """One run from an empty state: place every node in ``unplaced`` and
-    route every input-to-output edge in ``copies``.  True once done, False
+    route every (Input, Output) edge in ``copies``.  True once done, False
     once ``counters`` reaches ``cutoff`` position attempts."""
     stack: list[tuple[str, object, int]] = []  # (kind, item, journal mark)
     failed_round: set[int] = set()
@@ -567,10 +570,11 @@ def _run(g: DataFlowGraph, state: _State, unplaced: set[int], copies: set[Edge],
                 restarts_this_round += 1
                 counters.node_restarts += 1
         else:
-            edge = min(copies, key=lambda e: (e.src, e.dst))
+            edge = min(copies)
+            src, dst = edge
             counters.position_attempts += 1
             mark = state.mark()
-            if _route_to_output(state, edge.src, edge.dst, bindable_input=edge.src):
+            if _route_to_output(state, src, dst, bindable_input=src):
                 stack.append(("copy", edge, mark))
                 copies.discard(edge)
             else:

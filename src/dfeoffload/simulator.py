@@ -205,16 +205,15 @@ def lower_dfg(g: DataFlowGraph) -> Program:
     ``build_streams`` streams none for them.  The program has no depth: it
     models no overlay.
     """
-    read = {e.src for e in g.edges}
+    read = {src for node in g.nodes.values() for src in node.srcs}
     slot: dict[int, int] = {}
     rows = []
     const_fill: list[tuple[int, int]] = []
     input_slots: dict[int, int] = {}
     output_slots: dict[int, int] = {}
-    in_edges = g.in_edge_map()
     for nid in g.topo_order():
         node = g.nodes[nid]
-        srcs = [slot[e.src] for e in in_edges[nid]]
+        srcs = [slot[src] for src in node.srcs]
         if node.kind == NodeKind.OUTPUT:
             output_slots[nid] = srcs[0]
             continue
@@ -472,7 +471,7 @@ class Lru:
 class GraphIo:
     """All that the stream layer reads of a graph.
 
-    ``reads`` are the Inputs that some edge reads and ``writes`` the
+    ``reads`` are the Inputs that some node reads and ``writes`` the
     Outputs, each with its binding, in node id order; ``read`` and
     ``written`` are the sorted names of the arrays they access; ``factor``
     is the graph's unroll factor (its lane stride), or 1.  Built once per
@@ -491,7 +490,7 @@ class GraphIo:
 
 
 def graph_io(g: DataFlowGraph) -> GraphIo:
-    read = {e.src for e in g.edges}
+    read = {src for node in g.nodes.values() for src in node.srcs}
     reads = tuple((nid, g.io_bindings[nid]) for nid in g.inputs() if nid in read)
     writes = tuple((nid, g.io_bindings[nid]) for nid in g.outputs())
     factor = g.remainder.factor if g.remainder is not None else 1

@@ -1,15 +1,16 @@
-"""Shared test helpers: random graph generation and corpus shortcuts."""
+"""Shared test helpers: a graph builder, random graph generation and corpus shortcuts."""
 
 from __future__ import annotations
 
 import random
+from typing import Optional
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from dfeoffload import corpus
-from dfeoffload.dfg import (INT32_MAX, INT32_MIN, OP_ARITY, DataFlowGraph, NodeKind,
+from dfeoffload.dfg import (INT32_MAX, INT32_MIN, OP_ARITY, DataFlowGraph, Node, NodeKind,
                             OpCode, Violation)
 from dfeoffload.overlay import FU, Direction, OverlayConfig, Pin, UnroutedPort, trace_port
 
@@ -28,14 +29,23 @@ settings.register_profile("tier1", deadline=None, database=None)
 settings.load_profile("tier1")
 
 
+def add_node(g: DataFlowGraph, kind: NodeKind, *srcs: int, code: Optional[OpCode] = None,
+             value: Optional[int] = None) -> int:
+    """Add a node fed by ``srcs`` in port order, with the next id (the
+    largest plus one), and return that id."""
+    nid = max(g.nodes, default=-1) + 1
+    g.nodes[nid] = Node(nid, kind, code, value, srcs)
+    return nid
+
+
 def random_dfg(rng: random.Random, n_ops: int, n_inputs: int = 2,
                n_outputs: int = 1, p_const: float = 0.25,
                p_mux: float = 0.15) -> DataFlowGraph:
-    """A random valid graph fit for the placer: every edge from a smaller
-    id to a larger one, correct arities, at most one constant pin per op,
-    no constant feeding an output."""
+    """A random valid graph fit for the placer: every operand a smaller id
+    than its node, correct arities, at most one constant operand per op, no
+    constant feeding an output."""
     g = DataFlowGraph()
-    inputs = [g.add_node(NodeKind.INPUT) for _ in range(max(1, n_inputs))]
+    inputs = [add_node(g, NodeKind.INPUT) for _ in range(max(1, n_inputs))]
     pool = list(inputs)
     ops = []
     for _ in range(n_ops):
@@ -49,25 +59,22 @@ def random_dfg(rng: random.Random, n_ops: int, n_inputs: int = 2,
             else:
                 srcs.append(rng.choice(pool))
         if const is not None:
-            c = g.add_node(NodeKind.CONST, value=const)
+            c = add_node(g, NodeKind.CONST, value=const)
             srcs = [c if src is None else src for src in srcs]
-        nid = g.add_node(NodeKind.OP, code=code)
-        for port, src in enumerate(srcs):
-            g.add_edge(src, nid, port)
+        nid = add_node(g, NodeKind.OP, *srcs, code=code)
         pool.append(nid)
         ops.append(nid)
     sinks = ops if ops else inputs
     for _ in range(max(1, n_outputs)):
-        out = g.add_node(NodeKind.OUTPUT)
-        g.add_edge(rng.choice(sinks), out, 0)
+        add_node(g, NodeKind.OUTPUT, rng.choice(sinks))
     return g
 
 
 def assert_id_rule(g: DataFlowGraph) -> None:
-    """``g`` keeps the id rule: nodes in ascending id order, and every edge
-    from a smaller id to a larger one."""
+    """``g`` keeps the id rule: nodes in ascending id order, and every
+    operand a smaller id than its node."""
     assert list(g.nodes) == sorted(g.nodes)
-    assert [e for e in g.edges if e.src >= e.dst] == []
+    assert [(src, nid) for nid, n in g.nodes.items() for src in n.srcs if src >= nid] == []
 
 
 def random_input_streams(g: DataFlowGraph, rng: np.random.Generator,

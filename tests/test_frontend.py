@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import DIV_KERNELS, FP_KERNELS, YES_KERNELS
 from dfeoffload import corpus
-from dfeoffload.dfg import (Edge, NodeKind, OpCode, dfg_stats, dfg_to_text,
-                           interpret_dfg, validate_dfg)
+from dfeoffload.dfg import (NodeKind, OpCode, dfg_stats, dfg_to_text, interpret_dfg,
+                           validate_dfg)
 from dfeoffload.frontend import (IneligibleKernel, Reason, Thresholds,
                                  Verdict, check_eligibility, extract_dfg,
                                  to_affine)
@@ -153,8 +153,7 @@ def test_extract_branch_gt_feeds_mux_select():
     gts = [n for n in g.nodes.values() if n.kind == NodeKind.OP and n.code == OpCode.GT]
     muxes = [n for n in g.nodes.values() if n.kind == NodeKind.OP and n.code == OpCode.MUX]
     assert len(gts) == 1 and len(muxes) == 1
-    sel_edges = [e for e in g.edges if e.dst == muxes[0].id and e.dport == 0]
-    assert sel_edges[0].src == gts[0].id
+    assert muxes[0].srcs[0] == gts[0].id
 
 
 def test_extract_dedupes_reads():
@@ -233,17 +232,16 @@ def test_pass_inserted_for_double_const_mux():
     assert len(passes) == 1
     # each op node keeps at most one constant-fed pin
     const_ids = {n.id for n in g.nodes.values() if n.kind == NodeKind.CONST}
-    ins = g.in_edge_map()
     for nid in g.op_nodes():
-        assert sum(1 for e in ins[nid] if e.src in const_ids) <= 1
+        assert sum(1 for src in g.nodes[nid].srcs if src in const_ids) <= 1
 
 
 def test_pass_inserted_for_const_output():
     k = kparse("C[i][j] = 7 + 0*A[i][j];")
     g = extract_dfg(k)
-    for e in g.edges:
-        if g.nodes[e.dst].kind == NodeKind.OUTPUT:
-            assert g.nodes[e.src].kind != NodeKind.CONST
+    for nid in g.outputs():
+        (src,) = g.nodes[nid].srcs
+        assert g.nodes[src].kind != NodeKind.CONST
 
 
 def test_to_affine_forms():
@@ -420,55 +418,55 @@ def test_extraction_matches_the_golden_digests(corpus_kernels):
         assert got == digests, name
 
 
-# sha1 of the repr of (nodes, edges, bindings, remainder) of extract_dfg(k, u)
-# for u = 2, 3, 4, each in its order.  dfg_to_text sorts edges and bindings,
-# but the placer reads the edge list in order, so these pin that order too.
+# sha1 of the repr of (nodes with their operands, bindings, remainder) of
+# extract_dfg(k, u) for u = 2, 3, 4, each in its order.  dfg_to_text sorts
+# nodes and bindings, so these pin the order the graph holds them in too.
 _ORDERED_DIGESTS = {
-    "2mm": ("c41098fa831b1c96a5cd97a1e4df0fcdc244246f",
-            "65eb750065e6fbd06e44691b1428075522e31278",
-            "fd1f70c632a8b991f99d7635d31093be1ea58fe1"),
-    "3mm": ("f9e77921c235038676ae786cfd2571c8877b6c71",
-            "3073baeaa2ce279e9c7e2e6415ba0c5a6b89d1d1",
-            "9dceffcf9cef4708fbf955b039871d699ad7b2af"),
-    "atax": ("6499a06cb1bc832613dc9a19b15006dfbb1a68ef",
-             "801771a7e68dfc69399badd5374a7f10b665b532",
-             "822913dac6a87e217bf8678505025c8ca3421ef9"),
-    "bicg": ("929a16b173c93a465e7f88e90056db8af2bc3ccf",
-             "c125c9d458d0e7c1fc9cdb6965d2dd82339bc3e3",
-             "a3906db590715ad70f81ba6f7d1571933ef5d5c1"),
-    "branchmix": ("ef988c362cb94cf306a9e0185edc67b7f50bfa89",
-                  "d1b7495d0c4c4878b1fd767f6ad062e296f0d639",
-                  "7e98832dc3407ac6d95665d47e9a2ab74bb2c70b"),
-    "gemm": ("192a11a523337cd95806db521d4df2298a7406bf",
-             "c449495a6eaf31b4270279958c55bf8c7f152d4a",
-             "e874f838b7c741e76a369eb790a02428c12390d5"),
-    "gemver": ("4157f9b1369e353b964d1812e424035749537936",
-               "395f9d48fb188eb2877de72192392f268fffca8d",
-               "c4c5b90dd97f353d0394e10003a60e472d33cc88"),
-    "gesummv": ("42bccce208ea3eb3b30efc67398a58e42695b69a",
-                "59869ac8deab614a1a757ae47d4f14b7ca19efad",
-                "6259e1c41a998ebbf2f890f1411d5e2fa058be4f"),
-    "heat-3d": ("96286e2e5f4f2b615c2a52bc9fabe74a07814b1f",
-                "4972fdd4a4b2db384fbd868758ead878e70aeecb",
-                "a29d16d89666881f1e3516f1484d478d719c87a9"),
-    "mvt": ("87d37d4269367dc7d66d14ccc13a34b7ed853b5b",
-            "50c8b651eb85f7b6e1eab760130583d91cca6513",
-            "e22c6a270a7ed76b418dc4f1f23bbb709b1e1184"),
-    "scaleadd": ("e2b9b6ef70533b9e9cd27b0d4eb26294f859f707",
-                 "4f2f88a201a7e9ceefa3a7954272f526871255c2",
-                 "092485872c323c9b4b4002cbdc997d50815a6195"),
-    "symm": ("c1bd31eab95499c310c4b1e75629b687ed20783e",
-             "9d77a4fa8a74b61547701e99b0d8f09d007f160d",
-             "e5698f4201de6cdba1514a37083e035891278816"),
-    "syr2k": ("1f4996359bee53d8c8213f2a5ebf0e124148cd84",
-              "ee612511ef2ea930c107710143f763b37efa6b27",
-              "11ba18f3f1f6908a8c0cfcc3f97c80581e90aecf"),
-    "syrk": ("78a59678f9a7d13c1e427e6df5aab6e2951c46f2",
-             "c03affadb77d20b2b4a96cf4a92517537843ceb0",
-             "fb35cd73037c0c4321bd2b70062f04f4f5e6f7f6"),
-    "trmm": ("36ef6894d89322fe775ebd973e1202f56a4dd785",
-             "c13196026704257882bc4b4fdebad66179aa0b1a",
-             "08544c88045a7551ed98e516b429f03831582b3c"),
+    "2mm": ("a134a04fe04544b7b2fe25f1be43821ee4b3ce17",
+            "645372d216966cae8d3191a99b9b398a1fbf010e",
+            "88b2d7039d4553e9f4444f83dd5610cce35ce1a6"),
+    "3mm": ("420033ecc0f8d983ae0294c095dc8cb0e08348a1",
+            "8d80b6a884c994a63faaeb8be70e9cf2a6b272eb",
+            "4e0b48960e7e07be2ef824906049eedaabf231d0"),
+    "atax": ("c73534081df7e4d9f88860a42dc75447633cbc6c",
+             "1ea4a8be5a7d1cc4b0894e95dd2c29db4ee4c69b",
+             "607d7014f7ab4dbb582b5d855e6a950f73e95252"),
+    "bicg": ("3fefda0b2d199f574e39bdf6e85a9b3c6711eeb6",
+             "921d4bbe9159f9c2344f987b95882e4f76a281a6",
+             "f273dbf1c365c736a1879384c9dcc65132ccf3eb"),
+    "branchmix": ("030b92ed79de87df0e5b06d0f65bdb3474460a25",
+                  "72090afdd9172efc5e6d760d286363bba9da3739",
+                  "bd0abeac966140571b4eae093dcb4383c5cacdf4"),
+    "gemm": ("4d38b6193c15893e3ce7be5f524c029772be16a4",
+             "1e3957fea6cf269ccbefc10d0713b3bfd812ede3",
+             "d3f8c88e06279ab11e72957efc3bfac5c26e13ba"),
+    "gemver": ("9594bda703e0be7d6306c28d57be5365ce4f57e5",
+               "32bd1bab61de49ccce04ee9eb66d0c05518b4598",
+               "861d1acc4a27adbcdd1b6aa9906fb9756f56ef75"),
+    "gesummv": ("f8a5a893e77dd39d9c42c9c70d5df4ec217afcf3",
+                "0cd0c4e0c2ad0050aa1733495ad32baa334e1aef",
+                "c5e5ca1ad0e4dbbfb2bd612e42060eafed0d8a7e"),
+    "heat-3d": ("1a1b8c34250f0b1485de407ee43d3f396b06fc44",
+                "7fef117b90295a09489f90f5bc5a273506e4f8a5",
+                "7f342b5747860d72bd3a879745e5f42395c7c9ab"),
+    "mvt": ("376423e8003b9eae926c86fe1392b4e2ab1a93e4",
+            "dfa35d1c22ef30707383de2725e0d6496cf953d2",
+            "496cc410f451de30bde02831b5dd3373ea709cbd"),
+    "scaleadd": ("7ab10583dbbe5466da152346731611082172128a",
+                 "78eaa6cb3b2e5a175ab420f3f3d4ae83b1cbea01",
+                 "5aa714e7d140f615c35f17b0ba389f8f19251d0b"),
+    "symm": ("f50f63f1f24d79ada4bca651b0726f524377f0c0",
+             "1caf1cb1cf2f66a70a79c02529d1f289ed42f8ab",
+             "54d64ce03643c2161e6ca26db77236d4fe003c49"),
+    "syr2k": ("58df11df243449c7e5388221351fb8a5a58c473e",
+              "6f821c48dcac672c8e00e090c4665506e36b98b6",
+              "fb72c57363014b330869cc3e695e00f0d3f8a7ff"),
+    "syrk": ("b156fee6294d9bfbb27098a3a5fdac2c6136d55f",
+             "a84eecc8aa8935e0f408b3a8138c286250eea039",
+             "a0b87750193880f5460ad946e939064ccd14f6b4"),
+    "trmm": ("40eaa36cca25a6ad0c4b3769b25a83253104e377",
+             "0fc47d0b976bf84430cfe14ac5222765cbd525ba",
+             "65f29bbbf3e6a6e0387b8c5fdc1c168711872547"),
 }
 
 
@@ -476,7 +474,7 @@ def _ordered_digests(k):
     got = []
     for u in (2, 3, 4):
         g = extract_dfg(k, u)
-        state = (list(g.nodes.values()), g.edges, list(g.io_bindings.items()), g.remainder)
+        state = (list(g.nodes.values()), list(g.io_bindings.items()), g.remainder)
         got.append(hashlib.sha1(repr(state).encode()).hexdigest())
     return tuple(got)
 
@@ -489,33 +487,31 @@ def test_unrolled_extraction_keeps_its_ids_and_orders(corpus_kernels):
 
 def _assert_final(g):
     """``g`` is an unroll-1 graph as extraction builds it: nodes in id order,
-    every node feeding an Output, at most one constant in-edge per op and
+    every node feeding an Output, at most one constant operand per op and
     none into an Output."""
     assert list(g.nodes) == sorted(g.nodes)
-    ins = g.in_edge_map()
     feeds, todo = set(), g.outputs()
     while todo:
         nid = todo.pop()
         if nid not in feeds:
             feeds.add(nid)
-            todo += [e.src for e in ins[nid]]
+            todo += g.nodes[nid].srcs
     assert feeds == set(g.nodes)
     consts = {nid for nid, n in g.nodes.items() if n.kind == NodeKind.CONST}
-    for nid, edges in ins.items():
-        allowed = 1 if g.nodes[nid].kind == NodeKind.OP else 0
-        assert sum(e.src in consts for e in edges) <= allowed, nid
+    for nid, n in g.nodes.items():
+        allowed = 1 if n.kind == NodeKind.OP else 0
+        assert sum(src in consts for src in n.srcs) <= allowed, nid
 
 
 def _assert_lanes(base, g, unroll):
     """``g`` is ``base`` copied into ``unroll`` lanes: with b the largest id
-    plus one, lane L's node n is L*b + n; nodes, then edges, then bindings
-    come lane by lane."""
+    plus one, lane L's node n is L*b + n, fed by its operands moved the
+    same; nodes, then bindings come lane by lane."""
     b = max(base.nodes) + 1
     shifts = [lane * b for lane in range(unroll)]
-    assert list(g.nodes.items()) == [(s + nid, replace(n, id=s + nid))
-                                     for s in shifts for nid, n in base.nodes.items()]
-    assert g.edges == [Edge(s + e.src, e.sport, s + e.dst, e.dport)
-                       for s in shifts for e in base.edges]
+    assert list(g.nodes.items()) == [
+        (s + nid, replace(n, id=s + nid, srcs=tuple(s + src for src in n.srcs)))
+        for s in shifts for nid, n in base.nodes.items()]
     assert list(g.io_bindings) == [s + nid for s in shifts for nid in base.io_bindings]
 
 
@@ -523,9 +519,9 @@ def test_unrolled_pass_nodes_keep_their_ids_and_orders():
     # No corpus graph has a PASS node; this one has two per lane.  Pinned
     # with the PASS nodes placed where the walk meets their constants.
     k = kparse("C[i][j] = A[i][j] > 0 ? 3 : 1; B[i][j] = 2 * 3;")
-    assert _ordered_digests(k) == ("c84f25c82a8293094bfabb96d02473fbc92f3029",
-                                   "163cc7b84a495de463c061fd953ec6c12d308230",
-                                   "3b3292f3d826418c56df86cdfbab0dc670efed29")
+    assert _ordered_digests(k) == ("b5d9c35adc5df05062b36cfa1d687e031720373d",
+                                   "a1792b354aec9ab34d1f7bb4363cb2f835fa9608",
+                                   "a620d4b82e20680ba03b3375e027628da7fa4999")
     base = extract_dfg(k)
     passes = [nid for nid, n in base.nodes.items() if n.code is OpCode.PASS]
     assert len(passes) == 2

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_dfg, random_input_streams
+from conftest import add_node, random_dfg, random_input_streams
 from dfeoffload import corpus, placer
 from dfeoffload.dfg import DataFlowGraph, NodeKind, OpCode, interpret_dfg
 from dfeoffload.frontend import extract_dfg
@@ -197,31 +197,25 @@ def test_a_placement_round_trips_through_the_overlay_to_interpret_dfg(
 def _chain(n_ops: int, n_inputs: int = 1, n_outputs: int = 1) -> DataFlowGraph:
     """n_inputs Inputs, then n_ops ADDs in a chain, read by n_outputs Outputs."""
     g = DataFlowGraph()
-    ins = [g.add_node(NodeKind.INPUT) for _ in range(n_inputs)]
+    ins = [add_node(g, NodeKind.INPUT) for _ in range(n_inputs)]
     prev = ins[0]
     for i in range(n_ops):
-        nid = g.add_node(NodeKind.OP, code=OpCode.ADD)
-        g.add_edge(prev, nid, 0)
-        g.add_edge(ins[i % n_inputs], nid, 1)
-        prev = nid
+        prev = add_node(g, NodeKind.OP, prev, ins[i % n_inputs], code=OpCode.ADD)
     for _ in range(n_outputs):
-        g.add_edge(prev, g.add_node(NodeKind.OUTPUT), 0)
+        add_node(g, NodeKind.OUTPUT, prev)
     return g
 
 
 def _two_constants() -> DataFlowGraph:
     g = DataFlowGraph()
-    a, b = g.add_node(NodeKind.CONST, value=1), g.add_node(NodeKind.CONST, value=2)
-    op = g.add_node(NodeKind.OP, code=OpCode.ADD)
-    g.add_edge(a, op, 0)
-    g.add_edge(b, op, 1)
-    g.add_edge(op, g.add_node(NodeKind.OUTPUT), 0)
+    a, b = add_node(g, NodeKind.CONST, value=1), add_node(g, NodeKind.CONST, value=2)
+    add_node(g, NodeKind.OUTPUT, add_node(g, NodeKind.OP, a, b, code=OpCode.ADD))
     return g
 
 
 def _constant_to_output() -> DataFlowGraph:
     g = _chain(1)
-    g.add_edge(g.add_node(NodeKind.CONST, value=7), g.add_node(NodeKind.OUTPUT), 0)
+    add_node(g, NodeKind.OUTPUT, add_node(g, NodeKind.CONST, value=7))
     return g
 
 

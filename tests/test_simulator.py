@@ -7,12 +7,13 @@ import itertools
 import math
 import re
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import reference_trace, trace_fields
+from conftest import add_node, reference_trace, trace_fields
 from dfeoffload import corpus, engine, overlay, simulator
 from dfeoffload.dfg import (OP_ARITY, AffineExpr, DataFlowGraph, IoBinding,
                             LengthMismatch, NodeKind, OpCode, Remainder, interpret_dfg,
@@ -31,7 +32,7 @@ def test_an_input_that_nothing_reads_is_not_streamed():
     kernel = corpus.load("gemm")
     g = extract_dfg(kernel, 1)
     first = g.inputs()[0]
-    unread = g.add_node(NodeKind.INPUT)
+    unread = add_node(g, NodeKind.INPUT)
     g.io_bindings[unread] = g.io_bindings[first]
     assert validate_dfg(g) == []
     program = compile_config(place_and_route(g, OverlayShape(6, 6), seed=3).apply())
@@ -266,11 +267,11 @@ def _graph(reads=(), writes=(), factor=1):
     """Inputs bound to ``reads``, each feeding a PASS, and Outputs bound to ``writes``."""
     g = DataFlowGraph()
     for binding in reads:
-        nid = g.add_node(NodeKind.INPUT)
+        nid = add_node(g, NodeKind.INPUT)
         g.io_bindings[nid] = binding
-        g.add_edge(nid, g.add_node(NodeKind.OP, code=OpCode.PASS), 0)
+        add_node(g, NodeKind.OP, nid, code=OpCode.PASS)
     for binding in writes:
-        g.io_bindings[g.add_node(NodeKind.OUTPUT)] = binding
+        g.io_bindings[add_node(g, NodeKind.OUTPUT)] = binding
     if factor > 1:
         g.remainder = Remainder(LOOP_VARS[0], factor)
     return g
@@ -519,11 +520,7 @@ def _summing_graph(reads, factor):
     g = _graph(reads, factor=factor)
     inputs = g.inputs()
     for prev, nid in zip(inputs[-1:] + inputs[:-1], inputs):
-        add = g.add_node(NodeKind.OP, code=OpCode.ADD)
-        g.add_edge(nid, add, 0)
-        g.add_edge(prev, add, 1)
-        out = g.add_node(NodeKind.OUTPUT)
-        g.add_edge(add, out, 0)
+        out = add_node(g, NodeKind.OUTPUT, add_node(g, NodeKind.OP, nid, prev, code=OpCode.ADD))
         g.io_bindings[out] = g.io_bindings[nid]
     return g
 
@@ -905,8 +902,8 @@ def test_a_box_at_another_start_gets_its_own_plan():
     # box of the same trip counts and count at another start.
     g = _graph([IoBinding("A", (AffineExpr.of(0, i=1),))],
                [IoBinding("C", (AffineExpr.of(0, i=1),))], factor=2)
-    (read,), (out,) = g.inputs(), g.outputs()
-    g.add_edge(next(e.dst for e in g.edges if e.src == read), out, 0)
+    (copy,), (out,) = g.op_nodes(), g.outputs()
+    g.nodes[out] = replace(g.nodes[out], srcs=(copy,))
     io = graph_io(g)
     arrays = {"A": np.arange(10, 14, dtype=np.int32), "C": np.zeros(4, np.int32)}
     trips = [("i", 4)]
