@@ -148,10 +148,10 @@ def test_hash_sensitive_to_structure():
     g = fig_like_graph()
     h = dfg_hash(g)
     g2 = fig_like_graph()
-    g2.nodes[2] = Node(2, NodeKind.CONST, value=4)  # 3 -> 4
+    g2.nodes[2] = replace(g2.nodes[2], value=4)  # 3 -> 4
     assert dfg_hash(g2) != h
     g3 = fig_like_graph()
-    g3.nodes[3] = Node(3, NodeKind.OP, code=OpCode.ADD)  # MUL -> ADD
+    g3.nodes[3] = replace(g3.nodes[3], code=OpCode.ADD)  # MUL -> ADD
     assert dfg_hash(g3) != h
 
 
