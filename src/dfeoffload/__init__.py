@@ -9,11 +9,11 @@ offload vs software with measured-cost rollback (`runtime`).
 """
 
 from .dfg import (AffineExpr, DataFlowGraph, DfgStats, IoBinding, Node,
-                  NodeKind, OpCode, Remainder, dfg_from_text, dfg_hash,
-                  dfg_stats, dfg_to_dot, dfg_to_text, interpret_dfg,
-                  validate_dfg, wrap32)
+                  NodeKind, OpCode, dfg_from_text, dfg_hash, dfg_stats,
+                  dfg_to_dot, dfg_to_text, interpret_dfg, validate_dfg,
+                  wrap32)
 from .frontend import (EligibilityReport, IneligibleKernel, Reason, Thresholds,
-                       Verdict, check_eligibility, extract_dfg)
+                       check_eligibility, extract_dfg)
 from .kernels import (Kernel, KernelSyntaxError, UnknownIdentifier,
                       allocate_arrays, evaluate_kernel, format_kernel,
                       parse_kernel)

@@ -213,23 +213,13 @@ class AffineExpr:
 class IoBinding:
     """Ties an Input/Output node to an array access over the iteration domain.
 
-    ``access`` holds one affine index expression per array dimension.  The
-    lane partition (offset, stride) selects iterations of the innermost loop
-    handled by this node's datapath copy.
+    ``access`` holds one affine index expression per array dimension.  In
+    an unrolled graph it is also the lane: ``unroll_dfg`` rewrote it so that
+    the innermost variable counts blocks of lanes.
     """
 
     array: str
     access: tuple[AffineExpr, ...]
-    lane_offset: int = 0
-    lane_stride: int = 1
-
-
-@dataclass(frozen=True)
-class Remainder:
-    """Unrolled-loop annotation: iterations of ``var`` not covered by lanes."""
-
-    var: str
-    factor: int
 
 
 @dataclass
@@ -261,8 +251,10 @@ class UnknownInput(KeyError):
 
 @dataclass
 class DataFlowGraph:
-    """Nodes by id, each with its operands, and the array access of each
-    Input and Output.
+    """Nodes by id, each with its operands, the array access of each Input
+    and Output, and ``unroll``, the lanes per innermost block: the innermost
+    loop runs in blocks of that many iterations, one per lane, and leaves
+    the iterations past its last full block to the caller.
 
     The rule: every operand is a smaller node id than the node it feeds, so
     id order is a dependency order.  A graph built node by node, each made
@@ -271,7 +263,7 @@ class DataFlowGraph:
 
     nodes: dict[int, Node] = field(default_factory=dict)
     io_bindings: dict[int, IoBinding] = field(default_factory=dict)
-    remainder: Optional[Remainder] = None
+    unroll: int = 1
 
     def inputs(self) -> list[int]:
         return sorted(n.id for n in self.nodes.values() if n.kind == NodeKind.INPUT)
@@ -300,7 +292,8 @@ def validate_dfg(g: DataFlowGraph) -> list[Violation]:
     Per node in id order: an operand that names a missing node is a
     ``dangling-edge``, and one that is not a smaller id an ``edge-order``
     (every cycle has one); an operand count other than the op's arity is an
-    ``arity``.  Each operand is read once.
+    ``arity``.  Each operand is read once.  An ``unroll`` below 1 is an
+    ``unroll``.
     """
     out: list[Violation] = []
     sources = {src for node in g.nodes.values() for src in node.srcs}
@@ -328,8 +321,8 @@ def validate_dfg(g: DataFlowGraph) -> list[Violation]:
             continue
         if g.nodes[nid].kind not in (NodeKind.INPUT, NodeKind.OUTPUT):
             out.append(Violation("binding", f"node {nid} is not an IO node"))
-        if binding.lane_stride < 1 or binding.lane_offset < 0:
-            out.append(Violation("binding", f"node {nid} lane {binding.lane_offset}/{binding.lane_stride}"))
+    if g.unroll < 1:
+        out.append(Violation("unroll", f"unroll factor {g.unroll} is below 1"))
     return out
 
 
@@ -396,7 +389,7 @@ def _node_digests(g: DataFlowGraph) -> dict[int, bytes]:
         binding = g.io_bindings.get(nid)
         if binding is not None:
             access = ",".join(str(a) for a in binding.access)
-            h.update(f"{binding.array}[{access}]{binding.lane_offset}/{binding.lane_stride}".encode())
+            h.update(f"{binding.array}[{access}]".encode())
         for port, src in enumerate(node.srcs):
             h.update(struct.pack("<H", port))
             h.update(digests[src])
@@ -407,23 +400,16 @@ def _node_digests(g: DataFlowGraph) -> dict[int, bytes]:
 def dfg_hash(g: DataFlowGraph) -> int:
     """64-bit digest, invariant under node-id relabeling.
 
-    Combines the multiset of per-node digests with the multiset of edge
-    digests, so any change to an op code, constant, operand, or io binding
-    changes the result while a pure relabeling does not.  An edge packs its
-    ports as (0, operand port): a node has one output port.
+    Hashes the multiset of per-node digests, and ``unroll`` when it is not
+    1.  A node's digest covers its operands' digests in port order, so any
+    change to an op code, constant, operand, or io binding changes the
+    result while a pure relabeling does not.
     """
-    digests = _node_digests(g)
     h = hashlib.blake2b(digest_size=8)
-    for d in sorted(digests.values()):
+    for d in sorted(_node_digests(g).values()):
         h.update(d)
-    edge_sigs = sorted(
-        digests[src] + struct.pack("<HH", 0, port) + digests[nid]
-        for nid, node in g.nodes.items() for port, src in enumerate(node.srcs)
-    )
-    for sig in edge_sigs:
-        h.update(sig)
-    if g.remainder is not None:
-        h.update(f"rem:{g.remainder.var}/{g.remainder.factor}".encode())
+    if g.unroll != 1:
+        h.update(f"unroll:{g.unroll}".encode())
     return int.from_bytes(h.digest(), "little")
 
 
@@ -434,11 +420,10 @@ def dfg_to_text(g: DataFlowGraph) -> str:
     """Line-oriented dump: one node, edge, or binding per line.
 
     An edge line ``edge src:0 -> dst:port`` is one operand; they come in
-    (dst, port) order, after every node line.
+    (dst, port) order, after every node line.  A graph whose ``unroll`` is
+    not 1 starts with ``meta unroll <u>``.
     """
-    lines = []
-    if g.remainder is not None:
-        lines.append(f"meta remainder {g.remainder.var} {g.remainder.factor}")
+    lines = [f"meta unroll {g.unroll}"] if g.unroll != 1 else []
     for nid in sorted(g.nodes):
         node = g.nodes[nid]
         if node.kind == NodeKind.OP:
@@ -452,16 +437,41 @@ def dfg_to_text(g: DataFlowGraph) -> str:
     for nid in sorted(g.io_bindings):
         b = g.io_bindings[nid]
         access = ",".join(str(a) for a in b.access)
-        lines.append(f"bind {nid} {b.array} {access} {b.lane_offset}/{b.lane_stride}")
+        lines.append(f"bind {nid} {b.array} {access}")
     return "\n".join(lines) + "\n"
+
+
+def _read_line(raw: str) -> tuple:
+    """The kind of one line ``dfg_to_text`` writes and the values it holds;
+    ValueError naming the line on any other."""
+    head, *args = raw.split()
+    try:
+        if head == "meta" and len(args) == 2 and args[0] == "unroll":
+            return head, int(args[1])
+        if head == "node" and len(args) == 2 and args[1] in ("input", "output"):
+            return head, Node(int(args[0]), NodeKind(args[1]))
+        if head == "node" and len(args) == 3 and args[1] == "op":
+            return head, Node(int(args[0]), NodeKind.OP, code=OpCode[args[2]])
+        if head == "node" and len(args) == 3 and args[1] == "const":
+            return head, Node(int(args[0]), NodeKind.CONST, value=int(args[2]))
+        if head == "edge" and len(args) == 3 and args[1] == "->":
+            (src, sport), (dst, dport) = (map(int, a.split(":")) for a in args[::2])
+            return head, src, sport, dst, dport
+        if head == "bind" and len(args) == 3:
+            access = tuple(AffineExpr.parse(a) for a in args[2].split(","))
+            return head, int(args[0]), IoBinding(args[1], access)
+    except (KeyError, ValueError):
+        pass
+    raise ValueError(f"malformed line: {raw!r}")
 
 
 def dfg_from_text(text: str) -> DataFlowGraph:
     """Read what ``dfg_to_text`` writes, with lines in any order.
 
-    Raises ValueError on text no graph holds: a source port other than 0, a
-    port fed twice, a node whose ports skip one, or an edge into a node no
-    line declares.
+    Raises ValueError naming the line on a line of any other form, and
+    ValueError on text no graph holds: a source port other than 0, a port
+    fed twice, a node whose ports skip one, or an edge into a node no line
+    declares.
     """
     g = DataFlowGraph()
     ins: dict[int, dict[int, int]] = {}  # node id -> port -> operand
@@ -469,34 +479,23 @@ def dfg_from_text(text: str) -> DataFlowGraph:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if parts[0] == "meta" and parts[1] == "remainder":
-            g.remainder = Remainder(parts[2], int(parts[3]))
-        elif parts[0] == "node":
-            nid = int(parts[1])
-            kind = parts[2]
-            if kind == "op":
-                g.nodes[nid] = Node(nid, NodeKind.OP, code=OpCode[parts[3]])
-            elif kind == "const":
-                g.nodes[nid] = Node(nid, NodeKind.CONST, value=int(parts[3]))
-            else:
-                g.nodes[nid] = Node(nid, NodeKind(kind))
-        elif parts[0] == "edge":
-            src, sport = map(int, parts[1].split(":"))
-            dst, dport = map(int, parts[3].split(":"))
+        head, *values = _read_line(raw)
+        if head == "meta":
+            (g.unroll,) = values
+        elif head == "node":
+            (node,) = values
+            g.nodes[node.id] = node
+        elif head == "edge":
+            src, sport, dst, dport = values
             if sport != 0:
                 raise ValueError(f"source port {sport} is not 0: {raw!r}")
             ports = ins.setdefault(dst, {})
             if dport in ports:
                 raise ValueError(f"port {dport} of node {dst} is fed twice: {raw!r}")
             ports[dport] = src
-        elif parts[0] == "bind":
-            nid = int(parts[1])
-            access = tuple(AffineExpr.parse(a) for a in parts[3].split(","))
-            offset, stride = parts[4].split("/")
-            g.io_bindings[nid] = IoBinding(parts[2], access, int(offset), int(stride))
         else:
-            raise ValueError(f"unrecognized line: {raw!r}")
+            nid, binding = values
+            g.io_bindings[nid] = binding
     for nid, ports in ins.items():
         if nid not in g.nodes:
             raise ValueError(f"edge into undeclared node {nid}")
@@ -516,8 +515,6 @@ def dfg_to_dot(g: DataFlowGraph, name: str = "dfg") -> str:
             b = g.io_bindings[nid]
             access = "][".join(str(a) for a in b.access)
             label = f"{b.array}[{access}]"
-            if b.lane_stride > 1:
-                label += f" {{{b.lane_offset},{b.lane_offset + b.lane_stride},...}}"
         shape = "ellipse"
         style = ""
         if node.kind in (NodeKind.INPUT, NodeKind.OUTPUT):

@@ -30,18 +30,13 @@ from typing import Optional
 
 from . import kernels as kl
 from .dfg import (AffineExpr, DataFlowGraph, DfgStats, IoBinding, Node, NodeKind,
-                  OpCode, Remainder, apply_op, dfg_stats, validate_dfg)
+                  OpCode, apply_op, dfg_stats, validate_dfg)
 
 _BINOP_CODE = {
     "+": OpCode.ADD, "-": OpCode.SUB, "*": OpCode.MUL,
     "==": OpCode.EQ, "!=": OpCode.NE, "<": OpCode.LT,
     "<=": OpCode.LE, ">": OpCode.GT, ">=": OpCode.GE,
 }
-
-
-class Verdict(Enum):
-    ACCEPTED = "Accepted"
-    REJECTED = "Rejected"
 
 
 class Reason(Enum):
@@ -71,8 +66,8 @@ class Thresholds:
 class EligibilityReport:
     """The verdict on one kernel, held as its ``reason`` alone.
 
-    The kernel is accepted exactly when ``reason`` is Reason.NONE; the
-    verdict, ``accepted()`` and the table label are all read from it.
+    The kernel is accepted exactly when ``reason`` is Reason.NONE;
+    ``accepted()`` and the table label are both read from it.
     """
 
     reason: Reason
@@ -80,10 +75,6 @@ class EligibilityReport:
     detail: str = ""
     # the unroll-1 graph the verdict was taken on, kept for accepted kernels
     dfg: Optional[DataFlowGraph] = field(default=None, repr=False, compare=False)
-
-    @property
-    def verdict(self) -> Verdict:
-        return Verdict.ACCEPTED if self.accepted() else Verdict.REJECTED
 
     def accepted(self) -> bool:
         return self.reason is Reason.NONE
@@ -378,19 +369,20 @@ def unroll_dfg(g: DataFlowGraph, inner_var: str, unroll: int) -> DataFlowGraph:
     """The extracted unroll-1 graph ``g`` copied into ``unroll`` = u lanes.
 
     Lane L handles iterations {L, L+u, L+2u, ...} of the innermost loop
-    ``inner_var``, recorded in each binding as (offset, stride) = (L, u).
-    Iterations past the last full block of u are flagged by ``remainder``;
-    they are the caller's job.  Ids and orders are those of the body built
-    lane by lane, since the placer reads them: with b the largest id plus
-    one, lane L's node n becomes L*b + n.  Nodes come lane by lane, then
-    bindings.  Every operand stays in its lane and moves by the lane's
-    shift, so the copy keeps ``g``'s id rule.
+    ``inner_var``: its accesses are ``g``'s with ``inner_var`` := u *
+    ``inner_var`` + L, so that ``inner_var`` counts blocks of u, and the
+    copy's ``unroll`` is u.  Iterations past the last full block are the
+    caller's job.  Ids and orders are those of the body built lane by lane,
+    since the placer reads them: with b the largest id plus one, lane L's
+    node n becomes L*b + n.  Nodes come lane by lane, then bindings.  Every
+    operand stays in its lane and moves by the lane's shift, so the copy
+    keeps ``g``'s id rule.
     """
     if unroll == 1:
         return g
     b = max(g.nodes) + 1
     shifts = range(0, unroll * b, b)  # lane L's is L*b
-    out = DataFlowGraph(remainder=Remainder(inner_var, unroll))
+    out = DataFlowGraph(unroll=unroll)
     for off in shifts:
         out.nodes.update((off + n.id, Node(off + n.id, n.kind, n.code, n.value,
                                            tuple(off + src for src in n.srcs)))
@@ -398,8 +390,7 @@ def unroll_dfg(g: DataFlowGraph, inner_var: str, unroll: int) -> DataFlowGraph:
     for lane, off in enumerate(shifts):
         for nid, io in g.io_bindings.items():
             out.io_bindings[off + nid] = IoBinding(
-                io.array, tuple(a.shift_var(inner_var, unroll, lane) for a in io.access),
-                lane, unroll)
+                io.array, tuple(a.shift_var(inner_var, unroll, lane) for a in io.access))
     return out
 
 

@@ -11,7 +11,7 @@ full-length input stream.  A gather or scatter goes through a strided view of
 the array (one per access, bounds checked at the access's affine extremes),
 never through index arrays.  The stream layer reads nothing of a graph but
 its ``GraphIo``: the streamed Inputs, the Outputs, the arrays they access and
-the lane stride, listed once per graph, so a call on a cached mapping does
+the unroll factor, listed once per graph, so a call on a cached mapping does
 not rescan it.  The engine runs over blocks of at most ``_BLOCK`` positions,
 so its scratch stays small whatever the stream length; a larger box is cut
 into pieces.  Each block of positions is copied straight from the gather's
@@ -199,9 +199,9 @@ def compile_config(cfg: OverlayConfig) -> Program:
 def lower_dfg(g: DataFlowGraph) -> Program:
     """Lower a graph to a host program, without placement or routing.
 
-    One slot per node in topological order; an Output reads its source's
-    slot.  MUX operands go from the graph's (select, a, b) to the engine's
-    (x, y, z) = (a, b, select).  Inputs that nothing reads get no slot, as
+    One slot per node in id order; an Output reads its source's slot.  MUX
+    operands go from the graph's (select, a, b) to the engine's (x, y, z) =
+    (a, b, select).  Inputs that nothing reads get no slot, as
     ``build_streams`` streams none for them.  The program has no depth: it
     models no overlay.
     """
@@ -474,8 +474,8 @@ class GraphIo:
     ``reads`` are the Inputs that some node reads and ``writes`` the
     Outputs, each with its binding, in node id order; ``read`` and
     ``written`` are the sorted names of the arrays they access; ``factor``
-    is the graph's unroll factor (its lane stride), or 1.  Built once per
-    graph by ``graph_io``, so that a call on a cached mapping does not
+    is the graph's ``unroll``, the lanes per innermost block.  Built once
+    per graph by ``graph_io``, so that a call on a cached mapping does not
     rescan the graph.  ``plans`` memoizes the views' layouts per call
     signature (``_views``).
     """
@@ -493,9 +493,8 @@ def graph_io(g: DataFlowGraph) -> GraphIo:
     read = {src for node in g.nodes.values() for src in node.srcs}
     reads = tuple((nid, g.io_bindings[nid]) for nid in g.inputs() if nid in read)
     writes = tuple((nid, g.io_bindings[nid]) for nid in g.outputs())
-    factor = g.remainder.factor if g.remainder is not None else 1
     return GraphIo(reads, writes, tuple(sorted({b.array for _, b in reads})),
-                   tuple(sorted({b.array for _, b in writes})), factor)
+                   tuple(sorted({b.array for _, b in writes})), g.unroll)
 
 
 def _box(io: GraphIo, trips: list[tuple[str, int]],
@@ -504,7 +503,7 @@ def _box(io: GraphIo, trips: list[tuple[str, int]],
     of the last ``leftover`` innermost iterations of every outer iteration.
 
     Every loop of the steady state starts at 0.  Its innermost count is
-    divided by the lane stride: extraction rewrote the lanes' accesses so
+    divided by the unroll factor: extraction rewrote the lanes' accesses so
     that the innermost variable indexes blocks.  A negative count runs its
     loop zero times, as in software.
     """
@@ -538,7 +537,7 @@ def _layout(arr: np.ndarray, binding: IoBinding, loop: dict[str, int],
 
     ``loop`` maps each loop variable to its position in ``counts``.  A loop
     variable's byte stride is the sum over dimensions of its coefficient
-    times the array's stride there, which covers lane strides, swapped and
+    times the array's stride there, which covers unrolled, swapped and
     multi-variable subscripts, negative coefficients and (stride 0) reads
     the variable does not index.  The offset and index are those of the
     origin element, the one accessed at the box's start; an empty box

@@ -512,7 +512,12 @@ def test_render_writes_the_unrolled_graph_as_dot(monkeypatch, tmp_path, capsys):
     assert (out.out, out.err) == ("", "")
     dot = (tmp_path / "g.dot").read_text()
     assert dot == dfg_to_dot(extract_dfg(corpus.load("gemm"), 2), "gemm")
-    assert 'label="A[i][0] {1,3,...}"' in dot
+    # each lane reads A[i][0] through an Input of its own
+    g = extract_dfg(corpus.load("gemm"), 2)
+    lanes = [nid for nid in g.inputs() if g.io_bindings[nid].array == "A"
+             and [str(a) for a in g.io_bindings[nid].access] == ["i", "0"]]
+    assert lanes == [1, 23]
+    assert all(f'n{nid} [label="A[i][0]", shape=box];' in dot for nid in lanes)
 
 
 def test_render_reports_a_rejection_with_exit_0(monkeypatch, tmp_path, capsys):

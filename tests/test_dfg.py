@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -51,20 +52,20 @@ def test_validate_mux_arity():
         ("arity", "node 2 (MUX) expects 3 operands, has 2")]
 
 
-@pytest.mark.parametrize("node,binding,want", [
-    (Node(0, NodeKind.OP), None, ("unsupported-code", "node 0")),
-    (Node(0, NodeKind.CONST, value=INT32_MAX + 1), None,
+@pytest.mark.parametrize("node,binding,unroll,want", [
+    (Node(0, NodeKind.OP), None, 1, ("unsupported-code", "node 0")),
+    (Node(0, NodeKind.CONST, value=INT32_MAX + 1), None, 1,
      ("const-range", "node 0 value 2147483648")),
-    (Node(0, NodeKind.CONST), None, ("const-range", "node 0 value None")),
-    (Node(0, NodeKind.INPUT), (1, IoBinding("A", ())),
+    (Node(0, NodeKind.CONST), None, 1, ("const-range", "node 0 value None")),
+    (Node(0, NodeKind.INPUT), (1, IoBinding("A", ())), 1,
      ("binding", "binding for missing node 1")),
-    (Node(0, NodeKind.CONST, value=1), (0, IoBinding("A", ())),
+    (Node(0, NodeKind.CONST, value=1), (0, IoBinding("A", ())), 1,
      ("binding", "node 0 is not an IO node")),
-    (Node(0, NodeKind.INPUT), (0, IoBinding("A", (), 0, 0)), ("binding", "node 0 lane 0/0")),
+    (Node(0, NodeKind.INPUT), None, 0, ("unroll", "unroll factor 0 is below 1")),
 ], ids=["no-code", "const-too-large", "const-without-value", "binding-missing-node",
-        "binding-on-a-const", "binding-lane-stride-0"])
-def test_validate_names_the_one_broken_node(node, binding, want):
-    g = DataFlowGraph({node.id: node})
+        "binding-on-a-const", "unroll-0"])
+def test_validate_names_the_one_broken_node(node, binding, unroll, want):
+    g = DataFlowGraph({node.id: node}, unroll=unroll)
     if binding is not None:
         g.io_bindings[binding[0]] = binding[1]
     assert [(v.kind, v.detail) for v in validate_dfg(g)] == [want]
@@ -136,7 +137,7 @@ def _renumbered(g: DataFlowGraph, new: dict[int, int]) -> DataFlowGraph:
     """``g`` with node id ``nid`` renumbered ``new[nid]``."""
     nodes = {new[nid]: Node(new[nid], n.kind, n.code, n.value, tuple(new[s] for s in n.srcs))
              for nid, n in g.nodes.items()}
-    return DataFlowGraph(nodes, {new[nid]: b for nid, b in g.io_bindings.items()}, g.remainder)
+    return DataFlowGraph(nodes, {new[nid]: b for nid, b in g.io_bindings.items()}, g.unroll)
 
 
 def test_hash_relabel_invariant():
@@ -188,7 +189,7 @@ def test_text_round_trip():
         g2 = dfg_from_text(dfg_to_text(g))
         assert g2.nodes == g.nodes  # with their operands
         assert g2.io_bindings == g.io_bindings
-        assert g2.remainder == g.remainder
+        assert g2.unroll == g.unroll == 2
         assert dfg_hash(g2) == dfg_hash(g)
 
 
@@ -211,6 +212,16 @@ def test_dot_emitter_mentions_nodes():
 def test_text_that_no_graph_holds_is_refused(text, match):
     with pytest.raises(ValueError, match=match):
         dfg_from_text(text)
+
+
+@pytest.mark.parametrize("line", [
+    "node 3", "node 0 op", "node 0 op FOO", "node 0 input 1", "node 0 const x", "meta",
+    "meta unroll", "meta remainder j 2", "edge 1:0", "edge 1:0 1:0", "edge 1 -> 2:0",
+    "bind 0 A", "bind 0 A i,0 0/1", "bind 0 A i+", "line 0",
+], ids=lambda line: line.replace(" ", "_"))
+def test_a_malformed_line_is_refused_by_name(line):
+    with pytest.raises(ValueError, match=re.escape(f"malformed line: {line!r}")):
+        dfg_from_text(f"node 0 input\n{line}\n")
 
 
 # -- operands that break the graph's rules ----------------------------------------------
@@ -289,14 +300,14 @@ def _reference_verdicts(g: DataFlowGraph) -> list[tuple[str, str]]:
                                  f" has {len(node.srcs)}"))
         if node.kind == NodeKind.OUTPUT and any(nid in n.srcs for n in g.nodes.values()):
             out.append(("output-fanout", f"output node {nid} has outgoing edges"))
-    for nid, binding in g.io_bindings.items():
+    for nid in g.io_bindings:
         if nid not in g.nodes:
             out.append(("binding", f"binding for missing node {nid}"))
             continue
         if g.nodes[nid].kind not in (NodeKind.INPUT, NodeKind.OUTPUT):
             out.append(("binding", f"node {nid} is not an IO node"))
-        if binding.lane_stride < 1 or binding.lane_offset < 0:
-            out.append(("binding", f"node {nid} lane {binding.lane_offset}/{binding.lane_stride}"))
+    if g.unroll < 1:
+        out.append(("unroll", f"unroll factor {g.unroll} is below 1"))
     return out
 
 
@@ -319,7 +330,7 @@ def _mutated(g: DataFlowGraph, rng: random.Random) -> DataFlowGraph:
     """A copy of ``g`` with one to three random edits that may break it: a
     dropped operand, one rewired to another id, an appended one, a dropped
     node, or an operand that names a missing node."""
-    g = DataFlowGraph(dict(g.nodes), dict(g.io_bindings), g.remainder)
+    g = DataFlowGraph(dict(g.nodes), dict(g.io_bindings), g.unroll)
     for _ in range(rng.randint(1, 3)):
         if not g.nodes:
             break

@@ -16,8 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from conftest import add_node, reference_trace, trace_fields
 from dfeoffload import corpus, engine, overlay, simulator
 from dfeoffload.dfg import (OP_ARITY, AffineExpr, DataFlowGraph, IoBinding,
-                            LengthMismatch, NodeKind, OpCode, Remainder, interpret_dfg,
-                            validate_dfg)
+                            LengthMismatch, NodeKind, OpCode, interpret_dfg, validate_dfg)
 from dfeoffload.frontend import IneligibleKernel, extract_dfg
 from dfeoffload.kernels import allocate_arrays
 from dfeoffload.overlay import Direction, OverlayShape, Pin
@@ -224,7 +223,7 @@ LOOP_VARS = ("i", "j", "k")
 
 def _steady_counts(trips, factor):
     """Every loop from 0 to its count (negative counts run zero times), with
-    the innermost count divided by the lane stride."""
+    the innermost count divided by the unroll factor."""
     counts = [max(n, 0) for _, n in trips]
     counts[-1] //= factor
     return counts
@@ -265,15 +264,13 @@ def _array(rng, shape, layout, dtype):
 
 def _graph(reads=(), writes=(), factor=1):
     """Inputs bound to ``reads``, each feeding a PASS, and Outputs bound to ``writes``."""
-    g = DataFlowGraph()
+    g = DataFlowGraph(unroll=factor)
     for binding in reads:
         nid = add_node(g, NodeKind.INPUT)
         g.io_bindings[nid] = binding
         add_node(g, NodeKind.OP, nid, code=OpCode.PASS)
     for binding in writes:
         g.io_bindings[add_node(g, NodeKind.OUTPUT)] = binding
-    if factor > 1:
-        g.remainder = Remainder(LOOP_VARS[0], factor)
     return g
 
 
@@ -283,7 +280,7 @@ _DTYPES = st.sampled_from([np.int32, np.int64])
 
 @st.composite
 def _domains(draw):
-    """Up to three loops with a lane stride of 1 to 3.  One domain in four is
+    """Up to three loops with an unroll factor of 1 to 3.  One domain in four is
     empty: one loop's trip count is 0 or negative."""
     n, factor = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     counts = [draw(st.integers(1, 5)) for _ in range(n - 1)]
@@ -897,7 +894,7 @@ def test_the_reads_and_the_writes_of_one_array_keep_their_own_plans():
 
 
 def test_a_box_at_another_start_gets_its_own_plan():
-    # C[i] = A[i] at lane stride 2 over i = 0..3: the steady state reads
+    # C[i] = A[i] at unroll 2 over i = 0..3: the steady state reads
     # A[0..1], and an epilogue of two leftover iterations reads A[2..3], a
     # box of the same trip counts and count at another start.
     g = _graph([IoBinding("A", (AffineExpr.of(0, i=1),))],
