@@ -12,14 +12,14 @@ scan (``_check_structure``) owns float data, division, the perfect nest,
 affine subscripts, the shape of every write and the variables of every
 read.  The graph builder (``_BodyBuilder``) owns the remaining unsupported
 constructs, which it meets while building: a scalar used as a value, a
-loop-carried read, an element assigned twice and asymmetric if/else
-branches.  It also folds constants and places PASS nodes as it walks, so
-its graph is final.  Last, ``extract_dfg`` refuses a graph that reads
-nothing, since no stream would drive it.  ``check_eligibility`` is
-``extract_dfg`` at unroll 1, with its IneligibleKernel turned into a
-verdict, followed by the size thresholds.  The body is walked once at any
-unroll factor: an unrolled graph is the unroll-1 graph copied into lanes by
-``unroll_dfg``.
+loop-carried read, an element assigned twice, asymmetric if/else
+branches and a literal outside int32 that would become a CONST node.  It
+also folds constants and places PASS nodes as it walks, so its graph is
+final.  Last, ``extract_dfg`` refuses a graph that reads nothing, since no
+stream would drive it.  ``check_eligibility`` is ``extract_dfg`` at unroll
+1, with its IneligibleKernel turned into a verdict, followed by the size
+thresholds.  The body is walked once at any unroll factor: an unrolled
+graph is the unroll-1 graph copied into lanes by ``unroll_dfg``.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from enum import Enum
 from typing import Optional
 
 from . import kernels as kl
-from .dfg import (AffineExpr, DataFlowGraph, DfgStats, IoBinding, Node, NodeKind,
-                  OpCode, apply_op, dfg_stats, validate_dfg)
+from .dfg import (INT32_MAX, INT32_MIN, AffineExpr, DataFlowGraph, DfgStats, IoBinding,
+                  Node, NodeKind, OpCode, apply_op, dfg_stats, validate_dfg)
 
 _BINOP_CODE = {
     "+": OpCode.ADD, "-": OpCode.SUB, "*": OpCode.MUL,
@@ -236,8 +236,8 @@ class _BodyBuilder:
 
     It runs after _check_structure and raises the UNSUPPORTED_OP problems
     found while building: a scalar used as a value, a loop-carried read, an
-    element assigned twice, and if/else branches that assign different
-    elements.
+    element assigned twice, if/else branches that assign different
+    elements, and a literal outside int32 that would become a CONST node.
 
     Ids come from one counter in walk order.  Constants fold as they are
     met: a literal, and an op whose operands are all constants, is a _Const
@@ -264,10 +264,15 @@ class _BodyBuilder:
     def node(self, kind: NodeKind, code: Optional[OpCode] = None, srcs=(),
              direct: int = 0) -> int:
         """A new node fed by ``srcs`` in port order; past the first ``direct``
-        constants, each constant feeds it through a new PASS node."""
+        constants, each constant feeds it through a new PASS node.  A
+        constant outside int32 is refused: the software path compares it
+        unwrapped, and a CONST node holds an int32."""
         ports = []
         for src in srcs:
             if isinstance(src, _Const):
+                if not INT32_MIN <= src.value <= INT32_MAX:
+                    raise IneligibleKernel(Reason.UNSUPPORTED_OP,
+                                           f"literal {src.value} is outside int32")
                 self.g.nodes.setdefault(src.id, Node(src.id, NodeKind.CONST, value=src.value))
                 if direct:
                     direct -= 1

@@ -34,8 +34,13 @@ Grammar (EBNF)::
     unary       = [ "-" ] primary ;
     primary     = INT | FLOAT | IDENT [ index { index } ] | "(" expr ")" ;
 
-``#`` starts a line comment.  Arrays have rank 1 or 2; identifiers used in
-array extents must not contain the letter ``x`` (it separates extents).
+``#`` starts a comment, which runs to the end of its line.  A digit of an
+INT or FLOAT is what ``int()`` accepts, a decimal digit (``str.isdecimal``).
+An IDENT is a letter (``str.isalpha``) or ``_``, then any of letters, digits
+and ``_`` (``str.isalnum``).  Comparisons do not chain: ``a < b < c`` is an
+error, and ``(a < b) < c`` keeps its brackets.  Arrays have rank 1 or 2;
+identifiers used in array extents must not contain the letter ``x`` (it
+separates extents).
 Loops always start at 0 with step 1.  Division and remainder parse but are
 rejected later by the eligibility check, as are float arrays and literals.
 A call's arrays follow one rule on every path (``check_arrays``), and an
@@ -46,16 +51,24 @@ int32, and each element written is stored as numpy casts an int32 into it.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
 from .dfg import AffineExpr, wrap32
 
 KEYWORDS = {"kernel", "arrays", "for", "in", "if", "else", "int32", "float32"}
-CMP_OPS = {"==", "!=", "<", "<=", ">", ">="}
+
+# The binary operators' levels, loosest first (a ternary is level 0), and
+# whether each level chains, left to right.  Level 1, the comparisons, does
+# not chain on either side.  The parser (``_Parser.parse_binary``) and the
+# printer (``_fmt_expr``) both read this one table.
+_PREC = {op: (level, chains) for ops, level, chains in (
+    ("== != < <= > >=", 1, False), ("+ -", 2, True), ("* / %", 3, True))
+    for op in ops.split()}
 
 
 class KernelSyntaxError(ValueError):
@@ -192,75 +205,43 @@ def _has_loop(stmts) -> bool:
 # -- lexer -----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT INT FLOAT PUNCT EOF
     text: str
     line: int
     col: int
 
 
-_PUNCT2 = ("==", "!=", "<=", ">=", "..")
-_PUNCT1 = "()[]{},:;?=<>+-*/%"
+# One alternative per token kind, tried in order; SKIP (blanks, newlines and
+# comments) makes no token.  ``\d`` is ``str.isdecimal``, ``\w`` is
+# ``str.isalnum`` or "_", and ``tokenize`` checks that an IDENT starts with
+# a letter or "_".
+_TOKEN = re.compile(r"(?P<SKIP>(?:[ \t\r\n]|#[^\n]*)+)|(?P<FLOAT>\d+\.\d+)|(?P<INT>\d+)"
+                    r"|(?P<IDENT>[^\W\d]\w*)|(?P<PUNCT>==|!=|<=|>=|\.\.|[-()\[\]{},:;?=<>+*/%])")
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of ``text``, each at its 1-based line and column, then EOF.
+
+    Raises KernelSyntaxError at the first character that starts no token.
+    """
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        two = text[i:i + 2]
-        if two in _PUNCT2:
-            tokens.append(Token("PUNCT", two, start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            # a '.' starts a float only when not the '..' range token
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-                tokens.append(Token("FLOAT", text[i:j], start_line, start_col))
-            else:
-                tokens.append(Token("INT", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("IDENT", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT1:
-            tokens.append(Token("PUNCT", ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise KernelSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
+    line, line_start, pos = 1, 0, 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        kind = m and m.lastgroup
+        if kind == "SKIP":
+            newlines = m.group().count("\n")
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", pos, m.end()) + 1
+        elif kind and (kind != "IDENT" or text[pos].isalpha() or text[pos] == "_"):
+            tokens.append(Token(kind, m.group(), line, pos - line_start + 1))
+        else:
+            raise KernelSyntaxError(f"unexpected character {text[pos]!r}",
+                                    line, pos - line_start + 1)
+        pos = m.end()
+    tokens.append(Token("EOF", "", line, pos - line_start + 1))
     return tokens
 
 
@@ -445,7 +426,7 @@ class _Parser:
         return ArrayRef(name_tok.text, tuple(indices))
 
     def parse_expr(self) -> Expr:
-        cond = self.parse_cmp()
+        cond = self.parse_binary()
         if self.peek().text == "?":
             self.next()
             then = self.parse_expr()
@@ -454,27 +435,19 @@ class _Parser:
             return Ternary(cond, then, orelse)
         return cond
 
-    def parse_cmp(self) -> Expr:
-        lhs = self.parse_add()
-        if self.peek().text in CMP_OPS:
-            op = self.next().text
-            rhs = self.parse_add()
-            return BinOp(op, lhs, rhs)
-        return lhs
-
-    def parse_add(self) -> Expr:
-        expr = self.parse_mul()
-        while self.peek().text in ("+", "-"):
-            op = self.next().text
-            expr = BinOp(op, expr, self.parse_mul())
-        return expr
-
-    def parse_mul(self) -> Expr:
-        expr = self.parse_unary()
-        while self.peek().text in ("*", "/", "%"):
-            op = self.next().text
-            expr = BinOp(op, expr, self.parse_unary())
-        return expr
+    def parse_binary(self, min_level: int = 1) -> Expr:
+        """Unary operands joined by operators of ``min_level`` or tighter,
+        by precedence climbing over ``_PREC``."""
+        lhs = self.parse_unary()
+        while True:
+            op = self.peek().text
+            level, chains = _PREC.get(op, (0, False))
+            if level < min_level:
+                return lhs
+            self.next()
+            lhs = BinOp(op, lhs, self.parse_binary(level + 1))
+            if not chains:
+                return lhs
 
     def parse_unary(self) -> Expr:
         if self.peek().text == "-":
@@ -521,14 +494,15 @@ def parse_kernel(text: str) -> Kernel:
 
 # -- pretty printer ---------------------------------------------------------------
 
-_PREC = {"?": 0, "==": 1, "!=": 1, "<": 1, "<=": 1, ">": 1, ">=": 1,
-         "+": 2, "-": 2, "*": 3, "/": 3, "%": 3}
 
-
-def _fmt_expr(e: Expr, parent_prec: int = 0, right: bool = False) -> str:
+def _fmt_expr(e: Expr, min_level: int = 0) -> str:
+    """``e`` as source, in a place where the parser reads an expression of
+    ``min_level`` or tighter (``_PREC``; a ternary is level 0, and a literal,
+    name or element is tighter than any level): bracketed when ``e`` is
+    looser.  A negative literal reads back bare anywhere; it is bracketed as
+    an operand of ``*``, ``/``, ``%`` and right of ``+``, ``-`` to be legible."""
     if isinstance(e, IntLit):
-        text = str(e.value)
-        return f"({text})" if e.value < 0 and parent_prec >= 3 else text
+        return f"({e.value})" if e.value < 0 and min_level >= 3 else str(e.value)
     if isinstance(e, FloatLit):
         return repr(e.value)
     if isinstance(e, Var):
@@ -536,17 +510,14 @@ def _fmt_expr(e: Expr, parent_prec: int = 0, right: bool = False) -> str:
     if isinstance(e, ArrayRef):
         return e.name + "".join(f"[{_fmt_expr(i)}]" for i in e.indices)
     if isinstance(e, Ternary):
-        text = (f"{_fmt_expr(e.cond, 1)} ? {_fmt_expr(e.then)}"
-                f" : {_fmt_expr(e.orelse)}")
-        return f"({text})" if parent_prec > 0 else text
-    prec = _PREC[e.op]
-    lhs = _fmt_expr(e.lhs, prec)
-    rhs = _fmt_expr(e.rhs, prec, right=True)
-    text = f"{lhs} {e.op} {rhs}" if prec == 1 else f"{lhs}{e.op}{rhs}"
-    # a right child at the same precedence needs parens under - / %
-    if prec > parent_prec or (prec == parent_prec and not right):
-        return text
-    return f"({text})"
+        level = 0
+        text = f"{_fmt_expr(e.cond, 1)} ? {_fmt_expr(e.then)} : {_fmt_expr(e.orelse)}"
+    else:
+        level, chains = _PREC[e.op]
+        lhs = _fmt_expr(e.lhs, level if chains else level + 1)
+        rhs = _fmt_expr(e.rhs, level + 1)
+        text = f"{lhs} {e.op} {rhs}" if level == 1 else f"{lhs}{e.op}{rhs}"
+    return text if level >= min_level else f"({text})"
 
 
 def _fmt_stmt(s: Stmt, indent: int) -> list[str]:
@@ -670,6 +641,16 @@ class _Interpreter:
                       if a.dtype == "int32" and out[a.name].dtype != np.int32}
         self.state = {**out, **{name: a.astype(np.int32) for name, a in self.casts.items()}}
 
+    def element(self, ref: ArrayRef, env: dict[str, int]) -> tuple[np.ndarray, tuple]:
+        """The array ``ref`` reads or writes and its index there; raises
+        EvalError when the index is out of bounds."""
+        idx = tuple(self.expr(i, env) for i in ref.indices)
+        arr = self.state[ref.name]
+        for d, i in enumerate(idx):
+            if not (0 <= i < arr.shape[d]):
+                raise EvalError(f"{ref.name}{list(idx)} out of bounds {arr.shape}")
+        return arr, idx
+
     def expr(self, e: Expr, env: dict[str, int]):
         if isinstance(e, IntLit):
             return e.value
@@ -678,11 +659,7 @@ class _Interpreter:
         if isinstance(e, Var):
             return env[e.name]
         if isinstance(e, ArrayRef):
-            idx = tuple(self.expr(i, env) for i in e.indices)
-            arr = self.state[e.name]
-            for d, i in enumerate(idx):
-                if not (0 <= i < arr.shape[d]):
-                    raise EvalError(f"{e.name}{list(idx)} out of bounds {arr.shape}")
+            arr, idx = self.element(e, env)
             v = arr[idx]
             return float(v) if e.name in self.floats else int(v)
         if isinstance(e, Ternary):
@@ -722,12 +699,8 @@ class _Interpreter:
                 branch = s.then if self.expr(s.cond, env) != 0 else s.orelse
                 self.block(branch, env)
             else:
-                idx = tuple(self.expr(i, env) for i in s.target.indices)
                 name = s.target.name
-                arr = self.state[name]
-                for d, i in enumerate(idx):
-                    if not (0 <= i < arr.shape[d]):
-                        raise EvalError(f"{name}{list(idx)} out of bounds {arr.shape}")
+                arr, idx = self.element(s.target, env)
                 value = self.expr(s.value, env)
                 arr[idx] = value if name in self.floats else wrap32(value)
                 if name in self.casts:  # as a 0-d array: a scalar can overflow

@@ -77,6 +77,17 @@ def test_run_exits_1_on_a_parse_error(monkeypatch, tmp_path, capsys):
     assert "parse error" in out.err
 
 
+def test_analyze_reports_a_non_decimal_digit_on_one_line(monkeypatch, tmp_path, capsys):
+    # U+00B2 is a digit to str.isdigit, but int() does not accept it
+    (tmp_path / "sup.k").write_text(
+        "kernel t(N)\narrays: A[N]:int32\nfor i in 0..N { A[i] = \u00b2; }\n")
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main(["analyze", "sup.k"])
+    out = capsys.readouterr()
+    assert rc == cli.EXIT_PARSE
+    assert (out.out, out.err) == ("", "parse error: sup.k: 3:24: unexpected character '\u00b2'\n")
+
+
 def test_run_exits_1_on_a_negative_extent(monkeypatch, tmp_path, capsys):
     rc, out = _run(monkeypatch, tmp_path, capsys, str(corpus.kernel_path("gemm")),
                    "--param", "N=-3")

@@ -100,6 +100,28 @@ def test_non_covering_write_unsupported():
     assert check_eligibility(k).reason == Reason.UNSUPPORTED_OP
 
 
+# Bodies with a literal outside int32: the software path multiplies by it
+# and wraps, and compares against it unwrapped, so every A[i][j] is below it.
+BIG_LITERAL_BODIES = {
+    "product": "C[i][j] = A[i][j] * 3000000000 + A[i][j] * 2 + A[i][j] * 5 + A[i][j] * 7 + 1;",
+    "comparison": "C[i][j] = (A[i][j] < 3000000000) + A[i][j] * 2 + A[i][j] * 5"
+                  " + A[i][j] * 7 + 1;",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BIG_LITERAL_BODIES))
+def test_a_literal_outside_int32_is_unsupported(name):
+    rep = check_eligibility(kparse(BIG_LITERAL_BODIES[name]))
+    assert (rep.reason, rep.detail) == (Reason.UNSUPPORTED_OP,
+                                        "literal 3000000000 is outside int32")
+
+
+def test_a_literal_outside_int32_that_folds_into_an_int32_is_kept():
+    k = kparse("C[i][j] = A[i][j] * (3000000000 - 2999999999) + A[i][j] * 2"
+               " + A[i][j] * 5 + A[i][j] * 7 + 1;")
+    assert check_eligibility(k).accepted()
+
+
 def test_too_small_then_accepted_by_threshold():
     k = kparse("C[i][j] = A[i][j] + 1;")
     rep = check_eligibility(k, Thresholds(min_nodes=10))

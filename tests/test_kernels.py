@@ -1,12 +1,14 @@
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dfeoffload import corpus
-from dfeoffload.kernels import (ArrayRef, Assign, BinOp, For, IfElse, IntLit,
-                                KernelSyntaxError, UnknownIdentifier, Var,
+from dfeoffload.kernels import (ArrayRef, Assign, BinOp, EvalError, FloatLit, For, IfElse,
+                                IntLit, KernelSyntaxError, Ternary, UnknownIdentifier, Var,
                                 allocate_arrays, evaluate_kernel, format_kernel,
                                 parse_kernel, trunc_div, trunc_rem)
 
@@ -76,6 +78,100 @@ def test_syntax_error_position():
     with pytest.raises(KernelSyntaxError) as err:
         parse_kernel("kernel t(N)\narrays: A[N]:int32\nfor i in 0..N { A[i] = ; }")
     assert err.value.line == 3
+
+
+def test_end_of_input_after_a_trailing_comment_is_at_the_end_of_its_line():
+    with pytest.raises(KernelSyntaxError) as err:
+        parse_kernel("kernel t(N)\narrays: A[N]:int32\n"
+                     "for i in 0..N { A[i] = A[i] + 1; # no brace")
+    assert str(err.value) == "3:44: expected a statement, found 'end of input'"
+
+
+def _one_assign(value: str) -> str:
+    return f"kernel t(N)\narrays: A[N]:int32, B[N]:int32\nfor i in 0..N {{ B[i] = {value}; }}"
+
+
+def test_a_digit_is_what_int_accepts():
+    # U+00B2 (superscript two) is a digit to str.isdigit, but not decimal
+    for value, col in (("\u00b2", 24), ("1\u00b2", 25)):
+        with pytest.raises(KernelSyntaxError) as err:
+            parse_kernel(_one_assign(value))
+        assert str(err.value) == f"3:{col}: unexpected character '\u00b2'"
+    # U+0663 (Arabic-Indic three) is a decimal digit
+    assert parse_kernel(_one_assign("\u0663")).nest.body[0].value == IntLit(3)
+    # a letter, then any of letters, digits and "_", is an identifier
+    with pytest.raises(UnknownIdentifier, match="'x\u00b2_1'"):
+        parse_kernel(_one_assign("x\u00b2_1"))
+
+
+def test_comparisons_do_not_chain():
+    with pytest.raises(KernelSyntaxError, match="expected ';', found '<'"):
+        parse_kernel(_one_assign("A[i] < 1 < 2"))
+    with pytest.raises(KernelSyntaxError, match="expected ';', found '=='"):
+        parse_kernel(_one_assign("A[i] < 1+A[i] == 2"))
+
+
+@pytest.mark.parametrize("value,printed", [
+    ("(A[i] < 1) < 2", "(A[i] < 1) < 2"),
+    ("(A[i] == 1) != (A[i] < 2)", "(A[i] == 1) != (A[i] < 2)"),
+    ("A[i] < (1 >= 2)", "A[i] < (1 >= 2)"),
+])
+def test_the_printer_brackets_a_comparison_inside_a_comparison(value, printed):
+    k = parse_kernel(_one_assign(value))
+    assert f"B[i] = {printed};" in format_kernel(k)
+    assert parse_kernel(format_kernel(k)) == k
+
+
+# Expression trees the parser can produce, in a kernel that declares them all:
+# params M and N, loop variables i and j, arrays A (rank 1) and B (rank 2).
+_TREE_KERNEL = parse_kernel("kernel t(M, N)\narrays: A[N]:int32, B[MxN]:int32\n"
+                            "for i in 0..M { for j in 0..N { B[i][j] = 0; } }")
+_BINARY_OPS = ["==", "!=", "<", "<=", ">", ">=", "+", "-", "*", "/", "%"]
+
+
+def _with_value(value):
+    inner = replace(_TREE_KERNEL.nest.body[0],
+                    body=(Assign(ArrayRef("B", (Var("i"), Var("j"))), value),))
+    return replace(_TREE_KERNEL, nest=replace(_TREE_KERNEL.nest, body=(inner,)))
+
+
+def _trees():
+    leaves = st.one_of(
+        st.integers(-2**40, 2**40).map(IntLit),
+        # a float literal reads digits.digits, and its repr prints it back
+        st.tuples(st.integers(0, 999), st.integers(0, 999), st.booleans()).map(
+            lambda t: FloatLit(float(f"{'-' * t[2]}{t[0]}.{t[1]}"))),
+        st.sampled_from(["i", "j", "M", "N"]).map(Var))
+
+    def extend(sub):
+        return st.one_of(
+            st.builds(BinOp, st.sampled_from(_BINARY_OPS), sub, sub),
+            st.builds(Ternary, sub, sub, sub),
+            sub.map(lambda e: ArrayRef("A", (e,))),
+            st.builds(lambda a, b: ArrayRef("B", (a, b)), sub, sub))
+
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
+@settings(max_examples=300)
+@given(_trees())
+def test_printed_expression_trees_parse_back(value):
+    k = _with_value(value)
+    assert parse_kernel(format_kernel(k)) == k
+
+
+def test_every_operand_slot_round_trips():
+    # each operator and the ternary, then a negative literal, in each slot
+    # of each operator and of the ternary
+    x, y = ArrayRef("A", (Var("j"),)), Var("i")
+    children = [BinOp(op, x, y) for op in _BINARY_OPS] + [Ternary(x, y, x), IntLit(-3)]
+    for child in children:
+        parents = [BinOp(op, child, y) for op in _BINARY_OPS]
+        parents += [BinOp(op, y, child) for op in _BINARY_OPS]
+        parents += [Ternary(child, x, y), Ternary(x, child, y), Ternary(x, y, child)]
+        for parent in parents:
+            k = _with_value(parent)
+            assert parse_kernel(format_kernel(k)) == k, format_kernel(k)
 
 
 def test_unknown_identifier():
@@ -160,6 +256,16 @@ def test_evaluate_wraps_int32():
     arrays = {"A": np.array([2147483647], np.int32), "B": np.zeros(1, np.int32)}
     out = evaluate_kernel(k, arrays, {"N": 1})
     assert out["B"][0] == -2147483648
+
+
+@pytest.mark.parametrize("body", ["B[i] = A[i+1];", "A[i+1] = B[i];"],
+                         ids=["read", "write"])
+def test_an_element_out_of_bounds_is_an_eval_error(body):
+    k = parse_kernel(f"kernel t(N)\narrays: A[N]:int32, B[N]:int32\nfor i in 0..N {{ {body} }}")
+    arrays = {"A": np.zeros(2, np.int32), "B": np.zeros(2, np.int32)}
+    with pytest.raises(EvalError) as err:
+        evaluate_kernel(k, arrays, {"N": 2})
+    assert str(err.value) == "A[2] out of bounds (2,)"
 
 
 def test_evaluate_kernel_leaves_no_reference_cycle():

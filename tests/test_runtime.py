@@ -27,7 +27,7 @@ from dfeoffload.overlay import OverlayShape
 from dfeoffload.placer import PlacerParams
 from dfeoffload.runtime import CostModel, OffloadRuntime
 from conftest import assert_id_rule
-from test_frontend import _GEN_ARRAYS, _kernels, kparse
+from test_frontend import BIG_LITERAL_BODIES, _GEN_ARRAYS, _kernels, kparse
 
 # The kernels that route at unroll 1 on a 6x6 overlay.
 WARM_KERNELS = ["2mm", "3mm", "atax", "bicg", "branchmix", "gemm", "gemver",
@@ -457,6 +457,16 @@ def test_out_of_range_access_raises_what_software_raises(model):
     out, trace = rt.execute(kernel, arrays, params)
     _assert_matches_software(kernel, arrays, params, out)
     assert ("compute" in _phases(trace)) == (model is OFFLOAD)
+
+
+@pytest.mark.parametrize("name", sorted(BIG_LITERAL_BODIES))
+def test_a_literal_outside_int32_runs_in_software(name):
+    kernel = kparse(BIG_LITERAL_BODIES[name])
+    arrays, params = _inputs(kernel, 4)
+    rt = OffloadRuntime(OverlayShape(6, 6), cost_model=OFFLOAD, seed=SEED)
+    out, trace = rt.execute(kernel, arrays, params)
+    _assert_matches_software(kernel, arrays, params, out)
+    assert "compute" not in _phases(trace)
 
 
 @pytest.mark.parametrize("name", ["A", "C"])
