@@ -36,6 +36,8 @@ Grammar (EBNF)::
 
 ``#`` starts a comment, which runs to the end of its line.  A digit of an
 INT or FLOAT is what ``int()`` accepts, a decimal digit (``str.isdecimal``).
+An INT longer than ``int()`` reads and a FLOAT beyond the largest float are
+syntax errors.
 An IDENT is a letter (``str.isalpha``) or ``_``, then any of letters, digits
 and ``_`` (``str.isalnum``).  Comparisons do not chain: ``a < b < c`` is an
 error, and ``(a < b) < c`` keeps its brackets.  Arrays have rank 1 or 2;
@@ -51,6 +53,7 @@ int32, and each element written is stored as numpy casts an int32 into it.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -362,7 +365,7 @@ class _Parser:
         bound_tok = self.next()
         bound: Union[str, int]
         if bound_tok.kind == "INT":
-            bound = int(bound_tok.text)
+            bound = self.int_value(bound_tok)
         elif bound_tok.kind == "IDENT" and bound_tok.text in self.params:
             bound = bound_tok.text
         elif bound_tok.kind == "IDENT" and bound_tok.text not in KEYWORDS:
@@ -460,14 +463,25 @@ class _Parser:
             return BinOp("-", IntLit(0), inner)
         return self.parse_primary()
 
+    def int_value(self, tok: Token) -> int:
+        """The value of an INT token; ``int()`` refuses a literal of more
+        digits than ``sys.get_int_max_str_digits()``."""
+        try:
+            return int(tok.text)
+        except ValueError:
+            self.error(f"integer literal of {len(tok.text)} digits is too long", tok)
+
     def parse_primary(self) -> Expr:
         tok = self.peek()
         if tok.kind == "INT":
             self.next()
-            return IntLit(int(tok.text))
+            return IntLit(self.int_value(tok))
         if tok.kind == "FLOAT":
             self.next()
-            return FloatLit(float(tok.text))
+            value = float(tok.text)
+            if math.isinf(value):
+                self.error("float literal beyond the largest float", tok)
+            return FloatLit(value)
         if tok.text == "(":
             self.next()
             expr = self.parse_expr()
@@ -504,7 +518,10 @@ def _fmt_expr(e: Expr, min_level: int = 0) -> str:
     if isinstance(e, IntLit):
         return f"({e.value})" if e.value < 0 and min_level >= 3 else str(e.value)
     if isinstance(e, FloatLit):
-        return repr(e.value)
+        # digits.digits, as the scanner reads a FLOAT, where repr may write
+        # an exponent (1e-05); unique=True writes repr's shortest digits,
+        # so the literal reads back as the same float
+        return np.format_float_positional(e.value, unique=True, trim="0")
     if isinstance(e, Var):
         return e.name
     if isinstance(e, ArrayRef):

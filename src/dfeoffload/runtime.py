@@ -9,6 +9,10 @@ so a graph that does not route is searched once.  The analysis of each
 kernel is memoized, so a call on a cached mapping does only per-call work:
 first the array check (``kernels.check_arrays``, so a refused call caches
 nothing), then trip counts, the decision, gather, run, scatter and epilogue.
+All of that work which depends only on the call's signature (its trip
+counts, and each array's shape, strides and dtype) is planned once per
+signature and mapping and memoized on the analysis, so a repeated signature
+finds its boxes, view layouts and row plans in one lookup.
 
 An unrolled graph leaves the last (inner extent mod unroll) iterations of
 each innermost loop to an epilogue.  The epilogue runs the kernel's unroll-1
@@ -20,9 +24,10 @@ interpreter never runs on an offloaded call.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Optional, Union
@@ -35,10 +40,10 @@ from .frontend import (EligibilityReport, Thresholds, check_eligibility,
                        check_unroll, unroll_dfg)
 from .overlay import OverlayShape
 from .placer import Placement, PlacerParams, Unroutable, place_and_route
-from .simulator import (CACHE_CAPACITY, FRAME_SIZE, GraphIo, Lru, OutOfBounds,
-                        Program, compile_config, graph_io, leftover,
-                        lower_dfg, run_compiled, run_epilogue, stream_length,
-                        stream_views, write_back)
+from .simulator import (CACHE_CAPACITY, FRAME_SIZE, BoxPlan, GraphIo, Lru,
+                        OutOfBounds, Program, call_signature, compile_config,
+                        graph_io, leftover, lower_dfg, plan_box, run_compiled,
+                        run_epilogue, stream_length, write_back)
 
 
 @dataclass
@@ -187,11 +192,30 @@ class ConfigCache:
 
 
 @dataclass(frozen=True)
+class _CallPlan:
+    """All of an offloaded call on one mapping, ``entry``, that depends only
+    on the call's signature (``call_signature``): the steady state's
+    ``plan_box`` on the mapping, the innermost iterations it leaves to the
+    epilogue, and then the plan of the leftover box on the analysis's
+    unroll-1 graph."""
+
+    entry: CacheEntry
+    steady: BoxPlan
+    leftover: int
+    epilogue: Optional[BoxPlan]
+
+
+@dataclass(frozen=True)
 class _Accepted:
     """An eligible kernel's graph at one unroll factor, ready to map.
 
     When unrolled, it also holds the unroll-1 graph's host program and
     ``graph_io``, which run the leftover iterations (``run_epilogue``).
+    ``plans`` keeps the ``CACHE_CAPACITY`` most recently used call plans,
+    one per signature, each on the mapping it names.  They are the
+    analysis's and not the mapping's, as the epilogue's part is: two
+    kernels of one graph hash share a mapping, but may number their
+    unroll-1 graphs apart.
     """
 
     dfg: DataFlowGraph
@@ -200,6 +224,8 @@ class _Accepted:
     loops: tuple[kl.For, ...]  # the perfect nest, outer to inner
     epilogue_program: Optional[Program] = None
     epilogue_io: Optional[GraphIo] = None
+    plans: Lru = field(default_factory=lambda: Lru(CACHE_CAPACITY),
+                       compare=False, repr=False)
 
 
 def _accept(dfg: DataFlowGraph, loops: tuple[kl.For, ...],
@@ -240,9 +266,12 @@ def analyze_kernel(kernel: kl.Kernel, unroll: int, thresholds: Thresholds) -> _A
 def trip_counts(loops, params: dict[str, int]) -> list[tuple[str, int]]:
     """(loop var, trip count) outer to inner for one call's parameters.
 
-    A negative bound runs its loop zero times, as in software.
+    Each count is an ``int``: a parameter is read with ``operator.index``,
+    so a bool or a numpy integer counts as the int it equals, as it does in
+    software.  A negative bound runs its loop zero times, as in software.
     """
-    return [(f.var, max(f.bound if isinstance(f.bound, int) else params[f.bound], 0))
+    return [(f.var, max(f.bound if isinstance(f.bound, int)
+                        else operator.index(params[f.bound]), 0))
             for f in loops]
 
 
@@ -402,7 +431,11 @@ class OffloadRuntime:
             emit("cache", "hit, reusing configuration")
 
         trips = trip_counts(analysis.loops, params)
-        n_iter = stream_length(entry.io, trips)
+        signature = call_signature(entry.io, arrays, trips)
+        plan = analysis.plans.get(signature)
+        if plan is not None and plan.entry is not entry:
+            plan = None  # made on a mapping the cache has since dropped
+        n_iter = plan.steady.length if plan else stream_length(entry.io, trips)
         baseline = state.ema_software
         if baseline is None and self.cost_model.software_time_per_call > 0:
             baseline = self.cost_model.software_time_per_call
@@ -416,20 +449,25 @@ class OffloadRuntime:
             return software("decision: software", state)
 
         # Gather views of the caller's arrays, run, scatter, then run the
-        # leftover iterations on the host.  Each graph's views are all
-        # bounds-checked before it runs, so a gather raises before any write.
+        # leftover iterations on the host.  A miss plans each graph's box
+        # just before it runs, so each graph's views are all bounds-checked
+        # before it runs, and a gather raises before any write.
         try:
-            run_report = run_compiled(entry.program, stream_views(entry.io, arrays, trips))
-            result = write_back(entry.io, run_report.outputs, arrays, trips)
-            left = leftover(entry.io, trips)
+            steady = plan.steady if plan else plan_box(entry.io, entry.program, arrays, trips)
+            run_report = run_compiled(entry.program, steady.gather(arrays), steady)
+            result = write_back(entry.io, run_report.outputs, arrays, trips, steady)
+            left = plan.leftover if plan else leftover(entry.io, trips)
+            epilogue = plan.epilogue if plan else None
             if left:
-                run_epilogue(analysis.epilogue_io, analysis.epilogue_program,
-                             result, trips, left)
+                epilogue = run_epilogue(analysis.epilogue_io, analysis.epilogue_program,
+                                        result, trips, left, epilogue)
         except OutOfBounds as exc:
             # Only an access out of range: the overlay streams every access
             # over the whole domain, while software touches only what it
             # evaluates, and raises its own error for what it cannot.
             return software("access out of range ({}), software fallback", state, str(exc))
+        if plan is None and steady.flat:
+            analysis.plans.put(signature, _CallPlan(entry, steady, left, epilogue))
 
         charge = device_time(self.device_model, run_report.frames_in,
                              run_report.frames_out, cached)

@@ -18,28 +18,29 @@ into pieces.  Each block of positions is copied straight from the gather's
 views into the engine's scratch, a stride-0 view broadcast on the way.
 
 As the overlay holds no more than the values in flight, the scratch holds
-only the live values: a ``RowPlan``, derived from the program and memoized
-on it, gives each value a row only from its load or its instruction to its
-last reader, and then hands the row on (``_row_plan``).  Constants and the
-pinned inputs keep rows of their own and are filled once per run.  An input
-is pinned when its view has stride 0 along every axis the pieces step
-through (such as gemm's ``B[k][j]``, cut along ``i``), so that every piece
-reads the same rows; on a box of one piece, every input is, so its inputs
-are all copied up front and its outputs are the scratch's rows.  Every
-other input is loaded from its piece's slice just before its first reader.
-``lower_dfg`` lowers a graph for the host without placement, and
-``run_epilogue`` runs the unroll-1 graph so lowered over the ``leftover``
-innermost iterations of an unrolled call.
+only the live values: a ``RowPlan``, derived from the program, gives each
+value a row only from its load or its instruction to its last reader, and
+then hands the row on (``_row_plan``).  Constants and the pinned inputs keep
+rows of their own and are filled once per run.  An input is pinned when its
+view has stride 0 along every axis the pieces step through (such as gemm's
+``B[k][j]``, cut along ``i``), so that every piece reads the same rows; on a
+box of one piece, every input is, so its inputs are all copied up front and
+its outputs are the scratch's rows.  Every other input is loaded from its
+piece's slice just before its first reader.  ``lower_dfg`` lowers a graph
+for the host without placement, and ``run_epilogue`` runs the unroll-1 graph
+so lowered over the ``leftover`` innermost iterations of an unrolled call.
 
-Each ``GraphIo`` memoizes its views' layouts (byte offset and strides, bounds
-already checked) per call signature: the trip counts, the box, and the
-shape, strides and dtype of each array accessed.  It keeps the
-``CACHE_CAPACITY`` most recently used signatures, so a call that repeats one
-builds each view with one ``np.ndarray`` call and redoes no per-dimension
-sums.  Arrays that are not one C- or Fortran-ordered block, and accesses that
-fail their bounds check, bypass the memo: they are computed on every call,
-and an out-of-range access raises the same OutOfBounds each time.  Arrays
-arrive checked (``kernels.check_arrays``), but each binding is checked here.
+All of a run that depends only on the call's signature (``call_signature``:
+the trip counts, and the shape, strides and dtype of each array accessed)
+is one ``BoxPlan``: the box, its views' layouts (byte offset and strides,
+bounds already checked) and the row plan.  ``plan_box`` makes one, and
+``run_compiled``, ``write_back`` and ``run_epilogue`` take one, so that a
+caller that keeps plans per signature builds each view of a repeated
+signature with one ``np.ndarray`` call and redoes no per-dimension sums.
+Arrays that are not one C- or Fortran-ordered block are laid out again on
+every call, and an out-of-range access raises OutOfBounds before its plan
+exists.  Arrays arrive checked (``kernels.check_arrays``), but each binding
+is checked here.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import itertools
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Optional
 
 import numpy as np
@@ -125,8 +126,7 @@ class Program:
     No instruction's ``dst`` is an input slot or a constant slot, and no two
     instructions write one slot: each slot names one value.  The engine
     does not run the slots themselves but a ``RowPlan`` derived from them,
-    which keeps only the live values in rows; ``plans`` memoizes the plans
-    per set of pinned inputs (``_row_plan``).
+    which keeps only the live values in rows (``_row_plan``).
     """
 
     n_slots: int
@@ -135,8 +135,6 @@ class Program:
     input_slots: dict[int, int]  # stream tag -> slot
     output_slots: dict[int, int]
     depth: int
-    plans: Lru = field(default_factory=lambda: Lru(CACHE_CAPACITY),
-                       compare=False, repr=False)
 
 
 def compile_config(cfg: OverlayConfig) -> Program:
@@ -342,16 +340,24 @@ def _row_plan(program: Program, pinned: tuple[int, ...]) -> RowPlan:
                    tuple(steps), {tag: row[slot] for tag, slot in program.output_slots.items()})
 
 
-def _run_blocked(program: Program, streams: dict[int, np.ndarray],
-                 shape: tuple[int, ...]) -> dict[int, np.ndarray]:
-    """Run ``program`` over a box of ``shape``, one piece at a time, through
-    its row plan.
+def _pinned(program: Program, shape: tuple[int, ...],
+            strides: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
+    """The inputs (tags) of ``program`` that every piece of a box of
+    ``shape`` reads alike: on a box of one piece, whose index covers no
+    axis, every input; otherwise each input whose ``strides`` are 0 along
+    every axis a piece index covers."""
+    if math.prod(shape) <= _BLOCK:
+        return tuple(program.input_slots)
+    cut = len(next(_pieces(shape))[0])  # the axes a piece index covers
+    return tuple(tag for tag in program.input_slots if not any(strides[tag][:cut]))
 
-    Every stream has ``shape``: a 1-D stream or a strided view of an array.
-    An input is pinned when its stride is 0 along every axis the piece
-    index covers, so that every piece reads the same values: on a box of
-    one piece, whose index covers no axis, every input.  The plan for the
-    program and its pinned inputs is memoized on ``program.plans``, and the
+
+def _run_blocked(plan: RowPlan, streams: dict[int, np.ndarray],
+                 shape: tuple[int, ...]) -> dict[int, np.ndarray]:
+    """Run a row plan over a box of ``shape``, one piece at a time.
+
+    Every stream has ``shape``: a 1-D stream or a strided view of an array,
+    and ``plan`` pins the inputs that ``_pinned`` names for them.  The
     scratch is (n_rows, _BLOCK) int32.  The constants are filled and the
     pinned inputs copied once per run, cast to int32 on the way.  The first
     piece is a full one, and every later piece, the last and shorter one
@@ -365,16 +371,6 @@ def _run_blocked(program: Program, streams: dict[int, np.ndarray],
     """
     length = math.prod(shape)
     one_piece = length <= _BLOCK
-    if one_piece:
-        pinned = tuple(program.input_slots)
-    else:
-        cut = len(next(_pieces(shape))[0])  # the axes a piece index covers
-        pinned = tuple(tag for tag in program.input_slots
-                       if not any(streams[tag].strides[:cut]))
-    plan = program.plans.get(pinned)
-    if plan is None:
-        plan = _row_plan(program, pinned)
-        program.plans.put(pinned, plan)
     values = np.zeros((plan.n_rows, min(length, _BLOCK)), dtype=np.int32)
     for row, value in plan.const_fill:
         values[row] = value
@@ -398,28 +394,34 @@ def _run_blocked(program: Program, streams: dict[int, np.ndarray],
     return outputs
 
 
-def run_compiled(program: Program, streams: dict[int, np.ndarray]) -> RunReport:
+def run_compiled(program: Program, streams: dict[int, np.ndarray],
+                 plan: Optional[BoxPlan] = None) -> RunReport:
     """Execute a lowered program over input streams keyed by tag.
 
     The streams share one shape: 1-D streams as ``build_streams`` makes
     them, or the N-D views ``stream_views`` makes, read in row-major order
     without a full-length copy.  A run covers ``prod(shape)`` positions, and
     its output streams are 1-D int32 arrays of that length, owned by the
-    report.
+    report.  ``plan``, when given, is ``plan_box`` of this program, and the
+    streams are its views (``BoxPlan.gather``): the run then takes the box
+    and the row plan from it and checks the streams no further.
     """
-    if streams.keys() != program.input_slots.keys():
-        missing = program.input_slots.keys() - streams.keys()
-        extra = streams.keys() - program.input_slots.keys()
-        raise UnconfiguredTag(f"missing input tags {sorted(missing)}, "
-                              f"unexpected {sorted(extra)}")
-    streams = {tag: np.asarray(s) for tag, s in streams.items()}
-    shapes = {s.shape for s in streams.values()}
-    if len(shapes) > 1:
-        raise LengthMismatch(f"input stream shapes differ: {sorted(shapes)}")
-    shape = shapes.pop() if shapes else (0,)
-
-    outputs = _run_blocked(program, streams, shape)
-    length = math.prod(shape)
+    if plan is None:
+        if streams.keys() != program.input_slots.keys():
+            missing = program.input_slots.keys() - streams.keys()
+            extra = streams.keys() - program.input_slots.keys()
+            raise UnconfiguredTag(f"missing input tags {sorted(missing)}, "
+                                  f"unexpected {sorted(extra)}")
+        streams = {tag: np.asarray(s) for tag, s in streams.items()}
+        shapes = {s.shape for s in streams.values()}
+        if len(shapes) > 1:
+            raise LengthMismatch(f"input stream shapes differ: {sorted(shapes)}")
+        shape = shapes.pop() if shapes else (0,)
+        strides = {tag: s.strides for tag, s in streams.items()}
+        rows, length = _row_plan(program, _pinned(program, shape, strides)), math.prod(shape)
+    else:
+        shape, rows, length = plan.shape, plan.rows, plan.length
+    outputs = _run_blocked(rows, streams, shape)
     return RunReport(outputs, frames_in=len(program.input_slots) * length,
                      frames_out=len(program.output_slots) * length,
                      cycles=program.depth + length)
@@ -433,7 +435,7 @@ def run_compiled(program: Program, streams: dict[int, np.ndarray]) -> RunReport:
 
 
 # Entries an LRU keeps: a runtime's mappings, analyses and routing failures,
-# a GraphIo's view plans and a Program's row plans.
+# and an analysis's call plans.
 CACHE_CAPACITY = 32
 
 
@@ -472,29 +474,34 @@ class GraphIo:
     """All that the stream layer reads of a graph.
 
     ``reads`` are the Inputs that some node reads and ``writes`` the
-    Outputs, each with its binding, in node id order; ``read`` and
-    ``written`` are the sorted names of the arrays they access; ``factor``
-    is the graph's ``unroll``, the lanes per innermost block.  Built once
-    per graph by ``graph_io``, so that a call on a cached mapping does not
-    rescan the graph.  ``plans`` memoizes the views' layouts per call
-    signature (``_views``).
+    Outputs, each with its binding, in node id order; ``arrays`` are the
+    sorted names of the arrays they access, and ``written`` of those the
+    writes access; ``factor`` is the graph's ``unroll``, the lanes per
+    innermost block.  Built once per graph by ``graph_io``, so that a call
+    on a cached mapping does not rescan the graph.
     """
 
     reads: tuple[tuple[int, IoBinding], ...]
     writes: tuple[tuple[int, IoBinding], ...]
-    read: tuple[str, ...]
+    arrays: tuple[str, ...]
     written: tuple[str, ...]
     factor: int
-    plans: Lru = field(default_factory=lambda: Lru(CACHE_CAPACITY),
-                       compare=False, repr=False)
 
 
 def graph_io(g: DataFlowGraph) -> GraphIo:
     read = {src for node in g.nodes.values() for src in node.srcs}
     reads = tuple((nid, g.io_bindings[nid]) for nid in g.inputs() if nid in read)
     writes = tuple((nid, g.io_bindings[nid]) for nid in g.outputs())
-    return GraphIo(reads, writes, tuple(sorted({b.array for _, b in reads})),
+    return GraphIo(reads, writes, tuple(sorted({b.array for _, b in reads + writes})),
                    tuple(sorted({b.array for _, b in writes})), g.unroll)
+
+
+def call_signature(io: GraphIo, arrays: dict[str, np.ndarray],
+                   trips: list[tuple[str, int]]) -> tuple:
+    """All that the plans of a call on the graph of ``io`` depend on: the
+    trip counts, and the shape, strides and dtype of each array accessed."""
+    return tuple(trips), tuple([(a.shape, a.strides, a.dtype)
+                                for a in map(arrays.__getitem__, io.arrays)])
 
 
 def _box(io: GraphIo, trips: list[tuple[str, int]],
@@ -586,57 +593,107 @@ def _strided(arr: np.ndarray, counts: tuple[int, ...], strides: tuple[int, ...],
     return np.lib.stride_tricks.as_strided(at_origin, counts, strides)
 
 
-def _loop_positions(trips: list[tuple[str, int]]) -> dict[str, int]:
-    return {var: i for i, (var, _) in enumerate(trips)}
+# A view's layout over a box: (node id, array name, dtype, byte offset, byte
+# strides, origin index), bounds checked.
+_Layout = tuple[int, str, np.dtype, int, tuple[int, ...], list[int]]
 
 
-def _views(io: GraphIo, writes: bool, arrays: dict[str, np.ndarray],
-           trips: list[tuple[str, int]], leftover: Optional[int] = None
-           ) -> tuple[tuple[int, ...], dict[int, np.ndarray]]:
-    """The shape of the box ``_box(io, trips, leftover)`` and the view over
-    it of each read (``writes`` false) or each write of ``io``, keyed by
-    node id; every view is built and bounds checked before this returns.
+def _layouts(bindings: tuple[tuple[int, IoBinding], ...], arrays: dict[str, np.ndarray],
+             trips: list[tuple[str, int]], counts: list[int], starts: list[int]
+             ) -> tuple[_Layout, ...]:
+    """The layout of each binding's view over the box, by ``_layout``."""
+    loop = {var: i for i, (var, _) in enumerate(trips)}
+    return tuple((nid, b.array, arrays[b.array].dtype,
+                  *_layout(arrays[b.array], b, loop, counts, starts))
+                 for nid, b in bindings)
 
-    The layouts are memoized in ``io.plans``, keyed on the trips, the
-    leftover and each named array's shape, strides and dtype: all that the
-    box and every ``_layout`` depend on.  A hit builds each view with one
-    ``np.ndarray`` call over the array's memory.  A miss computes the
-    layouts, and stores them only when every named array is one C- or
-    Fortran-ordered block, so a failed bounds check is never stored and
-    raises the same OutOfBounds on every call.
+
+def _views(layouts: tuple[_Layout, ...], arrays: dict[str, np.ndarray],
+           shape: tuple[int, ...], flat: bool) -> dict[int, np.ndarray]:
+    """The view of ``arrays`` that each layout describes over a box of
+    ``shape``, keyed by node id: one ``np.ndarray`` call over the array's
+    memory when every array is ``flat``, one C- or Fortran-ordered block,
+    else ``as_strided``."""
+    if flat:
+        return {nid: np.ndarray(shape, dtype, arrays[name], offset, strides)
+                for nid, name, dtype, offset, strides, _ in layouts}
+    return {nid: _strided(arrays[name], shape, strides, origin)
+            for nid, name, _, _, strides, origin in layouts}
+
+
+def _laid_out(io: GraphIo, bindings: tuple[tuple[int, IoBinding], ...],
+              arrays: dict[str, np.ndarray], trips: list[tuple[str, int]],
+              leftover: Optional[int] = None) -> dict[int, np.ndarray]:
+    """The views of ``bindings`` over the box ``_box(io, trips, leftover)``,
+    laid out and bounds checked afresh, and built as a plan of the box
+    builds them."""
+    counts, starts = _box(io, trips, leftover)
+    layouts = _layouts(bindings, arrays, trips, counts, starts)
+    return _views(layouts, arrays, tuple(counts),
+                  all(arrays[name].flags.forc for name in io.arrays))
+
+
+@dataclass(frozen=True)
+class BoxPlan:
+    """All of one run of a lowered graph over a box of a call that depends
+    only on the call's signature (``call_signature``), made by ``plan_box``.
+
+    ``shape`` is the box's and ``length`` its number of positions.
+    ``reads`` and ``writes`` are the layouts of the views of the graph's
+    reads and writes, bounds checked, and ``rows`` is the program's row
+    plan over the box's pinned inputs.  ``flat`` tells whether every array
+    accessed was one C- or Fortran-ordered block.  If not, the plan is for
+    one call only, and ``writes`` is None: the scatter writes fresh copies,
+    laid out unlike the caller's arrays, and lays its views out over them.
     """
-    bindings, names = (io.writes, io.written) if writes else (io.reads, io.read)
-    key = (writes, leftover, tuple(trips),
-           tuple([(a.shape, a.strides, a.dtype) for a in map(arrays.__getitem__, names)]))
-    plan = io.plans.get(key)
-    if plan is None:
-        counts, starts = _box(io, trips, leftover)
-        loop = _loop_positions(trips)
-        layouts = [(nid, binding.array,
-                    *_layout(arrays[binding.array], binding, loop, counts, starts))
-                   for nid, binding in bindings]
-        shape = tuple(counts)
-        if not all(arrays[name].flags.forc for name in names):
-            return shape, {nid: _strided(arrays[name], shape, strides, origin)
-                           for nid, name, _, strides, origin in layouts}
-        plan = shape, tuple((nid, name, arrays[name].dtype, offset, strides)
-                            for nid, name, offset, strides, _ in layouts)
-        io.plans.put(key, plan)
-    shape, entries = plan
-    return shape, {nid: np.ndarray(shape, dtype, arrays[name], offset, strides)
-                   for nid, name, dtype, offset, strides in entries}
+
+    shape: tuple[int, ...]
+    length: int
+    reads: tuple[_Layout, ...]
+    writes: Optional[tuple[_Layout, ...]]
+    rows: RowPlan
+    flat: bool
+
+    def gather(self, arrays: dict[str, np.ndarray]) -> dict[int, np.ndarray]:
+        """The run's input streams: a view of ``arrays`` per read."""
+        return _views(self.reads, arrays, self.shape, self.flat)
+
+
+def plan_box(io: GraphIo, program: Program, arrays: dict[str, np.ndarray],
+             trips: list[tuple[str, int]], leftover: Optional[int] = None) -> BoxPlan:
+    """The plan of a run of ``program``, lowered from the graph of ``io``,
+    over ``arrays`` and the box ``_box(io, trips, leftover)``.
+
+    Every read is laid out and bounds checked, then every write, and then
+    the row plan is made.  Raises OutOfBounds at the first access that
+    leaves its array.
+    """
+    counts, starts = _box(io, trips, leftover)
+    shape = tuple(counts)
+    flat = all(arrays[name].flags.forc for name in io.arrays)
+    reads = _layouts(io.reads, arrays, trips, counts, starts)
+    writes = _layouts(io.writes, arrays, trips, counts, starts) if flat else None
+    strides = {layout[0]: layout[4] for layout in reads}
+    return BoxPlan(shape, math.prod(shape), reads, writes,
+                   _row_plan(program, _pinned(program, shape, strides)), flat)
 
 
 def _scatter(io: GraphIo, outputs: dict[int, np.ndarray],
              arrays: dict[str, np.ndarray], trips: list[tuple[str, int]],
-             leftover: Optional[int] = None) -> None:
+             leftover: Optional[int], plan: Optional[BoxPlan]) -> None:
     """Write each Output node's stream into ``arrays`` in place, over the
-    box of ``_views``, once every write view is bounds checked.
+    box ``_box(io, trips, leftover)``, once every write view is bounds
+    checked: through the write layouts of ``plan`` when it has them, else
+    laid out afresh over ``arrays``.
 
     Extraction makes every write subscript a distinct loop variable plus a
     constant, so no two positions of one output share an element.
     """
-    for nid, view in _views(io, True, arrays, trips, leftover)[1].items():
+    if plan is not None and plan.writes is not None:
+        views = _views(plan.writes, arrays, plan.shape, True)
+    else:
+        views = _laid_out(io, io.writes, arrays, trips, leftover)
+    for nid, view in views.items():
         if nid not in outputs:
             raise UnconfiguredTag(f"report carries no stream for output {nid}")
         stream = np.asarray(outputs[nid])
@@ -659,9 +716,10 @@ def stream_views(io: GraphIo, arrays: dict[str, np.ndarray],
     nothing is copied, and a read that does not use a loop variable has
     stride 0 along it.  ``run_compiled`` takes the views as they are.
     Raises OutOfBounds, before any view is returned, when an access leaves
-    its array.  The layouts are memoized per call signature on ``io``.
+    its array.  The views are laid out afresh; ``plan_box`` keeps their
+    layouts, and ``BoxPlan.gather`` makes the same views from them.
     """
-    return _views(io, False, arrays, trips)[1]
+    return _laid_out(io, io.reads, arrays, trips)
 
 
 def build_streams(io: GraphIo, arrays: dict[str, np.ndarray],
@@ -675,37 +733,41 @@ def build_streams(io: GraphIo, arrays: dict[str, np.ndarray],
 
 
 def write_back(io: GraphIo, outputs: dict[int, np.ndarray],
-               arrays: dict[str, np.ndarray], trips: list[tuple[str, int]]
-               ) -> dict[str, np.ndarray]:
+               arrays: dict[str, np.ndarray], trips: list[tuple[str, int]],
+               plan: Optional[BoxPlan] = None) -> dict[str, np.ndarray]:
     """Scatter each Output's stream in ``outputs``, keyed by node id, through
     the access of its ``io`` write.
 
     Returns a new mapping; written arrays are fresh copies, others pass
-    through.  The ``leftover`` iterations are left untouched.  The write
-    views' layouts over the copies are memoized per call signature on ``io``.
+    through.  The ``leftover`` iterations are left untouched.  ``plan`` is
+    the run's ``plan_box``, whose write layouts, if it has them, the
+    scatter takes.
     """
     out = dict(arrays)
     for name in io.written:
         out[name] = np.array(out[name], copy=True)
-    _scatter(io, outputs, out, trips)
+    _scatter(io, outputs, out, trips, None, plan)
     return out
 
 
 def run_epilogue(io: GraphIo, program: Program,
                  arrays: dict[str, np.ndarray], trips: list[tuple[str, int]],
-                 leftover: int) -> None:
+                 leftover: int, plan: Optional[BoxPlan] = None) -> BoxPlan:
     """Run the last ``leftover`` iterations of the innermost loop on the host.
 
     ``io`` is ``graph_io(g)`` and ``program`` is ``lower_dfg(g)`` of the
     kernel's unroll-1 graph ``g``.  Every outer iteration is covered: the
-    box is the leftover columns.  Their views are built and bounds checked
-    first (memoized on ``io`` as the gather's are), the blocked run copies
-    from them, and the outputs are scattered once the whole run is done, so
-    no read sees a write.  Results are written into ``arrays`` in place, so
-    its written arrays must be the call's own copies, as ``write_back``
-    returns them.  Nothing crosses the modelled wire, and no RunReport is
-    made.  Raises OutOfBounds as a gather does, before anything is written.
+    box is the leftover columns.  Its plan is ``plan``, or ``plan_box`` of
+    that box made here, so every view is bounds checked first; the blocked
+    run copies from the views, and the outputs are scattered once the whole
+    run is done, so no read sees a write.  Results are written into
+    ``arrays`` in place, so its written arrays must be the call's own
+    copies, as ``write_back`` returns them.  Nothing crosses the modelled
+    wire, and no RunReport is made.  Raises OutOfBounds as a gather does,
+    before anything is written.  Returns the plan it ran.
     """
-    shape, views = _views(io, False, arrays, trips, leftover)
-    outputs = _run_blocked(program, views, shape)
-    _scatter(io, outputs, arrays, trips, leftover)
+    if plan is None:
+        plan = plan_box(io, program, arrays, trips, leftover)
+    outputs = _run_blocked(plan.rows, plan.gather(arrays), plan.shape)
+    _scatter(io, outputs, arrays, trips, leftover, plan)
+    return plan

@@ -88,6 +88,17 @@ def test_analyze_reports_a_non_decimal_digit_on_one_line(monkeypatch, tmp_path, 
     assert (out.out, out.err) == ("", "parse error: sup.k: 3:24: unexpected character '\u00b2'\n")
 
 
+def test_analyze_reports_an_over_long_int_literal_on_one_line(monkeypatch, tmp_path, capsys):
+    (tmp_path / "long.k").write_text(
+        "kernel t(N)\narrays: A[N]:int32\nfor i in 0..N { A[i] = " + "7" * 5000 + "; }\n")
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main(["analyze", "long.k"])
+    out = capsys.readouterr()
+    assert rc == cli.EXIT_PARSE
+    assert (out.out, out.err) == (
+        "", "parse error: long.k: 3:24: integer literal of 5000 digits is too long\n")
+
+
 def test_run_exits_1_on_a_negative_extent(monkeypatch, tmp_path, capsys):
     rc, out = _run(monkeypatch, tmp_path, capsys, str(corpus.kernel_path("gemm")),
                    "--param", "N=-3")
@@ -219,7 +230,7 @@ def test_run_offloads_an_unrolled_gemm_with_its_epilogue(monkeypatch, tmp_path, 
     epilogues = []
     original = runtime.run_epilogue
     monkeypatch.setattr(runtime, "run_epilogue",
-                        lambda *args: epilogues.append(args[-1]) or original(*args))
+                        lambda *args: epilogues.append(args[4]) or original(*args))
     rc, out = _run(monkeypatch, tmp_path, capsys, str(corpus.kernel_path("gemm")),
                    "--unroll", "2", "--overlay", "8x8", "--size", "9")
     assert rc == cli.EXIT_OK

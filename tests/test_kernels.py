@@ -104,6 +104,33 @@ def test_a_digit_is_what_int_accepts():
         parse_kernel(_one_assign("x\u00b2_1"))
 
 
+def test_an_int_literal_longer_than_int_reads_is_a_syntax_error_at_it():
+    # int() reads at most sys.get_int_max_str_digits() digits (4,300 by
+    # default), in an expression and in a loop bound alike
+    digits = "1" * 5000
+    with pytest.raises(KernelSyntaxError) as err:
+        parse_kernel(_one_assign(digits))
+    assert str(err.value) == "3:24: integer literal of 5000 digits is too long"
+    with pytest.raises(KernelSyntaxError) as err:
+        parse_kernel(f"kernel t(N)\narrays: A[N]:int32\nfor i in 0..{digits} {{ }}")
+    assert str(err.value) == "3:13: integer literal of 5000 digits is too long"
+
+
+def test_a_float_literal_beyond_the_largest_float_is_a_syntax_error_at_it():
+    with pytest.raises(KernelSyntaxError) as err:
+        parse_kernel(_one_assign("A[i] + " + "9" * 400 + ".5"))
+    assert str(err.value) == "3:31: float literal beyond the largest float"
+
+
+@pytest.mark.parametrize("value,printed", [
+    ("0.00001", "0.00001"), ("10000000000000000.0", "10000000000000000.0"),
+    ("0.1", "0.1"), ("2.50", "2.5")])
+def test_a_float_literal_prints_as_digits_that_read_back(value, printed):
+    k = parse_kernel(_one_assign(f"{value}*A[i]"))
+    assert f"B[i] = {printed}*A[i];" in format_kernel(k)
+    assert parse_kernel(format_kernel(k)) == k
+
+
 def test_comparisons_do_not_chain():
     with pytest.raises(KernelSyntaxError, match="expected ';', found '<'"):
         parse_kernel(_one_assign("A[i] < 1 < 2"))
@@ -138,9 +165,8 @@ def _with_value(value):
 def _trees():
     leaves = st.one_of(
         st.integers(-2**40, 2**40).map(IntLit),
-        # a float literal reads digits.digits, and its repr prints it back
-        st.tuples(st.integers(0, 999), st.integers(0, 999), st.booleans()).map(
-            lambda t: FloatLit(float(f"{'-' * t[2]}{t[0]}.{t[1]}"))),
+        # every finite float, which prints as digits.digits
+        st.floats(allow_nan=False, allow_infinity=False).map(FloatLit),
         st.sampled_from(["i", "j", "M", "N"]).map(Var))
 
     def extend(sub):

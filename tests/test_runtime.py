@@ -252,6 +252,123 @@ def test_a_repeated_call_signature_lays_out_no_view(monkeypatch, unroll, extent)
         assert len(layouts) == laid_out, (size, seed)
 
 
+@pytest.mark.parametrize("unroll,extent", [(1, 6), (2, 7)], ids=["u1", "u2-odd"])
+def test_a_repeated_signature_reaches_no_layout_and_no_row_plan(monkeypatch, unroll, extent):
+    # The second call of a signature runs on its call plan: it lays out no
+    # view and plans no rows, for the overlay's box or the epilogue's.
+    kernel = corpus.load("gemm")
+    rt = OffloadRuntime(OverlayShape(8, 8), cost_model=OFFLOAD, unroll=unroll, seed=SEED)
+    arrays, params = _inputs(kernel, extent)
+    first, _ = rt.execute(kernel, arrays, params)
+
+    def refuse(*args):
+        raise AssertionError("a repeated signature planned again")
+
+    monkeypatch.setattr(simulator, "_layout", refuse)
+    monkeypatch.setattr(simulator, "_row_plan", refuse)
+    second, trace = rt.execute(kernel, arrays, params)
+    assert "cache" in _phases(trace) and "compute" in _phases(trace)
+    assert ("epilogue" in _phases(trace)) == (unroll == 2)
+    assert second.keys() == first.keys()
+    for name, want in first.items():
+        assert np.array_equal(second[name], want), name
+    _assert_matches_software(kernel, arrays, params, second)
+
+
+def test_a_call_plan_is_made_again_on_a_new_mapping(monkeypatch):
+    # A plan belongs to the mapping it was made on: once the cache holds
+    # another mapping of the graph, the signature is planned again.
+    kernel = corpus.load("gemm")
+    rt = OffloadRuntime(OverlayShape(6, 6), cost_model=OFFLOAD, seed=SEED)
+    arrays, params = _inputs(kernel, 5)
+    rt.execute(kernel, arrays, params)
+    accepted = rt.analyze(kernel)
+    entry = rt.map(accepted)
+    layouts = []
+    original = simulator._layout
+    monkeypatch.setattr(simulator, "_layout",
+                        lambda *args: layouts.append(args[1]) or original(*args))
+    for laid_out in [len(accepted.dfg.inputs()) + len(accepted.dfg.outputs()), 0]:
+        layouts.clear()
+        out, trace = rt.execute(kernel, arrays, params)
+        assert "cache" in _phases(trace)
+        _assert_matches_software(kernel, arrays, params, out)
+        assert len(layouts) == laid_out
+    trips = runtime.trip_counts(accepted.loops, params)
+    assert accepted.plans.get(simulator.call_signature(entry.io, arrays, trips)).entry is entry
+    assert len(accepted.plans) == 1
+
+
+def test_arrays_that_are_not_one_block_are_laid_out_on_every_call(monkeypatch):
+    # A strided view of a wider array is not one C- or Fortran-ordered
+    # block, so its calls bypass the memo, whatever their signature.
+    kernel = corpus.load("gemm")
+    rt = OffloadRuntime(OverlayShape(6, 6), cost_model=OFFLOAD, seed=SEED)
+    arrays, params = _inputs(kernel, 5)
+    wide = np.zeros((5, 8), dtype=np.int32)
+    wide[:, ::2] = arrays["A"]
+    arrays["A"] = wide[:, ::2]
+    accepted = rt.analyze(kernel)
+    per_call = len(accepted.dfg.inputs()) + len(accepted.dfg.outputs())
+    layouts = []
+    original = simulator._layout
+    monkeypatch.setattr(simulator, "_layout",
+                        lambda *args: layouts.append(args[1]) or original(*args))
+    for _ in range(3):
+        layouts.clear()
+        out, trace = rt.execute(kernel, arrays, params)
+        assert "compute" in _phases(trace)
+        _assert_matches_software(kernel, arrays, params, out)
+        assert len(layouts) == per_call
+    assert len(accepted.plans) == 0
+
+
+# The trace of a warm call of gemm at unroll 2, M=7 and N=9 on 8x8, placer
+# seed 3: every phase in order, and its detail.
+_WARM_TRACE = [
+    ("analysis", "accepted hash=7c142fc80aeb3d1a in=18 out=2 calc=20"),
+    ("cache", "hit, reusing configuration"),
+    ("decision", "estimate=9.396e-05s software=1.000e+01s -> offloaded"),
+    ("configure", "cached, consts=4 t=55.0us"),
+    ("transfer_in", "frames=504 t=35.1us"),
+    ("compute", "cycles=68"),
+    ("transfer_out", "frames=56 t=3.9us"),
+    ("epilogue", "1 leftover iterations of j"),
+]
+
+
+def test_a_warm_call_traces_every_phase_and_its_detail():
+    # The first warm call finds the plan the cold call made, and so does
+    # every later one; the plan changes no phase, order or detail.
+    kernel = corpus.load("gemm")
+    rt = OffloadRuntime(OverlayShape(8, 8), cost_model=OFFLOAD, unroll=2, seed=3)
+    params = {"M": 7, "N": 9}
+    arrays = allocate_arrays(kernel, params, np.random.default_rng(0), -2**31, 2**31 - 1)
+    _, cold = rt.execute(kernel, arrays, params)
+    assert _phases(cold)[1] == "place_route"
+    for _ in range(2):
+        out, trace = rt.execute(kernel, arrays, params)
+        assert [(event.phase, event.detail) for event in trace] == _WARM_TRACE
+        _assert_matches_software(kernel, arrays, params, out)
+
+
+@pytest.mark.parametrize("model", [OFFLOAD, SOFTWARE], ids=["offload", "software"])
+@pytest.mark.parametrize("size", [True, np.int64(6)], ids=["bool", "int64"])
+def test_a_bool_or_numpy_integer_size_runs_as_the_int_it_equals(model, size):
+    # Software runs range(True) as range(1); each trip count is read with
+    # operator.index, so offload runs it so too.
+    kernel = corpus.load("gemm")
+    arrays, _ = _inputs(kernel, 6)
+    params = {"M": size, "N": 6}
+    rt = OffloadRuntime(OverlayShape(6, 6), cost_model=model, seed=SEED)
+    # an offload runs cold, then warm; software runs once, before its
+    # measured time replaces the model's
+    for _ in range(2 if model is OFFLOAD else 1):
+        out, trace = rt.execute(kernel, arrays, params)
+        assert ("compute" in _phases(trace)) == (model is OFFLOAD)
+        _assert_matches_software(kernel, arrays, params, out)
+
+
 def test_concurrent_calls_with_different_signatures_get_their_own_arrays():
     # Four threads share one mapping, each at its own size, so the memo is
     # read and written from every thread at once.
@@ -288,12 +405,14 @@ def test_concurrent_first_calls_on_one_mapping_keep_one_row_plan_per_key(monkeyp
     # Four threads make the first calls on a fresh mapping, in turn at a
     # size that runs as one piece (every input pinned) and at one cut into
     # pieces (gemm's B[k][j] pinned, A and C loaded per piece), so the
-    # program's plan memo is read and written from every thread at once.
+    # analysis's plan memo is read and written from every thread at once.
+    # It keeps one plan per signature, each with the row plan of its box.
     monkeypatch.setattr(simulator, "_BLOCK", 64)
     kernel = corpus.load("gemm")
     rt = OffloadRuntime(OverlayShape(6, 6), cost_model=OFFLOAD, seed=SEED)
-    program = rt.map(rt.analyze(kernel)).program
-    assert len(program.plans) == 0
+    accepted = rt.analyze(kernel)
+    entry = rt.map(accepted)
+    assert len(accepted.plans) == 0
     calls = [_inputs(kernel, size, seed=size) for size in (6, 12)]  # 36 and 144 positions
     expected = [evaluate_kernel(kernel, *call) for call in calls]
     wrong, done = [], []
@@ -319,8 +438,13 @@ def test_concurrent_first_calls_on_one_mapping_keep_one_row_plan_per_key(monkeyp
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert sorted(done) == [0, 1, 2, 3] and wrong == []
-    assert len(program.plans) == 2
-    assert program.plans.get(tuple(program.input_slots)) is not None
+    assert len(accepted.plans) == 2
+    b_reads = {nid for nid, binding in entry.io.reads if binding.array == "B"}
+    for (arrays, params), pinned in zip(calls, [set(entry.program.input_slots), b_reads]):
+        trips = runtime.trip_counts(accepted.loops, params)
+        plan = accepted.plans.get(simulator.call_signature(entry.io, arrays, trips))
+        assert plan.entry is entry
+        assert {tag for _, tag in plan.steady.rows.pinned} == pinned
 
 
 def test_graphs_that_differ_only_in_numbering_share_one_mapping():

@@ -17,14 +17,15 @@ from conftest import add_node, reference_trace, trace_fields
 from dfeoffload import corpus, engine, overlay, simulator
 from dfeoffload.dfg import (OP_ARITY, AffineExpr, DataFlowGraph, IoBinding,
                             LengthMismatch, NodeKind, OpCode, interpret_dfg, validate_dfg)
-from dfeoffload.frontend import IneligibleKernel, extract_dfg
-from dfeoffload.kernels import allocate_arrays
+from dfeoffload.frontend import IneligibleKernel, Thresholds, extract_dfg
+from dfeoffload.kernels import allocate_arrays, evaluate_kernel, parse_kernel
 from dfeoffload.overlay import Direction, OverlayShape, Pin
 from dfeoffload.placer import PlacerParams, place_and_route
-from dfeoffload.runtime import trip_counts
-from dfeoffload.simulator import (OutOfBounds, build_streams, compile_config,
-                                  dump_frames, graph_io, load_frames, lower_dfg,
-                                  run_compiled, stream_views, write_back)
+from dfeoffload.runtime import CostModel, OffloadRuntime, trip_counts
+from dfeoffload.simulator import (OutOfBounds, build_streams, call_signature,
+                                  compile_config, dump_frames, graph_io, load_frames,
+                                  lower_dfg, plan_box, run_compiled, stream_views,
+                                  write_back)
 
 
 def test_an_input_that_nothing_reads_is_not_streamed():
@@ -757,9 +758,14 @@ def test_the_row_plans_of_a_host_program_read_what_it_names(unroll):
             _assert_plan_reads_what_the_program_names(program, pinned)
 
 
-# -- the view plans memoized per call signature -----------------------------------------
+# -- the plans memoized per call signature ----------------------------------------------
+#
+# The runtime keeps one call plan per signature (``simulator.call_signature``)
+# on each analysis: a plan made on one call's arrays gathers and scatters
+# every later call of the signature.
 
 _SOURCE_LAYOUTS = ["C", "fortran", "sliced", "reversed", "broadcast"]
+_OFFLOAD = CostModel(software_time_per_call=10.0)
 
 
 def _same_views(got, want):
@@ -782,19 +788,30 @@ def _outcome(call):
         return str(exc)
 
 
+def _copying(reads, writes, factor=1):
+    """``_graph`` whose Outputs each copy the first read: a graph with a
+    host program."""
+    g = _graph(reads, writes, factor)
+    copy = g.op_nodes()[0]
+    for out in g.outputs():
+        g.nodes[out] = replace(g.nodes[out], srcs=(copy,))
+    return g
+
+
 @settings(max_examples=40)
 @given(domain=_domains(), data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_a_memoized_view_equals_a_fresh_one(domain, data, seed):
-    """Calls on one GraphIo that alternate three signatures gather and
-    scatter exactly what a fresh GraphIo, with nothing memoized, does.  The
-    second signature has the first's trip counts and shapes but the other
-    dtype, and may have other strides; the third other trip counts, which
-    may take an access out of range."""
+    """Calls on one GraphIo that alternate three signatures, through plans
+    kept per signature as the runtime keeps them, gather and scatter
+    exactly what fresh views of a fresh GraphIo do.  The second signature
+    has the first's trip counts and shapes but the other dtype, and may
+    have other strides; the third other trip counts, which may take an
+    access out of range."""
     trips, factor = domain
     rng = np.random.default_rng(seed)
     reads = [data.draw(_reads(trips, factor, name)) for name in ("A", "B")]
     writes = [data.draw(_writes(trips, factor, "C"))]
-    g = _graph([b for _, b in reads], [b for _, b in writes], factor)
+    g = _copying([b for _, b in reads], [b for _, b in writes], factor)
     shapes = {binding.array: shape for shape, binding in reads + writes}
     first_dtype = data.draw(_DTYPES)
     other_trips = [(var, data.draw(st.integers(n - 1, n + 1))) for var, n in trips]
@@ -809,23 +826,31 @@ def test_a_memoized_view_equals_a_fresh_one(domain, data, seed):
         outputs = dict.fromkeys(g.outputs(), rng.integers(-2**31, 2**31, positions,
                                                           dtype=np.int32))
         calls.append((sig_trips, arrays, outputs))
-    io = graph_io(g)
+    io, program, plans = graph_io(g), lower_dfg(g), {}
+
+    def planned(sig_trips, arrays, outputs):
+        signature = call_signature(io, arrays, sig_trips)
+        plan = plans.get(signature)
+        if plan is None:
+            plan = plan_box(io, program, arrays, sig_trips)
+            if plan.flat:
+                plans[signature] = plan
+        return plan.gather(arrays), write_back(io, outputs, arrays, sig_trips, plan)
+
+    def fresh(sig_trips, arrays, outputs):
+        return (stream_views(graph_io(g), arrays, sig_trips),
+                write_back(graph_io(g), outputs, arrays, sig_trips))
+
     for index in data.draw(st.permutations([0, 1, 2] * 3)):
-        sig_trips, arrays, outputs = calls[index]
-        got = _outcome(lambda: stream_views(io, arrays, sig_trips))
-        want = _outcome(lambda: stream_views(graph_io(g), arrays, sig_trips))
+        got = _outcome(lambda: planned(*calls[index]))
+        want = _outcome(lambda: fresh(*calls[index]))
         if isinstance(want, str):
             assert got == want
-        else:
-            _same_views(got, want)
-        got = _outcome(lambda: write_back(io, outputs, arrays, sig_trips))
-        want = _outcome(lambda: write_back(graph_io(g), outputs, arrays, sig_trips))
-        if isinstance(want, str):
-            assert got == want
-        else:
-            for name, array in want.items():
-                assert got[name].dtype == array.dtype
-                assert np.array_equal(got[name], array), name
+            continue
+        _same_views(got[0], want[0])
+        for name, array in want[1].items():
+            assert got[1][name].dtype == array.dtype
+            assert np.array_equal(got[1][name], array), name
 
 
 def _memo_counted(monkeypatch):
@@ -837,89 +862,121 @@ def _memo_counted(monkeypatch):
     return layouts
 
 
+def _runtime_of(text, unroll=1):
+    """A kernel, a runtime that offloads it, and its analysis's plans.  The
+    runtime's clock advances a second per read, so a software fallback
+    measures a baseline that offload still beats."""
+    kernel = parse_kernel(text)
+    rt = OffloadRuntime(OverlayShape(6, 6), Thresholds(min_nodes=0), cost_model=_OFFLOAD,
+                        unroll=unroll, seed=3, clock=itertools.count().__next__)
+    return kernel, rt, rt.analyze(kernel).plans
+
+
 def test_an_out_of_range_signature_raises_the_same_text_on_every_call(monkeypatch):
     # i runs 0..M-1 over A[i+1]: in range at M=3 on 4 elements, not at M=4.
-    binding = IoBinding("A", (AffineExpr.of(1, i=1),))
-    io = graph_io(_graph([binding]))
-    arrays = {"A": np.arange(4, dtype=np.int32)}
+    # Software reads A[i+1] only when A[i] > A[i], which never holds, so an
+    # offload that cannot gather falls back to it.
+    kernel, rt, plans = _runtime_of(
+        "kernel guard(M)\narrays: A[M]:int32, C[M]:int32\nfor i in 0..M {\n"
+        "  if (A[i] > A[i]) { C[i] = A[i+1] + 1; } else { C[i] = A[i] - 1; }\n}")
+    arrays = {"A": np.arange(4, dtype=np.int32), "C": np.zeros(4, dtype=np.int32)}
     layouts = _memo_counted(monkeypatch)
-    for trips, laid_out in [([("i", 4)], 1), ([("i", 3)], 1), ([("i", 4)], 1),
-                            ([("i", 3)], 0), ([("i", 4)], 1)]:
+    refused = []
+    for m, in_range_layouts in [(4, None), (3, 3), (4, None), (3, 0), (4, None)]:
         layouts.clear()
-        if trips[0][1] == 4:
-            with pytest.raises(OutOfBounds) as exc:
-                stream_views(io, arrays, trips)
-            assert str(exc.value) == "A dim 0: index range [1,4] outside extent 4"
+        out, trace = rt.execute(kernel, arrays, {"M": m})
+        assert np.array_equal(out["C"], evaluate_kernel(kernel, arrays, {"M": m})["C"])
+        if in_range_layouts is None:
+            assert trace[-1].phase == "software"
+            refused.append((trace[-1].detail, len(layouts)))
         else:
-            (view,) = stream_views(io, arrays, trips).values()
-            assert view.tolist() == [1, 2, 3]
-        assert len(layouts) == laid_out, trips
-    assert len(io.plans) == 1
+            assert "compute" in [event.phase for event in trace]
+            assert len(layouts) == in_range_layouts, m
+    access = "A dim 0: index range [1,4] outside extent 4"
+    assert refused == [(f"access out of range ({access}), software fallback", 2)] * 3
+    assert len(plans) == 1
 
 
 def test_an_array_of_another_stride_or_dtype_gets_its_own_plan(monkeypatch):
     # A[i][j] over 3x4 arrays of one shape: C and Fortran differ in
     # strides, int64 and int32 in dtype and strides, int32 and uint32 in
     # dtype alone.  A copy repeats its original's plan.
-    binding = IoBinding("A", (AffineExpr.of(0, i=1), AffineExpr.of(0, j=1)))
-    io = graph_io(_graph([binding]))
-    trips = [("i", 3), ("j", 4)]
+    kernel, rt, plans = _runtime_of(
+        "kernel scale(M, N)\narrays: A[MxN]:int32, C[MxN]:int32\n"
+        "for i in 0..M { for j in 0..N { C[i][j] = 3*A[i][j] + 1; } }")
+    params = {"M": 3, "N": 4}
+    target = np.zeros((3, 4), dtype=np.int32)
     c = np.arange(12).reshape(3, 4)
     f = np.asfortranarray(c)
     layouts = _memo_counted(monkeypatch)
-    for array, laid_out in [(c, 1), (c.copy(), 0), (f, 1), (c.astype(np.int32), 1),
-                            (c.astype(np.uint32), 1), (f.astype(np.int32), 1),
+    for array, laid_out in [(c, 2), (c.copy(), 0), (f, 2), (c.astype(np.int32), 2),
+                            (c.astype(np.uint32), 2), (f.astype(np.int32), 2),
                             (f.copy(order="F"), 0), (c, 0)]:
         layouts.clear()
-        (view,) = stream_views(io, {"A": array}, trips).values()
-        assert view.dtype == array.dtype and view.tolist() == c.tolist()
+        arrays = {"A": array, "C": target}
+        out, trace = rt.execute(kernel, arrays, params)
+        assert "compute" in [event.phase for event in trace]
+        assert out["C"].tolist() == (3 * c + 1).tolist()
         assert len(layouts) == laid_out, (array.dtype, array.strides)
-    assert len(io.plans) == 5
+    assert len(plans) == 5
 
 
 def test_the_reads_and_the_writes_of_one_array_keep_their_own_plans():
     # C[i] = C[i+1] over 5 elements: the read and the write views of one
     # signature lie one element apart.
-    read = IoBinding("C", (AffineExpr.of(1, i=1),))
-    write = IoBinding("C", (AffineExpr.of(0, i=1),))
-    g = _graph([read], [write])
-    io = graph_io(g)
+    g = _copying([IoBinding("C", (AffineExpr.of(1, i=1),))],
+                 [IoBinding("C", (AffineExpr.of(0, i=1),))])
+    io, program = graph_io(g), lower_dfg(g)
     trips = [("i", 4)]
     arrays = {"C": np.arange(5, dtype=np.int32)}
+    plan = plan_box(io, program, arrays, trips)
+    assert [layout[3] for layout in plan.reads] == [4]
+    assert [layout[3] for layout in plan.writes] == [0]
     for _ in range(2):
-        streams = build_streams(io, arrays, trips)
-        out = write_back(io, dict(zip(g.outputs(), streams.values())), arrays, trips)
+        report = run_compiled(program, plan.gather(arrays), plan)
+        out = write_back(io, report.outputs, arrays, trips, plan)
         assert out["C"].tolist() == [1, 2, 3, 4, 4]
-    assert len(io.plans) == 2
 
 
 def test_a_box_at_another_start_gets_its_own_plan():
-    # C[i] = A[i] at unroll 2 over i = 0..3: the steady state reads
-    # A[0..1], and an epilogue of two leftover iterations reads A[2..3], a
-    # box of the same trip counts and count at another start.
-    g = _graph([IoBinding("A", (AffineExpr.of(0, i=1),))],
-               [IoBinding("C", (AffineExpr.of(0, i=1),))], factor=2)
-    (copy,), (out,) = g.op_nodes(), g.outputs()
-    g.nodes[out] = replace(g.nodes[out], srcs=(copy,))
-    io = graph_io(g)
-    arrays = {"A": np.arange(10, 14, dtype=np.int32), "C": np.zeros(4, np.int32)}
-    trips = [("i", 4)]
+    # C[i] = A[i] + 1 at unroll 2 over i = 0..2: the steady state reads
+    # A[0..1] in two lanes, and the epilogue of the one leftover iteration
+    # reads A[2], a box of the same count at another start.
+    kernel, rt, plans = _runtime_of("kernel inc(N)\narrays: A[N]:int32, C[N]:int32\n"
+                                    "for i in 0..N { C[i] = A[i] + 1; }", unroll=2)
+    arrays = {"A": np.arange(10, 13, dtype=np.int32), "C": np.zeros(3, np.int32)}
     for _ in range(2):
-        (view,) = stream_views(io, arrays, trips).values()
-        simulator.run_epilogue(io, lower_dfg(g), arrays, trips, 2)
-        assert view.tolist() == [10, 11] and arrays["C"].tolist() == [0, 0, 12, 13]
+        out, trace = rt.execute(kernel, arrays, {"N": 3})
+        assert "epilogue" in [event.phase for event in trace]
+        assert out["C"].tolist() == [11, 12, 13]
+    entry = rt.cache.get(rt.analyze(kernel).key)
+    plan = plans.get(call_signature(entry.io, arrays, [("i", 3)]))
+    assert len(plans) == 1 and plan.entry is entry
+    assert plan.steady.shape == plan.epilogue.shape == (1,)
+    assert sorted(layout[3] for layout in plan.steady.reads) == [0, 4]
+    assert [layout[3] for layout in plan.epilogue.reads] == [8]
 
 
 def test_the_memo_keeps_the_most_recent_signatures(monkeypatch):
-    binding = IoBinding("A", (AffineExpr.of(0, i=1),))
-    io = graph_io(_graph([binding]))
-    arrays = {"A": np.arange(simulator.CACHE_CAPACITY + 1, dtype=np.int32)}
-    for n in range(1, simulator.CACHE_CAPACITY + 2):
-        stream_views(io, arrays, [("i", n)])
-    assert len(io.plans) == simulator.CACHE_CAPACITY
+    # Each new signature makes one plan; at CACHE_CAPACITY + 1 signatures
+    # the least recently used is dropped, and the most recent are kept.
+    kernel, rt, plans = _runtime_of("kernel inc(N)\narrays: A[N]:int32, C[N]:int32\n"
+                                    "for i in 0..N { C[i] = 3*A[i] + 1; }")
+    capacity = simulator.CACHE_CAPACITY
+    arrays = {"A": np.arange(capacity + 1, dtype=np.int32),
+              "C": np.zeros(capacity + 1, dtype=np.int32)}
     layouts = _memo_counted(monkeypatch)
-    stream_views(io, arrays, [("i", simulator.CACHE_CAPACITY + 1)])
-    assert layouts == []
-    (view,) = stream_views(io, arrays, [("i", 1)]).values()  # the first, evicted
-    assert layouts == [binding] and view.tolist() == [0]
-    assert len(io.plans) == simulator.CACHE_CAPACITY
+
+    def laid_out(n):
+        layouts.clear()
+        out, trace = rt.execute(kernel, arrays, {"N": n})
+        assert "compute" in [event.phase for event in trace]
+        assert out["C"][:n].tolist() == (3 * arrays["A"][:n] + 1).tolist()
+        return len(layouts)
+
+    for n in range(1, capacity + 2):
+        assert laid_out(n) == 2
+        assert len(plans) == min(n, capacity)
+    assert laid_out(capacity + 1) == 0 and laid_out(2) == 0
+    assert laid_out(1) == 2  # the first, dropped
+    assert len(plans) == capacity
