@@ -27,7 +27,6 @@ from .runtime import (CacheEntry, ConfigCache, CostModel, Mode, OffloadRuntime,
                       OffloadState, TraceEvent, decide, estimate_offload_time,
                       record)
 from .simulator import (RunReport, build_streams, compile_config, dump_frames,
-                        graph_io, load_frames, run_compiled, stream_views,
-                        write_back)
+                        graph_io, load_frames, run_compiled, write_back)
 
 __version__ = "0.1.0"

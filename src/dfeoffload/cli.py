@@ -381,7 +381,3 @@ def main(argv=None) -> int:
     except (OSError, kl.EvalError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
     return EXIT_PARSE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -12,7 +12,9 @@ nothing), then trip counts, the decision, gather, run, scatter and epilogue.
 All of that work which depends only on the call's signature (its trip
 counts, and each array's shape, strides and dtype) is planned once per
 signature and mapping and memoized on the analysis, so a repeated signature
-finds its boxes, view layouts and row plans in one lookup.
+finds its boxes, view layouts and row plans in one lookup.  A first call
+plans all of it before anything runs, then runs as a repeated call does.
+An array that is not one C- or Fortran-ordered block is copied first.
 
 An unrolled graph leaves the last (inner extent mod unroll) iterations of
 each innermost loop to an epilogue.  The epilogue runs the kernel's unroll-1
@@ -27,10 +29,11 @@ import math
 import operator
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Callable, Hashable, Optional, Union
 
 import numpy as np
 
@@ -40,10 +43,10 @@ from .frontend import (EligibilityReport, Thresholds, check_eligibility,
                        check_unroll, unroll_dfg)
 from .overlay import OverlayShape
 from .placer import Placement, PlacerParams, Unroutable, place_and_route
-from .simulator import (CACHE_CAPACITY, FRAME_SIZE, BoxPlan, GraphIo, Lru,
-                        OutOfBounds, Program, call_signature, compile_config,
-                        graph_io, leftover, lower_dfg, plan_box, run_compiled,
-                        run_epilogue, stream_length, write_back)
+from .simulator import (FRAME_SIZE, BoxPlan, GraphIo, OutOfBounds, Program,
+                        call_signature, compile_config, graph_io, lower_dfg,
+                        plan_box, run_compiled, run_epilogue, stream_length,
+                        write_back)
 
 
 @dataclass
@@ -158,6 +161,41 @@ def record(state: OffloadState, mode: Mode, elapsed: float) -> OffloadState:
     return state
 
 
+# Entries an LRU keeps: a runtime's mappings, analyses and routing failures,
+# and an analysis's call plans.
+CACHE_CAPACITY = 32
+
+
+class Lru:
+    """A map of at most ``capacity`` keys that drops the least recently used.
+
+    Every use holds its lock, so concurrent callers may share one.
+    """
+
+    def __init__(self, capacity: int):
+        self._entries: OrderedDict = OrderedDict()
+        self._capacity = capacity
+        self._lock = threading.Lock()
+
+    def get(self, key: Hashable):
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+            return value
+
+    def put(self, key: Hashable, value) -> None:
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > self._capacity:
+                self._entries.popitem(last=False)
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+
 @dataclass
 class CacheEntry:
     """A mapping ready to run: ``program`` is the placement's config, lowered
@@ -195,14 +233,22 @@ class ConfigCache:
 class _CallPlan:
     """All of an offloaded call on one mapping, ``entry``, that depends only
     on the call's signature (``call_signature``): the steady state's
-    ``plan_box`` on the mapping, the innermost iterations it leaves to the
-    epilogue, and then the plan of the leftover box on the analysis's
-    unroll-1 graph."""
+    ``plan_box`` on the mapping, the plan of the leftover box on the
+    analysis's unroll-1 graph if there is one, and the accessed arrays that
+    are not one C- or Fortran-ordered block: the plans are made over their
+    C-ordered copies (``_blocks``), and every run reads such copies."""
 
     entry: CacheEntry
     steady: BoxPlan
-    leftover: int
     epilogue: Optional[BoxPlan]
+    copied: tuple[str, ...]
+
+
+def _blocks(arrays: dict[str, np.ndarray], copied: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """``arrays`` with a C-ordered copy of each array ``copied`` names."""
+    if not copied:
+        return arrays
+    return {**arrays, **{name: np.ascontiguousarray(arrays[name]) for name in copied}}
 
 
 @dataclass(frozen=True)
@@ -226,6 +272,19 @@ class _Accepted:
     epilogue_io: Optional[GraphIo] = None
     plans: Lru = field(default_factory=lambda: Lru(CACHE_CAPACITY),
                        compare=False, repr=False)
+
+
+def _plan_call(analysis: _Accepted, entry: CacheEntry, arrays: dict[str, np.ndarray],
+               trips: list[tuple[str, int]]) -> _CallPlan:
+    """The plan of an offloaded call of ``analysis`` on ``entry`` over
+    ``arrays``.  Raises OutOfBounds at the first access that leaves its
+    array, in the steady state's box or the epilogue's."""
+    copied = tuple(name for name in entry.io.arrays if not arrays[name].flags.forc)
+    blocks = _blocks(arrays, copied)
+    left = trips[-1][1] % entry.io.factor  # the epilogue's innermost iterations
+    epilogue = (plan_box(analysis.epilogue_io, analysis.epilogue_program, blocks, trips, left)
+                if left else None)
+    return _CallPlan(entry, plan_box(entry.io, entry.program, blocks, trips), epilogue, copied)
 
 
 def _accept(dfg: DataFlowGraph, loops: tuple[kl.For, ...],
@@ -448,26 +507,26 @@ class OffloadRuntime:
         if decision != Mode.OFFLOADED:
             return software("decision: software", state)
 
-        # Gather views of the caller's arrays, run, scatter, then run the
-        # leftover iterations on the host.  A miss plans each graph's box
-        # just before it runs, so each graph's views are all bounds-checked
-        # before it runs, and a gather raises before any write.
-        try:
-            steady = plan.steady if plan else plan_box(entry.io, entry.program, arrays, trips)
-            run_report = run_compiled(entry.program, steady.gather(arrays), steady)
-            result = write_back(entry.io, run_report.outputs, arrays, trips, steady)
-            left = plan.leftover if plan else leftover(entry.io, trips)
-            epilogue = plan.epilogue if plan else None
-            if left:
-                epilogue = run_epilogue(analysis.epilogue_io, analysis.epilogue_program,
-                                        result, trips, left, epilogue)
-        except OutOfBounds as exc:
-            # Only an access out of range: the overlay streams every access
-            # over the whole domain, while software touches only what it
-            # evaluates, and raises its own error for what it cannot.
-            return software("access out of range ({}), software fallback", state, str(exc))
-        if plan is None and steady.flat:
-            analysis.plans.put(signature, _CallPlan(entry, steady, left, epilogue))
+        # A miss plans the whole call before anything runs, so every view is
+        # bounds-checked before any is read or written, and then runs as a
+        # hit does.
+        if plan is None:
+            try:
+                plan = _plan_call(analysis, entry, arrays, trips)
+            except OutOfBounds as exc:
+                # Only an access out of range: the overlay streams every access
+                # over the whole domain, while software touches only what it
+                # evaluates, and raises its own error for what it cannot.
+                return software("access out of range ({}), software fallback", state, str(exc))
+            analysis.plans.put(signature, plan)
+
+        # Gather views of the arrays, run, scatter, then run the leftover
+        # iterations on the host.
+        blocks = _blocks(arrays, plan.copied)
+        run_report = run_compiled(entry.program, plan.steady.gather(blocks), plan.steady)
+        result = write_back(entry.io, run_report.outputs, blocks, plan.steady)
+        if plan.epilogue:
+            run_epilogue(analysis.epilogue_program, result, plan.epilogue)
 
         charge = device_time(self.device_model, run_report.frames_in,
                              run_report.frames_out, cached)
@@ -479,8 +538,9 @@ class OffloadRuntime:
         emit("compute", "cycles={}", run_report.cycles)
         emit("transfer_out", "frames={} t={:.1f}us", run_report.frames_out, t_out * 1e6)
 
-        if left:
-            emit("epilogue", "{} leftover iterations of {}", left, trips[-1][0])
+        if plan.epilogue:
+            emit("epilogue", "{} leftover iterations of {}",
+                 plan.epilogue.shape[-1], trips[-1][0])
 
         record(state, Mode.OFFLOADED, sum(charge))
         if state.mode == Mode.ROLLED_BACK:

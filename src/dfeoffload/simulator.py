@@ -33,24 +33,20 @@ so lowered over the ``leftover`` innermost iterations of an unrolled call.
 All of a run that depends only on the call's signature (``call_signature``:
 the trip counts, and the shape, strides and dtype of each array accessed)
 is one ``BoxPlan``: the box, its views' layouts (byte offset and strides,
-bounds already checked) and the row plan.  ``plan_box`` makes one, and
-``run_compiled``, ``write_back`` and ``run_epilogue`` take one, so that a
-caller that keeps plans per signature builds each view of a repeated
-signature with one ``np.ndarray`` call and redoes no per-dimension sums.
-Arrays that are not one C- or Fortran-ordered block are laid out again on
-every call, and an out-of-range access raises OutOfBounds before its plan
-exists.  Arrays arrive checked (``kernels.check_arrays``), but each binding
-is checked here.
+bounds already checked) and the row plan, made by ``plan_box``.  A view of
+a plan is one ``np.ndarray`` call over its array's memory, which takes only
+one C- or Fortran-ordered block: a caller copies any other array to C order
+before it plans, as the runtime and ``build_streams`` do.  An out-of-range
+access raises OutOfBounds before its plan exists.  Arrays arrive checked
+(``kernels.check_arrays``), but each binding is checked here.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -399,12 +395,12 @@ def run_compiled(program: Program, streams: dict[int, np.ndarray],
     """Execute a lowered program over input streams keyed by tag.
 
     The streams share one shape: 1-D streams as ``build_streams`` makes
-    them, or the N-D views ``stream_views`` makes, read in row-major order
-    without a full-length copy.  A run covers ``prod(shape)`` positions, and
-    its output streams are 1-D int32 arrays of that length, owned by the
-    report.  ``plan``, when given, is ``plan_box`` of this program, and the
-    streams are its views (``BoxPlan.gather``): the run then takes the box
-    and the row plan from it and checks the streams no further.
+    them, or N-D views, read in row-major order without a full-length copy.
+    A run covers ``prod(shape)`` positions, and its output streams are 1-D
+    int32 arrays of that length, owned by the report.  ``plan``, when given,
+    is ``plan_box`` of this program, and the streams are its views
+    (``BoxPlan.gather``): the run then takes the box and the row plan from
+    it and checks the streams no further.
     """
     if plan is None:
         if streams.keys() != program.input_slots.keys():
@@ -432,41 +428,6 @@ def run_compiled(program: Program, streams: dict[int, np.ndarray],
 # An iteration box is a start and a count per loop, outer to inner.  A gather
 # or scatter reads or writes a strided view of the array over the box, and
 # its positions are the box's points in row-major order.
-
-
-# Entries an LRU keeps: a runtime's mappings, analyses and routing failures,
-# and an analysis's call plans.
-CACHE_CAPACITY = 32
-
-
-class Lru:
-    """A map of at most ``capacity`` keys that drops the least recently used.
-
-    Every use holds its lock, so concurrent callers may share one.
-    """
-
-    def __init__(self, capacity: int):
-        self._entries: OrderedDict = OrderedDict()
-        self._capacity = capacity
-        self._lock = threading.Lock()
-
-    def get(self, key: Hashable):
-        with self._lock:
-            value = self._entries.get(key)
-            if value is not None:
-                self._entries.move_to_end(key)
-            return value
-
-    def put(self, key: Hashable, value) -> None:
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self._capacity:
-                self._entries.popitem(last=False)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
 
 
 @dataclass(frozen=True)
@@ -530,34 +491,26 @@ def stream_length(io: GraphIo, trips: list[tuple[str, int]]) -> int:
     return math.prod(_box(io, trips)[0])
 
 
-def leftover(io: GraphIo, trips: list[tuple[str, int]]) -> int:
-    """Innermost iterations the unrolled steady state leaves to the epilogue."""
-    return trips[-1][1] % io.factor
-
-
 def _layout(arr: np.ndarray, binding: IoBinding, loop: dict[str, int],
-            counts: list[int], starts: list[int]
-            ) -> tuple[int, tuple[int, ...], list[int]]:
+            counts: list[int], starts: list[int]) -> tuple[int, tuple[int, ...]]:
     """Where ``binding`` accesses ``arr`` over a box: (byte offset, byte
-    strides, index) of the view whose element at n is the one accessed when
-    each loop variable is its start plus n.
+    strides) of the view whose element at n is the one accessed when each
+    loop variable is its start plus n.
 
     ``loop`` maps each loop variable to its position in ``counts``.  A loop
     variable's byte stride is the sum over dimensions of its coefficient
     times the array's stride there, which covers unrolled, swapped and
     multi-variable subscripts, negative coefficients and (stride 0) reads
-    the variable does not index.  The offset and index are those of the
-    origin element, the one accessed at the box's start; an empty box
-    accesses nothing and has offset 0.  Raises OutOfBounds when the access
-    leaves the array anywhere in the box: each dimension is checked at its
-    affine extremes.
+    the variable does not index.  The offset is that of the origin element,
+    the one accessed at the box's start; an empty box accesses nothing and
+    has offset 0.  Raises OutOfBounds when the access leaves the array
+    anywhere in the box: each dimension is checked at its affine extremes.
     """
     if arr.ndim != len(binding.access):
         raise OutOfBounds(f"array {binding.array} has rank {arr.ndim}, "
                           f"access has {len(binding.access)} dims")
     shape, steps = arr.shape, arr.strides
     empty = 0 in counts
-    origin = []
     offset = 0
     strides = [0] * len(counts)
     for dim, expr in enumerate(binding.access):
@@ -577,25 +530,13 @@ def _layout(arr: np.ndarray, binding: IoBinding, loop: dict[str, int],
             raise OutOfBounds(
                 f"{binding.array} dim {dim}: index range "
                 f"[{first + down},{first + up}] outside extent {shape[dim]}")
-        origin.append(first)
         offset += first * steps[dim]
-    return (0 if empty else offset), tuple(strides), origin
-
-
-def _strided(arr: np.ndarray, counts: tuple[int, ...], strides: tuple[int, ...],
-             origin: list[int]) -> np.ndarray:
-    """A view of ``arr``, which is not one contiguous block, from its origin
-    element: ``as_strided`` takes any array, at several times the cost of
-    the ``np.ndarray`` constructor, which takes only a contiguous buffer."""
-    if 0 in counts:
-        return np.empty(counts, dtype=arr.dtype)
-    at_origin = arr[tuple(slice(o, o + 1) for o in origin)]
-    return np.lib.stride_tricks.as_strided(at_origin, counts, strides)
+    return (0 if empty else offset), tuple(strides)
 
 
 # A view's layout over a box: (node id, array name, dtype, byte offset, byte
-# strides, origin index), bounds checked.
-_Layout = tuple[int, str, np.dtype, int, tuple[int, ...], list[int]]
+# strides), bounds checked.
+_Layout = tuple[int, str, np.dtype, int, tuple[int, ...]]
 
 
 def _layouts(bindings: tuple[tuple[int, IoBinding], ...], arrays: dict[str, np.ndarray],
@@ -609,28 +550,12 @@ def _layouts(bindings: tuple[tuple[int, IoBinding], ...], arrays: dict[str, np.n
 
 
 def _views(layouts: tuple[_Layout, ...], arrays: dict[str, np.ndarray],
-           shape: tuple[int, ...], flat: bool) -> dict[int, np.ndarray]:
+           shape: tuple[int, ...]) -> dict[int, np.ndarray]:
     """The view of ``arrays`` that each layout describes over a box of
-    ``shape``, keyed by node id: one ``np.ndarray`` call over the array's
-    memory when every array is ``flat``, one C- or Fortran-ordered block,
-    else ``as_strided``."""
-    if flat:
-        return {nid: np.ndarray(shape, dtype, arrays[name], offset, strides)
-                for nid, name, dtype, offset, strides, _ in layouts}
-    return {nid: _strided(arrays[name], shape, strides, origin)
-            for nid, name, _, _, strides, origin in layouts}
-
-
-def _laid_out(io: GraphIo, bindings: tuple[tuple[int, IoBinding], ...],
-              arrays: dict[str, np.ndarray], trips: list[tuple[str, int]],
-              leftover: Optional[int] = None) -> dict[int, np.ndarray]:
-    """The views of ``bindings`` over the box ``_box(io, trips, leftover)``,
-    laid out and bounds checked afresh, and built as a plan of the box
-    builds them."""
-    counts, starts = _box(io, trips, leftover)
-    layouts = _layouts(bindings, arrays, trips, counts, starts)
-    return _views(layouts, arrays, tuple(counts),
-                  all(arrays[name].flags.forc for name in io.arrays))
+    ``shape``, keyed by node id: one ``np.ndarray`` call over the memory of
+    its array, which must be one C- or Fortran-ordered block."""
+    return {nid: np.ndarray(shape, dtype, arrays[name], offset, strides)
+            for nid, name, dtype, offset, strides in layouts}
 
 
 @dataclass(frozen=True)
@@ -641,28 +566,27 @@ class BoxPlan:
     ``shape`` is the box's and ``length`` its number of positions.
     ``reads`` and ``writes`` are the layouts of the views of the graph's
     reads and writes, bounds checked, and ``rows`` is the program's row
-    plan over the box's pinned inputs.  ``flat`` tells whether every array
-    accessed was one C- or Fortran-ordered block.  If not, the plan is for
-    one call only, and ``writes`` is None: the scatter writes fresh copies,
-    laid out unlike the caller's arrays, and lays its views out over them.
+    plan over the box's pinned inputs.  The layouts hold for every call of
+    the signature, and for the copies ``write_back`` makes of its arrays,
+    as each array is one C- or Fortran-ordered block.
     """
 
     shape: tuple[int, ...]
     length: int
     reads: tuple[_Layout, ...]
-    writes: Optional[tuple[_Layout, ...]]
+    writes: tuple[_Layout, ...]
     rows: RowPlan
-    flat: bool
 
     def gather(self, arrays: dict[str, np.ndarray]) -> dict[int, np.ndarray]:
         """The run's input streams: a view of ``arrays`` per read."""
-        return _views(self.reads, arrays, self.shape, self.flat)
+        return _views(self.reads, arrays, self.shape)
 
 
 def plan_box(io: GraphIo, program: Program, arrays: dict[str, np.ndarray],
              trips: list[tuple[str, int]], leftover: Optional[int] = None) -> BoxPlan:
     """The plan of a run of ``program``, lowered from the graph of ``io``,
-    over ``arrays`` and the box ``_box(io, trips, leftover)``.
+    over ``arrays``, each one C- or Fortran-ordered block, and the box
+    ``_box(io, trips, leftover)``.
 
     Every read is laid out and bounds checked, then every write, and then
     the row plan is made.  Raises OutOfBounds at the first access that
@@ -670,30 +594,22 @@ def plan_box(io: GraphIo, program: Program, arrays: dict[str, np.ndarray],
     """
     counts, starts = _box(io, trips, leftover)
     shape = tuple(counts)
-    flat = all(arrays[name].flags.forc for name in io.arrays)
     reads = _layouts(io.reads, arrays, trips, counts, starts)
-    writes = _layouts(io.writes, arrays, trips, counts, starts) if flat else None
+    writes = _layouts(io.writes, arrays, trips, counts, starts)
     strides = {layout[0]: layout[4] for layout in reads}
     return BoxPlan(shape, math.prod(shape), reads, writes,
-                   _row_plan(program, _pinned(program, shape, strides)), flat)
+                   _row_plan(program, _pinned(program, shape, strides)))
 
 
-def _scatter(io: GraphIo, outputs: dict[int, np.ndarray],
-             arrays: dict[str, np.ndarray], trips: list[tuple[str, int]],
-             leftover: Optional[int], plan: Optional[BoxPlan]) -> None:
-    """Write each Output node's stream into ``arrays`` in place, over the
-    box ``_box(io, trips, leftover)``, once every write view is bounds
-    checked: through the write layouts of ``plan`` when it has them, else
-    laid out afresh over ``arrays``.
+def _scatter(plan: BoxPlan, outputs: dict[int, np.ndarray],
+             arrays: dict[str, np.ndarray]) -> None:
+    """Write each Output node's stream into ``arrays`` in place, through
+    the write layouts of ``plan``.
 
     Extraction makes every write subscript a distinct loop variable plus a
     constant, so no two positions of one output share an element.
     """
-    if plan is not None and plan.writes is not None:
-        views = _views(plan.writes, arrays, plan.shape, True)
-    else:
-        views = _laid_out(io, io.writes, arrays, trips, leftover)
-    for nid, view in views.items():
+    for nid, view in _views(plan.writes, arrays, plan.shape).items():
         if nid not in outputs:
             raise UnconfiguredTag(f"report carries no stream for output {nid}")
         stream = np.asarray(outputs[nid])
@@ -703,71 +619,52 @@ def _scatter(io: GraphIo, outputs: dict[int, np.ndarray],
         view[...] = stream.astype(np.int32, copy=False).reshape(view.shape)
 
 
-def stream_views(io: GraphIo, arrays: dict[str, np.ndarray],
-                 trips: list[tuple[str, int]]) -> dict[int, np.ndarray]:
-    """One input stream per read of ``io`` over the iteration domain, as a view.
-
-    ``trips`` lists (loop var, trip count) outer to inner.  Streams cover the
-    unrolled steady state only; the ``leftover`` innermost iterations are
-    the epilogue's job.  Constants folded into the configuration are not
-    streamed, nor are Inputs that nothing reads: the placer binds no port
-    for them.  Each stream is a strided view of its array (or an empty
-    array) of the domain's shape, one loop per axis, in the array's dtype;
-    nothing is copied, and a read that does not use a loop variable has
-    stride 0 along it.  ``run_compiled`` takes the views as they are.
-    Raises OutOfBounds, before any view is returned, when an access leaves
-    its array.  The views are laid out afresh; ``plan_box`` keeps their
-    layouts, and ``BoxPlan.gather`` makes the same views from them.
-    """
-    return _laid_out(io, io.reads, arrays, trips)
-
-
 def build_streams(io: GraphIo, arrays: dict[str, np.ndarray],
                   trips: list[tuple[str, int]]) -> dict[int, np.ndarray]:
-    """``stream_views`` copied out: each stream a fresh 1-D int32 array, one
-    position per point of the domain in row-major order, as the frames dump
-    writes them.
+    """One input stream per read of ``io``: a fresh 1-D int32 array, one
+    position per point of the unrolled steady state's box in row-major
+    order, as the frames dump writes them.
+
+    Constants folded into the configuration are not streamed, nor are
+    Inputs that nothing reads: the placer binds no port for them.  Each
+    stream is copied out of a view laid out as a plan lays it out, over the
+    array in C order (``np.ascontiguousarray``).  Raises OutOfBounds,
+    before any stream is made, when an access leaves its array.
     """
+    counts, starts = _box(io, trips)
+    arrays = {name: np.ascontiguousarray(arrays[name]) for name in io.arrays}
+    layouts = _layouts(io.reads, arrays, trips, counts, starts)
     return {nid: np.array(view, dtype=np.int32, order="C").reshape(-1)
-            for nid, view in stream_views(io, arrays, trips).items()}
+            for nid, view in _views(layouts, arrays, tuple(counts)).items()}
 
 
 def write_back(io: GraphIo, outputs: dict[int, np.ndarray],
-               arrays: dict[str, np.ndarray], trips: list[tuple[str, int]],
-               plan: Optional[BoxPlan] = None) -> dict[str, np.ndarray]:
+               arrays: dict[str, np.ndarray], plan: BoxPlan) -> dict[str, np.ndarray]:
     """Scatter each Output's stream in ``outputs``, keyed by node id, through
-    the access of its ``io`` write.
+    the write layouts of ``plan``, the run's ``plan_box`` over ``arrays``.
 
     Returns a new mapping; written arrays are fresh copies, others pass
-    through.  The ``leftover`` iterations are left untouched.  ``plan`` is
-    the run's ``plan_box``, whose write layouts, if it has them, the
-    scatter takes.
+    through.  A copy keeps the layout of its array, a block, so any plan
+    made over ``arrays`` holds for it.  The ``leftover`` iterations are
+    left untouched.
     """
     out = dict(arrays)
     for name in io.written:
         out[name] = np.array(out[name], copy=True)
-    _scatter(io, outputs, out, trips, None, plan)
+    _scatter(plan, outputs, out)
     return out
 
 
-def run_epilogue(io: GraphIo, program: Program,
-                 arrays: dict[str, np.ndarray], trips: list[tuple[str, int]],
-                 leftover: int, plan: Optional[BoxPlan] = None) -> BoxPlan:
+def run_epilogue(program: Program, arrays: dict[str, np.ndarray], plan: BoxPlan) -> None:
     """Run the last ``leftover`` iterations of the innermost loop on the host.
 
-    ``io`` is ``graph_io(g)`` and ``program`` is ``lower_dfg(g)`` of the
-    kernel's unroll-1 graph ``g``.  Every outer iteration is covered: the
-    box is the leftover columns.  Its plan is ``plan``, or ``plan_box`` of
-    that box made here, so every view is bounds checked first; the blocked
-    run copies from the views, and the outputs are scattered once the whole
+    ``program`` is ``lower_dfg(g)`` of the kernel's unroll-1 graph ``g``,
+    and ``plan`` is ``plan_box`` of it over the leftover columns, which
+    bounds checked every view.  The outputs are scattered once the whole
     run is done, so no read sees a write.  Results are written into
     ``arrays`` in place, so its written arrays must be the call's own
     copies, as ``write_back`` returns them.  Nothing crosses the modelled
-    wire, and no RunReport is made.  Raises OutOfBounds as a gather does,
-    before anything is written.  Returns the plan it ran.
+    wire, and no RunReport is made.
     """
-    if plan is None:
-        plan = plan_box(io, program, arrays, trips, leftover)
     outputs = _run_blocked(plan.rows, plan.gather(arrays), plan.shape)
-    _scatter(io, outputs, arrays, trips, leftover, plan)
-    return plan
+    _scatter(plan, outputs, arrays)

@@ -1,5 +1,9 @@
 import csv
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,7 +234,7 @@ def test_run_offloads_an_unrolled_gemm_with_its_epilogue(monkeypatch, tmp_path, 
     epilogues = []
     original = runtime.run_epilogue
     monkeypatch.setattr(runtime, "run_epilogue",
-                        lambda *args: epilogues.append(args[4]) or original(*args))
+                        lambda *args: epilogues.append(args[2].shape[-1]) or original(*args))
     rc, out = _run(monkeypatch, tmp_path, capsys, str(corpus.kernel_path("gemm")),
                    "--unroll", "2", "--overlay", "8x8", "--size", "9")
     assert rc == cli.EXIT_OK
@@ -485,6 +489,19 @@ def test_bench_exits_1_on_a_negative_extent(monkeypatch, tmp_path, capsys):
     assert rc == cli.EXIT_PARSE
     assert (out.out, out.err) == ("", "bench: array B has negative extent (4, -3)\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_python_dash_m_runs_the_command_line(capsys):
+    # ``python -m dfeoffload`` runs what the installed script runs; the
+    # last column of a row is the time the analysis took.
+    gemm = str(corpus.kernel_path("gemm"))
+    assert cli.main(["analyze", gemm]) == cli.EXIT_OK
+    row = capsys.readouterr().out.split()[:-1]
+    assert row == ["gemm", "Yes", "9/1/10"]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-m", "dfeoffload", "analyze", gemm],
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert (run.returncode, run.stdout.split()[:-1], run.stderr) == (cli.EXIT_OK, row, "")
 
 
 def test_analyze_takes_no_unroll_factor(capsys):

@@ -12,8 +12,8 @@ from dfeoffload.dfg import (NodeKind, OpCode, dfg_from_text, dfg_stats, dfg_to_t
 from dfeoffload.frontend import (IneligibleKernel, Reason, Thresholds,
                                  check_eligibility, extract_dfg, to_affine)
 from dfeoffload.kernels import evaluate_kernel, allocate_arrays, parse_kernel
-from dfeoffload.simulator import (build_streams, graph_io, lower_dfg, run_epilogue,
-                                  write_back)
+from dfeoffload.simulator import (build_streams, graph_io, lower_dfg, plan_box,
+                                  run_epilogue, write_back)
 
 
 def kparse(body, arrays="A[MxN]:int32, B[MxN]:int32, C[MxN]:int32",
@@ -242,7 +242,8 @@ def test_unroll_semantic_invariance():
             outs = interpret_dfg(g, {n: list(map(int, s))
                                      for n, s in streams.items()})
             outputs = {n: np.array(v, np.int32) for n, v in outs.items()}
-            got = write_back(graph_io(g), outputs, arrays, trips)
+            plan = plan_box(graph_io(g), lower_dfg(g), arrays, trips)
+            got = write_back(graph_io(g), outputs, arrays, plan)
             for arr in want:
                 assert np.array_equal(got[arr], want[arr]), (name, unroll, arr)
 
@@ -667,9 +668,11 @@ def test_generated_kernels_extract_as_the_oracle_evaluates(body, m, n, seed):
         streams = build_streams(graph_io(g), arrays, trips)
         outs = interpret_dfg(g, {nid: s.tolist() for nid, s in streams.items()})
         outputs = {nid: np.array(v, np.int32) for nid, v in outs.items()}
-        got = write_back(graph_io(g), outputs, arrays, trips)
+        got = write_back(graph_io(g), outputs, arrays,
+                         plan_box(graph_io(g), lower_dfg(g), arrays, trips))
         leftover = n % unroll
         if leftover:
-            run_epilogue(graph_io(base), lower_dfg(base), got, trips, leftover)
+            program = lower_dfg(base)
+            run_epilogue(program, got, plan_box(graph_io(base), program, arrays, trips, leftover))
         for name in want:
             assert np.array_equal(got[name], want[name]), (body, unroll, name)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import add_node, reference_trace, trace_fields
-from dfeoffload import corpus, engine, overlay, simulator
+from dfeoffload import corpus, engine, overlay, runtime, simulator
 from dfeoffload.dfg import (OP_ARITY, AffineExpr, DataFlowGraph, IoBinding,
                             LengthMismatch, NodeKind, OpCode, interpret_dfg, validate_dfg)
 from dfeoffload.frontend import IneligibleKernel, Thresholds, extract_dfg
@@ -24,8 +24,7 @@ from dfeoffload.placer import PlacerParams, place_and_route
 from dfeoffload.runtime import CostModel, OffloadRuntime, trip_counts
 from dfeoffload.simulator import (OutOfBounds, build_streams, call_signature,
                                   compile_config, dump_frames, graph_io, load_frames,
-                                  lower_dfg, plan_box, run_compiled, stream_views,
-                                  write_back)
+                                  lower_dfg, plan_box, run_compiled, write_back)
 
 
 def test_an_input_that_nothing_reads_is_not_streamed():
@@ -275,6 +274,31 @@ def _graph(reads=(), writes=(), factor=1):
     return g
 
 
+def _copying(reads, writes, factor=1):
+    """``_graph`` whose Outputs each copy the first read: a graph with a
+    host program."""
+    g = _graph(reads, writes, factor)
+    copy = g.op_nodes()[0]
+    for out in g.outputs():
+        g.nodes[out] = replace(g.nodes[out], srcs=(copy,))
+    return g
+
+
+# F[0], a read for a ``_copying`` graph that only writes matter to
+_F0 = IoBinding("F", (AffineExpr.of(0),))
+
+
+def _plan_of(g, arrays, trips):
+    """``plan_box`` of the steady state of ``g``, lowered for the host."""
+    return plan_box(graph_io(g), lower_dfg(g), arrays, trips)
+
+
+def _as_blocks(arrays):
+    """``arrays`` as the runtime plans and runs them: each that is not one
+    C- or Fortran-ordered block copied to C order."""
+    return {name: a if a.flags.forc else np.ascontiguousarray(a) for name, a in arrays.items()}
+
+
 _LAYOUTS = st.sampled_from(["C", "fortran", "sliced", "reversed", "read-only"])
 _DTYPES = st.sampled_from([np.int32, np.int64])
 
@@ -367,15 +391,15 @@ def test_write_back_scatters_what_index_arrays_scatter(domain, data, seed):
         idx, ok = _reference(binding, trips, factor, shape)
         stream = rng.integers(-2**31, 2**31, len(idx[0])).astype(np.int32)
         (in_range if ok or not len(idx[0]) else out_of_range).append((binding, idx, stream))
-    arrays["F"] = np.zeros(3, np.int32)  # written by nothing
+    arrays["F"] = np.zeros(3, np.int32)  # read, and written by nothing
     before = {name: a.copy() for name, a in arrays.items()}
+    blocks = _as_blocks(arrays)
     for binding, _, stream in out_of_range:
         with pytest.raises(OutOfBounds, match=rf"^{binding.array} dim \d: index range"):
-            write_back(graph_io(_graph(writes=[binding], factor=factor)),
-                       {0: stream}, arrays, trips)
-    g = _graph(writes=[binding for binding, _, _ in in_range], factor=factor)
+            _plan_of(_copying([_F0], [binding], factor), blocks, trips)
+    g = _copying([_F0], [binding for binding, _, _ in in_range], factor)
     outputs = dict(zip(g.outputs(), [stream for _, _, stream in in_range]))
-    got = write_back(graph_io(g), outputs, arrays, trips)
+    got = write_back(graph_io(g), outputs, blocks, _plan_of(g, blocks, trips))
     want = {name: a.copy() for name, a in arrays.items()}
     for binding, idx, stream in in_range:
         want[binding.array][idx] = stream
@@ -415,8 +439,8 @@ def test_a_bad_binding_is_refused_with_its_reason():
             build_streams(graph_io(_graph([binding])), arrays, trips)
         assert str(exc.value) == message
         with pytest.raises(OutOfBounds) as exc:
-            write_back(graph_io(_graph(writes=[binding])),
-                       {0: np.zeros(2, np.int32)}, arrays, trips)
+            _plan_of(_copying([IoBinding("A", (AffineExpr.of(0, i=1), AffineExpr.of(0)))],
+                              [binding]), arrays, trips)
         assert str(exc.value) == message
 
 
@@ -487,11 +511,12 @@ def test_write_back_refuses_a_missing_or_short_output_stream():
     arrays = allocate_arrays(kernel, params, np.random.default_rng(0))
     trips = trip_counts(kernel.canonical_nest()[0], params)
     (out,) = g.outputs()
+    plan = _plan_of(g, arrays, trips)
     with pytest.raises(simulator.UnconfiguredTag,
                        match=f"report carries no stream for output {out}"):
-        write_back(graph_io(g), {}, arrays, trips)
+        write_back(graph_io(g), {}, arrays, plan)
     with pytest.raises(LengthMismatch, match=f"output {out}: stream length 11 != domain 12"):
-        write_back(graph_io(g), {out: np.zeros(11, np.int32)}, arrays, trips)
+        write_back(graph_io(g), {out: np.zeros(11, np.int32)}, arrays, plan)
 
 
 @pytest.mark.parametrize("block", [1, 4, 5, 12, 64])
@@ -564,11 +589,15 @@ def test_run_compiled_runs_views_as_it_runs_built_streams(monkeypatch, block, do
     before = {name: a.copy() for name, a in arrays.items()}
     g = _summing_graph(reads, factor)
     program = lower_dfg(g)
-    views = stream_views(graph_io(g), arrays, trips)
+    blocks = _as_blocks(arrays)
+    views = _plan_of(g, blocks, trips).gather(blocks)
     box = tuple(_steady_counts(trips, factor))
     for nid, binding in zip(g.inputs(), reads):
+        source = arrays[binding.array]
         assert views[nid].shape == box
-        assert not views[nid].size or np.shares_memory(views[nid], arrays[binding.array])
+        # a view is over its source's memory unless the source was copied
+        assert not views[nid].size or (np.shares_memory(views[nid], source)
+                                       == source.flags.forc)
     got = run_compiled(program, views)
     want = run_compiled(program, build_streams(graph_io(g), arrays, trips))
     assert (got.frames_in, got.frames_out, got.cycles) == (
@@ -597,7 +626,8 @@ _CUT_BOXES = [
 def test_an_input_that_no_piece_changes_is_copied_once(monkeypatch, box, block, pieces):
     """One read per subset of the loops, indexed by exactly those loops, so
     that some reads are constant along every axis the pieces cut and the
-    others are not.  One read is of a reversed array, with negative strides."""
+    others are not.  One read runs backwards along its array, with a
+    negative stride."""
     monkeypatch.setattr(simulator, "_BLOCK", block)
     assert [piece for _, piece in simulator._pieces(box)] == pieces
     trips = list(zip(LOOP_VARS, box))
@@ -610,10 +640,11 @@ def test_an_input_that_no_piece_changes_is_copied_once(monkeypatch, box, block, 
         shape = tuple(n for _, n in used) or (3,)
         arrays[name] = rng.integers(-2**31, 2**31, shape).astype(np.int32)
         reads.append(IoBinding(name, access))
-    arrays["A1"] = arrays["A1"][::-1].copy()[::-1]
+    var, n = trips[0]
+    reads[1] = IoBinding("A1", (AffineExpr.of(n - 1, **{var: -1}),))
     g = _summing_graph(reads, 1)
     program = lower_dfg(g)
-    views = stream_views(graph_io(g), arrays, trips)
+    views = _plan_of(g, arrays, trips).gather(arrays)
     cut = len(next(simulator._pieces(box))[0])
     invariant = [nid for nid, view in views.items() if not any(view.strides[:cut])]
     assert 0 < len(invariant) < len(views)
@@ -788,25 +819,16 @@ def _outcome(call):
         return str(exc)
 
 
-def _copying(reads, writes, factor=1):
-    """``_graph`` whose Outputs each copy the first read: a graph with a
-    host program."""
-    g = _graph(reads, writes, factor)
-    copy = g.op_nodes()[0]
-    for out in g.outputs():
-        g.nodes[out] = replace(g.nodes[out], srcs=(copy,))
-    return g
-
-
 @settings(max_examples=40)
 @given(domain=_domains(), data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_a_memoized_view_equals_a_fresh_one(domain, data, seed):
     """Calls on one GraphIo that alternate three signatures, through plans
     kept per signature as the runtime keeps them, gather and scatter
-    exactly what fresh views of a fresh GraphIo do.  The second signature
-    has the first's trip counts and shapes but the other dtype, and may
-    have other strides; the third other trip counts, which may take an
-    access out of range."""
+    exactly what a fresh plan of each call on a fresh GraphIo does.  Each
+    call copies the arrays that are not one block anew, as the runtime
+    does.  The second signature has the first's trip counts and shapes but
+    the other dtype, and may have other strides; the third other trip
+    counts, which may take an access out of range."""
     trips, factor = domain
     rng = np.random.default_rng(seed)
     reads = [data.draw(_reads(trips, factor, name)) for name in ("A", "B")]
@@ -828,22 +850,22 @@ def test_a_memoized_view_equals_a_fresh_one(domain, data, seed):
         calls.append((sig_trips, arrays, outputs))
     io, program, plans = graph_io(g), lower_dfg(g), {}
 
-    def planned(sig_trips, arrays, outputs):
+    def planned(sig_trips, arrays, blocks, outputs):
         signature = call_signature(io, arrays, sig_trips)
-        plan = plans.get(signature)
-        if plan is None:
-            plan = plan_box(io, program, arrays, sig_trips)
-            if plan.flat:
-                plans[signature] = plan
-        return plan.gather(arrays), write_back(io, outputs, arrays, sig_trips, plan)
+        if signature not in plans:
+            plans[signature] = plan_box(io, program, blocks, sig_trips)
+        plan = plans[signature]
+        return plan.gather(blocks), write_back(io, outputs, blocks, plan)
 
-    def fresh(sig_trips, arrays, outputs):
-        return (stream_views(graph_io(g), arrays, sig_trips),
-                write_back(graph_io(g), outputs, arrays, sig_trips))
+    def fresh(sig_trips, blocks, outputs):
+        plan = _plan_of(g, blocks, sig_trips)
+        return plan.gather(blocks), write_back(graph_io(g), outputs, blocks, plan)
 
     for index in data.draw(st.permutations([0, 1, 2] * 3)):
-        got = _outcome(lambda: planned(*calls[index]))
-        want = _outcome(lambda: fresh(*calls[index]))
+        sig_trips, arrays, outputs = calls[index]
+        blocks = _as_blocks(arrays)
+        got = _outcome(lambda: planned(sig_trips, arrays, blocks, outputs))
+        want = _outcome(lambda: fresh(sig_trips, blocks, outputs))
         if isinstance(want, str):
             assert got == want
             continue
@@ -934,7 +956,7 @@ def test_the_reads_and_the_writes_of_one_array_keep_their_own_plans():
     assert [layout[3] for layout in plan.writes] == [0]
     for _ in range(2):
         report = run_compiled(program, plan.gather(arrays), plan)
-        out = write_back(io, report.outputs, arrays, trips, plan)
+        out = write_back(io, report.outputs, arrays, plan)
         assert out["C"].tolist() == [1, 2, 3, 4, 4]
 
 
@@ -962,7 +984,7 @@ def test_the_memo_keeps_the_most_recent_signatures(monkeypatch):
     # the least recently used is dropped, and the most recent are kept.
     kernel, rt, plans = _runtime_of("kernel inc(N)\narrays: A[N]:int32, C[N]:int32\n"
                                     "for i in 0..N { C[i] = 3*A[i] + 1; }")
-    capacity = simulator.CACHE_CAPACITY
+    capacity = runtime.CACHE_CAPACITY
     arrays = {"A": np.arange(capacity + 1, dtype=np.int32),
               "C": np.zeros(capacity + 1, dtype=np.int32)}
     layouts = _memo_counted(monkeypatch)
